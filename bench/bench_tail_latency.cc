@@ -37,7 +37,6 @@
 #include "core/chunk_index.h"
 #include "core/exact_scan.h"
 #include "core/search_method.h"
-#include "core/searcher.h"
 #include "descriptor/generator.h"
 #include "util/logging.h"
 #include "util/parallel_for.h"
@@ -222,9 +221,13 @@ int Main(int argc, char** argv) {
     }
     std::cout << v.label << ": " << index->Describe() << "\n";
 
-    const Searcher searcher(&*index, cost_model);
-    const std::unique_ptr<SearchMethod> method = WrapSearcher(&searcher);
-    auto points = RunTailSweep(*method, workload, &truth, k, budgets,
+    MethodContext context;
+    context.index = &*index;
+    context.cost_model = cost_model;
+    auto method = MethodRegistry::Global().Create("chunked", context);
+    QVT_CHECK_OK(method.status());
+    QVT_CHECK_OK((*method)->Prepare());
+    auto points = RunTailSweep(**method, workload, &truth, k, budgets,
                                /*num_threads=*/1);
     QVT_CHECK_OK(points.status()) << "tail sweep failed for " << v.label;
 

@@ -59,12 +59,13 @@ int main() {
   if (!approx.ok() || !exact.ok()) return 1;
 
   std::printf("\napproximate (3 chunks, modeled %.0f ms):\n",
-              approx->model_elapsed_micros / 1000.0);
+              approx->telemetry.model_micros / 1000.0);
   for (const Neighbor& n : approx->neighbors) {
     std::printf("  id %-8u dist %.3f\n", n.id, n.distance);
   }
-  std::printf("exact (%zu chunks, modeled %.0f ms):\n", exact->chunks_read,
-              exact->model_elapsed_micros / 1000.0);
+  std::printf("exact (%zu chunks, modeled %.0f ms):\n",
+              exact->telemetry.chunks_read,
+              exact->telemetry.model_micros / 1000.0);
   for (const Neighbor& n : exact->neighbors) {
     std::printf("  id %-8u dist %.3f\n", n.id, n.distance);
   }
@@ -81,6 +82,6 @@ int main() {
   }
   std::printf("\napproximate search found %zu/10 of the true neighbors in "
               "%zu of %zu chunks\n",
-              hits, approx->chunks_read, index->num_chunks());
+              hits, approx->telemetry.chunks_read, index->num_chunks());
   return 0;
 }

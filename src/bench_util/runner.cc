@@ -46,14 +46,14 @@ StatusOr<QualityCurves> RunWorkload(const Searcher& searcher,
     auto result = searcher.Search(workload.Query(q), k, stop, observer);
     if (!result.ok()) return result.status();
 
+    const QueryTelemetry& t = result->telemetry;
     curves.mean_completion_model_seconds +=
-        static_cast<double>(result->model_elapsed_micros) * 1e-6;
+        static_cast<double>(t.model_micros) * 1e-6;
     curves.mean_completion_wall_seconds +=
-        static_cast<double>(result->wall_elapsed_micros) * 1e-6;
-    curves.mean_chunks_to_completion +=
-        static_cast<double>(result->chunks_read);
+        static_cast<double>(t.wall_micros) * 1e-6;
+    curves.mean_chunks_to_completion += static_cast<double>(t.chunks_read);
     curves.mean_descriptors_to_completion +=
-        static_cast<double>(result->descriptors_processed);
+        static_cast<double>(t.descriptors_scanned);
     curves.mean_final_precision +=
         PrecisionAtK(result->neighbors, truth.TruthFor(q), k);
   }
@@ -133,15 +133,6 @@ StatusOr<BatchRunReport> RunMethodBatch(const SearchMethod& method,
     report.mean_final_precision /= n;
   }
   return report;
-}
-
-StatusOr<BatchRunReport> RunWorkloadBatch(const Searcher& searcher,
-                                          const Workload& workload,
-                                          const GroundTruth* truth, size_t k,
-                                          const StopRule& stop,
-                                          size_t num_threads) {
-  const std::unique_ptr<SearchMethod> method = WrapSearcher(&searcher);
-  return RunMethodBatch(*method, workload, truth, k, stop, num_threads);
 }
 
 StatusOr<std::vector<TailPoint>> RunTailSweep(

@@ -2,12 +2,10 @@
 #define QVT_CORE_BATCH_SEARCHER_H_
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
 #include "core/search_method.h"
-#include "core/searcher.h"
 #include "descriptor/workload.h"
 #include "util/stats.h"
 #include "util/statusor.h"
@@ -91,18 +89,13 @@ struct BatchSearchResult {
 /// first (one plan and scan, results fanned back out). Per-query results
 /// are bit-identical to the query-major path; only wall-clock attribution
 /// and (with a shared ChunkCache) cache verdicts differ, exactly as they
-/// already do between thread counts. Pass `shared_scan = false` or set
-/// QVT_SHARED_SCAN=0 in the environment to force query-major execution.
+/// already do between thread counts. Pass `shared_scan = false` to force
+/// query-major execution (the faster mode on several threads when queries
+/// share few chunks).
 class BatchSearcher {
  public:
   /// `method` is borrowed and must outlive the batch searcher.
   BatchSearcher(const SearchMethod* method, size_t num_threads,
-                bool shared_scan = true);
-
-  /// Convenience: wraps a borrowed chunked `searcher` in the unified
-  /// adapter (owned by this BatchSearcher). Behaves exactly like the
-  /// pre-unification BatchSearcher over a Searcher.
-  BatchSearcher(const Searcher* searcher, size_t num_threads,
                 bool shared_scan = true);
 
   /// Runs every query of `queries` for its k nearest neighbors under `stop`.
@@ -113,7 +106,6 @@ class BatchSearcher {
   size_t num_threads() const { return num_threads_; }
 
  private:
-  std::unique_ptr<SearchMethod> owned_method_;  ///< legacy Searcher ctor only
   const SearchMethod* method_;
   size_t num_threads_;
   bool shared_scan_;

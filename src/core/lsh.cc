@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/search_method.h"
 #include "geometry/vec.h"
 #include "util/clock.h"
 #include "util/logging.h"
@@ -88,9 +89,7 @@ LshIndex LshIndex::Build(const Collection* collection,
 
 StatusOr<std::vector<Neighbor>> LshIndex::Search(
     std::span<const float> query, size_t k, QueryTelemetry* telemetry) const {
-  if (query.size() != collection_->dim()) {
-    return Status::InvalidArgument("query dimensionality mismatch");
-  }
+  QVT_RETURN_IF_ERROR(ValidateQuery(query, collection_->dim()));
   if (k == 0) return Status::InvalidArgument("k must be positive");
 
   WallClock wall;

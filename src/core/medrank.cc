@@ -4,6 +4,7 @@
 #include <cmath>
 #include <queue>
 
+#include "core/search_method.h"
 #include "geometry/vec.h"
 #include "util/clock.h"
 #include "util/logging.h"
@@ -64,9 +65,7 @@ StatusOr<std::vector<Neighbor>> MedrankIndex::Search(
     std::span<const float> query, size_t k, QueryTelemetry* telemetry) const {
   const size_t dim = collection_->dim();
   const size_t n = collection_->size();
-  if (query.size() != dim) {
-    return Status::InvalidArgument("query dimensionality mismatch");
-  }
+  QVT_RETURN_IF_ERROR(ValidateQuery(query, dim));
   if (k == 0 || k > n) {
     return Status::InvalidArgument("k out of range");
   }

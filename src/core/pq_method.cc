@@ -187,9 +187,7 @@ StatusOr<MethodResult> PqMethod::Search(std::span<const float> query, size_t k,
   }
   QVT_RETURN_IF_ERROR(RequireExactStop(stop, name()));
   if (k == 0) return Status::InvalidArgument("k must be positive");
-  if (query.size() != dim_) {
-    return Status::InvalidArgument("query dimensionality mismatch");
-  }
+  QVT_RETURN_IF_ERROR(ValidateQuery(query, dim_));
 
   WallClock wall;
   Stopwatch total(&wall);
@@ -273,9 +271,7 @@ StatusOr<std::vector<MethodResult>> PqMethod::SearchShared(
   QVT_RETURN_IF_ERROR(RequireExactStop(stop, name()));
   if (k == 0) return Status::InvalidArgument("k must be positive");
   for (const auto& query : queries) {
-    if (query.size() != dim_) {
-      return Status::InvalidArgument("query dimensionality mismatch");
-    }
+    QVT_RETURN_IF_ERROR(ValidateQuery(query, dim_));
   }
   const size_t nq = queries.size();
   WallClock wall;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 
+#include "core/search_method.h"
 #include "geometry/vec.h"
 #include "util/clock.h"
 #include "util/logging.h"
@@ -64,9 +65,7 @@ double PSphereTree::ReplicationFactor() const {
 
 StatusOr<std::vector<Neighbor>> PSphereTree::Search(
     std::span<const float> query, size_t k, QueryTelemetry* telemetry) const {
-  if (query.size() != dim_) {
-    return Status::InvalidArgument("query dimensionality mismatch");
-  }
+  QVT_RETURN_IF_ERROR(ValidateQuery(query, dim_));
   if (k == 0) return Status::InvalidArgument("k must be positive");
 
   WallClock wall;

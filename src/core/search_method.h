@@ -22,17 +22,6 @@
 
 namespace qvt {
 
-/// Answer of one query through the unified interface: neighbors in
-/// ascending (distance, id) order — the KnnResultSet tie-break, which every
-/// method honors — plus the shared telemetry record.
-struct MethodResult {
-  std::vector<Neighbor> neighbors;
-  QueryTelemetry telemetry;
-  /// Per-structure attribution when the answer was merged across a dynamic
-  /// index's buffer and shards; empty for static methods.
-  std::vector<ShardAttribution> shards;
-};
-
 /// Static capability flags of a search method, known without constructing
 /// it (carried by the registry for listings).
 struct MethodCapabilities {
@@ -87,6 +76,14 @@ class MethodOptions {
   std::map<std::string, std::string> values_;
   std::set<std::string> consumed_;
 };
+
+/// Shared input guard of every query entry point (all methods, the
+/// searcher's k-NN and range paths, the dynamic layer and its inserts): OK
+/// iff `query` has `dim` coordinates and every one is finite;
+/// InvalidArgument otherwise. A NaN or infinite coordinate would make every
+/// distance NaN or infinite, so no answer — and no exactness verdict —
+/// could be trusted.
+Status ValidateQuery(std::span<const float> query, size_t dim);
 
 /// The polymorphic face of every search method in the repo: the paper's
 /// chunked searcher (§4.3), the exact sequential scan it is scored against,
@@ -207,13 +204,6 @@ struct MethodShard {
 /// without a custom factory use the registry's generic collection-only path.
 using ShardFactory = std::function<StatusOr<MethodShard>(
     const ShardBuildContext& context, MethodOptions& options)>;
-
-/// Wraps an already-configured, borrowed Searcher in the unified "chunked"
-/// adapter — the same conversion the registry's "chunked" factory applies,
-/// without constructing a new Searcher. Used by BatchSearcher's legacy
-/// constructor and by tests pinning unified results to direct calls.
-/// `searcher` must outlive the returned method.
-std::unique_ptr<SearchMethod> WrapSearcher(const Searcher* searcher);
 
 /// Name -> factory map for search methods. The seven built-ins ("chunked",
 /// "exact-scan", "lsh", "va-file", "medrank", "psphere", "pq") self-register

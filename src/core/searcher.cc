@@ -5,7 +5,9 @@
 #include <optional>
 #include <utility>
 
+#include "core/search_method.h"
 #include "geometry/kernels.h"
+#include "storage/page.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
 
@@ -83,7 +85,7 @@ int64_t Searcher::RankChunks(std::span<const float> query,
   return cost_model_.IndexScanMicros(num_chunks);
 }
 
-Status Searcher::FetchChunk(uint32_t chunk_id, SearchScratch& scratch,
+Status Searcher::FetchChunk(uint32_t chunk_id, ChunkData* buffer,
                             std::shared_ptr<const ChunkData>* cache_ref,
                             const ChunkData** data, bool* from_cache) const {
   *from_cache = false;
@@ -100,168 +102,57 @@ Status Searcher::FetchChunk(uint32_t chunk_id, SearchScratch& scratch,
     *from_cache = was_hit;
     return Status::OK();
   }
-  QVT_RETURN_IF_ERROR(index_->ReadChunk(chunk_id, &scratch.chunk));
-  *data = &scratch.chunk;
+  QVT_RETURN_IF_ERROR(index_->ReadChunk(chunk_id, buffer));
+  *data = buffer;
   return Status::OK();
 }
 
-StatusOr<SearchResult> Searcher::Search(std::span<const float> query,
+void Searcher::FinishTelemetry(QueryTelemetry& t) const {
+  t.scan.wall_micros = t.wall_micros - t.plan.wall_micros;
+  t.scan.model_micros = t.model_micros - t.plan.model_micros;
+  t.probes = t.chunks_read;
+  t.index_entries_scanned = index_->num_chunks();
+  t.candidates_examined = t.descriptors_scanned;
+}
+
+StatusOr<MethodResult> Searcher::Search(std::span<const float> query,
                                         size_t k, const StopRule& stop,
                                         const SearchObserver& observer,
                                         SearchScratch* scratch) const {
-  if (k == 0) return Status::InvalidArgument("k must be positive");
-  if (query.size() != index_->dim()) {
-    return Status::InvalidArgument("query dimensionality mismatch");
-  }
   SearchScratch local_scratch;
-  SearchScratch& s = scratch != nullptr ? *scratch : local_scratch;
-  const size_t num_chunks = index_->num_chunks();
+  SharedScanStats stats;
+  QVT_ASSIGN_OR_RETURN(
+      std::vector<MethodResult> results,
+      Execute({&query, 1}, k, stop, /*num_threads=*/1, &stats, observer,
+              scratch != nullptr ? scratch : &local_scratch));
+  results.front().telemetry.prefetch = stats.prefetch;
+  return std::move(results.front());
+}
 
-  WallClock wall;
-  Stopwatch stopwatch(&wall);
-
-  // --- Step 1: rank all chunks by centroid distance (§4.3). ---------------
-  int64_t model_micros = RankChunks(query, s);
-  const int64_t rank_model_micros = model_micros;
-  const int64_t rank_wall_micros = stopwatch.ElapsedMicros();
-
-  // --- Steps 2 & 3: scan chunks in rank order under the stop rule. --------
-  // The read schedule is fully known now, so the pipelined path opens a
-  // read-ahead stream over it; delivery stays strictly in rank order and the
-  // stream's consume-time cache verdicts match the synchronous FetchChunk
-  // exactly, so everything below is identical either way but wall time.
-  std::unique_ptr<PrefetchStream> stream;
-  if (prefetcher_ != nullptr) {
-    stream = prefetcher_->NewStream({s.rank_order.data(), num_chunks});
-  }
-  OverlappedScanTimeline timeline(
-      prefetcher_ != nullptr ? prefetcher_->depth() : 0, model_micros);
-
-  KnnResultSet result_set(k);
-  SearchResult result;
-  s.distances.resize(kScanBlock);  // scan scratch, reserved once per query
-
-  for (size_t r = 0; r < num_chunks; ++r) {
-    // Stop checks happen before reading the next chunk.
-    if (stop.kind == StopRule::Kind::kMaxChunks &&
-        result.chunks_read >= stop.max_chunks) {
-      break;
-    }
-    if (stop.kind == StopRule::Kind::kTimeBudget &&
-        model_micros >= stop.budget_micros) {
-      break;
-    }
-    if (stop.kind == StopRule::Kind::kExact && result_set.full() &&
-        s.suffix_min_bound[r] * (1.0 + stop.epsilon) >
-            result_set.KthDistance()) {
-      result.exact = stop.epsilon == 0.0;
-      break;
-    }
-
-    const uint32_t chunk_id = s.rank_order[r];
-    const ChunkLocation& loc = index_->location(chunk_id);
-
-    std::shared_ptr<const ChunkData> cache_ref;
-    const ChunkData* data = nullptr;
-    bool from_cache = false;
-    QVT_RETURN_IF_ERROR(
-        stream != nullptr
-            ? stream->Next(&cache_ref, &data, &from_cache)
-            : FetchChunk(chunk_id, s, &cache_ref, &data, &from_cache));
-
-    // Scan the chunk in blocks through the batched kernel. Rows whose
-    // partial sum provably exceeds the current k-th distance are abandoned
-    // mid-row; AbandonThreshold()'s margin guarantees no row that could
-    // enter the result set (ties included) is ever pruned, so results are
-    // bit-identical to the plain per-row scan.
-    const size_t dim = data->dim;
-    for (size_t b = 0; b < data->size(); b += kScanBlock) {
-      const size_t bn = std::min(kScanBlock, data->size() - b);
-      const double threshold =
-          kernels::AbandonThreshold(result_set.KthDistance());
-      kernels::BatchSquaredDistanceAbandon(data->values.data() + b * dim, bn,
-                                           dim, query, threshold,
-                                           s.distances.data());
-      for (size_t i = 0; i < bn; ++i) {
-        const double sq = s.distances[i];
-        if (sq == kernels::kAbandoned) continue;
-        result_set.Insert(data->ids[b + i], std::sqrt(sq));
-      }
-    }
-
-    ++result.chunks_read;
-    result.descriptors_processed += data->size();
-    result.largest_chunk_descriptors = std::max(
-        result.largest_chunk_descriptors, loc.num_descriptors);
-    if (cache_ != nullptr) {
-      from_cache ? ++result.cache_hits : ++result.cache_misses;
-    }
-    if (!from_cache) result.pages_read += loc.num_pages;
-    // Cache hits skip the disk entirely: CPU cost only.
-    model_micros +=
-        from_cache
-            ? cost_model_.ChunkCpuMicros(loc.num_descriptors)
-            : cost_model_.ChunkTotalMicros(loc.num_pages,
-                                           loc.num_descriptors);
-    timeline.AddChunk(
-        from_cache ? 0 : cost_model_.ChunkIoMicros(loc.num_pages),
-        cost_model_.ChunkCpuMicros(loc.num_descriptors));
-
-    if (observer) {
-      SearchProgress progress;
-      progress.chunks_read = result.chunks_read;
-      progress.chunk_descriptors = loc.num_descriptors;
-      progress.descriptors_processed = result.descriptors_processed;
-      progress.model_elapsed_micros = model_micros;
-      progress.wall_elapsed_micros = stopwatch.ElapsedMicros();
-      progress.result = &result_set;
-      observer(progress);
-    }
-  }
-
-  // A query that scanned every chunk is exact by construction.
-  if (stop.kind == StopRule::Kind::kExact &&
-      result.chunks_read == num_chunks) {
-    result.exact = true;
-  }
-
-  // A stop rule firing mid-order leaves reads in flight: cancel them now
-  // (workers skip preads not yet started) and harvest the counters.
-  if (stream != nullptr) result.prefetch = stream->Finish();
-  result.neighbors = result_set.Sorted();
-  result.model_elapsed_micros = model_micros;
-  result.model_overlapped_micros = timeline.ElapsedMicros();
-  result.wall_elapsed_micros = stopwatch.ElapsedMicros();
-  result.rank_model_micros = rank_model_micros;
-  result.rank_wall_micros = rank_wall_micros;
-  return result;
+StatusOr<std::vector<MethodResult>> Searcher::SearchShared(
+    std::span<const std::span<const float>> queries, size_t k,
+    const StopRule& stop, size_t num_threads,
+    SharedScanStats* shared) const {
+  return Execute(queries, k, stop, num_threads, shared, nullptr, nullptr);
 }
 
 namespace {
 
-/// Private state of one query inside a shared-scan batch. Everything that
-/// evolves during the scan — result set, stop-rule inputs, accounting — is
+/// Private state of one query inside the executor. Everything that evolves
+/// during the scan — result set, stop-rule inputs, accounting — is
 /// per-query, so queries co-scanning one chunk never share mutable state.
-struct SharedQueryState {
-  std::span<const float> query;
-  std::vector<double> wide_query;  ///< pre-widened for the fused kernels
-  SearchScratch scratch;
+struct QueryState {
+  SearchScratch* scratch = nullptr;
   std::optional<KnnResultSet> result_set;
-  SearchResult result;
+  MethodResult result;
   int64_t model_micros = 0;  ///< as-if-alone serial model clock
   int64_t wall_micros = 0;   ///< fair-share wall attribution
-  /// (io, cpu) model charge of the chunk at each rank position, indexed by
-  /// rank. The schedule may visit chunks out of rank order (kMaxChunks mode
-  /// sorts by chunk id), so overlapped-timeline replay happens at finalize,
-  /// in rank order — making model_overlapped_micros identical to the
-  /// per-query path's in-order accumulation.
-  std::vector<std::pair<int64_t, int64_t>> charges;
-  size_t next_rank = 0;  ///< next rank position to demand (round mode)
+  size_t next_rank = 0;      ///< next rank position to demand (round mode)
 };
 
 /// One (query, rank position) pair attached to a scheduled chunk.
 struct ChunkAttachment {
-  SharedQueryState* state;
+  QueryState* state;
   size_t rank;
 };
 
@@ -276,9 +167,12 @@ struct SweepScratch {
 
 /// Sweeps one fetched chunk for all attached queries through the fused
 /// multi-query kernel: kScanBlock row blocks, per-query abandon thresholds
-/// recomputed from each query's own result set between blocks — the exact
-/// per-query (threshold, completed rows) sequence of Searcher::Search, so
-/// each query's result-set evolution is bit-identical to running alone.
+/// recomputed from each query's own result set between blocks, so each
+/// query's (threshold, completed rows) sequence is the one it would see
+/// scanning the chunk alone. Rows whose partial sum provably exceeds the
+/// current k-th distance are abandoned mid-row; AbandonThreshold()'s margin
+/// guarantees no row that could enter the result set (ties included) is
+/// ever pruned, so results are bit-identical to the plain per-row scan.
 void SweepChunkForQueries(const ChunkData& data,
                           std::span<const ChunkAttachment> atts,
                           SweepScratch& sweep) {
@@ -291,9 +185,9 @@ void SweepChunkForQueries(const ChunkData& data,
   double** outs = sweep.outs.data();
   double* thresholds = sweep.thresholds.data();
   for (size_t j = 0; j < nq; ++j) {
-    SharedQueryState& q = *atts[j].state;
-    queries[j] = q.wide_query.data();
-    outs[j] = q.scratch.distances.data();
+    SearchScratch& s = *atts[j].state->scratch;
+    queries[j] = s.wide_query.data();
+    outs[j] = s.distances.data();
   }
   for (size_t b = 0; b < data.size(); b += kScanBlock) {
     const size_t bn = std::min(kScanBlock, data.size() - b);
@@ -317,37 +211,38 @@ void SweepChunkForQueries(const ChunkData& data,
 
 }  // namespace
 
-StatusOr<std::vector<SearchResult>> Searcher::SearchShared(
+StatusOr<std::vector<MethodResult>> Searcher::Execute(
     std::span<const std::span<const float>> queries, size_t k,
-    const StopRule& stop, size_t num_threads,
-    SharedScanStats* shared) const {
+    const StopRule& stop, size_t num_threads, SharedScanStats* shared,
+    const SearchObserver& observer, SearchScratch* scratch) const {
   if (k == 0) return Status::InvalidArgument("k must be positive");
   for (const auto& query : queries) {
-    if (query.size() != index_->dim()) {
-      return Status::InvalidArgument("query dimensionality mismatch");
-    }
+    QVT_RETURN_IF_ERROR(ValidateQuery(query, index_->dim()));
   }
   const size_t num_chunks = index_->num_chunks();
   const size_t nq = queries.size();
 
   WallClock wall;
+  Stopwatch call_watch(&wall);
 
   // --- Plan: rank every query's chunks up front (§4.3 step 1). ------------
-  std::vector<SharedQueryState> states(nq);
+  std::vector<SearchScratch> owned_scratch(
+      scratch != nullptr && nq == 1 ? 0 : nq);
+  std::vector<QueryState> states(nq);
   for (size_t i = 0; i < nq; ++i) {
-    SharedQueryState& q = states[i];
-    q.query = queries[i];
+    QueryState& q = states[i];
+    q.scratch = owned_scratch.empty() ? scratch : &owned_scratch[i];
+    SearchScratch& s = *q.scratch;
     Stopwatch plan_watch(&wall);
-    q.model_micros = RankChunks(q.query, q.scratch);
-    q.result.rank_model_micros = q.model_micros;
-    q.result.rank_wall_micros = plan_watch.ElapsedMicros();
-    q.wall_micros = q.result.rank_wall_micros;
+    q.model_micros = RankChunks(queries[i], s);
+    QueryTelemetry& t = q.result.telemetry;
+    t.plan.model_micros = q.model_micros;
+    t.plan.wall_micros = plan_watch.ElapsedMicros();
+    q.wall_micros = t.plan.wall_micros;
     q.result_set.emplace(k);
-    q.scratch.distances.resize(kScanBlock);  // sweep output, reserved once
-    q.wide_query.resize(q.query.size());
-    for (size_t d = 0; d < q.query.size(); ++d) {
-      q.wide_query[d] = static_cast<double>(q.query[d]);
-    }
+    s.distances.resize(kScanBlock);  // sweep output, reserved once
+    s.wide_query.assign(queries[i].begin(), queries[i].end());
+    s.charges.clear();
   }
   if (shared != nullptr) {
     shared->enabled = true;
@@ -356,23 +251,29 @@ StatusOr<std::vector<SearchResult>> Searcher::SearchShared(
 
   std::optional<ThreadPool> pool;
   if (num_threads > 1 && nq > 1) pool.emplace(num_threads);
-  SearchScratch fetch_scratch;  // backs cache-less synchronous fetches
+  // Cache-less synchronous fetches land in the first query's chunk buffer
+  // (no other query's buffer is ever used).
+  ChunkData* fetch_buffer = nq > 0 ? &states.front().scratch->chunk : nullptr;
   // One sweep scratch per worker, reused across every chunk and schedule.
   std::vector<SweepScratch> sweeps(pool.has_value() ? pool->num_threads()
                                                     : 1);
 
-  // Fetches and sweeps one schedule: the distinct chunk ids in `order`,
-  // each swept once for its attached queries — chunk ci's attachments are
-  // atts[range_end[ci-1] .. range_end[ci]). Per-attachment accounting is
+  // Fetches and sweeps one schedule: chunk order[ci] is swept once for its
+  // attached queries atts[range_end[ci-1] .. range_end[ci]). Accounting is
   // "as-if-alone": every attached query is charged the chunk's full model
-  // cost under the shared fetch's cache verdict — the same verdict the
-  // query-major path would see given the same cache state.
-  auto process = [&](const std::vector<uint32_t>& order,
-                     const std::vector<size_t>& range_end,
-                     const std::vector<ChunkAttachment>& flat_atts)
-      -> Status {
-    std::unique_ptr<PrefetchStream> stream;
-    if (prefetcher_ != nullptr) stream = prefetcher_->NewStream(order);
+  // cost under the shared fetch's cache verdict — the same verdict it would
+  // see scanning alone given the same cache state. `stream`, when non-null,
+  // already delivers `order` in sequence (the lone live query's read-ahead
+  // over its rank order); otherwise a stream over `order` is opened here.
+  auto process = [&](std::span<const uint32_t> order,
+                     std::span<const size_t> range_end,
+                     std::span<const ChunkAttachment> flat_atts,
+                     PrefetchStream* stream) -> Status {
+    std::unique_ptr<PrefetchStream> own_stream;
+    if (stream == nullptr && prefetcher_ != nullptr) {
+      own_stream = prefetcher_->NewStream(order);
+      stream = own_stream.get();
+    }
     Status status = Status::OK();
     Stopwatch sweep_watch(&wall);
     int64_t last_micros = 0;
@@ -385,14 +286,13 @@ StatusOr<std::vector<SearchResult>> Searcher::SearchShared(
       bool from_cache = false;
       status = stream != nullptr
                    ? stream->Next(&cache_ref, &data, &from_cache)
-                   : FetchChunk(chunk_id, fetch_scratch, &cache_ref, &data,
+                   : FetchChunk(chunk_id, fetch_buffer, &cache_ref, &data,
                                 &from_cache);
       if (!status.ok()) break;
 
       const size_t att_begin = ci == 0 ? 0 : range_end[ci - 1];
       const std::span<const ChunkAttachment> atts =
-          std::span<const ChunkAttachment>(flat_atts)
-              .subspan(att_begin, range_end[ci] - att_begin);
+          flat_atts.subspan(att_begin, range_end[ci] - att_begin);
       if (pool.has_value() && atts.size() > 1) {
         // Per-query state is disjoint, so splitting the attachment list
         // into contiguous ranges is safe and results are independent of
@@ -421,28 +321,41 @@ StatusOr<std::vector<SearchResult>> Searcher::SearchShared(
                                  static_cast<int64_t>(atts.size());
       last_micros = now_micros;
       for (const ChunkAttachment& att : atts) {
-        SharedQueryState& q = *att.state;
-        SearchResult& r = q.result;
-        ++r.chunks_read;
-        r.descriptors_processed += data->size();
-        r.largest_chunk_descriptors =
-            std::max(r.largest_chunk_descriptors, loc.num_descriptors);
+        QueryState& q = *att.state;
+        QueryTelemetry& t = q.result.telemetry;
+        ++t.chunks_read;
+        t.descriptors_scanned += data->size();
+        t.max_probe_rows =
+            std::max<uint64_t>(t.max_probe_rows, loc.num_descriptors);
         if (cache_ != nullptr) {
-          from_cache ? ++r.cache_hits : ++r.cache_misses;
+          from_cache ? ++t.cache_hits : ++t.cache_misses;
         }
-        if (!from_cache) r.pages_read += loc.num_pages;
+        if (!from_cache) t.bytes_read += loc.num_pages * kPageSize;
+        // Cache hits skip the disk entirely: CPU cost only.
         q.model_micros +=
             from_cache ? cpu_micros
                        : cost_model_.ChunkTotalMicros(loc.num_pages,
                                                       loc.num_descriptors);
         const std::pair<int64_t, int64_t> charge{from_cache ? 0 : io_micros,
                                                  cpu_micros};
-        if (q.charges.size() > att.rank) {
-          q.charges[att.rank] = charge;
+        std::vector<std::pair<int64_t, int64_t>>& charges =
+            q.scratch->charges;
+        if (charges.size() > att.rank) {
+          charges[att.rank] = charge;
         } else {
-          q.charges.push_back(charge);  // round mode pushes in rank order
+          charges.push_back(charge);  // round mode pushes in rank order
         }
         q.wall_micros += wall_share;
+        if (observer) {
+          SearchProgress progress;
+          progress.chunks_read = t.chunks_read;
+          progress.chunk_descriptors = loc.num_descriptors;
+          progress.descriptors_processed = t.descriptors_scanned;
+          progress.model_elapsed_micros = q.model_micros;
+          progress.wall_elapsed_micros = q.wall_micros;
+          progress.result = &*q.result_set;
+          observer(progress);
+        }
       }
       if (shared != nullptr) {
         ++shared->chunk_fetches;
@@ -454,8 +367,8 @@ StatusOr<std::vector<SearchResult>> Searcher::SearchShared(
             atts.size())];
       }
     }
-    if (stream != nullptr) {
-      const PrefetchStats stats = stream->Finish();
+    if (own_stream != nullptr) {
+      const PrefetchStats stats = own_stream->Finish();
       if (shared != nullptr) shared->prefetch += stats;
     }
     return status;
@@ -468,29 +381,34 @@ StatusOr<std::vector<SearchResult>> Searcher::SearchShared(
   // set's (distance, id) ordering fixes the final top-k), but
   // early-abandon thresholds are not — sweeping everyone's best-ranked
   // chunks first tightens every query's k-th distance almost as fast as
-  // its private rank order would, keeping the pruning power of the
-  // per-query path. Deterministic: the key is derived from the
-  // (deterministic) plans, never from timing.
-  std::vector<size_t> best_rank;  // per chunk id; reused across rounds
+  // its private rank order would, keeping the pruning power of a lone
+  // scan. A lone query's schedule is therefore its rank order.
+  // Deterministic: the key is derived from the (deterministic) plans,
+  // never from timing.
+  constexpr size_t kUnranked = static_cast<size_t>(-1);
+  std::vector<size_t> best_rank(num_chunks, kUnranked);  // per chunk id
+  std::vector<uint32_t> order;
+  std::vector<size_t> range_end;
+  std::vector<ChunkAttachment> atts;
   auto run_schedule =
-      [&](std::vector<std::pair<uint32_t, ChunkAttachment>>& demands)
-      -> Status {
-    best_rank.assign(num_chunks, static_cast<size_t>(-1));
+      [&](std::vector<std::pair<uint32_t, ChunkAttachment>>& demands,
+          PrefetchStream* stream) -> Status {
     for (const auto& [chunk_id, att] : demands) {
       best_rank[chunk_id] = std::min(best_rank[chunk_id], att.rank);
     }
     // Stable: attachments of one chunk keep query-submission order.
-    std::stable_sort(demands.begin(), demands.end(),
-                     [&](const auto& a, const auto& b) {
-                       if (best_rank[a.first] != best_rank[b.first]) {
-                         return best_rank[a.first] < best_rank[b.first];
-                       }
-                       return a.first < b.first;
-                     });
-    std::vector<uint32_t> order;
-    std::vector<size_t> range_end;
-    std::vector<ChunkAttachment> atts;
-    atts.reserve(demands.size());
+    if (demands.size() > 1) {
+      std::stable_sort(demands.begin(), demands.end(),
+                       [&](const auto& a, const auto& b) {
+                         if (best_rank[a.first] != best_rank[b.first]) {
+                           return best_rank[a.first] < best_rank[b.first];
+                         }
+                         return a.first < b.first;
+                       });
+    }
+    order.clear();
+    range_end.clear();
+    atts.clear();
     for (const auto& [chunk_id, att] : demands) {
       if (order.empty() || order.back() != chunk_id) {
         order.push_back(chunk_id);
@@ -498,52 +416,58 @@ StatusOr<std::vector<SearchResult>> Searcher::SearchShared(
       }
       atts.push_back(att);
       range_end.back() = atts.size();
+      best_rank[chunk_id] = kUnranked;  // reset only what this round touched
     }
-    return process(order, range_end, atts);
+    return process(order, range_end, atts, stream);
   };
 
+  std::vector<std::pair<uint32_t, ChunkAttachment>> demands;
   if (stop.kind == StopRule::Kind::kMaxChunks) {
     // The scanned set is statically known: each query reads exactly its
     // first max_chunks ranked chunks, so the whole batch is one schedule
     // over the distinct demanded chunks — each fetched and decoded once no
-    // matter how many queries want it. Scanning out of rank order is safe:
-    // the result set's (distance, id) ordering makes the final top-k
-    // independent of insertion order, and rank-indexed charge replay
-    // restores the modeled timeline (see DESIGN.md).
+    // matter how many queries want it, and read-ahead never runs past the
+    // budget. Scanning out of rank order is safe: the result set's
+    // (distance, id) ordering makes the final top-k independent of
+    // insertion order, and rank-indexed charge replay restores the modeled
+    // timeline (see DESIGN.md).
     const size_t budget = std::min(stop.max_chunks, num_chunks);
-    std::vector<std::pair<uint32_t, ChunkAttachment>> demands;
     demands.reserve(nq * budget);
-    for (SharedQueryState& q : states) {
-      q.charges.resize(budget);
+    for (QueryState& q : states) {
+      q.scratch->charges.resize(budget);
       for (size_t r = 0; r < budget; ++r) {
-        demands.emplace_back(q.scratch.rank_order[r],
+        demands.emplace_back(q.scratch->rank_order[r],
                              ChunkAttachment{&q, r});
       }
     }
-    QVT_RETURN_IF_ERROR(run_schedule(demands));
+    QVT_RETURN_IF_ERROR(run_schedule(demands, nullptr));
   } else {
     // Exact / epsilon / time-budget stops depend on evolving per-query
     // state, so the schedule is rebuilt in rounds: every live query
-    // re-checks its stop rule exactly where the per-query loop would (at
-    // its own next rank position, against its own result set and model
-    // clock), detaches if it fires, else demands its next ranked chunk;
-    // one round's demands coalesce into one ascending-chunk-id pass. Each
-    // query's chunks are still visited in exact rank order across rounds,
-    // so its (threshold, chunk, model-clock) sequence matches the
-    // per-query path step for step.
-    std::vector<SharedQueryState*> live;
+    // checks its stop rule before reading its next ranked chunk (against
+    // its own result set and model clock), detaches if it fires, else
+    // demands that chunk; one round's demands coalesce into one pass. Each
+    // query's chunks are visited in exact rank order across rounds, so its
+    // (threshold, chunk, model-clock) sequence is that of a lone scan.
+    // Once a single query is live, one read-ahead stream runs over its
+    // remaining rank order instead of one stream per round.
+    std::vector<QueryState*> live;
     live.reserve(nq);
-    for (SharedQueryState& q : states) live.push_back(&q);
+    for (QueryState& q : states) live.push_back(&q);
+    demands.reserve(nq);
+    std::unique_ptr<PrefetchStream> lone_stream;
     while (!live.empty()) {
-      std::vector<std::pair<uint32_t, ChunkAttachment>> demands;
-      demands.reserve(live.size());
-      std::vector<SharedQueryState*> still_live;
-      still_live.reserve(live.size());
-      for (SharedQueryState* q : live) {
+      demands.clear();
+      size_t kept = 0;
+      for (size_t i = 0; i < live.size(); ++i) {
+        QueryState* q = live[i];
+        const SearchScratch& s = *q->scratch;
         const size_t r = q->next_rank;
         if (r == num_chunks) {
           // Scanned every chunk: exact by construction.
-          if (stop.kind == StopRule::Kind::kExact) q->result.exact = true;
+          if (stop.kind == StopRule::Kind::kExact) {
+            q->result.telemetry.exact = true;
+          }
           continue;
         }
         if (stop.kind == StopRule::Kind::kTimeBudget &&
@@ -551,51 +475,63 @@ StatusOr<std::vector<SearchResult>> Searcher::SearchShared(
           continue;
         }
         if (stop.kind == StopRule::Kind::kExact && q->result_set->full() &&
-            q->scratch.suffix_min_bound[r] * (1.0 + stop.epsilon) >
+            s.suffix_min_bound[r] * (1.0 + stop.epsilon) >
                 q->result_set->KthDistance()) {
-          q->result.exact = stop.epsilon == 0.0;
+          q->result.telemetry.exact = stop.epsilon == 0.0;
           continue;
         }
-        demands.emplace_back(q->scratch.rank_order[r],
-                             ChunkAttachment{q, r});
+        demands.emplace_back(s.rank_order[r], ChunkAttachment{q, r});
         q->next_rank = r + 1;
-        still_live.push_back(q);
+        live[kept++] = q;
       }
-      live = std::move(still_live);
+      live.resize(kept);
       if (demands.empty()) break;
-      QVT_RETURN_IF_ERROR(run_schedule(demands));
+      if (live.size() == 1 && lone_stream == nullptr &&
+          prefetcher_ != nullptr) {
+        const QueryState& q = *live.front();
+        lone_stream = prefetcher_->NewStream(
+            std::span<const uint32_t>(q.scratch->rank_order)
+                .subspan(q.next_rank - 1));
+      }
+      QVT_RETURN_IF_ERROR(run_schedule(demands, lone_stream.get()));
+    }
+    // A stop rule firing mid-order leaves reads in flight: cancel them now
+    // (workers skip preads not yet started) and harvest the counters.
+    if (lone_stream != nullptr) {
+      const PrefetchStats stats = lone_stream->Finish();
+      if (shared != nullptr) shared->prefetch += stats;
     }
   }
 
   // --- Finalize: replay charges in rank order, assemble results. ----------
-  std::vector<SearchResult> results;
+  const size_t depth = prefetcher_ != nullptr ? prefetcher_->depth() : 0;
+  std::vector<MethodResult> results;
   results.reserve(nq);
-  for (SharedQueryState& q : states) {
-    OverlappedScanTimeline timeline(
-        prefetcher_ != nullptr ? prefetcher_->depth() : 0,
-        q.result.rank_model_micros);
-    for (size_t r = 0; r < q.result.chunks_read; ++r) {
-      timeline.AddChunk(q.charges[r].first, q.charges[r].second);
+  for (QueryState& q : states) {
+    QueryTelemetry& t = q.result.telemetry;
+    OverlappedScanTimeline timeline(depth, t.plan.model_micros);
+    for (size_t r = 0; r < t.chunks_read; ++r) {
+      timeline.AddChunk(q.scratch->charges[r].first,
+                        q.scratch->charges[r].second);
     }
     q.result.neighbors = q.result_set->Sorted();
-    q.result.model_elapsed_micros = q.model_micros;
-    q.result.model_overlapped_micros = timeline.ElapsedMicros();
-    q.result.wall_elapsed_micros = q.wall_micros;
+    t.model_micros = q.model_micros;
+    t.model_overlapped_micros = timeline.ElapsedMicros();
+    t.wall_micros = nq == 1 ? call_watch.ElapsedMicros() : q.wall_micros;
+    FinishTelemetry(t);
     results.push_back(std::move(q.result));
   }
   return results;
 }
 
-StatusOr<SearchResult> Searcher::SearchRange(std::span<const float> query,
+StatusOr<MethodResult> Searcher::SearchRange(std::span<const float> query,
                                              double radius,
                                              const StopRule& stop,
                                              SearchScratch* scratch) const {
   if (radius < 0.0) {
     return Status::InvalidArgument("radius must be non-negative");
   }
-  if (query.size() != index_->dim()) {
-    return Status::InvalidArgument("query dimensionality mismatch");
-  }
+  QVT_RETURN_IF_ERROR(ValidateQuery(query, index_->dim()));
   SearchScratch local_scratch;
   SearchScratch& s = scratch != nullptr ? *scratch : local_scratch;
   const size_t num_chunks = index_->num_chunks();
@@ -604,9 +540,11 @@ StatusOr<SearchResult> Searcher::SearchRange(std::span<const float> query,
   Stopwatch stopwatch(&wall);
 
   // Rank chunks by centroid distance, as in Search().
+  MethodResult result;
+  QueryTelemetry& t = result.telemetry;
   int64_t model_micros = RankChunks(query, s);
-  const int64_t rank_model_micros = model_micros;
-  const int64_t rank_wall_micros = stopwatch.ElapsedMicros();
+  t.plan.model_micros = model_micros;
+  t.plan.wall_micros = stopwatch.ElapsedMicros();
 
   // The intersect filter below depends only on ranking data, so the
   // pipelined read schedule — exactly the chunks the loop will fetch, in
@@ -626,11 +564,10 @@ StatusOr<SearchResult> Searcher::SearchRange(std::span<const float> query,
   OverlappedScanTimeline timeline(
       prefetcher_ != nullptr ? prefetcher_->depth() : 0, model_micros);
 
-  SearchResult result;
   s.distances.resize(kScanBlock);  // scan scratch, reserved once per query
   for (size_t r = 0; r < num_chunks; ++r) {
     if (stop.kind == StopRule::Kind::kMaxChunks &&
-        result.chunks_read >= stop.max_chunks) {
+        t.chunks_read >= stop.max_chunks) {
       break;
     }
     if (stop.kind == StopRule::Kind::kTimeBudget &&
@@ -639,7 +576,7 @@ StatusOr<SearchResult> Searcher::SearchRange(std::span<const float> query,
     }
     if (stop.kind == StopRule::Kind::kExact &&
         s.suffix_min_bound[r] > radius) {
-      result.exact = true;
+      t.exact = true;
       break;
     }
     // Skip chunks whose own bound proves they cannot intersect the ball
@@ -656,7 +593,8 @@ StatusOr<SearchResult> Searcher::SearchRange(std::span<const float> query,
     QVT_RETURN_IF_ERROR(
         stream != nullptr
             ? stream->Next(&cache_ref, &data, &from_cache)
-            : FetchChunk(chunk_id, s, &cache_ref, &data, &from_cache));
+            : FetchChunk(chunk_id, &s.chunk, &cache_ref, &data,
+                         &from_cache));
 
     // Blocked kernel scan with a fixed abandon threshold: the query radius
     // never shrinks, so every block prunes against the same bound.
@@ -674,14 +612,14 @@ StatusOr<SearchResult> Searcher::SearchRange(std::span<const float> query,
         if (d <= radius) result.neighbors.push_back({data->ids[b + i], d});
       }
     }
-    ++result.chunks_read;
-    result.descriptors_processed += data->size();
-    result.largest_chunk_descriptors = std::max(
-        result.largest_chunk_descriptors, loc.num_descriptors);
+    ++t.chunks_read;
+    t.descriptors_scanned += data->size();
+    t.max_probe_rows =
+        std::max<uint64_t>(t.max_probe_rows, loc.num_descriptors);
     if (cache_ != nullptr) {
-      from_cache ? ++result.cache_hits : ++result.cache_misses;
+      from_cache ? ++t.cache_hits : ++t.cache_misses;
     }
-    if (!from_cache) result.pages_read += loc.num_pages;
+    if (!from_cache) t.bytes_read += loc.num_pages * kPageSize;
     // Same accounting as Search(): resident chunks cost CPU only.
     model_micros +=
         from_cache
@@ -692,19 +630,18 @@ StatusOr<SearchResult> Searcher::SearchRange(std::span<const float> query,
         from_cache ? 0 : cost_model_.ChunkIoMicros(loc.num_pages),
         cost_model_.ChunkCpuMicros(loc.num_descriptors));
   }
-  if (stop.kind == StopRule::Kind::kExact) result.exact = true;
-  if (stream != nullptr) result.prefetch = stream->Finish();
+  if (stop.kind == StopRule::Kind::kExact) t.exact = true;
+  if (stream != nullptr) t.prefetch = stream->Finish();
 
   std::sort(result.neighbors.begin(), result.neighbors.end(),
             [](const Neighbor& a, const Neighbor& b) {
               if (a.distance != b.distance) return a.distance < b.distance;
               return a.id < b.id;
             });
-  result.model_elapsed_micros = model_micros;
-  result.model_overlapped_micros = timeline.ElapsedMicros();
-  result.wall_elapsed_micros = stopwatch.ElapsedMicros();
-  result.rank_model_micros = rank_model_micros;
-  result.rank_wall_micros = rank_wall_micros;
+  t.model_micros = model_micros;
+  t.model_overlapped_micros = timeline.ElapsedMicros();
+  t.wall_micros = stopwatch.ElapsedMicros();
+  FinishTelemetry(t);
   return result;
 }
 

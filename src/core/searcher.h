@@ -4,6 +4,7 @@
 #include <functional>
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "core/chunk_index.h"
@@ -70,40 +71,6 @@ struct SearchProgress {
 
 using SearchObserver = std::function<void(const SearchProgress&)>;
 
-/// Final answer of one query.
-struct SearchResult {
-  std::vector<Neighbor> neighbors;   ///< ascending distance
-  size_t chunks_read = 0;
-  uint64_t descriptors_processed = 0;
-  /// Population of the largest chunk this query scanned — the per-query
-  /// exposure to chunk imbalance that drives tail latency (a query probing
-  /// one giant chunk pays its whole scan and transfer alone).
-  uint32_t largest_chunk_descriptors = 0;
-  /// Disk pages of the chunks actually fetched from the chunk file (cache
-  /// hits excluded) — bytes_read = pages_read * kPageSize.
-  uint64_t pages_read = 0;
-  /// Cache verdicts over the chunks read; both zero when no cache is wired.
-  uint64_t cache_hits = 0;
-  uint64_t cache_misses = 0;
-  int64_t model_elapsed_micros = 0;
-  int64_t wall_elapsed_micros = 0;
-  /// Step-1 (chunk ranking) share of the elapsed time, on both clocks.
-  int64_t rank_wall_micros = 0;
-  int64_t rank_model_micros = 0;
-  /// Modeled wall time with the prefetch pipeline overlapping chunk I/O and
-  /// CPU across the rank order (OverlappedScanTimeline, at the searcher's
-  /// actual prefetch depth; 0 when the pipeline is disabled — then each
-  /// chunk charges io + cpu serially). Reported alongside — never instead
-  /// of — the paper's serial accounting in model_elapsed_micros, which also
-  /// remains the kTimeBudget stop authority.
-  int64_t model_overlapped_micros = 0;
-  /// Read-ahead counters of this query's prefetch stream; all zero on the
-  /// synchronous (depth 0) path.
-  PrefetchStats prefetch;
-  /// True when the exact stop rule proved no better neighbor exists.
-  bool exact = false;
-};
-
 /// Per-call working memory of one search. A Searcher holds no mutable state
 /// of its own; callers that issue many queries from one thread pass the same
 /// scratch back in to reuse its allocations, and concurrent callers simply
@@ -113,6 +80,10 @@ struct SearchScratch {
   std::vector<double> centroid_distance;
   std::vector<double> suffix_min_bound;
   std::vector<double> distances;    ///< per-block kernel output
+  std::vector<double> wide_query;   ///< the query widened for the kernels
+  /// (io, cpu) model charge of the chunk read at each rank position,
+  /// replayed in rank order into the overlapped timeline.
+  std::vector<std::pair<int64_t, int64_t>> charges;
   std::vector<uint32_t> fetch_order;  ///< range search's pipelined schedule
   ChunkData chunk;
 };
@@ -149,28 +120,32 @@ class Searcher {
   Searcher(const ChunkIndex* index, const DiskCostModel& cost_model,
            ChunkCache* cache = nullptr, PrefetcherOptions prefetch = {});
 
-  /// Runs one query for the k nearest neighbors under `stop`.
-  /// `observer`, when set, is invoked after every processed chunk.
-  /// `scratch`, when non-null, supplies reusable working memory; pass one
-  /// scratch per thread when calling concurrently.
-  StatusOr<SearchResult> Search(std::span<const float> query, size_t k,
+  /// Runs one query for the k nearest neighbors under `stop`: exactly
+  /// SearchShared() over the one-query batch {query}, so the two can never
+  /// disagree. `observer`, when set, is invoked after every processed chunk
+  /// (for a lone query the schedule is its rank order). `scratch`, when
+  /// non-null, supplies reusable working memory; pass one scratch per
+  /// thread when calling concurrently. The query's read-ahead counters land
+  /// in telemetry.prefetch.
+  StatusOr<MethodResult> Search(std::span<const float> query, size_t k,
                                 const StopRule& stop,
                                 const SearchObserver& observer = nullptr,
                                 SearchScratch* scratch = nullptr) const;
 
-  /// Chunk-major batched execution of `queries` (all for the k nearest
-  /// neighbors under `stop`): every query's chunk rank order is planned up
-  /// front, demands are grouped into a chunk -> pending-queries schedule,
-  /// and each scheduled chunk is fetched and decoded once, then swept once
-  /// for all attached queries through the fused multi-query kernels. Each
-  /// query keeps its own result set, scratch, stop-rule state, and
-  /// accounting, and detaches from the schedule the moment its stop rule
-  /// fires, so per-query results — neighbors, chunks_read, descriptors,
-  /// exact verdicts, and (cache-less) modeled times — are bit-identical to
-  /// Search() run per query (see DESIGN.md "Chunk-major batched
-  /// execution"). With a shared ChunkCache the one fetch per chunk makes
-  /// cache verdicts (and hence modeled times) differ from the query-major
-  /// interleaving, exactly as concurrent query-major batches already do.
+  /// The k-NN executor of §4.3 over a batch of `queries` (all for the k
+  /// nearest neighbors under `stop`): every query's chunk rank order is
+  /// planned up front, demands are grouped into a chunk -> pending-queries
+  /// schedule, and each scheduled chunk is fetched and decoded once, then
+  /// swept once for all attached queries through the fused multi-query
+  /// kernels. Each query keeps its own result set, scratch, stop-rule
+  /// state, and accounting, and detaches from the schedule the moment its
+  /// stop rule fires, so per-query results — neighbors, chunks_read,
+  /// descriptors, exact verdicts, and (cache-less) modeled times — do not
+  /// depend on which other queries share the batch (see DESIGN.md
+  /// "Chunk-major batched execution"). With a shared ChunkCache the one
+  /// fetch per chunk makes cache verdicts (and hence modeled times) differ
+  /// from the query-major interleaving, exactly as concurrent query-major
+  /// batches already do.
   ///
   /// Under kMaxChunks the whole scanned set is known statically and the
   /// schedule is a single pass over the distinct demanded chunks; the other
@@ -181,9 +156,10 @@ class Searcher {
   /// on the thread count). `shared`, when non-null, accumulates the batch's
   /// coalescing ledger. Per-query wall times are fair-share attributions
   /// (plan measured per query; each chunk's fetch+scan wall split evenly
-  /// across its attached queries); per-query prefetch counters stay zero —
-  /// the merged streams report through `shared->prefetch`.
-  StatusOr<std::vector<SearchResult>> SearchShared(
+  /// across its attached queries; a lone query owns the whole call);
+  /// per-query prefetch counters stay zero — the read-ahead streams report
+  /// through `shared->prefetch`.
+  StatusOr<std::vector<MethodResult>> SearchShared(
       std::span<const std::span<const float>> queries, size_t k,
       const StopRule& stop, size_t num_threads = 1,
       SharedScanStats* shared = nullptr) const;
@@ -195,7 +171,7 @@ class Searcher {
   /// order; kMaxChunks and kTimeBudget stop rules yield approximate
   /// (subset) answers, kExact stops once no unread chunk can intersect the
   /// query ball.
-  StatusOr<SearchResult> SearchRange(std::span<const float> query,
+  StatusOr<MethodResult> SearchRange(std::span<const float> query,
                                      double radius, const StopRule& stop,
                                      SearchScratch* scratch = nullptr) const;
 
@@ -214,16 +190,28 @@ class Searcher {
   const ChunkIndex* index() const { return index_; }
 
  private:
+  /// The one k-NN scan loop behind Search and SearchShared. `observer` is
+  /// invoked per (query, chunk) pair processed; `scratch`, when non-null,
+  /// serves a lone query (otherwise each query gets its own).
+  StatusOr<std::vector<MethodResult>> Execute(
+      std::span<const std::span<const float>> queries, size_t k,
+      const StopRule& stop, size_t num_threads, SharedScanStats* shared,
+      const SearchObserver& observer, SearchScratch* scratch) const;
+
   /// Synchronous fetch of chunk `chunk_id` — the depth-0 path and the
   /// reference the pipelined PrefetchStream::Next is bit-identical to.
   /// Through the cache when present (single-flight GetOrLoad: concurrent
   /// misses on one chunk share one disk read, and the scan reads straight
-  /// out of the returned handle), else from the chunk file into
-  /// `scratch.chunk`. `*from_cache` reports the cache verdict that decides
-  /// the cost-model charge.
-  Status FetchChunk(uint32_t chunk_id, SearchScratch& scratch,
+  /// out of the returned handle), else from the chunk file into `buffer`.
+  /// `*from_cache` reports the cache verdict that decides the cost-model
+  /// charge.
+  Status FetchChunk(uint32_t chunk_id, ChunkData* buffer,
                     std::shared_ptr<const ChunkData>* cache_ref,
                     const ChunkData** data, bool* from_cache) const;
+
+  /// Fills the chunked-path telemetry that follows from the per-chunk
+  /// counters: plan/scan split, probes, candidates, index entries.
+  void FinishTelemetry(QueryTelemetry& t) const;
 
   const ChunkIndex* index_;
   DiskCostModel cost_model_;

@@ -3,7 +3,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <vector>
 
+#include "core/result_set.h"
 #include "storage/prefetcher.h"
 
 namespace qvt {
@@ -110,8 +112,7 @@ struct ShardAttribution {
 /// The unified per-query measurement record every SearchMethod emits — the
 /// one schema BatchSearcher and the bench runner aggregate, replacing the
 /// former per-method stats structs (LshStats, VaFileStats, MedrankStats,
-/// PSphereStats) and the bespoke counters callers used to pull out of
-/// SearchResult by hand.
+/// PSphereStats).
 ///
 /// Counter semantics (a method leaves fields that do not apply at 0):
 ///  * probes                — coarse index accesses: chunks considered for
@@ -196,6 +197,17 @@ struct QueryTelemetry {
     prefetch += other.prefetch;
     return *this;
   }
+};
+
+/// Answer of one query through any search path: neighbors in ascending
+/// (distance, id) order — the KnnResultSet tie-break, which every method
+/// honors — plus the shared telemetry record.
+struct MethodResult {
+  std::vector<Neighbor> neighbors;
+  QueryTelemetry telemetry;
+  /// Per-structure attribution when the answer was merged across a dynamic
+  /// index's buffer and shards; empty for static methods.
+  std::vector<ShardAttribution> shards;
 };
 
 }  // namespace qvt

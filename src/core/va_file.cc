@@ -5,6 +5,7 @@
 #include <limits>
 #include <queue>
 
+#include "core/search_method.h"
 #include "geometry/vec.h"
 #include "util/clock.h"
 #include "util/logging.h"
@@ -101,9 +102,7 @@ StatusOr<std::vector<Neighbor>> VaFile::SearchInternal(
     QueryTelemetry* telemetry) const {
   const size_t dim = collection_->dim();
   const size_t n = collection_->size();
-  if (query.size() != dim) {
-    return Status::InvalidArgument("query dimensionality mismatch");
-  }
+  QVT_RETURN_IF_ERROR(ValidateQuery(query, dim));
   if (k == 0) return Status::InvalidArgument("k must be positive");
 
   WallClock wall;

@@ -210,11 +210,7 @@ StatusOr<std::unique_ptr<DynamicIndex>> DynamicIndex::Open(
 Status DynamicIndex::Insert(DescriptorId id, std::span<const float> values,
                             ImageId image) {
   std::lock_guard<std::mutex> lock(writer_mu_);
-  if (values.size() != options_.dim) {
-    return Status::InvalidArgument(
-        "descriptor has " + std::to_string(values.size()) +
-        " dimensions, index expects " + std::to_string(options_.dim));
-  }
+  QVT_RETURN_IF_ERROR(ValidateQuery(values, options_.dim));
   if (live_.count(id) > 0) {
     return Status::AlreadyExists("descriptor id " + std::to_string(id) +
                                  " is live; delete it before re-inserting");
@@ -678,71 +674,13 @@ ShardAttribution* AttributionFor(
 StatusOr<MethodResult> DynamicIndex::Search(std::span<const float> query,
                                             size_t k,
                                             const StopRule& stop) const {
-  if (query.size() != options_.dim) {
-    return Status::InvalidArgument(
-        "query has " + std::to_string(query.size()) +
-        " dimensions, index expects " + std::to_string(options_.dim));
-  }
-  auto version = Snapshot();
-  WallClock clock;
-  Stopwatch watch(&clock);
-  const TombstoneSet& tombstones = *version->tombstones;
-  // Over-fetch per shard so that even if every tombstone kills a returned
-  // neighbor, k live candidates survive. With no tombstones (post-
-  // compaction), k_eff == k and the wrapped search is untouched.
-  const size_t k_eff = k + tombstones.size();
-
-  MethodResult out;
-  KnnResultSet set(k);
-  bool exact = true;
-
-  const MutableBuffer& buffer = *version->buffer;
-  const size_t buffer_rows = buffer.committed();
-  if (buffer_rows > 0) {
-    Stopwatch part(&clock);
-    std::vector<uint64_t> row_tombstones(buffer_rows);
-    for (size_t i = 0; i < buffer_rows; ++i) {
-      row_tombstones[i] = tombstones.SeqFor(buffer.id(i));
-    }
-    const uint64_t filtered =
-        buffer.Scan(query, buffer_rows, row_tombstones, &set, &out.telemetry);
-    ShardAttribution attribution;
-    attribution.shard_id = ShardAttribution::kMutableBuffer;
-    attribution.rows = buffer_rows;
-    attribution.tombstones_filtered = filtered;
-    attribution.wall_micros = part.ElapsedMicros();
-    out.telemetry.tombstones_filtered += filtered;
-    out.shards.push_back(attribution);
-  }
-
-  for (const auto& shard : version->shards) {
-    Stopwatch part(&clock);
-    QVT_ASSIGN_OR_RETURN(MethodResult sub,
-                         shard->built.method->Search(query, k_eff, stop));
-    const uint64_t filtered =
-        MergeShardResult(*shard, tombstones, sub.neighbors, &set);
-    exact = exact && sub.telemetry.exact;
-    out.telemetry += sub.telemetry;
-    out.telemetry.tombstones_filtered += filtered;
-    ShardAttribution attribution;
-    attribution.shard_id = shard->id;
-    attribution.level = shard->level;
-    attribution.rows = shard->rows();
-    attribution.tombstones_filtered = filtered;
-    attribution.wall_micros = part.ElapsedMicros();
-    out.shards.push_back(attribution);
-  }
-
-  out.neighbors = set.Sorted();
-  for (const Neighbor& neighbor : out.neighbors) {
-    ShardAttribution* slot = AttributionFor(neighbor.id, *version, tombstones,
-                                            buffer_rows, out.shards);
-    if (slot != nullptr) ++slot->neighbors_contributed;
-  }
-  out.telemetry.exact = exact;
-  out.telemetry.shards_searched = out.shards.size();
-  out.telemetry.wall_micros = watch.ElapsedMicros();
-  return out;
+  SharedScanStats stats;
+  QVT_ASSIGN_OR_RETURN(std::vector<MethodResult> results,
+                       SearchShared({&query, 1}, k, stop, /*num_threads=*/1,
+                                    &stats));
+  // A lone query's read-ahead counters belong in its own record.
+  results.front().telemetry.prefetch += stats.prefetch;
+  return std::move(results.front());
 }
 
 bool DynamicIndex::SupportsSharedScan() const { return true; }
@@ -750,18 +688,19 @@ bool DynamicIndex::SupportsSharedScan() const { return true; }
 StatusOr<std::vector<MethodResult>> DynamicIndex::SearchShared(
     std::span<const std::span<const float>> queries, size_t k,
     const StopRule& stop, size_t num_threads, SharedScanStats* stats) const {
+  if (k == 0) return Status::InvalidArgument("k must be positive");
+  for (const auto& query : queries) {
+    QVT_RETURN_IF_ERROR(ValidateQuery(query, options_.dim));
+  }
   auto version = Snapshot();
   WallClock clock;
+  Stopwatch call_watch(&clock);
   const TombstoneSet& tombstones = *version->tombstones;
+  // Over-fetch per shard so that even if every tombstone kills a returned
+  // neighbor, k live candidates survive. With no tombstones (post-
+  // compaction), k_eff == k and the wrapped search is untouched.
   const size_t k_eff = k + tombstones.size();
   const size_t num_queries = queries.size();
-  for (const auto& query : queries) {
-    if (query.size() != options_.dim) {
-      return Status::InvalidArgument(
-          "query has " + std::to_string(query.size()) +
-          " dimensions, index expects " + std::to_string(options_.dim));
-    }
-  }
 
   std::vector<MethodResult> results(num_queries);
   std::vector<KnnResultSet> sets;
@@ -832,6 +771,10 @@ StatusOr<std::vector<MethodResult>> DynamicIndex::SearchShared(
     }
     results[qi].telemetry.exact = exact[qi] != 0;
     results[qi].telemetry.shards_searched = results[qi].shards.size();
+  }
+  // A lone query owns the whole call's wall time.
+  if (num_queries == 1) {
+    results[0].telemetry.wall_micros = call_watch.ElapsedMicros();
   }
   return results;
 }

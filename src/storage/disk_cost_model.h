@@ -100,7 +100,7 @@ class DiskCostModel {
 /// The paper's per-query accounting (DiskCostModel::ChunkTotalMicros summed
 /// chunk by chunk) is deliberately untouched: that serial sum stays the
 /// figures' time axis. This timeline is reported alongside it, as
-/// SearchResult::model_overlapped_micros.
+/// QueryTelemetry::model_overlapped_micros.
 ///
 /// Model: one disk (reads are serial), one CPU (scans are serial, in rank
 /// order). The read of chunk r may be issued once the disk is free and the

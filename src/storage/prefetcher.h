@@ -20,8 +20,8 @@ namespace qvt {
 
 class PrefetchStream;
 
-/// Per-query prefetch counters, merged into SearchResult. On the synchronous
-/// path all four stay zero.
+/// Per-query prefetch counters, merged into QueryTelemetry. On the
+/// synchronous path all four stay zero.
 struct PrefetchStats {
   uint64_t issued = 0;     ///< background reads this stream asked for
   uint64_t used = 0;       ///< issued reads whose data the scan consumed

@@ -8,6 +8,7 @@
 
 #include "bench_util/runner.h"
 #include "core/search_method.h"
+#include "search_reference.h"
 #include "storage/disk_cost_model.h"
 #include "util/logging.h"
 
@@ -172,8 +173,8 @@ TEST_F(IndexSuiteTest, ApproximateStopLowersPrecision) {
 
 TEST_F(IndexSuiteTest, RunTailSweepProducesOrderedPoints) {
   const IndexVariant& v = suite_->variant(Strategy::kSrTree, SizeClass::kSmall);
-  const Searcher searcher(&v.index, DiskCostModel(config_->cost_model));
-  const auto method = WrapSearcher(&searcher);
+  const auto method = MakeChunkedMethod(&v.index, nullptr, PrefetcherOptions{},
+                                        DiskCostModel(config_->cost_model));
   ASSERT_TRUE(method->Prepare().ok());
 
   const std::vector<size_t> budgets{1, 2, 0};
@@ -203,8 +204,8 @@ TEST_F(IndexSuiteTest, RunTailSweepProducesOrderedPoints) {
 
 TEST_F(IndexSuiteTest, RunTailSweepRejectsEmptyBudgets) {
   const IndexVariant& v = suite_->variant(Strategy::kSrTree, SizeClass::kSmall);
-  const Searcher searcher(&v.index, DiskCostModel(config_->cost_model));
-  const auto method = WrapSearcher(&searcher);
+  const auto method = MakeChunkedMethod(&v.index, nullptr, PrefetcherOptions{},
+                                        DiskCostModel(config_->cost_model));
   ASSERT_TRUE(method->Prepare().ok());
   EXPECT_TRUE(RunTailSweep(*method, suite_->dq(),
                            &suite_->truth(SizeClass::kSmall, "DQ"),

@@ -12,9 +12,9 @@
 #include "core/evaluation.h"
 #include "core/exact_scan.h"
 #include "core/search_method.h"
-#include "core/searcher.h"
 #include "descriptor/generator.h"
 #include "descriptor/workload.h"
+#include "search_reference.h"
 #include "util/parallel_for.h"
 
 namespace qvt {
@@ -151,8 +151,7 @@ TEST(BalancedKMeansTest, ExactSearchOverBalancedIndexMatchesExactScan) {
   const Workload workload = MakeDatasetQueries(c, 40, &rng);
   const GroundTruth truth = GroundTruth::Compute(c, workload, k);
 
-  const Searcher searcher(&*index, DiskCostModel{});
-  const auto method = WrapSearcher(&searcher);
+  const auto method = MakeChunkedMethod(&*index);
   ASSERT_TRUE(method->Prepare().ok());
   for (size_t q = 0; q < workload.num_queries(); ++q) {
     auto result = method->Search(workload.Query(q), k, StopRule::Exact());

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "cluster/srtree_chunker.h"
@@ -210,6 +213,33 @@ TEST(SearchMethodTest, EveryMethodConstructibleAndSearchable) {
     if (!info.capabilities.exact) {
       EXPECT_FALSE(telemetry.exact) << info.name;
     }
+
+    // Non-finite coordinates are rejected on every query path.
+    for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity()}) {
+      const auto good = fx.collection.Vector(42);
+      std::vector<float> query(good.begin(), good.end());
+      query[7] = bad;
+      const std::string label = info.name + " with " + std::to_string(bad);
+      EXPECT_TRUE((*method)->Search(query, 5).status().IsInvalidArgument())
+          << label;
+      if (info.capabilities.range_search) {
+        EXPECT_TRUE((*method)
+                        ->SearchRange(query, 10.0, StopRule::Exact())
+                        .status()
+                        .IsInvalidArgument())
+            << label;
+      }
+      if ((*method)->SupportsSharedScan()) {
+        const std::vector<std::span<const float>> batch = {good, query};
+        EXPECT_TRUE((*method)
+                        ->SearchShared(batch, 5, StopRule::Exact(), 1, nullptr)
+                        .status()
+                        .IsInvalidArgument())
+            << label;
+      }
+    }
   }
 }
 
@@ -358,11 +388,13 @@ TEST(SearchMethodTest, ChunkedAdapterMatchesDirectSearcher) {
       ASSERT_TRUE(unified.ok());
       ASSERT_TRUE(native.ok());
       ExpectSameNeighbors(unified->neighbors, native->neighbors);
-      EXPECT_EQ(unified->telemetry.chunks_read, native->chunks_read);
+      EXPECT_EQ(unified->telemetry.chunks_read,
+                native->telemetry.chunks_read);
       EXPECT_EQ(unified->telemetry.descriptors_scanned,
-                native->descriptors_processed);
-      EXPECT_EQ(unified->telemetry.model_micros, native->model_elapsed_micros);
-      EXPECT_EQ(unified->telemetry.exact, native->exact);
+                native->telemetry.descriptors_scanned);
+      EXPECT_EQ(unified->telemetry.model_micros,
+                native->telemetry.model_micros);
+      EXPECT_EQ(unified->telemetry.exact, native->telemetry.exact);
     }
   }
 }

@@ -1,5 +1,10 @@
 #include "core/searcher.h"
 
+#include <limits>
+#include <span>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "cluster/round_robin.h"
@@ -9,6 +14,7 @@
 #include "descriptor/workload.h"
 #include "geometry/kernels.h"
 #include "geometry/vec.h"
+#include "search_reference.h"
 #include "util/logging.h"
 #include "util/random.h"
 
@@ -52,7 +58,7 @@ TEST(SearcherTest, ExactSearchMatchesSequentialScan) {
 
     auto result = searcher.Search(query, 10, StopRule::Exact());
     ASSERT_TRUE(result.ok());
-    EXPECT_TRUE(result->exact);
+    EXPECT_TRUE(result->telemetry.exact);
     const auto truth = ExactScan(fx.collection, query, 10);
     ASSERT_EQ(result->neighbors.size(), 10u);
     for (size_t i = 0; i < 10; ++i) {
@@ -70,9 +76,9 @@ TEST(SearcherTest, ExactStopReadsFewerChunksThanAll) {
   const auto query = fx.collection.Vector(100);
   auto result = searcher.Search(query, 5, StopRule::Exact());
   ASSERT_TRUE(result.ok());
-  EXPECT_TRUE(result->exact);
-  EXPECT_LT(result->chunks_read, fx.index->num_chunks());
-  EXPECT_GT(result->chunks_read, 0u);
+  EXPECT_TRUE(result->telemetry.exact);
+  EXPECT_LT(result->telemetry.chunks_read, fx.index->num_chunks());
+  EXPECT_GT(result->telemetry.chunks_read, 0u);
   // The query itself is its own nearest neighbor.
   EXPECT_DOUBLE_EQ(result->neighbors[0].distance, 0.0);
 }
@@ -86,9 +92,9 @@ TEST(SearcherTest, MaxChunksStopRespected) {
   for (size_t budget : {1u, 3u, 7u}) {
     auto result = searcher.Search(query, 30, StopRule::MaxChunks(budget));
     ASSERT_TRUE(result.ok());
-    EXPECT_EQ(result->chunks_read, std::min<size_t>(budget,
+    EXPECT_EQ(result->telemetry.chunks_read, std::min<size_t>(budget,
                                                     fx.index->num_chunks()));
-    EXPECT_FALSE(result->exact);
+    EXPECT_FALSE(result->telemetry.exact);
   }
 }
 
@@ -99,7 +105,7 @@ TEST(SearcherTest, ZeroChunkBudgetReturnsEmpty) {
   auto result =
       searcher.Search(fx.collection.Vector(0), 5, StopRule::MaxChunks(0));
   ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->chunks_read, 0u);
+  EXPECT_EQ(result->telemetry.chunks_read, 0u);
   EXPECT_TRUE(result->neighbors.empty());
 }
 
@@ -112,13 +118,13 @@ TEST(SearcherTest, TimeBudgetStopsEarly) {
   // Zero budget: the model time after index scan alone exceeds it.
   auto tiny = searcher.Search(query, 30, StopRule::TimeBudget(0));
   ASSERT_TRUE(tiny.ok());
-  EXPECT_EQ(tiny->chunks_read, 0u);
+  EXPECT_EQ(tiny->telemetry.chunks_read, 0u);
 
   // Generous budget: search reads chunks.
   auto roomy = searcher.Search(query, 30,
                                StopRule::TimeBudget(60LL * 1000 * 1000));
   ASSERT_TRUE(roomy.ok());
-  EXPECT_GT(roomy->chunks_read, 0u);
+  EXPECT_GT(roomy->telemetry.chunks_read, 0u);
 }
 
 TEST(SearcherTest, TimeBudgetIsMonotoneInChunksRead) {
@@ -132,8 +138,8 @@ TEST(SearcherTest, TimeBudgetIsMonotoneInChunksRead) {
     auto result =
         searcher.Search(query, 30, StopRule::TimeBudget(budget_ms * 1000));
     ASSERT_TRUE(result.ok());
-    EXPECT_GE(result->chunks_read, last_chunks);
-    last_chunks = result->chunks_read;
+    EXPECT_GE(result->telemetry.chunks_read, last_chunks);
+    last_chunks = result->telemetry.chunks_read;
   }
 }
 
@@ -157,7 +163,7 @@ TEST(SearcherTest, ObserverSeesMonotoneProgress) {
   auto result = searcher.Search(fx.collection.Vector(3), 10,
                                 StopRule::Exact(), observer);
   ASSERT_TRUE(result.ok());
-  EXPECT_EQ(calls, result->chunks_read);
+  EXPECT_EQ(calls, result->telemetry.chunks_read);
 }
 
 TEST(SearcherTest, ModelTimeIncludesIndexScan) {
@@ -168,7 +174,7 @@ TEST(SearcherTest, ModelTimeIncludesIndexScan) {
   auto result =
       searcher.Search(fx.collection.Vector(0), 5, StopRule::MaxChunks(0));
   ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->model_elapsed_micros,
+  EXPECT_EQ(result->telemetry.model_micros,
             model.IndexScanMicros(fx.index->num_chunks()));
 }
 
@@ -183,6 +189,80 @@ TEST(SearcherTest, InvalidArgumentsRejected) {
   EXPECT_TRUE(searcher.Search(wrong_dim, 5, StopRule::Exact())
                   .status()
                   .IsInvalidArgument());
+  // NaN and infinite coordinates would make every distance NaN/inf; the
+  // searcher must refuse them rather than claim an (exact) answer.
+  const auto base = fx.collection.Vector(5);
+  for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
+                          std::numeric_limits<float>::infinity(),
+                          -std::numeric_limits<float>::infinity()}) {
+    std::vector<float> query(base.begin(), base.end());
+    query[3] = bad;
+    EXPECT_TRUE(searcher.Search(query, 10, StopRule::Exact())
+                    .status()
+                    .IsInvalidArgument());
+    EXPECT_TRUE(searcher.Search(query, 10, StopRule::MaxChunks(2))
+                    .status()
+                    .IsInvalidArgument());
+    const std::vector<std::span<const float>> batch = {base, query};
+    EXPECT_TRUE(searcher.SearchShared(batch, 10, StopRule::Exact())
+                    .status()
+                    .IsInvalidArgument());
+  }
+}
+
+// Search and a batched SearchShared run the same executor; both are
+// checked against the independent rank-order reference under every stop
+// rule, on random and dataset queries.
+TEST(SearcherTest, SearchAndSharedMatchRankOrderReference) {
+  SrTreeChunker chunker(60);
+  IndexFixture fx(&chunker);
+  const DiskCostModel model;
+  Searcher searcher(&*fx.index, model, nullptr, PrefetcherOptions{});
+
+  Rng rng(55);
+  std::vector<std::vector<float>> queries;
+  for (int trial = 0; trial < 6; ++trial) {
+    std::vector<float> query(kDescriptorDim);
+    for (auto& x : query) x = static_cast<float>(rng.UniformDouble(20, 80));
+    queries.push_back(std::move(query));
+  }
+  for (size_t pos : {0u, 100u, 517u}) {
+    const auto v = fx.collection.Vector(pos);
+    queries.emplace_back(v.begin(), v.end());
+  }
+  std::vector<std::span<const float>> spans(queries.begin(), queries.end());
+
+  auto probe = searcher.Search(spans[0], 10, StopRule::Exact());
+  ASSERT_TRUE(probe.ok());
+  const struct {
+    const char* name;
+    StopRule rule;
+  } rules[] = {
+      {"exact", StopRule::Exact()},
+      {"epsilon-0.1", StopRule::EpsilonApproximate(0.1)},
+      {"epsilon-1", StopRule::EpsilonApproximate(1.0)},
+      {"max-chunks-0", StopRule::MaxChunks(0)},
+      {"max-chunks-3", StopRule::MaxChunks(3)},
+      {"max-chunks-all", StopRule::MaxChunks(1000)},
+      {"time-budget-0", StopRule::TimeBudget(0)},
+      {"time-budget-half",
+       StopRule::TimeBudget(probe->telemetry.model_micros / 2)},
+  };
+  for (const auto& r : rules) {
+    auto shared = searcher.SearchShared(spans, 10, r.rule);
+    ASSERT_TRUE(shared.ok()) << r.name;
+    ASSERT_EQ(shared->size(), spans.size());
+    for (size_t q = 0; q < spans.size(); ++q) {
+      const MethodResult reference =
+          RankOrderReference(searcher, model, spans[q], 10, r.rule);
+      auto alone = searcher.Search(spans[q], 10, r.rule);
+      ASSERT_TRUE(alone.ok()) << r.name;
+      const std::string label =
+          std::string(r.name) + " query " + std::to_string(q);
+      ExpectMatchesReference(*alone, reference, label + " (Search)");
+      ExpectMatchesReference((*shared)[q], reference, label + " (shared)");
+    }
+  }
 }
 
 TEST(SearcherTest, RangeSearchMatchesBruteForce) {
@@ -197,7 +277,7 @@ TEST(SearcherTest, RangeSearchMatchesBruteForce) {
     auto result = searcher.SearchRange(fx.collection.Vector(pos), radius,
                                        StopRule::Exact());
     ASSERT_TRUE(result.ok());
-    EXPECT_TRUE(result->exact);
+    EXPECT_TRUE(result->telemetry.exact);
 
     size_t expected = 0;
     for (size_t i = 0; i < fx.collection.size(); ++i) {
@@ -212,7 +292,7 @@ TEST(SearcherTest, RangeSearchMatchesBruteForce) {
                 result->neighbors[i - 1].distance);
     }
     // The bound-based pruning must save reads for small balls.
-    EXPECT_LE(result->chunks_read, fx.index->num_chunks());
+    EXPECT_LE(result->telemetry.chunks_read, fx.index->num_chunks());
   }
 }
 
@@ -227,7 +307,7 @@ TEST(SearcherTest, ApproximateRangeIsSubset) {
   auto approx = searcher.SearchRange(query, radius, StopRule::MaxChunks(2));
   ASSERT_TRUE(exact.ok());
   ASSERT_TRUE(approx.ok());
-  EXPECT_FALSE(approx->exact);
+  EXPECT_FALSE(approx->telemetry.exact);
   EXPECT_LE(approx->neighbors.size(), exact->neighbors.size());
   // Every approximate hit is a true hit.
   for (const Neighbor& a : approx->neighbors) {
@@ -244,7 +324,7 @@ TEST(SearcherTest, ApproximateRangeIsSubset) {
 
 // The kernel layer's determinism contract at the API that matters: the same
 // queries through the forced-scalar path and through the best SIMD backend
-// must return bit-identical SearchResults (ids, distances, chunks read,
+// must return bit-identical results (ids, distances, chunks read,
 // modeled time), so QVT_SIMD=off is purely a speed knob.
 TEST(SearcherTest, SimdAndScalarBackendsReturnIdenticalResults) {
   SrTreeChunker chunker(60);
@@ -270,10 +350,11 @@ TEST(SearcherTest, SimdAndScalarBackendsReturnIdenticalResults) {
     ASSERT_TRUE(range_scalar.ok() && range_simd.ok());
     for (auto [a, b] : {std::pair{&*knn_scalar, &*knn_simd},
                         std::pair{&*range_scalar, &*range_simd}}) {
-      EXPECT_EQ(a->chunks_read, b->chunks_read);
-      EXPECT_EQ(a->descriptors_processed, b->descriptors_processed);
-      EXPECT_EQ(a->model_elapsed_micros, b->model_elapsed_micros);
-      EXPECT_EQ(a->exact, b->exact);
+      EXPECT_EQ(a->telemetry.chunks_read, b->telemetry.chunks_read);
+      EXPECT_EQ(a->telemetry.descriptors_scanned,
+                b->telemetry.descriptors_scanned);
+      EXPECT_EQ(a->telemetry.model_micros, b->telemetry.model_micros);
+      EXPECT_EQ(a->telemetry.exact, b->telemetry.exact);
       ASSERT_EQ(a->neighbors.size(), b->neighbors.size());
       for (size_t i = 0; i < a->neighbors.size(); ++i) {
         EXPECT_EQ(a->neighbors[i].id, b->neighbors[i].id) << "rank " << i;
@@ -298,6 +379,16 @@ TEST(SearcherTest, RangeSearchRejectsBadArguments) {
   EXPECT_TRUE(searcher.SearchRange(wrong, 1.0, StopRule::Exact())
                   .status()
                   .IsInvalidArgument());
+  const auto base = fx.collection.Vector(5);
+  for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
+                          std::numeric_limits<float>::infinity(),
+                          -std::numeric_limits<float>::infinity()}) {
+    std::vector<float> query(base.begin(), base.end());
+    query[3] = bad;
+    EXPECT_TRUE(searcher.SearchRange(query, 5.0, StopRule::Exact())
+                    .status()
+                    .IsInvalidArgument());
+  }
 }
 
 TEST(SearcherTest, ExactAcrossChunkersAgrees) {
@@ -340,8 +431,8 @@ TEST(SearcherTest, EpsilonApproximationBoundsError) {
       ASSERT_TRUE(approx.ok());
       // The exactness flag may only be claimed when every chunk was
       // scanned (then the answer is exact regardless of epsilon).
-      if (approx->exact) {
-        EXPECT_EQ(approx->chunks_read, fx.index->num_chunks());
+      if (approx->telemetry.exact) {
+        EXPECT_EQ(approx->telemetry.chunks_read, fx.index->num_chunks());
       }
       // (1+eps)-guarantee: every reported distance is within (1+eps) of the
       // true distance at that rank.
@@ -350,7 +441,7 @@ TEST(SearcherTest, EpsilonApproximationBoundsError) {
                   (1.0 + epsilon) * exact->neighbors[i].distance + 1e-9);
       }
       // Never more work than the exact search.
-      EXPECT_LE(approx->chunks_read, exact->chunks_read);
+      EXPECT_LE(approx->telemetry.chunks_read, exact->telemetry.chunks_read);
     }
   }
 }
@@ -364,8 +455,8 @@ TEST(SearcherTest, ZeroEpsilonEqualsExact) {
   auto b = searcher.Search(query, 10, StopRule::EpsilonApproximate(0.0));
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
-  EXPECT_TRUE(b->exact);
-  EXPECT_EQ(a->chunks_read, b->chunks_read);
+  EXPECT_TRUE(b->telemetry.exact);
+  EXPECT_EQ(a->telemetry.chunks_read, b->telemetry.chunks_read);
   for (size_t i = 0; i < 10; ++i) {
     EXPECT_EQ(a->neighbors[i].id, b->neighbors[i].id);
   }
@@ -383,11 +474,11 @@ PrefetcherOptions Depth(size_t depth) {
 
 // Everything the cost model and quality evaluation consume must be equal —
 // and distances bitwise so, since prefetching never touches the math.
-void ExpectBitIdentical(const SearchResult& a, const SearchResult& b) {
-  EXPECT_EQ(a.chunks_read, b.chunks_read);
-  EXPECT_EQ(a.descriptors_processed, b.descriptors_processed);
-  EXPECT_EQ(a.model_elapsed_micros, b.model_elapsed_micros);
-  EXPECT_EQ(a.exact, b.exact);
+void ExpectBitIdentical(const MethodResult& a, const MethodResult& b) {
+  EXPECT_EQ(a.telemetry.chunks_read, b.telemetry.chunks_read);
+  EXPECT_EQ(a.telemetry.descriptors_scanned, b.telemetry.descriptors_scanned);
+  EXPECT_EQ(a.telemetry.model_micros, b.telemetry.model_micros);
+  EXPECT_EQ(a.telemetry.exact, b.telemetry.exact);
   ASSERT_EQ(a.neighbors.size(), b.neighbors.size());
   for (size_t i = 0; i < a.neighbors.size(); ++i) {
     EXPECT_EQ(a.neighbors[i].id, b.neighbors[i].id) << "rank " << i;
@@ -461,16 +552,18 @@ TEST(PrefetchSearcherTest, PipelinedSearchIsBitIdenticalToSynchronous) {
         ExpectBitIdentical(*a, *b);
         // The pipeline's own ledger must balance, and the synchronous
         // searcher must not have touched it at all.
-        const PrefetchStats& p = b->prefetch;
+        const PrefetchStats& p = b->telemetry.prefetch;
         EXPECT_EQ(p.issued, p.used + p.wasted + p.cancelled);
-        EXPECT_EQ(p.used, b->chunks_read);  // no cache: every chunk is read
-        EXPECT_EQ(a->prefetch.issued, 0u);
+        // No cache: every chunk is read.
+        EXPECT_EQ(p.used, b->telemetry.chunks_read);
+        EXPECT_EQ(a->telemetry.prefetch.issued, 0u);
         // The overlapped wall-time model can only improve on the depth-0
         // timeline (the strict io+cpu serial schedule the sync path reports;
-        // model_elapsed_micros is no upper bound — the paper's per-chunk
+        // model_micros is no upper bound — the paper's per-chunk
         // max(io, cpu) charge already overlaps a chunk's I/O with its *own*
         // scan, which a real pipeline cannot do for the first read).
-        EXPECT_LE(b->model_overlapped_micros, a->model_overlapped_micros);
+        EXPECT_LE(b->telemetry.model_overlapped_micros,
+                  a->telemetry.model_overlapped_micros);
       }
     }
   }
@@ -526,13 +619,35 @@ TEST(PrefetchSearcherTest, MidScanExactStopCancelsStrandedReads) {
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   ExpectBitIdentical(*a, *b);
-  ASSERT_LT(b->chunks_read, fx.index->num_chunks());
+  ASSERT_LT(b->telemetry.chunks_read, fx.index->num_chunks());
 
-  const PrefetchStats& p = b->prefetch;
-  EXPECT_EQ(p.used, b->chunks_read);
+  const PrefetchStats& p = b->telemetry.prefetch;
+  EXPECT_EQ(p.used, b->telemetry.chunks_read);
   EXPECT_GT(p.issued, p.used);  // the window had run ahead of the stop
   EXPECT_EQ(p.issued, p.used + p.wasted + p.cancelled);
   EXPECT_GT(p.wasted + p.cancelled, 0u);
+}
+
+// Under kMaxChunks the read schedule is known statically, so read-ahead
+// must never run past the budget: every issued read is used.
+TEST(PrefetchSearcherTest, MaxChunksReadAheadStopsAtBudget) {
+  SrTreeChunker chunker(60);
+  IndexFixture fx(&chunker);
+  Searcher pipelined(&*fx.index, DiskCostModel(), nullptr, Depth(4));
+  ASSERT_GT(fx.index->num_chunks(), 8u);
+  for (size_t budget : {1u, 3u, 8u}) {
+    for (size_t pos : {0u, 250u, 777u}) {
+      auto result = pipelined.Search(fx.collection.Vector(pos), 10,
+                                     StopRule::MaxChunks(budget));
+      ASSERT_TRUE(result.ok());
+      const PrefetchStats& p = result->telemetry.prefetch;
+      EXPECT_EQ(result->telemetry.chunks_read, budget);
+      EXPECT_EQ(p.issued, result->telemetry.chunks_read)
+          << "budget " << budget << " query " << pos;
+      EXPECT_EQ(p.wasted + p.cancelled, 0u)
+          << "budget " << budget << " query " << pos;
+    }
+  }
 }
 
 TEST(PrefetchSearcherTest, PipelinedRangeSearchIsBitIdenticalToSynchronous) {

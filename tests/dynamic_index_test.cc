@@ -8,8 +8,10 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <memory>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -132,6 +134,24 @@ TEST(DynamicIndexTest, InsertDeleteLifecycleAndErrors) {
   EXPECT_TRUE(index.Search(short_vec, 1, StopRule::Exact())
                   .status()
                   .IsInvalidArgument());
+  // So do NaN and infinite coordinates, on the lone and batched query paths
+  // and at insert, where they would poison a shard.
+  const auto good = data.Vector(5);
+  for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
+                          std::numeric_limits<float>::infinity(),
+                          -std::numeric_limits<float>::infinity()}) {
+    std::vector<float> query(good.begin(), good.end());
+    query[2] = bad;
+    EXPECT_TRUE(index.Search(query, 5, StopRule::Exact())
+                    .status()
+                    .IsInvalidArgument());
+    const std::vector<std::span<const float>> batch = {good, query};
+    EXPECT_TRUE(index.SearchShared(batch, 5, StopRule::Exact(), 1, nullptr)
+                    .status()
+                    .IsInvalidArgument());
+    EXPECT_TRUE(index.Insert(999, query).IsInvalidArgument());
+  }
+  EXPECT_EQ(index.live_rows(), 10u);
 }
 
 TEST(DynamicIndexTest, CreateRejectsBadConfigurations) {

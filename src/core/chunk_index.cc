@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 
 #include "geometry/kernels.h"
 #include "geometry/sphere.h"
@@ -15,17 +13,6 @@ namespace qvt {
 
 ChunkIndexPaths ChunkIndexPaths::ForBase(const std::string& base_path) {
   return ChunkIndexPaths{base_path + ".chunks", base_path + ".index"};
-}
-
-IndexOpenMode ResolveIndexOpenMode(IndexOpenMode mode) {
-  if (mode != IndexOpenMode::kAuto) return mode;
-  const char* env = std::getenv("QVT_MMAP");
-  if (env != nullptr &&
-      (std::strcmp(env, "0") == 0 || std::strcmp(env, "off") == 0 ||
-       std::strcmp(env, "false") == 0)) {
-    return IndexOpenMode::kDeserialize;
-  }
-  return IndexOpenMode::kMmap;
 }
 
 StatusOr<ChunkIndex> ChunkIndex::Build(const Collection& collection,
@@ -69,17 +56,13 @@ StatusOr<ChunkIndex> ChunkIndex::Build(const Collection& collection,
 }
 
 StatusOr<ChunkIndex> ChunkIndex::Open(Env* env, const ChunkIndexPaths& paths,
-                                      size_t dim, IndexOpenMode mode) {
-  mode = ResolveIndexOpenMode(mode);
-  const bool mapped = mode == IndexOpenMode::kMmap;
-  BuildPhaseTimer timer(mapped ? "index.open.mmap"
-                               : "index.open.deserialize");
-  auto view = OpenIndexFile(env, paths.index_file, dim, mapped);
+                                      size_t dim, IndexOpenMode) {
+  BuildPhaseTimer timer("index.open");
+  auto view = OpenIndexFile(env, paths.index_file, dim);
   if (!view.ok()) return view.status();
   auto reader = ChunkFileReader::Open(env, paths.chunk_file, dim);
   if (!reader.ok()) return reader.status();
-  return ChunkIndex(std::move(view).value(), std::move(reader).value(),
-                    mapped);
+  return ChunkIndex(std::move(view).value(), std::move(reader).value());
 }
 
 uint64_t ChunkIndex::total_descriptors() const {
@@ -119,7 +102,6 @@ Status ChunkIndex::ReadChunk(size_t i, ChunkData* out) const {
 
 Status ChunkIndex::Validate(uint32_t max_population) const {
   QVT_RETURN_IF_ERROR(view_.VerifyCrc());
-  QVT_RETURN_IF_ERROR(view_.ValidateEntries());
   ChunkData chunk;
   std::vector<double> distances;
   uint64_t expected_page = 0;

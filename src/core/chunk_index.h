@@ -24,16 +24,9 @@ struct ChunkIndexPaths {
   static ChunkIndexPaths ForBase(const std::string& base_path);
 };
 
-/// How ChunkIndex::Open gets at the index file's bytes.
-enum class IndexOpenMode {
-  kAuto,         ///< QVT_MMAP env var; mmap unless it says 0/off/false
-  kMmap,         ///< zero-copy mapping, O(1) open, no checksum scan
-  kDeserialize,  ///< read into memory, verify CRC + per-entry invariants
-};
-
-/// Resolves kAuto against the QVT_MMAP environment variable; returns the
-/// other modes unchanged.
-IndexOpenMode ResolveIndexOpenMode(IndexOpenMode mode);
+/// There is one way to open an index: map the file and check its entries.
+/// The enum remains only because perfbench/ still passes kMmap.
+enum class IndexOpenMode { kMmap };
 
 /// The two-file chunk index of §4.2: a chunk file holding the descriptors
 /// grouped by chunk (each chunk contiguous and padded to whole pages) and an
@@ -42,10 +35,8 @@ IndexOpenMode ResolveIndexOpenMode(IndexOpenMode mode);
 ///
 /// The index file is the versioned column format of storage/index_file.h;
 /// all accessors below are spans into the opened IndexFileView, so an
-/// mmap-opened index holds no per-chunk heap state at all — centroids,
-/// radii, and locations are read straight from the mapping (shared, demand-
-/// paged), and a deserialize-opened index reads them from the verified
-/// in-memory copy. Search results are byte-identical either way.
+/// opened index holds no per-chunk heap state at all — centroids, radii,
+/// and locations are read straight from the mapping (shared, demand-paged).
 class ChunkIndex {
  public:
   /// Builds a chunk index from a chunking result: computes each chunk's
@@ -56,11 +47,13 @@ class ChunkIndex {
                                     const ChunkingResult& chunking, Env* env,
                                     const ChunkIndexPaths& paths);
 
-  /// Opens an existing index. Open time is charged to the BuildStats phase
-  /// "index.open.mmap" or "index.open.deserialize" by resolved mode.
+  /// Opens an existing index: maps the index file and checks its envelope
+  /// and every entry (OpenIndexFile), then opens the chunk file. Open time
+  /// is charged to the BuildStats phase "index.open". The IndexOpenMode
+  /// parameter is unused; it stays so existing callers keep compiling.
   static StatusOr<ChunkIndex> Open(Env* env, const ChunkIndexPaths& paths,
                                    size_t dim = kDescriptorDim,
-                                   IndexOpenMode mode = IndexOpenMode::kAuto);
+                                   IndexOpenMode = IndexOpenMode::kMmap);
 
   ChunkIndex(ChunkIndex&&) noexcept = default;
   ChunkIndex& operator=(ChunkIndex&&) noexcept = default;
@@ -90,9 +83,6 @@ class ChunkIndex {
     return view_.centroids();
   }
 
-  /// True when the index bytes are a zero-copy view of a real file mapping.
-  bool mapped() const { return mapped_; }
-
   /// Parsed on-disk header of the opened index file (format version,
   /// section offsets) — surfaced for `qvt_tool info` and fsck.
   const IndexFileHeader& file_header() const { return view_.header(); }
@@ -115,22 +105,21 @@ class ChunkIndex {
   /// Reads chunk `i` into `*out`.
   Status ReadChunk(size_t i, ChunkData* out) const;
 
-  /// Verifies the index file's CRC, then that every chunk's contents lie
-  /// within its index entry's sphere, that locations are consistent, and
-  /// that no chunk is empty (an empty chunk silently inflates probe counts
-  /// with zero-row scans). `max_population` > 0 additionally rejects any
-  /// chunk more populous than the declared bound — the check a balance-
-  /// constrained index is held to. Expensive; for tests and fsck.
+  /// Verifies the index file's CRC (Open already checked every entry),
+  /// then that every chunk's contents lie within its index entry's sphere,
+  /// that locations are consistent, and that no chunk is empty (an empty
+  /// chunk silently inflates probe counts with zero-row scans).
+  /// `max_population` > 0 additionally rejects any chunk more populous than
+  /// the declared bound — the check a balance-constrained index is held
+  /// to. Expensive; for tests and fsck.
   Status Validate(uint32_t max_population = 0) const;
 
  private:
-  ChunkIndex(IndexFileView view, std::unique_ptr<ChunkFileReader> reader,
-             bool mapped)
-      : view_(std::move(view)), reader_(std::move(reader)), mapped_(mapped) {}
+  ChunkIndex(IndexFileView view, std::unique_ptr<ChunkFileReader> reader)
+      : view_(std::move(view)), reader_(std::move(reader)) {}
 
   IndexFileView view_;
   std::unique_ptr<ChunkFileReader> reader_;
-  bool mapped_;
 };
 
 }  // namespace qvt

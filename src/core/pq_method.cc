@@ -80,11 +80,9 @@ Status PqMethod::PrepareCompressed() {
     const size_t expected_dim = collection_ != nullptr ? collection_->dim()
                                 : index_ != nullptr   ? index_->dim()
                                                       : 0;
-    const bool mapped =
-        ResolveIndexOpenMode(IndexOpenMode::kAuto) == IndexOpenMode::kMmap;
-    BuildPhaseTimer timer(mapped ? "pq.open.mmap" : "pq.open.deserialize");
+    BuildPhaseTimer timer("pq.open");
     QVT_ASSIGN_OR_RETURN(PqFileView view,
-                         OpenPqFile(env_, config_.file, expected_dim, mapped));
+                         OpenPqFile(env_, config_.file, expected_dim));
     config_.m = view.m();
     config_.ksub = view.ksub();
     dim_ = view.dim();

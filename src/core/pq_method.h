@@ -29,8 +29,8 @@ struct PqMethodConfig {
   /// k-means iterations when training at Prepare (iters).
   size_t max_iterations = 25;
   uint64_t seed = 7;
-  /// Optional QVTPQC01 file (file=path): Prepare opens codebooks + codes
-  /// from it (mmap or deserialize per QVT_MMAP) instead of training.
+  /// Optional QVTPQC01 file (file=path): Prepare maps codebooks + codes
+  /// from it (OpenPqFile, which checks every code) instead of training.
   /// Requires MethodContext::env.
   std::string file;
 };
@@ -44,9 +44,9 @@ struct PqMethodConfig {
 /// (chunk scan) to m bytes and pays reads only for R candidates.
 ///
 /// Determinism: training, encoding, the ADC scan, and the rerank are all
-/// bit-identical across SIMD backends, build thread counts, and index open
-/// modes (kernel contract + shard-order parallel reductions + the
-/// (distance, id) result-set tie-break).
+/// bit-identical across SIMD backends, build thread counts, and trained vs
+/// file-backed codes (kernel contract + shard-order parallel reductions +
+/// the (distance, id) result-set tie-break).
 class PqMethod final : public SearchMethod {
  public:
   PqMethod(const MethodContext& context, PqMethodConfig config);

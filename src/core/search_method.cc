@@ -535,9 +535,8 @@ Status RequireCollection(const MethodContext& context,
 /// balance-constrained k-means of PR 6 (so merge-built shards cannot
 /// reintroduce the giant-chunk tail pathology), write the chunk + index
 /// files under context.artifact_base, and open the searcher over them. On
-/// reuse the files are opened as-is (mmap per context.open_mode /
-/// QVT_MMAP). Deterministic at any QVT_BUILD_THREADS — the chunker and
-/// ChunkIndex::Build both are.
+/// reuse the files are opened as-is (ChunkIndex::Open). Deterministic at
+/// any QVT_BUILD_THREADS — the chunker and ChunkIndex::Build both are.
 StatusOr<MethodShard> BuildChunkedShard(const ShardBuildContext& context,
                                         MethodOptions& options) {
   if (context.env == nullptr || context.artifact_base.empty()) {
@@ -553,9 +552,8 @@ StatusOr<MethodShard> BuildChunkedShard(const ShardBuildContext& context,
   shard.data = context.data;
   const ChunkIndexPaths paths = ChunkIndexPaths::ForBase(context.artifact_base);
   if (context.reuse_artifacts) {
-    QVT_ASSIGN_OR_RETURN(
-        ChunkIndex index,
-        ChunkIndex::Open(context.env, paths, data.dim(), context.open_mode));
+    QVT_ASSIGN_OR_RETURN(ChunkIndex index,
+                         ChunkIndex::Open(context.env, paths, data.dim()));
     shard.index = std::make_unique<ChunkIndex>(std::move(index));
   } else {
     BalancedKMeansConfig config;

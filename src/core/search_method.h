@@ -187,8 +187,6 @@ struct ShardBuildContext {
   DiskCostModel cost_model;
   ChunkCache* cache = nullptr;
   PrefetcherOptions prefetch;
-  /// How artifact files are opened (mmap / deserialize / QVT_MMAP auto).
-  IndexOpenMode open_mode = IndexOpenMode::kAuto;
 };
 
 /// A built shard: the descriptor subset it answers for, the optional chunk

@@ -1,5 +1,6 @@
 #include "descriptor/collection.h"
 
+#include <cmath>
 #include <cstring>
 
 #include "util/logging.h"
@@ -87,6 +88,14 @@ StatusOr<Collection> Collection::Load(Env* env, const std::string& path,
     std::memcpy(&id, record, sizeof(DescriptorId));
     std::memcpy(values.data(), record + sizeof(DescriptorId),
                 dim * sizeof(float));
+    for (size_t d = 0; d < dim; ++d) {
+      if (!std::isfinite(values[d])) {
+        return Status::Corruption(
+            "non-finite value in coordinate " + std::to_string(d) +
+            " of record " + std::to_string(pos) + " (id " +
+            std::to_string(id) + ") in " + path);
+      }
+    }
     out.Append(id, values);
   }
 

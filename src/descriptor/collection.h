@@ -57,6 +57,7 @@ class Collection {
   Status Save(Env* env, const std::string& path) const;
 
   /// Loads a collection saved with Save(). `dim` must match the writer's.
+  /// A NaN or ±Inf coordinate is Corruption naming the record position.
   static StatusOr<Collection> Load(Env* env, const std::string& path,
                                    size_t dim = kDescriptorDim);
 

@@ -108,7 +108,7 @@ StatusOr<std::unique_ptr<DynamicIndex>> DynamicIndex::Open(
   QVT_ASSIGN_OR_RETURN(DynamicManifest manifest,
                        LoadDynamicManifest(env, base));
   // The identity of the index comes from the manifest; runtime knobs
-  // (extension geometry, open mode, cost model) from the caller.
+  // (extension geometry, cost model) from the caller.
   options.method = manifest.method;
   options.method_params = manifest.method_params;
   options.dim = manifest.dim;
@@ -146,14 +146,12 @@ StatusOr<std::unique_ptr<DynamicIndex>> DynamicIndex::Open(
     context.data = std::make_shared<Collection>(std::move(rows));
     context.env = env;
     context.artifact_base = shard->artifact_base;
-    // Reopen from the artifacts written at build time (mmap per open_mode /
-    // QVT_MMAP for the chunked method); memory-resident methods rebuild
-    // deterministically from the subset.
+    // Reopen from the artifacts written at build time (the chunked method);
+    // memory-resident methods rebuild deterministically from the subset.
     context.reuse_artifacts = true;
     context.target_chunk_size = index->options_.target_chunk_size;
     context.cost_model = index->options_.cost_model;
     context.prefetch = index->options_.prefetch;
-    context.open_mode = index->options_.open_mode;
     QVT_ASSIGN_OR_RETURN(
         shard->built,
         MethodRegistry::Global().BuildShard(index->options_.method, context,
@@ -380,7 +378,6 @@ StatusOr<std::shared_ptr<const DynamicShard>> DynamicIndex::BuildShardLocked(
   context.target_chunk_size = options_.target_chunk_size;
   context.cost_model = options_.cost_model;
   context.prefetch = options_.prefetch;
-  context.open_mode = options_.open_mode;
   QVT_ASSIGN_OR_RETURN(shard->built,
                        MethodRegistry::Global().BuildShard(
                            options_.method, context, options_.method_params));

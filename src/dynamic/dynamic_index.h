@@ -33,8 +33,8 @@ struct DynamicOptions {
   size_t target_chunk_size = 256;
   DiskCostModel cost_model;
   PrefetcherOptions prefetch;
-  /// How shard artifacts are opened on reopen (mmap / deserialize / auto).
-  IndexOpenMode open_mode = IndexOpenMode::kAuto;
+  /// Unused (there is one open); kept because perfbench/ still sets it.
+  IndexOpenMode open_mode = IndexOpenMode::kMmap;
 };
 
 /// One flush or merge, as the stats ledger records it.
@@ -97,10 +97,9 @@ class DynamicIndex final : public SearchMethod {
 
   /// Reopens the index saved at `base`: loads the manifest, reloads every
   /// shard's descriptor subset, reopens artifact-backed methods from their
-  /// files (mmap per options.open_mode / QVT_MMAP) and rebuilds the
-  /// memory-resident ones deterministically, then replays the persisted
-  /// buffer rows. `options.method`, `method_params`, and `dim` are taken
-  /// from the manifest; the extension geometry and open mode from
+  /// files and rebuilds the memory-resident ones deterministically, then
+  /// replays the persisted buffer rows. `options.method`, `method_params`,
+  /// and `dim` are taken from the manifest; the extension geometry from
   /// `options`.
   static StatusOr<std::unique_ptr<DynamicIndex>> Open(
       Env* env, std::string base, DynamicOptions options = DynamicOptions());

@@ -146,7 +146,7 @@ StatusOr<DynamicManifest> LoadDynamicManifest(Env* env,
     return Status::NotFound("no dynamic manifest: " + path);
   }
   QVT_ASSIGN_OR_RETURN(std::unique_ptr<MemoryMappedFile> file,
-                       ReadFileCopy(env, path));
+                       env->NewMemoryMappedFile(path));
   const FormatView view({file->data(), file->size()}, path);
   QVT_RETURN_IF_ERROR(
       view.CheckEnvelope(kDynamicMagic, kDynamicFormatVersion));
@@ -285,8 +285,7 @@ Status FsckDynamic(Env* env, const std::string& base) {
     if (manifest.method == "chunked") {
       const ChunkIndexPaths paths = ChunkIndexPaths::ForBase(shard_base);
       QVT_ASSIGN_OR_RETURN(const ChunkIndex index,
-                           ChunkIndex::Open(env, paths, manifest.dim,
-                                            IndexOpenMode::kDeserialize));
+                           ChunkIndex::Open(env, paths, manifest.dim));
       QVT_RETURN_IF_ERROR(index.Validate());
       if (index.total_descriptors() != shard.rows) {
         return Status::Corruption(

@@ -81,9 +81,9 @@ Status SaveDynamicManifest(Env* env, const std::string& base,
                            const DynamicManifest& manifest);
 
 /// Reads and fully validates (CRC + structural invariants) the manifest at
-/// `base`. The manifest is small, so the load always deserializes and
-/// checksums; the big shard artifacts keep their own mmap-vs-deserialize
-/// choice when the index is opened.
+/// `base`. The manifest is small, so the load always checksums; the big
+/// shard artifacts check their entries on open and leave the CRC to
+/// FsckDynamic.
 StatusOr<DynamicManifest> LoadDynamicManifest(Env* env,
                                               const std::string& base);
 

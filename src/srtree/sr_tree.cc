@@ -828,10 +828,11 @@ Status SrTree::SaveStatic(Env* env, const std::string& path) const {
 
 StatusOr<SrTree> SrTree::LoadStatic(const Collection* collection, Env* env,
                                     const std::string& path) {
-  // The deserializing open runs the CRC and structural checks, so the
+  // Open runs the structural checks and VerifyCrc the checksum, so the
   // rebuild below can trust record contents (links, ranges, counts).
-  auto view = StaticSrTree::Open(env, path, /*mapped=*/false);
+  auto view = StaticSrTree::Open(env, path);
   if (!view.ok()) return view.status();
+  QVT_RETURN_IF_ERROR(view->VerifyCrc());
   const SrTreeFileHeader& h = view->header();
   if (collection->dim() != h.dim) {
     return Status::Corruption("tree dim " + std::to_string(h.dim) +

@@ -18,10 +18,8 @@ SrTreeFileLayout SrTreeFileLayout::For(const SrTreeFileHeader& h) {
   return l;
 }
 
-StatusOr<StaticSrTree> StaticSrTree::Open(Env* env, const std::string& path,
-                                          bool mapped) {
-  StatusOr<std::unique_ptr<MemoryMappedFile>> file =
-      mapped ? env->NewMemoryMappedFile(path) : ReadFileCopy(env, path);
+StatusOr<StaticSrTree> StaticSrTree::Open(Env* env, const std::string& path) {
+  auto file = env->NewMemoryMappedFile(path);
   if (!file.ok()) return file.status();
 
   StaticSrTree tree(std::move(file).value(), path);
@@ -64,10 +62,7 @@ StatusOr<StaticSrTree> StaticSrTree::Open(Env* env, const std::string& path,
   tree.entries_ = *entries;
   tree.leaf_dir_ = *leaf_dir;
 
-  if (!mapped) {
-    QVT_RETURN_IF_ERROR(tree.VerifyCrc());
-    QVT_RETURN_IF_ERROR(tree.ValidateStructure());
-  }
+  QVT_RETURN_IF_ERROR(tree.ValidateStructure());
   return tree;
 }
 

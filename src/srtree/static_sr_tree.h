@@ -88,16 +88,16 @@ struct SrTreeFileLayout {
 };
 
 /// Zero-copy static SR-tree: searches the node/entry records straight out
-/// of the mapped (or copied) file, no Collection required — a leaf entry's
+/// of the mapped file, no Collection required — a leaf entry's
 /// centroid IS its point, so leaf distances are exact. NearestNeighbors
 /// returns results bit-identical to SrTree::NearestNeighbors on the tree
 /// that was saved. Move-only.
 class StaticSrTree {
  public:
-  /// Opens the file at `path`. `mapped` selects mmap (O(1), no checksum)
-  /// or the deserializing open (aligned copy + CRC + structural checks).
-  static StatusOr<StaticSrTree> Open(Env* env, const std::string& path,
-                                     bool mapped);
+  /// Opens the file at `path`: maps it (Env::NewMemoryMappedFile), then
+  /// checks the envelope, the section geometry and the structure
+  /// (ValidateStructure). The whole-file CRC is the separate VerifyCrc.
+  static StatusOr<StaticSrTree> Open(Env* env, const std::string& path);
 
   StaticSrTree(StaticSrTree&&) = default;
   StaticSrTree& operator=(StaticSrTree&&) = default;
@@ -118,9 +118,10 @@ class StaticSrTree {
   /// — the static twin of SrTree::LeafPartitions.
   std::vector<std::vector<size_t>> LeafPartitions() const;
 
-  /// Linear checks skipped by a mapped open: CRC, then structural
-  /// invariants (entry ranges in bounds, child/parent links consistent,
-  /// leaf directory covers exactly the leaves, point count adds up).
+  /// CRC over the whole payload (fsck and SrTree::LoadStatic run it), and
+  /// the structural invariants Open runs (entry ranges in bounds,
+  /// child/parent links consistent, leaf directory covers exactly the
+  /// leaves, point count adds up).
   Status VerifyCrc() const;
   Status ValidateStructure() const;
 

@@ -1,9 +1,7 @@
 #include "storage/format.h"
 
 #include <array>
-#include <cstdlib>
 
-#include "util/logging.h"
 
 namespace qvt {
 
@@ -134,55 +132,6 @@ StatusOr<const uint8_t*> FormatView::Section(uint64_t offset, uint64_t count,
     return CorruptionAt(offset, std::string(what) + " section out of bounds");
   }
   return data() + offset;
-}
-
-// ---------------------------------------------------------------------------
-// ReadFileCopy
-// ---------------------------------------------------------------------------
-
-namespace {
-
-// Owned aligned buffer presented through the MemoryMappedFile interface, so
-// the deserializing open path and the mapped open path share all downstream
-// code. 64-byte base alignment mirrors a page-aligned real mapping closely
-// enough for every guarantee the formats derive from file offsets.
-class AlignedFileCopy final : public MemoryMappedFile {
- public:
-  static std::unique_ptr<AlignedFileCopy> Allocate(size_t size) {
-    uint8_t* base = nullptr;
-    if (size > 0) {
-      const size_t padded = AlignUp(size);
-      base = static_cast<uint8_t*>(
-          std::aligned_alloc(kSectionAlignment, padded));
-      QVT_CHECK(base != nullptr);
-    }
-    return std::unique_ptr<AlignedFileCopy>(new AlignedFileCopy(base, size));
-  }
-
-  ~AlignedFileCopy() override { std::free(base_); }
-
-  const uint8_t* data() const override { return base_; }
-  size_t size() const override { return size_; }
-  uint8_t* mutable_data() { return base_; }
-
- private:
-  AlignedFileCopy(uint8_t* base, size_t size) : base_(base), size_(size) {}
-
-  uint8_t* base_;
-  size_t size_;
-};
-
-}  // namespace
-
-StatusOr<std::unique_ptr<MemoryMappedFile>> ReadFileCopy(
-    Env* env, const std::string& path) {
-  auto file = env->NewRandomAccessFile(path);
-  if (!file.ok()) return file.status();
-  auto copy = AlignedFileCopy::Allocate((*file)->Size());
-  if (copy->size() > 0) {
-    QVT_RETURN_IF_ERROR((*file)->Read(0, copy->size(), copy->mutable_data()));
-  }
-  return std::unique_ptr<MemoryMappedFile>(std::move(copy));
 }
 
 }  // namespace qvt

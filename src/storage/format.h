@@ -134,13 +134,11 @@ class FormatView {
 
   /// Checks the envelope: minimum size, header magic, expected format
   /// version, and the footer's magic echo at the declared end. O(1) — CRC
-  /// verification is separate (see VerifyCrc) so a mapped open stays
-  /// constant-time.
+  /// verification is separate (see VerifyCrc); opens do not run it.
   Status CheckEnvelope(uint64_t magic, uint32_t expected_version) const;
 
   /// Recomputes the CRC over everything before the footer and compares it
-  /// to the stored value. Linear in file size; the deserializing open and
-  /// fsck run it, the zero-copy mapped open does not.
+  /// to the stored value. Linear in file size; fsck runs it, opens do not.
   Status VerifyCrc() const;
 
   /// Returns a pointer to `count * record_bytes` bytes at `offset`, after
@@ -157,14 +155,6 @@ class FormatView {
   std::span<const uint8_t> bytes_;
   std::string path_;
 };
-
-/// Reads the whole file behind `path` through `env` into an owned,
-/// kSectionAlignment-aligned buffer — the deserializing twin of
-/// Env::NewMemoryMappedFile. (ReadFileBytes returns a std::vector whose
-/// base alignment is only alignof(max_align_t); the formats' zero-copy
-/// section views need more.)
-StatusOr<std::unique_ptr<MemoryMappedFile>> ReadFileCopy(
-    Env* env, const std::string& path);
 
 }  // namespace qvt
 

@@ -127,11 +127,12 @@ StatusOr<IndexFileView> IndexFileView::Open(
   if (!directory.ok()) return directory.status();
 
   // Section offsets are 64-aligned within the file and the mapping base is
-  // at least 64-aligned (page-aligned mmap or the aligned copy buffer), so
+  // at least 64-aligned (page-aligned mmap or Env's aligned heap copy), so
   // these casts land on correctly aligned addresses for each element type.
   view.centroids_ = reinterpret_cast<const float*>(*centroids);
   view.radii_ = reinterpret_cast<const double*>(*radii);
   view.locations_ = reinterpret_cast<const ChunkLocation*>(*directory);
+  QVT_RETURN_IF_ERROR(view.ValidateEntries());
   return view;
 }
 
@@ -156,25 +157,18 @@ Status IndexFileView::ValidateEntries() const {
 }
 
 StatusOr<IndexFileView> OpenIndexFile(Env* env, const std::string& path,
-                                      size_t dim, bool mapped) {
-  StatusOr<std::unique_ptr<MemoryMappedFile>> file =
-      mapped ? env->NewMemoryMappedFile(path) : ReadFileCopy(env, path);
+                                      size_t dim) {
+  auto file = env->NewMemoryMappedFile(path);
   if (!file.ok()) return file.status();
-  auto view = IndexFileView::Open(std::move(file).value(), path, dim);
-  if (!view.ok()) return view.status();
-  if (!mapped) {
-    // The deserializing open pays the linear checks the mapped open skips.
-    QVT_RETURN_IF_ERROR(view->VerifyCrc());
-    QVT_RETURN_IF_ERROR(view->ValidateEntries());
-  }
-  return view;
+  return IndexFileView::Open(std::move(file).value(), path, dim);
 }
 
 StatusOr<std::vector<ChunkIndexEntry>> ReadIndexFile(Env* env,
                                                      const std::string& path,
                                                      size_t dim) {
-  auto view = OpenIndexFile(env, path, dim, /*mapped=*/false);
+  auto view = OpenIndexFile(env, path, dim);
   if (!view.ok()) return view.status();
+  QVT_RETURN_IF_ERROR(view->VerifyCrc());
 
   std::vector<ChunkIndexEntry> entries(view->num_chunks());
   const std::span<const float> centroids = view->centroids();

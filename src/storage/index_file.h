@@ -78,15 +78,16 @@ struct IndexFileHeader {
   uint64_t footer_off = 0;
 };
 
-/// Zero-copy view of one index file: owns the mapping (or the aligned
-/// in-memory copy) and exposes the column sections as typed spans pointing
-/// straight into it. Move-only; spans stay valid across moves.
+/// Zero-copy view of one index file: owns the mapping and exposes the
+/// column sections as typed spans pointing straight into it. Move-only;
+/// spans stay valid across moves.
 class IndexFileView {
  public:
-  /// Validates the envelope and section geometry of `file` (O(1) — no CRC,
-  /// no per-entry scan; see VerifyCrc and ChunkIndex::Validate for the
-  /// linear checks) and takes ownership. `expected_dim` guards against
-  /// opening an index built for a different descriptor type.
+  /// Validates the envelope, the section geometry and every entry of
+  /// `file` (ValidateEntries; O(num_chunks), the columns a query ranks
+  /// anyway) and takes ownership. The whole-file CRC is the separate
+  /// VerifyCrc. `expected_dim` guards against opening an index built for a
+  /// different descriptor type.
   static StatusOr<IndexFileView> Open(std::unique_ptr<MemoryMappedFile> file,
                                       std::string path, size_t expected_dim);
 
@@ -110,10 +111,10 @@ class IndexFileView {
     return {locations_, header_.num_chunks};
   }
 
-  /// Linear checks, split out of Open so a mapped open stays O(1):
-  /// CRC over the whole payload, then per-entry invariants (finite
-  /// non-negative radius, non-empty extent and population). fsck and the
-  /// deserializing open run both.
+  /// CRC over the whole payload — run by fsck, ChunkIndex::Validate and
+  /// ReadIndexFile, not by Open. ValidateEntries checks the per-entry
+  /// invariants (finite non-negative radius, non-empty extent and
+  /// population); Open runs it.
   Status VerifyCrc() const;
   Status ValidateEntries() const;
 
@@ -134,14 +135,13 @@ class IndexFileView {
 Status WriteIndexFile(Env* env, const std::string& path, size_t dim,
                       const std::vector<ChunkIndexEntry>& entries);
 
-/// Opens the index file at `path`. `mapped` selects the zero-copy mmap open
-/// (O(1), no checksum) or the deserializing open (reads the file into an
-/// owned buffer and verifies the CRC + per-entry invariants).
+/// Opens the index file at `path`: maps it (Env::NewMemoryMappedFile) and
+/// runs IndexFileView::Open's envelope and per-entry checks.
 StatusOr<IndexFileView> OpenIndexFile(Env* env, const std::string& path,
-                                      size_t dim, bool mapped);
+                                      size_t dim);
 
-/// Reads the whole index file into materialized entries (deserializing
-/// open + copy). Validates CRC and per-entry invariants.
+/// Reads the whole index file into materialized entries (open + VerifyCrc
+/// + copy).
 StatusOr<std::vector<ChunkIndexEntry>> ReadIndexFile(Env* env,
                                                      const std::string& path,
                                                      size_t dim);

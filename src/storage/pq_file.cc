@@ -165,11 +165,12 @@ StatusOr<PqFileView> PqFileView::Open(std::unique_ptr<MemoryMappedFile> file,
   if (!ids.ok()) return ids.status();
 
   // Section offsets are 64-aligned within the file and the mapping base is
-  // at least 64-aligned (page-aligned mmap or the aligned copy buffer), so
+  // at least 64-aligned (page-aligned mmap or Env's aligned heap copy), so
   // these casts land on correctly aligned addresses for each element type.
   view.codebooks_ = reinterpret_cast<const float*>(*codebooks);
   view.codes_ = *codes;
   view.ids_ = reinterpret_cast<const uint32_t*>(*ids);
+  QVT_RETURN_IF_ERROR(view.ValidateEntries());
   return view;
 }
 
@@ -201,18 +202,10 @@ Status PqFileView::ValidateEntries() const {
 }
 
 StatusOr<PqFileView> OpenPqFile(Env* env, const std::string& path,
-                                size_t dim, bool mapped) {
-  StatusOr<std::unique_ptr<MemoryMappedFile>> file =
-      mapped ? env->NewMemoryMappedFile(path) : ReadFileCopy(env, path);
+                                size_t dim) {
+  auto file = env->NewMemoryMappedFile(path);
   if (!file.ok()) return file.status();
-  auto view = PqFileView::Open(std::move(file).value(), path, dim);
-  if (!view.ok()) return view.status();
-  if (!mapped) {
-    // The deserializing open pays the linear checks the mapped open skips.
-    QVT_RETURN_IF_ERROR(view->VerifyCrc());
-    QVT_RETURN_IF_ERROR(view->ValidateEntries());
-  }
-  return view;
+  return PqFileView::Open(std::move(file).value(), path, dim);
 }
 
 }  // namespace qvt

@@ -52,15 +52,16 @@ struct PqFileHeader {
   uint64_t footer_off = 0;
 };
 
-/// Zero-copy view of one compressed-collection file: owns the mapping (or
-/// the aligned in-memory copy) and exposes the sections as typed spans
-/// pointing straight into it. Move-only; spans stay valid across moves.
+/// Zero-copy view of one compressed-collection file: owns the mapping and
+/// exposes the sections as typed spans pointing straight into it.
+/// Move-only; spans stay valid across moves.
 class PqFileView {
  public:
-  /// Validates the envelope and section geometry of `file` (O(1) — no CRC,
-  /// no per-code scan; see VerifyCrc/ValidateEntries) and takes ownership.
-  /// `expected_dim` guards against codebooks for a different descriptor
-  /// type; 0 skips the check.
+  /// Validates the envelope, the section geometry and every entry of
+  /// `file` (ValidateEntries; O(codes), the matrix a query's first pass
+  /// scans anyway) and takes ownership. The whole-file CRC is the separate
+  /// VerifyCrc. `expected_dim` guards against codebooks for a different
+  /// descriptor type; 0 skips the check.
   static StatusOr<PqFileView> Open(std::unique_ptr<MemoryMappedFile> file,
                                    std::string path, size_t expected_dim);
 
@@ -90,9 +91,9 @@ class PqFileView {
     return {ids_, header_.num_vectors};
   }
 
-  /// Linear checks, split out of Open so a mapped open stays O(1): CRC over
-  /// the whole payload, then per-entry invariants (finite codebook floats,
-  /// every code below ksub). fsck and the deserializing open run both.
+  /// CRC over the whole payload — run by fsck, not by Open.
+  /// ValidateEntries checks the per-entry invariants (finite codebook
+  /// floats, every code below ksub); Open runs it.
   Status VerifyCrc() const;
   Status ValidateEntries() const;
 
@@ -117,12 +118,11 @@ Status WritePqFile(Env* env, const std::string& path, size_t dim, size_t m,
                    std::span<const uint8_t> codes,
                    std::span<const uint32_t> ids);
 
-/// Opens the compressed-collection file at `path`. `mapped` selects the
-/// zero-copy mmap open (O(1), no checksum) or the deserializing open
-/// (reads the file into an owned buffer and verifies the CRC + per-entry
-/// invariants).
+/// Opens the compressed-collection file at `path`: maps it
+/// (Env::NewMemoryMappedFile) and runs PqFileView::Open's envelope and
+/// per-entry checks.
 StatusOr<PqFileView> OpenPqFile(Env* env, const std::string& path,
-                                size_t dim, bool mapped);
+                                size_t dim);
 
 }  // namespace qvt
 

@@ -6,6 +6,7 @@
 #include "cluster/round_robin.h"
 #include "cluster/srtree_chunker.h"
 #include "core/exact_scan.h"
+#include "core/search_method.h"
 #include "descriptor/generator.h"
 #include "descriptor/workload.h"
 #include "search_reference.h"
@@ -88,6 +89,45 @@ TEST(BatchSearcherTest, EightThreadsBitIdenticalToSerial) {
   ASSERT_TRUE(batch.ok());
   EXPECT_EQ(batch->num_threads, 8u);
   ExpectIdenticalResults(batch->results, serial);
+}
+
+// Every registered method over one shared index: four worker threads read
+// the same mapped index columns and chunk file concurrently (a TSan build
+// proves the shared view race-free) and must answer exactly as one thread
+// does. The chunked method under a budget also covers the radius and
+// location columns its pruning path reads.
+TEST(BatchSearcherTest, AllMethodsFourThreadsMatchOneOverASharedIndex) {
+  BatchFixture fx(/*num_queries=*/24);
+  MethodContext context;
+  context.collection = &fx.collection;
+  context.index = &*fx.index;
+  for (const MethodInfo& info : MethodRegistry::Global().List()) {
+    SCOPED_TRACE(info.name);
+    auto method = MethodRegistry::Global().Create(info.name, context);
+    ASSERT_TRUE(method.ok()) << method.status().ToString();
+    ASSERT_TRUE((*method)->Prepare().ok());
+    std::vector<StopRule> rules = {StopRule::Exact()};
+    if (info.name == "chunked") rules.push_back(StopRule::MaxChunks(2));
+    for (const StopRule& rule : rules) {
+      BatchSearcher serial(method->get(), 1);
+      BatchSearcher threaded(method->get(), 4);
+      auto reference = serial.SearchAll(fx.workload, 10, rule);
+      ASSERT_TRUE(reference.ok());
+      auto batch = threaded.SearchAll(fx.workload, 10, rule);
+      ASSERT_TRUE(batch.ok());
+      ExpectIdenticalResults(batch->results, reference->results);
+      for (size_t q = 0; q < fx.workload.num_queries(); ++q) {
+        const QueryTelemetry& a = batch->results[q].telemetry;
+        const QueryTelemetry& b = reference->results[q].telemetry;
+        EXPECT_EQ(a.probes, b.probes) << "query " << q;
+        EXPECT_EQ(a.index_entries_scanned, b.index_entries_scanned)
+            << "query " << q;
+        EXPECT_EQ(a.candidates_examined, b.candidates_examined)
+            << "query " << q;
+        EXPECT_EQ(a.bytes_read, b.bytes_read) << "query " << q;
+      }
+    }
+  }
 }
 
 TEST(BatchSearcherTest, SingleThreadMatchesSerialLoop) {

@@ -1,6 +1,6 @@
 #include "core/chunk_index.h"
 
-#include <cstdlib>
+#include <cstddef>
 #include <cstring>
 
 #include <gtest/gtest.h>
@@ -57,55 +57,49 @@ TEST(ChunkIndexTest, OpenMatchesBuild) {
   EXPECT_TRUE(opened->Validate().ok());
 }
 
-// The zero-copy mapped open and the deserializing open must expose exactly
-// the same index: same header, and byte-identical centroid / radius /
-// location columns.
-TEST(ChunkIndexTest, MmapAndDeserializeOpensAreByteIdentical) {
+// The one open checks every entry, so a CRC-valid index whose entries lie
+// (a negative radius, a zero-page extent) is refused before any search can
+// trust it.
+TEST(ChunkIndexTest, OpenRejectsInvalidEntriesBehindAValidCrc) {
   MemEnv env;
   const Collection c = TestCollection();
   SrTreeChunker chunker(80);
   auto chunking = chunker.FormChunks(c);
   ASSERT_TRUE(chunking.ok());
   const ChunkIndexPaths paths = ChunkIndexPaths::ForBase("idx");
-  ASSERT_TRUE(ChunkIndex::Build(c, *chunking, &env, paths).ok());
+  auto built = ChunkIndex::Build(c, *chunking, &env, paths);
+  ASSERT_TRUE(built.ok());
+  ASSERT_GT(built->num_chunks(), 3u);
+  const IndexFileHeader header = built->file_header();
+  auto good = ReadFileBytes(&env, paths.index_file);
+  ASSERT_TRUE(good.ok());
 
-  auto mapped =
-      ChunkIndex::Open(&env, paths, kDescriptorDim, IndexOpenMode::kMmap);
-  ASSERT_TRUE(mapped.ok());
-  auto copied = ChunkIndex::Open(&env, paths, kDescriptorDim,
-                                 IndexOpenMode::kDeserialize);
-  ASSERT_TRUE(copied.ok());
-  EXPECT_TRUE(mapped->mapped());
-  EXPECT_FALSE(copied->mapped());
+  const auto open_with = [&](uint64_t at, const void* value, size_t size) {
+    std::vector<uint8_t> bytes = *good;
+    std::memcpy(bytes.data() + at, value, size);
+    const uint32_t crc = Crc32(bytes.data(), header.footer_off);
+    std::memcpy(bytes.data() + header.footer_off, &crc, sizeof(crc));
+    EXPECT_TRUE(
+        WriteFileBytes(&env, paths.index_file, bytes.data(), bytes.size())
+            .ok());
+    return ChunkIndex::Open(&env, paths).status();
+  };
 
-  ASSERT_EQ(mapped->num_chunks(), copied->num_chunks());
-  ASSERT_EQ(mapped->dim(), copied->dim());
-  const auto a = mapped->centroid_matrix();
-  const auto b = copied->centroid_matrix();
-  ASSERT_EQ(a.size(), b.size());
-  EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size_bytes()), 0);
-  for (size_t i = 0; i < mapped->num_chunks(); ++i) {
-    EXPECT_EQ(mapped->radius(i), copied->radius(i));
-    EXPECT_EQ(mapped->location(i), copied->location(i));
-  }
-  // Both satisfy the kernel alignment contract and full validation.
-  EXPECT_EQ(reinterpret_cast<uintptr_t>(a.data()) % 32, 0u);
-  EXPECT_EQ(reinterpret_cast<uintptr_t>(b.data()) % 32, 0u);
-  EXPECT_TRUE(mapped->Validate().ok());
-  EXPECT_TRUE(copied->Validate().ok());
-}
+  const double negative_radius = -1e30;
+  const Status radius = open_with(header.radii_off + 3 * sizeof(double),
+                                  &negative_radius, sizeof(double));
+  EXPECT_TRUE(radius.IsCorruption()) << radius.ToString();
+  EXPECT_NE(radius.ToString().find("invalid radius in entry 3"),
+            std::string::npos);
 
-TEST(ChunkIndexTest, ResolveOpenModeHonorsQvtMmap) {
-  EXPECT_EQ(ResolveIndexOpenMode(IndexOpenMode::kMmap), IndexOpenMode::kMmap);
-  EXPECT_EQ(ResolveIndexOpenMode(IndexOpenMode::kDeserialize),
-            IndexOpenMode::kDeserialize);
-  ::setenv("QVT_MMAP", "0", 1);
-  EXPECT_EQ(ResolveIndexOpenMode(IndexOpenMode::kAuto),
-            IndexOpenMode::kDeserialize);
-  ::setenv("QVT_MMAP", "1", 1);
-  EXPECT_EQ(ResolveIndexOpenMode(IndexOpenMode::kAuto), IndexOpenMode::kMmap);
-  ::unsetenv("QVT_MMAP");
-  EXPECT_EQ(ResolveIndexOpenMode(IndexOpenMode::kAuto), IndexOpenMode::kMmap);
+  const uint64_t entry_2 = header.directory_off + 2 * sizeof(ChunkLocation);
+  const uint32_t zero_pages = 0;
+  const Status extent =
+      open_with(entry_2 + offsetof(ChunkLocation, num_pages), &zero_pages,
+                sizeof(zero_pages));
+  EXPECT_TRUE(extent.IsCorruption()) << extent.ToString();
+  EXPECT_NE(extent.ToString().find("empty extent in entry 2"),
+            std::string::npos);
 }
 
 TEST(ChunkIndexTest, OutliersAreExcluded) {

@@ -294,6 +294,34 @@ TEST(PqMethodTest, InvalidArgumentsRejected) {
   ASSERT_TRUE(bad_m.ok());
   EXPECT_TRUE((*bad_m)->Prepare().IsInvalidArgument());
 
+  // A CRC-valid file= artifact holding a code >= ksub fails at Prepare
+  // (the open checks every code). In the last subspace such a code would
+  // index past the m x ksub ADC table.
+  {
+    const size_t m = 8, ksub = 4, n = fx.collection.size();
+    const std::vector<float> codebooks(m * ksub * (kDescriptorDim / m), 0.5f);
+    const std::vector<uint8_t> codes(n * m, 1);
+    MemEnv* env = const_cast<MemEnv*>(&fx.env);
+    ASSERT_TRUE(WritePqFile(env, "bad.pqc", kDescriptorDim, m, ksub,
+                            codebooks, codes, fx.collection.Ids())
+                    .ok());
+    auto view = OpenPqFile(env, "bad.pqc", kDescriptorDim);
+    ASSERT_TRUE(view.ok());
+    const PqFileHeader header = view->header();
+    auto bytes = ReadFileBytes(env, "bad.pqc");
+    ASSERT_TRUE(bytes.ok());
+    (*bytes)[header.codes_off + 5 * m + (m - 1)] = 255;
+    const uint32_t crc = Crc32(bytes->data(), header.footer_off);
+    std::memcpy(bytes->data() + header.footer_off, &crc, sizeof(crc));
+    ASSERT_TRUE(
+        WriteFileBytes(env, "bad.pqc", bytes->data(), bytes->size()).ok());
+    auto bad_file = registry.Create("pq", fx.Context(), "file=bad.pqc");
+    ASSERT_TRUE(bad_file.ok());
+    const Status prepared = (*bad_file)->Prepare();
+    EXPECT_TRUE(prepared.IsCorruption()) << prepared.ToString();
+    EXPECT_NE(prepared.ToString().find("out of range"), std::string::npos);
+  }
+
   auto method = MakePrepared(fx.Context());
   EXPECT_TRUE(method->Search(fx.queries[0], 0).status().IsInvalidArgument());
   std::vector<float> short_query(5, 0.0f);

@@ -1,5 +1,8 @@
 #include "descriptor/collection.h"
 
+#include <cstring>
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "descriptor/types.h"
@@ -71,6 +74,32 @@ TEST(CollectionTest, LoadRejectsTruncatedFile) {
   std::vector<uint8_t> bytes(150, 0);  // not a multiple of 100
   ASSERT_TRUE(WriteFileBytes(&env, "bad", bytes.data(), bytes.size()).ok());
   EXPECT_TRUE(Collection::Load(&env, "bad").status().IsCorruption());
+}
+
+TEST(CollectionTest, LoadRejectsNonFiniteValuesNamingTheRecord) {
+  for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
+                          std::numeric_limits<float>::infinity(),
+                          -std::numeric_limits<float>::infinity()}) {
+    SCOPED_TRACE(bad);
+    MemEnv env;
+    Collection c;
+    for (int i = 0; i < 4; ++i) {
+      c.Append(static_cast<DescriptorId>(10 + i), Vec24(1.0f));
+    }
+    ASSERT_TRUE(c.Save(&env, "col").ok());
+    auto bytes = ReadFileBytes(&env, "col");
+    ASSERT_TRUE(bytes.ok());
+    // Record 2, coordinate 5.
+    std::memcpy(bytes->data() + 2 * DescriptorRecordBytes(kDescriptorDim) +
+                    sizeof(DescriptorId) + 5 * sizeof(float),
+                &bad, sizeof(bad));
+    ASSERT_TRUE(
+        WriteFileBytes(&env, "col", bytes->data(), bytes->size()).ok());
+    const Status s = Collection::Load(&env, "col").status();
+    EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+    EXPECT_NE(s.ToString().find("record 2"), std::string::npos)
+        << s.ToString();
+  }
 }
 
 TEST(CollectionTest, LoadMissingFileFails) {

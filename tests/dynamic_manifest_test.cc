@@ -101,33 +101,6 @@ TEST(DynamicManifestTest, SaveReopenRoundtripPreservesEverything) {
   EXPECT_TRUE((*reopened)->Delete(5000).ok());
 }
 
-TEST(DynamicManifestTest, MmapAndDeserializeAnswerIdentically) {
-  MemEnv env;
-  Collection data = TestCollection(120);
-  BuildAndSave(&env, data, "dyn", "chunked");
-
-  DynamicOptions mmap_options = Options();
-  mmap_options.open_mode = IndexOpenMode::kMmap;
-  DynamicOptions deserialize_options = Options();
-  deserialize_options.open_mode = IndexOpenMode::kDeserialize;
-  auto mapped = DynamicIndex::Open(&env, "dyn", mmap_options);
-  auto copied = DynamicIndex::Open(&env, "dyn", deserialize_options);
-  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-  ASSERT_TRUE(copied.ok()) << copied.status().ToString();
-  for (size_t qi = 0; qi < 6; ++qi) {
-    const auto query = data.Vector(qi * 17 % data.size());
-    auto a = (*mapped)->Search(query, 6, StopRule::Exact());
-    auto b = (*copied)->Search(query, 6, StopRule::Exact());
-    ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(b.ok());
-    ASSERT_EQ(a->neighbors.size(), b->neighbors.size());
-    for (size_t i = 0; i < a->neighbors.size(); ++i) {
-      EXPECT_EQ(a->neighbors[i].id, b->neighbors[i].id);
-      EXPECT_DOUBLE_EQ(a->neighbors[i].distance, b->neighbors[i].distance);
-    }
-  }
-}
-
 TEST(DynamicManifestTest, ReopenWorksForMemoryResidentMethods) {
   MemEnv env;
   Collection data = TestCollection(120);

@@ -61,35 +61,32 @@ TEST(StaticSrTreeTest, SaveRejectsEmptyTree) {
   EXPECT_TRUE(tree.SaveStatic(&env, "t").IsInvalidArgument());
 }
 
-// Save, open both ways, and require bit-identical k-NN answers and leaf
-// partitions against the in-memory tree — the static file is an interchange
-// format, not an approximation.
+// Save, open, and require bit-identical k-NN answers and leaf partitions
+// against the in-memory tree — the static file is an interchange format,
+// not an approximation.
 TEST(StaticSrTreeTest, SearchIsBitIdenticalToInMemoryTree) {
   const Collection c = ClusteredCollection(900, 5);
   const SrTree tree = BuildTree(&c);
   MemEnv env;
   ASSERT_TRUE(tree.SaveStatic(&env, "t").ok());
 
-  for (const bool mapped : {true, false}) {
-    SCOPED_TRACE(mapped ? "mapped" : "deserialized");
-    auto loaded = StaticSrTree::Open(&env, "t", mapped);
-    ASSERT_TRUE(loaded.ok());
-    EXPECT_TRUE(loaded->VerifyCrc().ok());
-    EXPECT_TRUE(loaded->ValidateStructure().ok());
-    EXPECT_EQ(loaded->num_points(), tree.size());
+  auto loaded = StaticSrTree::Open(&env, "t");
+  ASSERT_TRUE(loaded.ok());
+  EXPECT_TRUE(loaded->VerifyCrc().ok());
+  EXPECT_TRUE(loaded->ValidateStructure().ok());
+  EXPECT_EQ(loaded->num_points(), tree.size());
 
-    EXPECT_EQ(loaded->LeafPartitions(), tree.LeafPartitions());
+  EXPECT_EQ(loaded->LeafPartitions(), tree.LeafPartitions());
 
-    Rng rng(17);
-    for (size_t trial = 0; trial < 25; ++trial) {
-      const std::vector<float> q = RandomQuery(&rng);
-      const auto expected = tree.NearestNeighbors(q, 10);
-      const auto got = loaded->NearestNeighbors(q, 10);
-      ASSERT_EQ(got.size(), expected.size());
-      for (size_t i = 0; i < got.size(); ++i) {
-        EXPECT_EQ(got[i].position, expected[i].position);
-        EXPECT_EQ(got[i].distance, expected[i].distance);  // bitwise
-      }
+  Rng rng(17);
+  for (size_t trial = 0; trial < 25; ++trial) {
+    const std::vector<float> q = RandomQuery(&rng);
+    const auto expected = tree.NearestNeighbors(q, 10);
+    const auto got = loaded->NearestNeighbors(q, 10);
+    ASSERT_EQ(got.size(), expected.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].position, expected[i].position);
+      EXPECT_EQ(got[i].distance, expected[i].distance);  // bitwise
     }
   }
 }
@@ -127,33 +124,40 @@ TEST(StaticSrTreeTest, CorruptedFilesAreRejectedWithStatus) {
   MemEnv env;
   ASSERT_TRUE(tree.SaveStatic(&env, "t").ok());
   const std::vector<uint8_t> good = FileBytes(&env, "t");
+  auto good_tree = StaticSrTree::Open(&env, "t");
+  ASSERT_TRUE(good_tree.ok());
+  const SrTreeFileLayout layout = SrTreeFileLayout::For(good_tree->header());
 
   {
     std::vector<uint8_t> bad = good;
     bad[0] ^= 0xff;  // magic
     PutBytes(&env, "t", bad);
-    const Status s = StaticSrTree::Open(&env, "t", false).status();
+    const Status s = StaticSrTree::Open(&env, "t").status();
     EXPECT_TRUE(s.IsCorruption());
     EXPECT_NE(s.ToString().find("offset 0"), std::string::npos);
-    EXPECT_TRUE(StaticSrTree::Open(&env, "t", true).status().IsCorruption());
   }
   {
     std::vector<uint8_t> bad(good.begin(), good.begin() + good.size() / 3);
     PutBytes(&env, "t", bad);  // truncation mid-record
-    EXPECT_TRUE(StaticSrTree::Open(&env, "t", false).status().IsCorruption());
-    EXPECT_TRUE(StaticSrTree::Open(&env, "t", true).status().IsCorruption());
+    EXPECT_TRUE(StaticSrTree::Open(&env, "t").status().IsCorruption());
   }
   {
     std::vector<uint8_t> bad = good;
-    bad[kFormatHeaderBytes + 9] ^= 0x08;  // node-section payload flip
+    bad[kFormatHeaderBytes + 9] ^= 0x08;  // root's first_entry, no CRC fixup
     PutBytes(&env, "t", bad);
-    const Status s = StaticSrTree::Open(&env, "t", false).status();
+    EXPECT_TRUE(StaticSrTree::Open(&env, "t").status().IsCorruption());
+  }
+  {
+    std::vector<uint8_t> bad = good;
+    bad[layout.entries_off + 1] ^= 0x08;  // centroid payload flip
+    PutBytes(&env, "t", bad);
+    // The structure is intact, so the open admits it; the CRC catches it.
+    auto opened = StaticSrTree::Open(&env, "t");
+    ASSERT_TRUE(opened.ok());
+    const Status s = opened->VerifyCrc();
     EXPECT_TRUE(s.IsCorruption());
     EXPECT_NE(s.ToString().find("crc"), std::string::npos);
-    // The O(1) mapped open admits it; the explicit checks catch it.
-    auto mapped = StaticSrTree::Open(&env, "t", true);
-    ASSERT_TRUE(mapped.ok());
-    EXPECT_TRUE(mapped->VerifyCrc().IsCorruption());
+    EXPECT_TRUE(SrTree::LoadStatic(&c, &env, "t").status().IsCorruption());
   }
   {
     std::vector<uint8_t> garbage(2048);
@@ -161,7 +165,7 @@ TEST(StaticSrTreeTest, CorruptedFilesAreRejectedWithStatus) {
       garbage[i] = static_cast<uint8_t>(i * 131 + 7);
     }
     PutBytes(&env, "t", garbage);
-    EXPECT_TRUE(StaticSrTree::Open(&env, "t", false).status().IsCorruption());
+    EXPECT_TRUE(StaticSrTree::Open(&env, "t").status().IsCorruption());
   }
   {
     PutBytes(&env, "t", good);
@@ -171,26 +175,43 @@ TEST(StaticSrTreeTest, CorruptedFilesAreRejectedWithStatus) {
   }
 }
 
+// Structural defects with a refreshed CRC: only the structural checks can
+// object, and the open runs them.
 TEST(StaticSrTreeTest, StructuralCorruptionIsRejectedAfterCrcFixup) {
   const Collection c = ClusteredCollection(400, 4);
   const SrTree tree = BuildTree(&c);
   MemEnv env;
   ASSERT_TRUE(tree.SaveStatic(&env, "t").ok());
-  std::vector<uint8_t> bytes = FileBytes(&env, "t");
+  const std::vector<uint8_t> good = FileBytes(&env, "t");
+  auto good_tree = StaticSrTree::Open(&env, "t");
+  ASSERT_TRUE(good_tree.ok());
+  ASSERT_GE(good_tree->num_leaves(), 2u);
+  const SrTreeFileLayout layout = SrTreeFileLayout::For(good_tree->header());
 
-  // Point the root's parent link at a bogus node, then recompute the CRC so
-  // only the structural validation can object — the fsck layer this test
-  // pins down.
+  const auto expect_rejected = [&](std::vector<uint8_t> bytes,
+                                   const std::string& what) {
+    const uint64_t footer_off = bytes.size() - kFormatFooterBytes;
+    const uint32_t crc = Crc32(bytes.data(), footer_off);
+    std::memcpy(bytes.data() + footer_off, &crc, sizeof(crc));
+    PutBytes(&env, "t", bytes);
+    const Status s = StaticSrTree::Open(&env, "t").status();
+    EXPECT_TRUE(s.IsCorruption()) << what;
+    EXPECT_NE(s.ToString().find(what), std::string::npos) << s.ToString();
+    EXPECT_TRUE(SrTree::LoadStatic(&c, &env, "t").status().IsCorruption());
+  };
+
+  // The root's parent link points at a bogus node.
+  std::vector<uint8_t> bad_parent = good;
   const uint32_t bogus = 7;
-  std::memcpy(bytes.data() + kFormatHeaderBytes + 4, &bogus, sizeof(bogus));
-  const uint64_t footer_off = bytes.size() - kFormatFooterBytes;
-  const uint32_t crc = Crc32(bytes.data(), footer_off);
-  std::memcpy(bytes.data() + footer_off, &crc, sizeof(crc));
-  PutBytes(&env, "t", bytes);
+  std::memcpy(bad_parent.data() + kFormatHeaderBytes + 4, &bogus,
+              sizeof(bogus));
+  expect_rejected(bad_parent, "parent");
 
-  const Status s = StaticSrTree::Open(&env, "t", false).status();
-  EXPECT_TRUE(s.IsCorruption());
-  EXPECT_NE(s.ToString().find("parent"), std::string::npos);
+  // The leaf directory names the first leaf twice.
+  std::vector<uint8_t> repeated_leaf = good;
+  std::memcpy(repeated_leaf.data() + layout.leaf_dir_off + kSrTreeLeafDirBytes,
+              repeated_leaf.data() + layout.leaf_dir_off, sizeof(uint32_t));
+  expect_rejected(repeated_leaf, "repeats");
 }
 
 }  // namespace

@@ -87,7 +87,7 @@ TEST(FormatWriterTest, RoundTripEnvelope) {
   ASSERT_TRUE(size.ok());
   EXPECT_EQ(*size, footer_off + kFormatFooterBytes);
 
-  auto bytes = ReadFileCopy(&env, "f");
+  auto bytes = env.NewMemoryMappedFile("f");
   ASSERT_TRUE(bytes.ok());
   const FormatView view((*bytes)->bytes(), "f");
   EXPECT_TRUE(view.CheckEnvelope(kTestMagic, version).ok());

@@ -78,7 +78,7 @@ TEST(IndexFileTest, HeaderDeclaresAlignedSections) {
   ASSERT_TRUE(
       WriteIndexFile(&env, "idx", 23, {MakeEntry(23, 1.0f, 1.0, 0, 1, 1)})
           .ok());
-  auto view = OpenIndexFile(&env, "idx", 23, /*mapped=*/false);
+  auto view = OpenIndexFile(&env, "idx", 23);
   ASSERT_TRUE(view.ok());
   const IndexFileHeader& h = view->header();
   EXPECT_EQ(h.version, kIndexFormatVersion);
@@ -117,9 +117,8 @@ TEST(IndexFileTest, FlippedMagicRejectedWithPathAndOffset) {
   EXPECT_TRUE(s.IsCorruption());
   EXPECT_NE(s.ToString().find("idx"), std::string::npos);
   EXPECT_NE(s.ToString().find("offset 0"), std::string::npos);
-  // The mapped open runs the same envelope check.
-  EXPECT_TRUE(
-      OpenIndexFile(&env, "idx", 24, /*mapped=*/true).status().IsCorruption());
+  // The open runs the same envelope check.
+  EXPECT_TRUE(OpenIndexFile(&env, "idx", 24).status().IsCorruption());
 }
 
 TEST(IndexFileTest, TruncationMidRecordRejected) {
@@ -134,8 +133,7 @@ TEST(IndexFileTest, TruncationMidRecordRejected) {
                                  bytes.begin() + bytes.size() / 2);
   PutBytes(&env, "idx", truncated);
   EXPECT_TRUE(ReadIndexFile(&env, "idx", 24).status().IsCorruption());
-  EXPECT_TRUE(
-      OpenIndexFile(&env, "idx", 24, /*mapped=*/true).status().IsCorruption());
+  EXPECT_TRUE(OpenIndexFile(&env, "idx", 24).status().IsCorruption());
 
   // Shorter than even a header.
   std::vector<uint8_t> stub(bytes.begin(), bytes.begin() + 20);
@@ -156,11 +154,12 @@ TEST(IndexFileTest, CorruptedCrcRejectedByDeserializingOpenOnly) {
   EXPECT_TRUE(s.IsCorruption());
   EXPECT_NE(s.ToString().find("crc"), std::string::npos);
 
-  // The mapped open is O(1) by contract — no CRC pass — so it admits the
-  // flip; VerifyCrc is the explicit check fsck and tests run.
-  auto mapped = OpenIndexFile(&env, "idx", 24, /*mapped=*/true);
-  ASSERT_TRUE(mapped.ok());
-  EXPECT_TRUE(mapped->VerifyCrc().IsCorruption());
+  // The open checks entries, not the checksum, so it admits a flip that
+  // leaves every entry valid; VerifyCrc is the explicit check fsck,
+  // ChunkIndex::Validate and ReadIndexFile run.
+  auto opened = OpenIndexFile(&env, "idx", 24);
+  ASSERT_TRUE(opened.ok());
+  EXPECT_TRUE(opened->VerifyCrc().IsCorruption());
 }
 
 TEST(IndexFileTest, GarbageFileRejected) {
@@ -171,8 +170,7 @@ TEST(IndexFileTest, GarbageFileRejected) {
   }
   PutBytes(&env, "idx", garbage);
   EXPECT_TRUE(ReadIndexFile(&env, "idx", 24).status().IsCorruption());
-  EXPECT_TRUE(
-      OpenIndexFile(&env, "idx", 24, /*mapped=*/true).status().IsCorruption());
+  EXPECT_TRUE(OpenIndexFile(&env, "idx", 24).status().IsCorruption());
 }
 
 TEST(IndexFileTest, DimMismatchRejected) {
@@ -192,12 +190,13 @@ TEST(IndexFileTest, InvalidEntryContentsRejected) {
   entries[0].location.num_pages = 0;
   ASSERT_TRUE(WriteIndexFile(&env, "idx", 24, entries).ok());
   EXPECT_TRUE(ReadIndexFile(&env, "idx", 24).status().IsCorruption());
+  EXPECT_TRUE(OpenIndexFile(&env, "idx", 24).status().IsCorruption());
 
   // A negative radius likewise — rewrite the radius column in place and
   // refresh the footer CRC so only the semantic check can object.
   entries[0].location.num_pages = 1;
   ASSERT_TRUE(WriteIndexFile(&env, "idx", 24, entries).ok());
-  auto view = OpenIndexFile(&env, "idx", 24, /*mapped=*/false);
+  auto view = OpenIndexFile(&env, "idx", 24);
   ASSERT_TRUE(view.ok());
   std::vector<uint8_t> bytes = FileBytes(&env, "idx");
   const double bad_radius = -1.0;
@@ -209,13 +208,16 @@ TEST(IndexFileTest, InvalidEntryContentsRejected) {
   const Status s = ReadIndexFile(&env, "idx", 24).status();
   EXPECT_TRUE(s.IsCorruption());
   EXPECT_NE(s.ToString().find("radius"), std::string::npos);
+  const Status opened = OpenIndexFile(&env, "idx", 24).status();
+  EXPECT_TRUE(opened.IsCorruption());
+  EXPECT_NE(opened.ToString().find("radius"), std::string::npos);
 }
 
 TEST(IndexFileTest, MappedViewIsZeroCopy) {
   MemEnv env;
   std::vector<ChunkIndexEntry> entries = {MakeEntry(24, 3.0f, 1.5, 0, 2, 9)};
   ASSERT_TRUE(WriteIndexFile(&env, "idx", 24, entries).ok());
-  auto view = OpenIndexFile(&env, "idx", 24, /*mapped=*/true);
+  auto view = OpenIndexFile(&env, "idx", 24);
   ASSERT_TRUE(view.ok());
   // Spans point into one contiguous buffer in file-offset order, with the
   // kernel-contract alignment on the centroid matrix.

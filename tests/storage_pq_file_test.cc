@@ -49,33 +49,30 @@ TEST(PqFileTest, RoundTripBothOpenModes) {
   MemEnv env;
   const Fixture fx;
   ASSERT_TRUE(fx.Write(&env, "pqc").ok());
-  for (const bool mapped : {false, true}) {
-    SCOPED_TRACE(mapped);
-    auto view = OpenPqFile(&env, "pqc", 24, mapped);
-    ASSERT_TRUE(view.ok()) << view.status().message();
-    EXPECT_EQ(view->dim(), 24u);
-    EXPECT_EQ(view->m(), 8u);
-    EXPECT_EQ(view->ksub(), 4u);
-    EXPECT_EQ(view->sub_dim(), 3u);
-    EXPECT_EQ(view->num_vectors(), 3u);
-    ASSERT_EQ(view->codebooks().size(), fx.codebooks.size());
-    EXPECT_EQ(0, std::memcmp(view->codebooks().data(), fx.codebooks.data(),
-                             fx.codebooks.size() * sizeof(float)));
-    ASSERT_EQ(view->codes().size(), fx.codes.size());
-    EXPECT_EQ(0, std::memcmp(view->codes().data(), fx.codes.data(),
-                             fx.codes.size()));
-    ASSERT_EQ(view->ids().size(), 3u);
-    EXPECT_EQ(view->ids()[2], 1000u);
-    EXPECT_TRUE(view->VerifyCrc().ok());
-    EXPECT_TRUE(view->ValidateEntries().ok());
-  }
+  auto view = OpenPqFile(&env, "pqc", 24);
+  ASSERT_TRUE(view.ok()) << view.status().message();
+  EXPECT_EQ(view->dim(), 24u);
+  EXPECT_EQ(view->m(), 8u);
+  EXPECT_EQ(view->ksub(), 4u);
+  EXPECT_EQ(view->sub_dim(), 3u);
+  EXPECT_EQ(view->num_vectors(), 3u);
+  ASSERT_EQ(view->codebooks().size(), fx.codebooks.size());
+  EXPECT_EQ(0, std::memcmp(view->codebooks().data(), fx.codebooks.data(),
+                           fx.codebooks.size() * sizeof(float)));
+  ASSERT_EQ(view->codes().size(), fx.codes.size());
+  EXPECT_EQ(0, std::memcmp(view->codes().data(), fx.codes.data(),
+                           fx.codes.size()));
+  ASSERT_EQ(view->ids().size(), 3u);
+  EXPECT_EQ(view->ids()[2], 1000u);
+  EXPECT_TRUE(view->VerifyCrc().ok());
+  EXPECT_TRUE(view->ValidateEntries().ok());
 }
 
 TEST(PqFileTest, HeaderDeclaresAlignedSections) {
   MemEnv env;
   const Fixture fx;
   ASSERT_TRUE(fx.Write(&env, "pqc").ok());
-  auto view = OpenPqFile(&env, "pqc", 24, /*mapped=*/false);
+  auto view = OpenPqFile(&env, "pqc", 24);
   ASSERT_TRUE(view.ok());
   const PqFileHeader& h = view->header();
   EXPECT_EQ(h.version, kPqFormatVersion);
@@ -118,12 +115,10 @@ TEST(PqFileTest, FlippedMagicRejectedWithPathAndOffset) {
   bytes[0] ^= 0xff;
   PutBytes(&env, "pqc", bytes);
 
-  const Status s = OpenPqFile(&env, "pqc", 24, /*mapped=*/false).status();
+  const Status s = OpenPqFile(&env, "pqc", 24).status();
   EXPECT_TRUE(s.IsCorruption());
   EXPECT_NE(s.ToString().find("pqc"), std::string::npos);
   EXPECT_NE(s.ToString().find("offset 0"), std::string::npos);
-  EXPECT_TRUE(
-      OpenPqFile(&env, "pqc", 24, /*mapped=*/true).status().IsCorruption());
 }
 
 TEST(PqFileTest, TruncationRejected) {
@@ -135,16 +130,12 @@ TEST(PqFileTest, TruncationRejected) {
   std::vector<uint8_t> truncated(bytes.begin(),
                                  bytes.begin() + bytes.size() / 2);
   PutBytes(&env, "pqc", truncated);
-  EXPECT_TRUE(
-      OpenPqFile(&env, "pqc", 24, /*mapped=*/false).status().IsCorruption());
-  EXPECT_TRUE(
-      OpenPqFile(&env, "pqc", 24, /*mapped=*/true).status().IsCorruption());
+  EXPECT_TRUE(OpenPqFile(&env, "pqc", 24).status().IsCorruption());
 
   // Shorter than even a header.
   std::vector<uint8_t> stub(bytes.begin(), bytes.begin() + 20);
   PutBytes(&env, "pqc", stub);
-  EXPECT_TRUE(
-      OpenPqFile(&env, "pqc", 24, /*mapped=*/false).status().IsCorruption());
+  EXPECT_TRUE(OpenPqFile(&env, "pqc", 24).status().IsCorruption());
 }
 
 TEST(PqFileTest, CorruptedCrcRejectedByDeserializingOpenOnly) {
@@ -155,22 +146,20 @@ TEST(PqFileTest, CorruptedCrcRejectedByDeserializingOpenOnly) {
   bytes[kFormatHeaderBytes + 1] ^= 0x20;  // flip one codebook payload bit
   PutBytes(&env, "pqc", bytes);
 
-  const Status s = OpenPqFile(&env, "pqc", 24, /*mapped=*/false).status();
+  // The open checks entries, not the checksum, so it admits a flip that
+  // leaves every entry valid; VerifyCrc is the explicit check fsck runs.
+  auto opened = OpenPqFile(&env, "pqc", 24);
+  ASSERT_TRUE(opened.ok());
+  const Status s = opened->VerifyCrc();
   EXPECT_TRUE(s.IsCorruption());
   EXPECT_NE(s.ToString().find("crc"), std::string::npos);
-
-  // The mapped open is O(1) by contract — no CRC pass — so it admits the
-  // flip; VerifyCrc is the explicit check fsck runs.
-  auto mapped = OpenPqFile(&env, "pqc", 24, /*mapped=*/true);
-  ASSERT_TRUE(mapped.ok());
-  EXPECT_TRUE(mapped->VerifyCrc().IsCorruption());
 }
 
 TEST(PqFileTest, DimMismatchRejected) {
   MemEnv env;
   const Fixture fx;
   ASSERT_TRUE(fx.Write(&env, "pqc").ok());
-  const Status s = OpenPqFile(&env, "pqc", 16, /*mapped=*/false).status();
+  const Status s = OpenPqFile(&env, "pqc", 16).status();
   EXPECT_TRUE(s.IsCorruption());
   EXPECT_NE(s.ToString().find("dim"), std::string::npos);
 }
@@ -179,7 +168,7 @@ TEST(PqFileTest, OutOfRangeCodeRejected) {
   MemEnv env;
   const Fixture fx;
   ASSERT_TRUE(fx.Write(&env, "pqc").ok());
-  auto view = OpenPqFile(&env, "pqc", 24, /*mapped=*/false);
+  auto view = OpenPqFile(&env, "pqc", 24);
   ASSERT_TRUE(view.ok());
   // Plant a code >= ksub and refresh the CRC so only the semantic check can
   // object.
@@ -189,7 +178,7 @@ TEST(PqFileTest, OutOfRangeCodeRejected) {
   std::memcpy(bytes.data() + view->header().footer_off, &crc, sizeof(crc));
   PutBytes(&env, "pqc", bytes);
 
-  const Status s = OpenPqFile(&env, "pqc", 24, /*mapped=*/false).status();
+  const Status s = OpenPqFile(&env, "pqc", 24).status();
   EXPECT_TRUE(s.IsCorruption());
   EXPECT_NE(s.ToString().find("out of range"), std::string::npos);
 }
@@ -201,10 +190,7 @@ TEST(PqFileTest, GarbageFileRejected) {
     garbage[i] = static_cast<uint8_t>(i * 37 + 11);
   }
   PutBytes(&env, "pqc", garbage);
-  EXPECT_TRUE(
-      OpenPqFile(&env, "pqc", 24, /*mapped=*/false).status().IsCorruption());
-  EXPECT_TRUE(
-      OpenPqFile(&env, "pqc", 24, /*mapped=*/true).status().IsCorruption());
+  EXPECT_TRUE(OpenPqFile(&env, "pqc", 24).status().IsCorruption());
 }
 
 }  // namespace

@@ -9,7 +9,7 @@
 //                     [--build-threads N] [--tree-out tree.srt]
 //                     [--pq-out codes.pqc] [--pq-m 8] [--pq-ksub 256]
 //                     [--pq-iters 25] [--pq-seed 7]
-//   qvt_tool info     [--index idx] [--dyn base] [--mmap 0|1]
+//   qvt_tool info     [--index idx] [--dyn base]
 //                     [--pq codes.pqc] [--cache-pages 0]
 //                     [--collection col.desc (per-method resident memory)]
 //   qvt_tool fsck     [--index idx] [--dyn base] [--tree tree.srt]
@@ -88,16 +88,14 @@
 // that collection and prints one resident-memory line per method — what
 // each first pass keeps in RAM to answer queries.
 //
-// --mmap 1 forces the zero-copy mapped index open, --mmap 0 the
-// deserializing open (CRC + per-entry checks up front); without the flag
-// the QVT_MMAP environment variable decides (default: mapped). Results
-// are byte-identical either way.
+// Every command opens an index, SR-tree or PQ file the one way: map it and
+// check its envelope and every entry (or the tree's structure). fsck adds
+// the checks an open skips: the full-file CRC and each chunk payload
+// against its index sphere. Defects are reported with file path and byte
+// offset; exit 1, never an abort.
 //
-// fsck runs every offline integrity check the open paths split between
-// them: envelope + header geometry, the full-file CRC, per-entry
-// invariants, and each chunk payload against its index sphere (--tree
-// additionally checks a static SR-tree file's structure). Defects are
-// reported with file path and byte offset; exit 1, never an abort.
+// A numeric flag that does not parse as a number is a usage error
+// ("error: --images: not a number: abc"), exit 2 like every other.
 //
 // --build-threads sets how many threads generation and index construction
 // use (default: QVT_BUILD_THREADS, else hardware concurrency). Artifacts
@@ -107,8 +105,11 @@
 // The collection file uses the paper's 100-byte record format, so indexes
 // built here interoperate with every library API.
 
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -172,30 +173,39 @@ class Flags {
     return it == values_.end() ? fallback : it->second;
   }
   int64_t GetInt(const std::string& name, int64_t fallback) const {
-    const auto it = values_.find(name);
-    return it == values_.end() ? fallback : std::stoll(it->second);
+    return GetNumber<int64_t>(name, fallback);
   }
   double GetDouble(const std::string& name, double fallback) const {
-    const auto it = values_.find(name);
-    return it == values_.end() ? fallback : std::stod(it->second);
+    return GetNumber<double>(name, fallback);
   }
   bool Has(const std::string& name) const { return values_.count(name) != 0; }
 
  private:
+  /// Parses the whole value as a finite T; anything else is a usage error:
+  /// "error: --name: not a number: text", exit 2.
+  template <typename T>
+  T GetNumber(const std::string& name, T fallback) const {
+    const auto it = values_.find(name);
+    if (it == values_.end()) return fallback;
+    const std::string& text = it->second;
+    const char* end = text.data() + text.size();
+    T value{};
+    const auto [stop, error] = std::from_chars(text.data(), end, value);
+    if (error != std::errc() || stop != end ||
+        !std::isfinite(static_cast<double>(value))) {
+      std::fprintf(stderr, "error: --%s: not a number: %s\n", name.c_str(),
+                   text.c_str());
+      std::exit(2);
+    }
+    return value;
+  }
+
   std::map<std::string, std::string> values_;
 };
 
 int Fail(const Status& status) {
   std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
   return 1;
-}
-
-/// Shared --mmap handling: flag wins (1 = mapped, 0 = deserializing),
-/// else kAuto defers to the QVT_MMAP environment variable.
-IndexOpenMode OpenModeFromFlags(const Flags& flags) {
-  if (!flags.Has("mmap")) return IndexOpenMode::kAuto;
-  return flags.GetInt("mmap", 1) != 0 ? IndexOpenMode::kMmap
-                                      : IndexOpenMode::kDeserialize;
 }
 
 /// Applies --build-threads (when present) and resets the phase ledger so the
@@ -382,7 +392,6 @@ StatusOr<DynamicOptions> DynamicOptionsFromFlags(const Flags& flags) {
   }
   options.target_chunk_size =
       static_cast<size_t>(flags.GetInt("chunk-size", 256));
-  options.open_mode = OpenModeFromFlags(flags);
   return options;
 }
 
@@ -545,8 +554,7 @@ int CmdInfo(const Flags& flags) {
   if (flags.Has("index")) {
     const auto open_start = std::chrono::steady_clock::now();
     index.emplace(ChunkIndex::Open(
-        Env::Posix(), ChunkIndexPaths::ForBase(flags.Get("index", "")),
-        kDescriptorDim, OpenModeFromFlags(flags)));
+        Env::Posix(), ChunkIndexPaths::ForBase(flags.Get("index", ""))));
     const double open_micros =
         std::chrono::duration<double, std::micro>(
             std::chrono::steady_clock::now() - open_start)
@@ -565,9 +573,8 @@ int CmdInfo(const Flags& flags) {
                 static_cast<unsigned long long>(h.radii_off),
                 static_cast<unsigned long long>(h.directory_off),
                 static_cast<unsigned long long>(h.footer_off));
-    std::printf("open:              %.3f ms (%s)\n", open_micros / 1000.0,
-                (*index)->mapped() ? "mmap, zero-copy"
-                                   : "deserialize, CRC verified");
+    std::printf("open:              %.3f ms (mmap, entries checked)\n",
+                open_micros / 1000.0);
     std::printf("chunks:            %zu\n", (*index)->num_chunks());
     std::printf("descriptors:       %llu\n",
                 static_cast<unsigned long long>(
@@ -593,9 +600,9 @@ int CmdInfo(const Flags& flags) {
   }
   if (flags.Has("pq")) {
     if (!flags.Has("index")) std::printf("resident memory:\n");
-    auto pq = OpenPqFile(Env::Posix(), flags.Get("pq", ""), 0,
-                         /*mapped=*/false);
+    auto pq = OpenPqFile(Env::Posix(), flags.Get("pq", ""), 0);
     if (!pq.ok()) return Fail(pq.status());
+    if (const Status crc = pq->VerifyCrc(); !crc.ok()) return Fail(crc);
     const size_t codebook_bytes = pq->codebooks().size() * sizeof(float);
     const size_t code_bytes = pq->codes().size();
     const size_t id_bytes = pq->ids().size() * sizeof(uint32_t);
@@ -680,10 +687,10 @@ int CmdInfo(const Flags& flags) {
   return 0;
 }
 
-// Offline integrity check: runs every validation the open paths split
-// between them — envelope + header geometry, the full-file CRC, per-entry
-// invariants, and each chunk payload against its index sphere. --tree
-// additionally checks a static SR-tree file (CRC + structural links).
+// Offline integrity check: the open's envelope + header geometry and
+// per-entry checks, plus the full-file CRC and each chunk payload against
+// its index sphere. --tree additionally checks a static SR-tree file (CRC +
+// structural links).
 // Defects print as "error: <what> in <path> at offset <n>"; exit 1.
 int CmdFsck(const Flags& flags) {
   if (!flags.Has("index") && !flags.Has("tree") && !flags.Has("pq") &&
@@ -722,11 +729,10 @@ int CmdFsck(const Flags& flags) {
     }
   }
   if (flags.Has("index")) {
-    // The deserializing open already verifies envelope, CRC, and entry
-    // invariants; Validate re-reads every chunk against its sphere.
+    // Open checks the envelope and entry invariants; Validate verifies the
+    // CRC and re-reads every chunk against its sphere.
     auto index = ChunkIndex::Open(
-        Env::Posix(), ChunkIndexPaths::ForBase(flags.Get("index", "")),
-        kDescriptorDim, IndexOpenMode::kDeserialize);
+        Env::Posix(), ChunkIndexPaths::ForBase(flags.Get("index", "")));
     Status verdict = index.ok() ? index->Validate(static_cast<uint32_t>(
                                       flags.GetInt("max-chunk-pop", 0)))
                                 : index.status();
@@ -742,13 +748,12 @@ int CmdFsck(const Flags& flags) {
     }
   }
   if (flags.Has("tree")) {
-    auto tree =
-        StaticSrTree::Open(Env::Posix(), flags.Get("tree", ""),
-                           /*mapped=*/false);  // deserializing open = CRC +
-                                               // structural validation
-    if (!tree.ok()) {
+    // Open validates the structure; VerifyCrc adds the checksum.
+    auto tree = StaticSrTree::Open(Env::Posix(), flags.Get("tree", ""));
+    const Status verdict = tree.ok() ? tree->VerifyCrc() : tree.status();
+    if (!verdict.ok()) {
       std::fprintf(stderr, "fsck: tree %s: %s\n", flags.Get("tree", "").c_str(),
-                   tree.status().ToString().c_str());
+                   verdict.ToString().c_str());
       ++failures;
     } else {
       std::printf("fsck: tree %s: OK (%zu nodes, %zu leaves, %zu points, "
@@ -759,13 +764,13 @@ int CmdFsck(const Flags& flags) {
     }
   }
   if (flags.Has("pq")) {
-    // The deserializing open verifies envelope geometry, the full-file CRC,
-    // and per-entry invariants (finite codebooks, every code < ksub).
-    auto pq = OpenPqFile(Env::Posix(), flags.Get("pq", ""), 0,
-                         /*mapped=*/false);
-    if (!pq.ok()) {
+    // Open checks envelope geometry and per-entry invariants (finite
+    // codebooks, every code < ksub); VerifyCrc adds the checksum.
+    auto pq = OpenPqFile(Env::Posix(), flags.Get("pq", ""), 0);
+    const Status verdict = pq.ok() ? pq->VerifyCrc() : pq.status();
+    if (!verdict.ok()) {
       std::fprintf(stderr, "fsck: pq %s: %s\n", flags.Get("pq", "").c_str(),
-                   pq.status().ToString().c_str());
+                   verdict.ToString().c_str());
       ++failures;
     } else {
       std::printf("fsck: pq %s: OK (m=%zu x ksub=%zu, dim %zu, %llu rows, "
@@ -825,8 +830,7 @@ int CmdSearch(const Flags& flags) {
   std::optional<StatusOr<ChunkIndex>> index;
   if (flags.Has("index")) {
     index.emplace(ChunkIndex::Open(
-        Env::Posix(), ChunkIndexPaths::ForBase(flags.Get("index", "")),
-        kDescriptorDim, OpenModeFromFlags(flags)));
+        Env::Posix(), ChunkIndexPaths::ForBase(flags.Get("index", ""))));
     if (!index->ok()) return Fail(index->status());
   }
 
@@ -903,8 +907,7 @@ int CmdBatch(const Flags& flags) {
   std::optional<StatusOr<ChunkIndex>> index;
   if (flags.Has("index")) {
     index.emplace(ChunkIndex::Open(
-        Env::Posix(), ChunkIndexPaths::ForBase(flags.Get("index", "")),
-        kDescriptorDim, OpenModeFromFlags(flags)));
+        Env::Posix(), ChunkIndexPaths::ForBase(flags.Get("index", ""))));
     if (!index->ok()) return Fail(index->status());
   }
 
@@ -1103,8 +1106,7 @@ int CmdTail(const Flags& flags) {
   auto collection = Collection::Load(Env::Posix(), flags.Get("collection", ""));
   if (!collection.ok()) return Fail(collection.status());
   auto index = ChunkIndex::Open(
-      Env::Posix(), ChunkIndexPaths::ForBase(flags.Get("index", "")),
-      kDescriptorDim, OpenModeFromFlags(flags));
+      Env::Posix(), ChunkIndexPaths::ForBase(flags.Get("index", "")));
   if (!index.ok()) return Fail(index.status());
 
   const size_t num_queries = std::min<size_t>(

@@ -35,11 +35,6 @@ inline ExperimentConfig ParseConfig(int argc, char** argv) {
   ExperimentConfig config =
       tiny ? ExperimentConfig::Tiny() : ExperimentConfig::Default();
   for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--prefetch-depth") == 0) {
-      config.prefetch_depth =
-          static_cast<size_t>(std::max(0L, std::strtol(argv[i + 1], nullptr,
-                                                       10)));
-    }
     if (std::strcmp(argv[i], "--build-threads") == 0) {
       // Artifacts are bit-identical at every thread count (see
       // util/parallel_for.h), so this only changes build wall time.
@@ -48,13 +43,6 @@ inline ExperimentConfig ParseConfig(int argc, char** argv) {
     }
   }
   return config;
-}
-
-/// Prefetcher options implementing the config's read-ahead depth.
-inline PrefetcherOptions PrefetchFor(const ExperimentConfig& config) {
-  PrefetcherOptions options;
-  options.depth = config.prefetch_depth;
-  return options;
 }
 
 /// Loads (building if necessary) the experiment suite, aborting on failure.
@@ -82,8 +70,7 @@ inline std::vector<LabeledCurves> RunAllVariants(const IndexSuite& suite,
   for (Strategy strategy : kAllStrategies) {
     for (SizeClass size_class : kAllSizeClasses) {
       const IndexVariant& v = suite.variant(strategy, size_class);
-      Searcher searcher(&v.index, cost_model, nullptr,
-                        PrefetchFor(suite.config()));
+      Searcher searcher(&v.index, cost_model);
       auto curves =
           RunWorkload(searcher, suite.workload(workload == "DQ"),
                       suite.truth(size_class, workload), suite.config().k);
@@ -137,8 +124,7 @@ inline void RunChunkSizeSweep(const IndexSuite& suite,
   for (size_t leaf : leaf_sizes) {
     auto index = suite.SrIndexWithLeafSize(leaf);
     QVT_CHECK_OK(index.status()) << "sweep index " << leaf;
-    Searcher searcher(&*index, cost_model, nullptr,
-                      PrefetchFor(suite.config()));
+    Searcher searcher(&*index, cost_model);
     auto curves = RunWorkload(searcher, suite.workload(workload == "DQ"),
                               suite.truth(SizeClass::kSmall, workload),
                               suite.config().k);

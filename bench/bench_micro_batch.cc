@@ -4,7 +4,7 @@
 // plus a duplicate-query workload exercising the dedup fast path and
 // the coalescing ledger of the 16-query headline run.
 //
-// Storage is a MemEnv (RAM-backed pages), prefetch depth 0, one worker
+// Storage is a MemEnv (RAM-backed pages), synchronous fetches, one worker
 // thread — so the shared-vs-unshared ratio isolates what the chunk-major
 // executor actually saves: chunk fetch + decode work and row-block
 // memory traffic, not I/O overlap or parallelism. The query-major
@@ -155,12 +155,10 @@ const char* CacheModeName(CacheMode mode) {
 }
 
 /// The registry's "chunked" method over the fixture's index.
-std::unique_ptr<SearchMethod> Chunked(const Fixture& fx, ChunkCache* cache,
-                                      PrefetcherOptions prefetch) {
+std::unique_ptr<SearchMethod> Chunked(const Fixture& fx, ChunkCache* cache) {
   MethodContext context;
   context.index = &*fx.index;
   context.cache = cache;
-  context.prefetch = prefetch;
   auto method = MethodRegistry::Global().Create("chunked", context);
   QVT_CHECK_OK(method.status());
   QVT_CHECK_OK((*method)->Prepare());
@@ -173,8 +171,6 @@ std::unique_ptr<SearchMethod> Chunked(const Fixture& fx, ChunkCache* cache,
 double MeasureBatchSeconds(const Fixture& fx, const Workload& workload,
                            CacheMode mode, bool shared) {
   const StopRule stop = StopRule::MaxChunks(fx.max_chunks);
-  PrefetcherOptions prefetch;
-  prefetch.depth = 0;  // synchronous fetches; no pipeline threads
   auto run = [&](const SearchMethod& method) {
     BatchSearcher batch(&method, /*num_threads=*/1, shared);
     auto result = batch.SearchAll(workload, kK, stop);
@@ -182,17 +178,17 @@ double MeasureBatchSeconds(const Fixture& fx, const Workload& workload,
   };
   switch (mode) {
     case CacheMode::kNone: {
-      const auto method = Chunked(fx, nullptr, prefetch);
+      const auto method = Chunked(fx, nullptr);
       return MeasureSeconds([&] { run(*method); });
     }
     case CacheMode::kCold:
       return MeasureSeconds([&] {
         ChunkCache cache(fx.index_pages + 16);
-        run(*Chunked(fx, &cache, prefetch));
+        run(*Chunked(fx, &cache));
       });
     case CacheMode::kWarm: {
       ChunkCache cache(fx.index_pages + 16);
-      const auto method = Chunked(fx, &cache, prefetch);
+      const auto method = Chunked(fx, &cache);
       run(*method);  // pre-warm: decode every demanded chunk once
       return MeasureSeconds([&] { run(*method); });
     }
@@ -230,7 +226,7 @@ int Run(int argc, char** argv) {
             << "collection: " << fx.collection.size() << " descriptors in "
             << fx.index->num_chunks() << " chunks (target " << fx.chunk_target
             << "); stop: max-chunks " << fx.max_chunks << "; k=" << kK
-            << "; 1 thread, prefetch off, MemEnv storage\n";
+            << "; 1 thread, MemEnv storage\n";
 
   const CacheMode kModes[] = {CacheMode::kNone, CacheMode::kCold,
                               CacheMode::kWarm};
@@ -274,7 +270,7 @@ int Run(int argc, char** argv) {
     dedup_cell.shared_qps =
         kDedupBatch / MeasureBatchSeconds(fx, dup, CacheMode::kNone, true);
     dedup_cell.speedup = dedup_cell.shared_qps / dedup_cell.unshared_qps;
-    const auto method = Chunked(fx, nullptr, PrefetcherOptions());
+    const auto method = Chunked(fx, nullptr);
     BatchSearcher batch(method.get(), 1, /*shared_scan=*/true);
     auto result = batch.SearchAll(dup, kK, StopRule::MaxChunks(fx.max_chunks));
     QVT_CHECK_OK(result.status());
@@ -291,7 +287,7 @@ int Run(int argc, char** argv) {
   SharedScanStats ledger;
   {
     const Workload workload = Subset(fx.queries, kHeadlineBatch);
-    const auto method = Chunked(fx, nullptr, PrefetcherOptions());
+    const auto method = Chunked(fx, nullptr);
     BatchSearcher batch(method.get(), 1, /*shared_scan=*/true);
     auto result =
         batch.SearchAll(workload, kK, StopRule::MaxChunks(fx.max_chunks));
@@ -333,7 +329,7 @@ int Run(int argc, char** argv) {
   std::fprintf(json,
                "{\n  \"config\": {\"collection_rows\": %zu, \"num_chunks\": "
                "%zu, \"chunk_target\": %zu, \"max_chunks\": %zu, \"k\": %zu, "
-               "\"num_threads\": 1, \"prefetch_depth\": 0},\n",
+               "\"num_threads\": 1},\n",
                fx.collection.size(), fx.index->num_chunks(), fx.chunk_target,
                fx.max_chunks, kK);
   std::fprintf(json, "  \"qps\": {\n");

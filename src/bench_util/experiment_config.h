@@ -7,7 +7,6 @@
 #include "cluster/bag.h"
 #include "descriptor/generator.h"
 #include "storage/disk_cost_model.h"
-#include "storage/prefetcher.h"
 
 namespace qvt {
 
@@ -70,13 +69,6 @@ struct ExperimentConfig {
     model.descriptor_scale = 25.0;
     return model;
   }();
-
-  /// Chunk read-ahead depth of the benches' searchers (0 disables the
-  /// prefetch pipeline; also settable with --prefetch-depth and the
-  /// QVT_PREFETCH_DEPTH environment variable). Search results and modeled
-  /// times are bit-identical at every depth — only wall time moves — so
-  /// this deliberately does not enter Fingerprint().
-  size_t prefetch_depth = PrefetcherOptions::DepthFromEnvOr(4);
 
   /// Directory for cached collections/indexes/ground truth. The BAG runs
   /// are the expensive part (12 days at paper scale, minutes here); caching

@@ -126,10 +126,6 @@ StatusOr<BatchSearchResult> BatchSearcher::SearchAll(
     batch.totals += r.telemetry;
     if (r.telemetry.exact) ++batch.exact_queries;
   }
-  // Chunk-major batches run merged prefetch streams whose counters live in
-  // the shared ledger (per-query records stay zero); fold them into the
-  // batch totals so the prefetch ledger balances in either mode.
-  batch.totals.prefetch += batch.shared.prefetch;
   return batch;
 }
 

@@ -53,9 +53,7 @@ struct BatchSearchResult {
   /// All zero for methods without a disk model.
   LatencyPercentiles model;
   /// Sum of the per-query QueryTelemetry records (timers and counters; the
-  /// unified schema every method emits). Includes the shared executor's
-  /// merged prefetch-stream counters when the batch ran chunk-major (the
-  /// per-query records keep theirs at zero in that mode).
+  /// unified schema every method emits).
   QueryTelemetry totals;
   /// Coalescing ledger of the chunk-major shared-scan executor; all zero
   /// (enabled = false) when the batch ran query-major.

@@ -52,7 +52,6 @@ PqMethod::PqMethod(const MethodContext& context, PqMethodConfig config)
     : collection_(context.collection),
       index_(context.index),
       cache_(context.cache),
-      prefetch_options_(context.prefetch),
       env_(context.env),
       config_(std::move(config)) {}
 
@@ -156,17 +155,6 @@ Status PqMethod::Prepare() {
   if (prepared_) return Status::OK();
   QVT_RETURN_IF_ERROR(PrepareCompressed());
   QVT_RETURN_IF_ERROR(PrepareRerankRouting());
-  if (index_ != nullptr && config_.rerank > 0 && prefetch_options_.depth >= 1) {
-    const ChunkIndex* index = index_;
-    prefetcher_ = std::make_unique<ChunkPrefetcher>(
-        [index](uint32_t chunk_id, ChunkData* out) {
-          return index->ReadChunk(chunk_id, out);
-        },
-        [index](uint32_t chunk_id) {
-          return index->location(chunk_id).num_pages;
-        },
-        cache_, prefetch_options_);
-  }
   prepared_ = true;
   return Status::OK();
 }
@@ -411,28 +399,14 @@ StatusOr<std::vector<MethodResult>> PqMethod::SearchShared(
     for (const auto& [chunk_id, atts] : demands) {
       chunk_order.push_back(chunk_id);
     }
-    std::unique_ptr<PrefetchStream> stream;
-    if (prefetcher_ != nullptr) stream = prefetcher_->NewStream(chunk_order);
     ChunkData local;
-    Status status = Status::OK();
     for (const uint32_t chunk_id : chunk_order) {
       Stopwatch chunk_watch(&wall);
       std::shared_ptr<const ChunkData> cache_ref;
       const ChunkData* chunk = nullptr;
       bool from_cache = false;
-      if (stream != nullptr) {
-        status = stream->Next(&cache_ref, &chunk, &from_cache);
-      } else if (cache_ != nullptr) {
-        status = cache_->GetOrLoad(
-            chunk_id, index_->location(chunk_id).num_pages,
-            [&](ChunkData* out) { return index_->ReadChunk(chunk_id, out); },
-            &cache_ref, &from_cache);
-        if (status.ok()) chunk = cache_ref.get();
-      } else {
-        status = index_->ReadChunk(chunk_id, &local);
-        if (status.ok()) chunk = &local;
-      }
-      if (!status.ok()) break;
+      QVT_RETURN_IF_ERROR(FetchChunk(*index_, cache_, chunk_id, &local,
+                                     &cache_ref, &chunk, &from_cache));
 
       const std::vector<QueryDemand>& atts = demands[chunk_id];
       for (const QueryDemand& att : atts) {
@@ -481,11 +455,6 @@ StatusOr<std::vector<MethodResult>> PqMethod::SearchShared(
             atts.size())];
       }
     }
-    if (stream != nullptr) {
-      const PrefetchStats prefetch = stream->Finish();
-      if (stats != nullptr) stats->prefetch += prefetch;
-    }
-    QVT_RETURN_IF_ERROR(status);
 
     for (size_t i = 0; i < nq; ++i) {
       PqQueryState& q = states[i];
@@ -539,8 +508,8 @@ Status PqMethod::RerankFromChunks(std::span<const float> query,
                                   QueryTelemetry* telemetry) const {
   // Group candidate ids by chunk, chunks ordered by the best-scoring
   // candidate they hold (first appearance in the ascending-ADC list) — the
-  // read schedule the prefetcher runs ahead of. Ids absent from the chunk
-  // file (outliers are never written) fall back to the collection.
+  // read schedule. Ids absent from the chunk file (outliers are never
+  // written) fall back to the collection.
   std::vector<uint32_t> chunk_order;
   std::vector<std::vector<uint32_t>> wanted;
   std::unordered_map<uint32_t, size_t> chunk_slot;
@@ -562,26 +531,14 @@ Status PqMethod::RerankFromChunks(std::span<const float> query,
   }
   for (std::vector<uint32_t>& w : wanted) std::sort(w.begin(), w.end());
 
-  std::unique_ptr<PrefetchStream> stream;
-  if (prefetcher_ != nullptr) stream = prefetcher_->NewStream(chunk_order);
   ChunkData local;
   for (size_t ci = 0; ci < chunk_order.size(); ++ci) {
     const uint32_t chunk_id = chunk_order[ci];
     std::shared_ptr<const ChunkData> cache_ref;
     const ChunkData* chunk = nullptr;
     bool from_cache = false;
-    if (stream != nullptr) {
-      QVT_RETURN_IF_ERROR(stream->Next(&cache_ref, &chunk, &from_cache));
-    } else if (cache_ != nullptr) {
-      QVT_RETURN_IF_ERROR(cache_->GetOrLoad(
-          chunk_id, index_->location(chunk_id).num_pages,
-          [&](ChunkData* out) { return index_->ReadChunk(chunk_id, out); },
-          &cache_ref, &from_cache));
-      chunk = cache_ref.get();
-    } else {
-      QVT_RETURN_IF_ERROR(index_->ReadChunk(chunk_id, &local));
-      chunk = &local;
-    }
+    QVT_RETURN_IF_ERROR(FetchChunk(*index_, cache_, chunk_id, &local,
+                                   &cache_ref, &chunk, &from_cache));
     if (from_cache) {
       ++telemetry->cache_hits;
     } else {
@@ -608,7 +565,6 @@ Status PqMethod::RerankFromChunks(std::span<const float> query,
       ++telemetry->descriptors_scanned;
     }
   }
-  if (stream != nullptr) telemetry->prefetch += stream->Finish();
 
   if (!missing.empty()) {
     QVT_RETURN_IF_ERROR(

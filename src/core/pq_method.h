@@ -38,8 +38,8 @@ struct PqMethodConfig {
 /// The compressed in-memory first pass: descriptors live in RAM as m-byte
 /// product-quantization codes, a query scans them with the SIMD ADC
 /// kernels, and only the top-R survivors are reranked against their exact
-/// stored vectors — read from the chunk file through the prefetcher, in
-/// ADC-score order. The trade-off axis the paper varies is bytes touched
+/// stored vectors — read from the chunk file (FetchChunk), in ADC-score
+/// order. The trade-off axis the paper varies is bytes touched
 /// per descriptor; this method moves the first pass from 4 * dim bytes
 /// (chunk scan) to m bytes and pays reads only for R candidates.
 ///
@@ -101,7 +101,6 @@ class PqMethod final : public SearchMethod {
   const Collection* collection_;
   const ChunkIndex* index_;
   ChunkCache* cache_;
-  PrefetcherOptions prefetch_options_;
   Env* env_;
   PqMethodConfig config_;
 
@@ -126,7 +125,6 @@ class PqMethod final : public SearchMethod {
   /// id -> collection position for the gather rerank when codes came from a
   /// file (identity otherwise). Sorted by id.
   std::vector<std::pair<uint32_t, uint32_t>> id_to_position_;
-  std::unique_ptr<ChunkPrefetcher> prefetcher_;
 };
 
 /// Registers the "pq" method into `registry` (called by the global

@@ -167,8 +167,7 @@ void SortNeighbors(std::vector<Neighbor>* neighbors) {
 class ChunkedMethod final : public SearchMethod {
  public:
   explicit ChunkedMethod(const MethodContext& context)
-      : searcher_(context.index, context.cost_model, context.cache,
-                  context.prefetch) {}
+      : searcher_(context.index, context.cost_model, context.cache) {}
 
   std::string_view name() const override { return "chunked"; }
 
@@ -176,9 +175,7 @@ class ChunkedMethod final : public SearchMethod {
     const ChunkIndex& index = *searcher_.index();
     std::ostringstream out;
     out << "chunked §4.3 searcher: " << index.num_chunks() << " chunks, dim "
-        << index.dim()
-        << (searcher_.prefetcher() != nullptr ? ", prefetch on"
-                                              : ", prefetch off");
+        << index.dim();
     return out.str();
   }
 
@@ -570,7 +567,6 @@ StatusOr<MethodShard> BuildChunkedShard(const ShardBuildContext& context,
   method_context.index = shard.index.get();
   method_context.cost_model = context.cost_model;
   method_context.cache = context.cache;
-  method_context.prefetch = context.prefetch;
   method_context.env = context.env;
   shard.method = std::make_unique<ChunkedMethod>(method_context);
   (void)options;
@@ -816,8 +812,7 @@ StatusOr<MethodShard> MethodRegistry::BuildShard(
     method_context.collection = context.data.get();
     method_context.cost_model = context.cost_model;
     method_context.cache = context.cache;
-    method_context.prefetch = context.prefetch;
-    method_context.env = context.env;
+      method_context.env = context.env;
     QVT_ASSIGN_OR_RETURN(shard.method,
                          it->second.factory(method_context, options));
     shard.data = context.data;

@@ -46,6 +46,7 @@ struct MethodContext {
   const ChunkIndex* index = nullptr;
   DiskCostModel cost_model;
   ChunkCache* cache = nullptr;
+  /// Unread; kept only because perfbench/ spells it.
   PrefetcherOptions prefetch;
   Env* env = nullptr;
 };
@@ -186,7 +187,6 @@ struct ShardBuildContext {
   size_t target_chunk_size = 256;
   DiskCostModel cost_model;
   ChunkCache* cache = nullptr;
-  PrefetcherOptions prefetch;
 };
 
 /// A built shard: the descriptor subset it answers for, the optional chunk

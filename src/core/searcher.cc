@@ -22,20 +22,31 @@ constexpr size_t kScanBlock = 256;
 
 }  // namespace
 
+Status FetchChunk(const ChunkIndex& index, ChunkCache* cache,
+                  uint32_t chunk_id, ChunkData* buffer,
+                  std::shared_ptr<const ChunkData>* cache_ref,
+                  const ChunkData** data, bool* from_cache) {
+  *from_cache = false;
+  if (cache != nullptr) {
+    // Single-flight read-through: concurrent misses on one chunk coalesce
+    // into one disk read (no thundering herd), and the scan reads straight
+    // out of the returned handle — no post-scan Put, no copy.
+    QVT_RETURN_IF_ERROR(cache->GetOrLoad(
+        chunk_id, index.location(chunk_id).num_pages,
+        [&](ChunkData* out) { return index.ReadChunk(chunk_id, out); },
+        cache_ref, from_cache));
+    *data = cache_ref->get();
+    return Status::OK();
+  }
+  QVT_RETURN_IF_ERROR(index.ReadChunk(chunk_id, buffer));
+  *data = buffer;
+  return Status::OK();
+}
+
 Searcher::Searcher(const ChunkIndex* index, const DiskCostModel& cost_model,
-                   ChunkCache* cache, PrefetcherOptions prefetch)
+                   ChunkCache* cache, PrefetcherOptions)
     : index_(index), cost_model_(cost_model), cache_(cache) {
   QVT_CHECK(index != nullptr);
-  if (prefetch.depth >= 1) {
-    prefetcher_ = std::make_unique<ChunkPrefetcher>(
-        [index](uint32_t chunk_id, ChunkData* out) {
-          return index->ReadChunk(chunk_id, out);
-        },
-        [index](uint32_t chunk_id) {
-          return index->location(chunk_id).num_pages;
-        },
-        cache, prefetch);
-  }
 }
 
 int64_t Searcher::RankChunks(std::span<const float> query,
@@ -85,28 +96,6 @@ int64_t Searcher::RankChunks(std::span<const float> query,
   return cost_model_.IndexScanMicros(num_chunks);
 }
 
-Status Searcher::FetchChunk(uint32_t chunk_id, ChunkData* buffer,
-                            std::shared_ptr<const ChunkData>* cache_ref,
-                            const ChunkData** data, bool* from_cache) const {
-  *from_cache = false;
-  if (cache_ != nullptr) {
-    // Single-flight read-through: concurrent misses on one chunk coalesce
-    // into one disk read (no thundering herd), and the scan reads straight
-    // out of the returned handle — no post-scan Put, no copy.
-    bool was_hit = false;
-    QVT_RETURN_IF_ERROR(cache_->GetOrLoad(
-        chunk_id, index_->location(chunk_id).num_pages,
-        [&](ChunkData* out) { return index_->ReadChunk(chunk_id, out); },
-        cache_ref, &was_hit));
-    *data = cache_ref->get();
-    *from_cache = was_hit;
-    return Status::OK();
-  }
-  QVT_RETURN_IF_ERROR(index_->ReadChunk(chunk_id, buffer));
-  *data = buffer;
-  return Status::OK();
-}
-
 void Searcher::FinishTelemetry(QueryTelemetry& t) const {
   t.scan.wall_micros = t.wall_micros - t.plan.wall_micros;
   t.scan.model_micros = t.model_micros - t.plan.model_micros;
@@ -120,12 +109,10 @@ StatusOr<MethodResult> Searcher::Search(std::span<const float> query,
                                         const SearchObserver& observer,
                                         SearchScratch* scratch) const {
   SearchScratch local_scratch;
-  SharedScanStats stats;
   QVT_ASSIGN_OR_RETURN(
       std::vector<MethodResult> results,
-      Execute({&query, 1}, k, stop, /*num_threads=*/1, &stats, observer,
+      Execute({&query, 1}, k, stop, /*num_threads=*/1, nullptr, observer,
               scratch != nullptr ? scratch : &local_scratch));
-  results.front().telemetry.prefetch = stats.prefetch;
   return std::move(results.front());
 }
 
@@ -251,8 +238,8 @@ StatusOr<std::vector<MethodResult>> Searcher::Execute(
 
   std::optional<ThreadPool> pool;
   if (num_threads > 1 && nq > 1) pool.emplace(num_threads);
-  // Cache-less synchronous fetches land in the first query's chunk buffer
-  // (no other query's buffer is ever used).
+  // Cache-less fetches land in the first query's chunk buffer (no other
+  // query's buffer is ever used).
   ChunkData* fetch_buffer = nq > 0 ? &states.front().scratch->chunk : nullptr;
   // One sweep scratch per worker, reused across every chunk and schedule.
   std::vector<SweepScratch> sweeps(pool.has_value() ? pool->num_threads()
@@ -262,19 +249,10 @@ StatusOr<std::vector<MethodResult>> Searcher::Execute(
   // attached queries atts[range_end[ci-1] .. range_end[ci]). Accounting is
   // "as-if-alone": every attached query is charged the chunk's full model
   // cost under the shared fetch's cache verdict — the same verdict it would
-  // see scanning alone given the same cache state. `stream`, when non-null,
-  // already delivers `order` in sequence (the lone live query's read-ahead
-  // over its rank order); otherwise a stream over `order` is opened here.
+  // see scanning alone given the same cache state.
   auto process = [&](std::span<const uint32_t> order,
                      std::span<const size_t> range_end,
-                     std::span<const ChunkAttachment> flat_atts,
-                     PrefetchStream* stream) -> Status {
-    std::unique_ptr<PrefetchStream> own_stream;
-    if (stream == nullptr && prefetcher_ != nullptr) {
-      own_stream = prefetcher_->NewStream(order);
-      stream = own_stream.get();
-    }
-    Status status = Status::OK();
+                     std::span<const ChunkAttachment> flat_atts) -> Status {
     Stopwatch sweep_watch(&wall);
     int64_t last_micros = 0;
     for (size_t ci = 0; ci < order.size(); ++ci) {
@@ -284,11 +262,8 @@ StatusOr<std::vector<MethodResult>> Searcher::Execute(
       std::shared_ptr<const ChunkData> cache_ref;
       const ChunkData* data = nullptr;
       bool from_cache = false;
-      status = stream != nullptr
-                   ? stream->Next(&cache_ref, &data, &from_cache)
-                   : FetchChunk(chunk_id, fetch_buffer, &cache_ref, &data,
-                                &from_cache);
-      if (!status.ok()) break;
+      QVT_RETURN_IF_ERROR(FetchChunk(*index_, cache_, chunk_id, fetch_buffer,
+                                     &cache_ref, &data, &from_cache));
 
       const size_t att_begin = ci == 0 ? 0 : range_end[ci - 1];
       const std::span<const ChunkAttachment> atts =
@@ -367,11 +342,7 @@ StatusOr<std::vector<MethodResult>> Searcher::Execute(
             atts.size())];
       }
     }
-    if (own_stream != nullptr) {
-      const PrefetchStats stats = own_stream->Finish();
-      if (shared != nullptr) shared->prefetch += stats;
-    }
-    return status;
+    return Status::OK();
   };
 
   // Turns a flat (chunk id, attachment) demand list into the grouped
@@ -390,9 +361,8 @@ StatusOr<std::vector<MethodResult>> Searcher::Execute(
   std::vector<uint32_t> order;
   std::vector<size_t> range_end;
   std::vector<ChunkAttachment> atts;
-  auto run_schedule =
-      [&](std::vector<std::pair<uint32_t, ChunkAttachment>>& demands,
-          PrefetchStream* stream) -> Status {
+  using Demand = std::pair<uint32_t, ChunkAttachment>;  // (chunk id, query)
+  auto run_schedule = [&](std::vector<Demand>& demands) -> Status {
     for (const auto& [chunk_id, att] : demands) {
       best_rank[chunk_id] = std::min(best_rank[chunk_id], att.rank);
     }
@@ -418,19 +388,18 @@ StatusOr<std::vector<MethodResult>> Searcher::Execute(
       range_end.back() = atts.size();
       best_rank[chunk_id] = kUnranked;  // reset only what this round touched
     }
-    return process(order, range_end, atts, stream);
+    return process(order, range_end, atts);
   };
 
-  std::vector<std::pair<uint32_t, ChunkAttachment>> demands;
+  std::vector<Demand> demands;
   if (stop.kind == StopRule::Kind::kMaxChunks) {
     // The scanned set is statically known: each query reads exactly its
     // first max_chunks ranked chunks, so the whole batch is one schedule
     // over the distinct demanded chunks — each fetched and decoded once no
-    // matter how many queries want it, and read-ahead never runs past the
-    // budget. Scanning out of rank order is safe: the result set's
-    // (distance, id) ordering makes the final top-k independent of
-    // insertion order, and rank-indexed charge replay restores the modeled
-    // timeline (see DESIGN.md).
+    // matter how many queries want it. Scanning out of rank order is safe:
+    // the result set's (distance, id) ordering makes the final top-k
+    // independent of insertion order, and rank-indexed charge replay
+    // restores the modeled timeline (see DESIGN.md).
     const size_t budget = std::min(stop.max_chunks, num_chunks);
     demands.reserve(nq * budget);
     for (QueryState& q : states) {
@@ -440,7 +409,7 @@ StatusOr<std::vector<MethodResult>> Searcher::Execute(
                              ChunkAttachment{&q, r});
       }
     }
-    QVT_RETURN_IF_ERROR(run_schedule(demands, nullptr));
+    QVT_RETURN_IF_ERROR(run_schedule(demands));
   } else {
     // Exact / epsilon / time-budget stops depend on evolving per-query
     // state, so the schedule is rebuilt in rounds: every live query
@@ -449,13 +418,10 @@ StatusOr<std::vector<MethodResult>> Searcher::Execute(
     // demands that chunk; one round's demands coalesce into one pass. Each
     // query's chunks are visited in exact rank order across rounds, so its
     // (threshold, chunk, model-clock) sequence is that of a lone scan.
-    // Once a single query is live, one read-ahead stream runs over its
-    // remaining rank order instead of one stream per round.
     std::vector<QueryState*> live;
     live.reserve(nq);
     for (QueryState& q : states) live.push_back(&q);
     demands.reserve(nq);
-    std::unique_ptr<PrefetchStream> lone_stream;
     while (!live.empty()) {
       demands.clear();
       size_t kept = 0;
@@ -486,30 +452,17 @@ StatusOr<std::vector<MethodResult>> Searcher::Execute(
       }
       live.resize(kept);
       if (demands.empty()) break;
-      if (live.size() == 1 && lone_stream == nullptr &&
-          prefetcher_ != nullptr) {
-        const QueryState& q = *live.front();
-        lone_stream = prefetcher_->NewStream(
-            std::span<const uint32_t>(q.scratch->rank_order)
-                .subspan(q.next_rank - 1));
-      }
-      QVT_RETURN_IF_ERROR(run_schedule(demands, lone_stream.get()));
-    }
-    // A stop rule firing mid-order leaves reads in flight: cancel them now
-    // (workers skip preads not yet started) and harvest the counters.
-    if (lone_stream != nullptr) {
-      const PrefetchStats stats = lone_stream->Finish();
-      if (shared != nullptr) shared->prefetch += stats;
+      QVT_RETURN_IF_ERROR(run_schedule(demands));
     }
   }
 
   // --- Finalize: replay charges in rank order, assemble results. ----------
-  const size_t depth = prefetcher_ != nullptr ? prefetcher_->depth() : 0;
   std::vector<MethodResult> results;
   results.reserve(nq);
   for (QueryState& q : states) {
     QueryTelemetry& t = q.result.telemetry;
-    OverlappedScanTimeline timeline(depth, t.plan.model_micros);
+    OverlappedScanTimeline timeline(kModeledReadAheadDepth,
+                                    t.plan.model_micros);
     for (size_t r = 0; r < t.chunks_read; ++r) {
       timeline.AddChunk(q.scratch->charges[r].first,
                         q.scratch->charges[r].second);
@@ -546,23 +499,7 @@ StatusOr<MethodResult> Searcher::SearchRange(std::span<const float> query,
   t.plan.model_micros = model_micros;
   t.plan.wall_micros = stopwatch.ElapsedMicros();
 
-  // The intersect filter below depends only on ranking data, so the
-  // pipelined read schedule — exactly the chunks the loop will fetch, in
-  // rank order — is known up front; skipped chunks are never prefetched.
-  std::unique_ptr<PrefetchStream> stream;
-  if (prefetcher_ != nullptr) {
-    s.fetch_order.clear();
-    for (size_t r = 0; r < num_chunks; ++r) {
-      const uint32_t chunk_id = s.rank_order[r];
-      if (s.centroid_distance[chunk_id] - index_->radius(chunk_id) <=
-          radius) {
-        s.fetch_order.push_back(chunk_id);
-      }
-    }
-    stream = prefetcher_->NewStream(s.fetch_order);
-  }
-  OverlappedScanTimeline timeline(
-      prefetcher_ != nullptr ? prefetcher_->depth() : 0, model_micros);
+  OverlappedScanTimeline timeline(kModeledReadAheadDepth, model_micros);
 
   s.distances.resize(kScanBlock);  // scan scratch, reserved once per query
   for (size_t r = 0; r < num_chunks; ++r) {
@@ -590,11 +527,8 @@ StatusOr<MethodResult> Searcher::SearchRange(std::span<const float> query,
     std::shared_ptr<const ChunkData> cache_ref;
     const ChunkData* data = nullptr;
     bool from_cache = false;
-    QVT_RETURN_IF_ERROR(
-        stream != nullptr
-            ? stream->Next(&cache_ref, &data, &from_cache)
-            : FetchChunk(chunk_id, &s.chunk, &cache_ref, &data,
-                         &from_cache));
+    QVT_RETURN_IF_ERROR(FetchChunk(*index_, cache_, chunk_id, &s.chunk,
+                                   &cache_ref, &data, &from_cache));
 
     // Blocked kernel scan with a fixed abandon threshold: the query radius
     // never shrinks, so every block prunes against the same bound.
@@ -631,7 +565,6 @@ StatusOr<MethodResult> Searcher::SearchRange(std::span<const float> query,
         cost_model_.ChunkCpuMicros(loc.num_descriptors));
   }
   if (stop.kind == StopRule::Kind::kExact) t.exact = true;
-  if (stream != nullptr) t.prefetch = stream->Finish();
 
   std::sort(result.neighbors.begin(), result.neighbors.end(),
             [](const Neighbor& a, const Neighbor& b) {

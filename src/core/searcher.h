@@ -84,9 +84,19 @@ struct SearchScratch {
   /// (io, cpu) model charge of the chunk read at each rank position,
   /// replayed in rank order into the overlapped timeline.
   std::vector<std::pair<int64_t, int64_t>> charges;
-  std::vector<uint32_t> fetch_order;  ///< range search's pipelined schedule
   ChunkData chunk;
 };
+
+/// The one way a chunk is fetched, shared by every scan loop (Searcher's
+/// k-NN and range searches, PqMethod's reranks). Through `cache` when
+/// non-null: single-flight GetOrLoad, so concurrent misses on one chunk
+/// share one disk read and the scan reads straight out of `*cache_ref`.
+/// Otherwise ReadChunk into `buffer`. `*from_cache` reports the cache
+/// verdict that decides the cost-model charge.
+Status FetchChunk(const ChunkIndex& index, ChunkCache* cache,
+                  uint32_t chunk_id, ChunkData* buffer,
+                  std::shared_ptr<const ChunkData>* cache_ref,
+                  const ChunkData** data, bool* from_cache);
 
 /// The approximate search algorithm of §4.3 over a ChunkIndex:
 ///  1. compute the distance from the query to every chunk centroid and rank
@@ -109,24 +119,20 @@ class Searcher {
   /// non-null, serves chunk reads LRU-style: hits skip the chunk file and
   /// are charged CPU only by the cost model (the paper eliminated such
   /// buffering effects by round-robining queries, §5.4; passing a cache
-  /// deliberately turns them back on).
+  /// deliberately turns them back on). Every chunk is fetched synchronously
+  /// through FetchChunk.
   ///
-  /// `prefetch` configures the asynchronous read-ahead pipeline
-  /// (storage/prefetcher.h): with depth >= 1 (the default; honors
-  /// QVT_PREFETCH_DEPTH) every query walks its ranked chunk order through a
-  /// PrefetchStream that overlaps disk I/O with the SIMD scan. Results are
-  /// bit-identical to depth 0 — prefetching changes only *when* bytes
-  /// arrive, never what is scanned or how it is charged.
+  /// The fourth parameter is unread, kept only because perfbench/ spells
+  /// the 4-argument constructor.
   Searcher(const ChunkIndex* index, const DiskCostModel& cost_model,
-           ChunkCache* cache = nullptr, PrefetcherOptions prefetch = {});
+           ChunkCache* cache = nullptr, PrefetcherOptions = {});
 
   /// Runs one query for the k nearest neighbors under `stop`: exactly
   /// SearchShared() over the one-query batch {query}, so the two can never
   /// disagree. `observer`, when set, is invoked after every processed chunk
   /// (for a lone query the schedule is its rank order). `scratch`, when
   /// non-null, supplies reusable working memory; pass one scratch per
-  /// thread when calling concurrently. The query's read-ahead counters land
-  /// in telemetry.prefetch.
+  /// thread when calling concurrently.
   StatusOr<MethodResult> Search(std::span<const float> query, size_t k,
                                 const StopRule& stop,
                                 const SearchObserver& observer = nullptr,
@@ -156,9 +162,7 @@ class Searcher {
   /// on the thread count). `shared`, when non-null, accumulates the batch's
   /// coalescing ledger. Per-query wall times are fair-share attributions
   /// (plan measured per query; each chunk's fetch+scan wall split evenly
-  /// across its attached queries; a lone query owns the whole call);
-  /// per-query prefetch counters stay zero — the read-ahead streams report
-  /// through `shared->prefetch`.
+  /// across its attached queries; a lone query owns the whole call).
   StatusOr<std::vector<MethodResult>> SearchShared(
       std::span<const std::span<const float>> queries, size_t k,
       const StopRule& stop, size_t num_threads = 1,
@@ -183,9 +187,6 @@ class Searcher {
   int64_t RankChunks(std::span<const float> query,
                      SearchScratch& scratch) const;
 
-  /// The prefetch pipeline backing this searcher, or null at depth 0.
-  const ChunkPrefetcher* prefetcher() const { return prefetcher_.get(); }
-
   /// The chunk index this searcher scans (borrowed).
   const ChunkIndex* index() const { return index_; }
 
@@ -198,17 +199,6 @@ class Searcher {
       const StopRule& stop, size_t num_threads, SharedScanStats* shared,
       const SearchObserver& observer, SearchScratch* scratch) const;
 
-  /// Synchronous fetch of chunk `chunk_id` — the depth-0 path and the
-  /// reference the pipelined PrefetchStream::Next is bit-identical to.
-  /// Through the cache when present (single-flight GetOrLoad: concurrent
-  /// misses on one chunk share one disk read, and the scan reads straight
-  /// out of the returned handle), else from the chunk file into `buffer`.
-  /// `*from_cache` reports the cache verdict that decides the cost-model
-  /// charge.
-  Status FetchChunk(uint32_t chunk_id, ChunkData* buffer,
-                    std::shared_ptr<const ChunkData>* cache_ref,
-                    const ChunkData** data, bool* from_cache) const;
-
   /// Fills the chunked-path telemetry that follows from the per-chunk
   /// counters: plan/scan split, probes, candidates, index entries.
   void FinishTelemetry(QueryTelemetry& t) const;
@@ -216,9 +206,6 @@ class Searcher {
   const ChunkIndex* index_;
   DiskCostModel cost_model_;
   ChunkCache* cache_;
-  /// Null when prefetching is disabled (depth 0). Shared by all queries and
-  /// threads of this searcher; streams are per query.
-  std::unique_ptr<ChunkPrefetcher> prefetcher_;
 };
 
 }  // namespace qvt

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "core/result_set.h"
-#include "storage/prefetcher.h"
 
 namespace qvt {
 
@@ -56,9 +55,6 @@ struct SharedScanStats {
   /// merges everything >= 128).
   static constexpr size_t kHistogramBuckets = 8;
   uint64_t coscan_histogram[kHistogramBuckets] = {};
-  /// Counters of the merged rank-order prefetch streams (one schedule for
-  /// the whole batch instead of one stream per query).
-  PrefetchStats prefetch;
 
   uint64_t chunks_coalesced() const {
     return chunk_attachments - chunk_fetches;
@@ -84,7 +80,6 @@ struct SharedScanStats {
     for (size_t b = 0; b < kHistogramBuckets; ++b) {
       coscan_histogram[b] += other.coscan_histogram[b];
     }
-    prefetch += other.prefetch;
     return *this;
   }
 };
@@ -132,13 +127,14 @@ struct ShardAttribution {
 ///                            method, approximation codes plus refined
 ///                            records for the VA-file, 100-byte records per
 ///                            exact distance for the memory-resident methods.
-///  * chunks_read, cache_*, prefetch — chunked-path ledgers (zero elsewhere).
+///  * chunks_read, cache_* — chunked-path ledgers (zero elsewhere).
 struct QueryTelemetry {
   // --- timers -------------------------------------------------------------
   int64_t wall_micros = 0;   ///< whole query on the host wall clock
   int64_t model_micros = 0;  ///< whole query on the cost model (0 = no model)
-  /// Modeled wall time with the prefetch pipeline overlapping I/O and CPU
-  /// (reported alongside — never instead of — model_micros).
+  /// Modeled wall time with read-ahead overlapping I/O and CPU
+  /// (OverlappedScanTimeline at kModeledReadAheadDepth; reported alongside —
+  /// never instead of — model_micros).
   int64_t model_overlapped_micros = 0;
   /// Per-stage split: plan (ranking / hashing / projecting the query before
   /// any candidate is touched), scan (walking the index structure and
@@ -168,7 +164,6 @@ struct QueryTelemetry {
   /// by tombstone filtering. Zero for static methods.
   uint64_t shards_searched = 0;
   uint64_t tombstones_filtered = 0;
-  PrefetchStats prefetch;
   /// True when the method proved no better neighbor exists.
   bool exact = false;
 
@@ -194,7 +189,6 @@ struct QueryTelemetry {
     cache_misses += other.cache_misses;
     shards_searched += other.shards_searched;
     tombstones_filtered += other.tombstones_filtered;
-    prefetch += other.prefetch;
     return *this;
   }
 };

@@ -95,8 +95,7 @@ StatusOr<std::unique_ptr<DynamicIndex>> DynamicIndex::Create(
       index->options_.dim, index->options_.extension.buffer_capacity,
       /*base_seq=*/1);
   version->tombstones = TombstoneSet::Empty();
-  index->version_.store(std::shared_ptr<const DynamicVersion>(version),
-                        std::memory_order_release);
+  index->version_ = std::move(version);
   return index;
 }
 
@@ -151,7 +150,6 @@ StatusOr<std::unique_ptr<DynamicIndex>> DynamicIndex::Open(
     context.reuse_artifacts = true;
     context.target_chunk_size = index->options_.target_chunk_size;
     context.cost_model = index->options_.cost_model;
-    context.prefetch = index->options_.prefetch;
     QVT_ASSIGN_OR_RETURN(
         shard->built,
         MethodRegistry::Global().BuildShard(index->options_.method, context,
@@ -198,8 +196,7 @@ StatusOr<std::unique_ptr<DynamicIndex>> DynamicIndex::Open(
     }
   }
 
-  index->version_.store(std::shared_ptr<const DynamicVersion>(version),
-                        std::memory_order_release);
+  index->version_ = std::move(version);
   return index;
 }
 
@@ -213,10 +210,10 @@ Status DynamicIndex::Insert(DescriptorId id, std::span<const float> values,
     return Status::AlreadyExists("descriptor id " + std::to_string(id) +
                                  " is live; delete it before re-inserting");
   }
-  auto version = version_.load(std::memory_order_relaxed);
+  auto version = Snapshot();
   if (version->buffer->committed() >= version->buffer->capacity()) {
     QVT_RETURN_IF_ERROR(FlushLocked());
-    version = version_.load(std::memory_order_relaxed);
+    version = Snapshot();
   }
   version->buffer->Append(id, image, next_seq_++, values);
   live_.insert(id);
@@ -230,7 +227,7 @@ Status DynamicIndex::Delete(DescriptorId id) {
     return Status::NotFound("descriptor id " + std::to_string(id) +
                             " is not live");
   }
-  auto version = version_.load(std::memory_order_relaxed);
+  auto version = Snapshot();
   auto tombstones = version->tombstones->With(id, next_seq_++);
   live_.erase(id);
   ++stats_.deletes;
@@ -240,7 +237,7 @@ Status DynamicIndex::Delete(DescriptorId id) {
 
 Status DynamicIndex::Flush() {
   std::lock_guard<std::mutex> lock(writer_mu_);
-  auto version = version_.load(std::memory_order_relaxed);
+  auto version = Snapshot();
   if (version->buffer->committed() == 0) return Status::OK();
   return FlushLocked();
 }
@@ -252,7 +249,7 @@ Status DynamicIndex::Compact() {
 
 Status DynamicIndex::FlushLocked() {
   ScopedFlag in_merge(merge_in_progress_);
-  auto version = version_.load(std::memory_order_relaxed);
+  auto version = Snapshot();
   const MutableBuffer& buffer = *version->buffer;
   const TombstoneSet& tombstones = *version->tombstones;
   const size_t rows = buffer.committed();
@@ -300,7 +297,7 @@ Status DynamicIndex::FlushLocked() {
 
 Status DynamicIndex::CompactLocked() {
   ScopedFlag in_merge(merge_in_progress_);
-  auto version = version_.load(std::memory_order_relaxed);
+  auto version = Snapshot();
   const TombstoneSet& tombstones = *version->tombstones;
 
   Collection all(options_.dim);
@@ -377,7 +374,6 @@ StatusOr<std::shared_ptr<const DynamicShard>> DynamicIndex::BuildShardLocked(
   context.reuse_artifacts = false;
   context.target_chunk_size = options_.target_chunk_size;
   context.cost_model = options_.cost_model;
-  context.prefetch = options_.prefetch;
   QVT_ASSIGN_OR_RETURN(shard->built,
                        MethodRegistry::Global().BuildShard(
                            options_.method, context, options_.method_params));
@@ -387,7 +383,7 @@ StatusOr<std::shared_ptr<const DynamicShard>> DynamicIndex::BuildShardLocked(
   shard->created_seq = next_seq_++;
   shard->sorted_ids = SortedIds(*shard->built.data);
 
-  auto version = version_.load(std::memory_order_relaxed);
+  auto version = Snapshot();
   MergeEvent event;
   event.epoch = version->epoch + 1;
   event.target_level = level;
@@ -452,7 +448,7 @@ DynamicIndex::ExecuteMergeLocked(
     // Consume the shard id the planner assigned this merge anyway, to keep
     // later ops in the same cascade pointing at the right shards.
     ++next_shard_id_;
-    auto version = version_.load(std::memory_order_relaxed);
+    auto version = Snapshot();
     MergeEvent event;
     event.epoch = version->epoch + 1;
     event.target_level = op.target_level;
@@ -494,21 +490,25 @@ void DynamicIndex::PublishLocked(
   std::sort(shards.begin(), shards.end(), [](const auto& a, const auto& b) {
     return a->seq_floor < b->seq_floor;
   });
-  auto current = version_.load(std::memory_order_relaxed);
+  auto current = Snapshot();
   auto next = std::make_shared<DynamicVersion>();
   next->epoch = current->epoch + 1;
   next->buffer = std::move(buffer);
   next->shards = std::move(shards);
   next->tombstones = std::move(tombstones);
-  // The single atomic handoff: readers that loaded the old version finish
-  // on it undisturbed; new queries see the successor.
-  version_.store(std::shared_ptr<const DynamicVersion>(std::move(next)),
-                 std::memory_order_release);
+  // The single handoff: readers that took the old version finish on it
+  // undisturbed; new queries see the successor. The old version is released
+  // (with `current`) after the lock, so freeing it never blocks a reader.
+  std::shared_ptr<const DynamicVersion> retired = std::move(next);
+  {
+    std::lock_guard<std::mutex> lock(version_mu_);
+    version_.swap(retired);
+  }
 }
 
 Status DynamicIndex::Save() {
   std::lock_guard<std::mutex> lock(writer_mu_);
-  auto version = version_.load(std::memory_order_relaxed);
+  auto version = Snapshot();
   DynamicManifest manifest;
   manifest.dim = static_cast<uint32_t>(options_.dim);
   manifest.next_seq = next_seq_;
@@ -671,12 +671,9 @@ ShardAttribution* AttributionFor(
 StatusOr<MethodResult> DynamicIndex::Search(std::span<const float> query,
                                             size_t k,
                                             const StopRule& stop) const {
-  SharedScanStats stats;
   QVT_ASSIGN_OR_RETURN(std::vector<MethodResult> results,
                        SearchShared({&query, 1}, k, stop, /*num_threads=*/1,
-                                    &stats));
-  // A lone query's read-ahead counters belong in its own record.
-  results.front().telemetry.prefetch += stats.prefetch;
+                                    /*stats=*/nullptr));
   return std::move(results.front());
 }
 
@@ -824,7 +821,6 @@ Status RegisterDynamicMethod(MethodRegistry& registry) {
         }
         dynamic_options.target_chunk_size = chunk_size;
         dynamic_options.cost_model = context.cost_model;
-        dynamic_options.prefetch = context.prefetch;
         QVT_ASSIGN_OR_RETURN(
             std::unique_ptr<DynamicIndex> index,
             DynamicIndex::Open(context.env, base, std::move(dynamic_options)));

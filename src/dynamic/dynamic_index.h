@@ -32,6 +32,7 @@ struct DynamicOptions {
   /// Rows per chunk the chunked shard builder targets.
   size_t target_chunk_size = 256;
   DiskCostModel cost_model;
+  /// Unread (there is no read-ahead); kept only because perfbench/ spells it.
   PrefetcherOptions prefetch;
   /// Unused (there is one open); kept because perfbench/ still sets it.
   IndexOpenMode open_mode = IndexOpenMode::kMmap;
@@ -73,12 +74,13 @@ struct DynamicStats {
 /// is exactly the static methods'.
 ///
 /// Concurrency (epoch-based handoff): the entire readable state lives in an
-/// immutable DynamicVersion reached through an atomic shared_ptr. Readers
-/// load it once per query and keep the snapshot alive for the query's
-/// duration; writers (serialized by one mutex) build successor versions —
-/// including whole merge cascades — off to the side and publish them with a
-/// single atomic store. A merge therefore never blocks a reader: queries
-/// running during a merge simply answer from the pre-merge version.
+/// immutable DynamicVersion reached through one shared_ptr. Readers copy it
+/// once per query and keep the snapshot alive for the query's duration;
+/// writers (serialized by one mutex) build successor versions — including
+/// whole merge cascades — off to the side and publish them with a single
+/// pointer swap. A small mutex guards only that copy and swap. A merge
+/// therefore never blocks a reader: queries running during a merge simply
+/// answer from the pre-merge version.
 /// Search/SearchShared are const and thread-safe (the SearchMethod
 /// contract); Insert/Delete/Flush/Compact/Save may be called concurrently
 /// with queries but not with each other.
@@ -173,7 +175,8 @@ class DynamicIndex final : public SearchMethod {
                MethodCapabilities inner_capabilities);
 
   std::shared_ptr<const DynamicVersion> Snapshot() const {
-    return version_.load(std::memory_order_acquire);
+    std::lock_guard<std::mutex> lock(version_mu_);
+    return version_;
   }
 
   // All *Locked members require writer_mu_.
@@ -204,8 +207,11 @@ class DynamicIndex final : public SearchMethod {
   DynamicOptions options_;
   MethodCapabilities inner_capabilities_;
 
-  /// The current readable snapshot (epoch handoff point).
-  std::atomic<std::shared_ptr<const DynamicVersion>> version_;
+  /// The current readable snapshot (epoch handoff point). `version_mu_` is
+  /// held only for the pointer copy (Snapshot) or swap (PublishLocked) —
+  /// never across a build or a search — so readers never wait on a merge.
+  mutable std::mutex version_mu_;
+  std::shared_ptr<const DynamicVersion> version_;
 
   /// Serializes all mutations and writer-private state below.
   mutable std::mutex writer_mu_;

@@ -53,12 +53,6 @@ std::shared_ptr<const ChunkData> ChunkCache::Get(uint64_t chunk_id) {
   return it->second->chunk;
 }
 
-bool ChunkCache::Contains(uint64_t chunk_id) const {
-  Shard& shard = ShardFor(chunk_id);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  return shard.entries.find(chunk_id) != shard.entries.end();
-}
-
 std::shared_ptr<const ChunkData> ChunkCache::Put(uint64_t chunk_id,
                                                  ChunkData chunk,
                                                  uint32_t pages) {

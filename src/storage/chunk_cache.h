@@ -58,12 +58,6 @@ class ChunkCache {
   /// is kept alive by the returned shared_ptr regardless of later evictions.
   std::shared_ptr<const ChunkData> Get(uint64_t chunk_id);
 
-  /// Non-mutating membership probe: touches neither the hit/miss counters
-  /// nor the LRU order. The prefetcher peeks ahead of the scan with this to
-  /// decide whether a background read is worth issuing, without perturbing
-  /// the stats and recency stream the scan itself will produce.
-  bool Contains(uint64_t chunk_id) const;
-
   /// Inserts (or refreshes) a chunk occupying `pages` padded pages. The
   /// buffer is taken by move — no descriptor data is copied. Chunks larger
   /// than their shard's whole budget are not cached. Returns the shared

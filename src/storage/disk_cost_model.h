@@ -92,10 +92,16 @@ class DiskCostModel {
   DiskCostModelConfig config_;
 };
 
+/// Read-ahead window the searchers model into
+/// QueryTelemetry::model_overlapped_micros.
+inline constexpr size_t kModeledReadAheadDepth = 4;
+
 /// Deterministic timeline of a *pipelined* scan: what the wall clock of a
 /// query would read on the paper's 2005 hardware if the I/O of up to `depth`
-/// upcoming chunks overlapped the CPU scan of the current one — the modeled
-/// counterpart of the chunk prefetcher (storage/prefetcher.h).
+/// upcoming chunks overlapped the CPU scan of the current one. The engine
+/// itself fetches synchronously (on a warm page cache read-ahead only won
+/// when the caller left cores idle; see DESIGN.md "No read-ahead"), so this
+/// is the cost model's account of I/O-CPU overlap, not a measurement.
 ///
 /// The paper's per-query accounting (DiskCostModel::ChunkTotalMicros summed
 /// chunk by chunk) is deliberately untouched: that serial sum stays the
@@ -105,10 +111,10 @@ class DiskCostModel {
 /// Model: one disk (reads are serial), one CPU (scans are serial, in rank
 /// order). The read of chunk r may be issued once the disk is free and the
 /// pipeline window has space — i.e. once chunk r-depth has been handed to
-/// the scan (PrefetchStream pops a slot and refills *before* scanning it, so
-/// depth 1 already overlaps the next read with the current scan). The scan
-/// of a chunk starts when the previous scan finished and the chunk's bytes
-/// have arrived. Cache hits occupy no disk time. With depth == 0 nothing
+/// the scan (a slot is refilled *before* its chunk is scanned, so depth 1
+/// already overlaps the next read with the current scan). The scan of a
+/// chunk starts when the previous scan finished and the chunk's bytes have
+/// arrived. Cache hits occupy no disk time. With depth == 0 nothing
 /// overlaps: each chunk charges io + cpu strictly in sequence.
 class OverlappedScanTimeline {
  public:

@@ -173,7 +173,7 @@ TEST_F(IndexSuiteTest, ApproximateStopLowersPrecision) {
 
 TEST_F(IndexSuiteTest, RunTailSweepProducesOrderedPoints) {
   const IndexVariant& v = suite_->variant(Strategy::kSrTree, SizeClass::kSmall);
-  const auto method = MakeChunkedMethod(&v.index, nullptr, PrefetcherOptions{},
+  const auto method = MakeChunkedMethod(&v.index, nullptr,
                                         DiskCostModel(config_->cost_model));
   ASSERT_TRUE(method->Prepare().ok());
 
@@ -204,7 +204,7 @@ TEST_F(IndexSuiteTest, RunTailSweepProducesOrderedPoints) {
 
 TEST_F(IndexSuiteTest, RunTailSweepRejectsEmptyBudgets) {
   const IndexVariant& v = suite_->variant(Strategy::kSrTree, SizeClass::kSmall);
-  const auto method = MakeChunkedMethod(&v.index, nullptr, PrefetcherOptions{},
+  const auto method = MakeChunkedMethod(&v.index, nullptr,
                                         DiskCostModel(config_->cost_model));
   ASSERT_TRUE(method->Prepare().ok());
   EXPECT_TRUE(RunTailSweep(*method, suite_->dq(),

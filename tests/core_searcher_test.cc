@@ -217,7 +217,7 @@ TEST(SearcherTest, SearchAndSharedMatchRankOrderReference) {
   SrTreeChunker chunker(60);
   IndexFixture fx(&chunker);
   const DiskCostModel model;
-  Searcher searcher(&*fx.index, model, nullptr, PrefetcherOptions{});
+  Searcher searcher(&*fx.index, model);
 
   Rng rng(55);
   std::vector<std::vector<float>> queries;
@@ -462,31 +462,6 @@ TEST(SearcherTest, ZeroEpsilonEqualsExact) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// Prefetch pipeline bit-identity
-// ---------------------------------------------------------------------------
-
-PrefetcherOptions Depth(size_t depth) {
-  PrefetcherOptions options;
-  options.depth = depth;
-  return options;
-}
-
-// Everything the cost model and quality evaluation consume must be equal —
-// and distances bitwise so, since prefetching never touches the math.
-void ExpectBitIdentical(const MethodResult& a, const MethodResult& b) {
-  EXPECT_EQ(a.telemetry.chunks_read, b.telemetry.chunks_read);
-  EXPECT_EQ(a.telemetry.descriptors_scanned, b.telemetry.descriptors_scanned);
-  EXPECT_EQ(a.telemetry.model_micros, b.telemetry.model_micros);
-  EXPECT_EQ(a.telemetry.exact, b.telemetry.exact);
-  ASSERT_EQ(a.neighbors.size(), b.neighbors.size());
-  for (size_t i = 0; i < a.neighbors.size(); ++i) {
-    EXPECT_EQ(a.neighbors[i].id, b.neighbors[i].id) << "rank " << i;
-    EXPECT_EQ(a.neighbors[i].distance, b.neighbors[i].distance)
-        << "rank " << i;
-  }
-}
-
 // Satellite regression: the vectorized RankChunks (one batched kernel call
 // over the contiguous centroid matrix) must reproduce the old per-centroid
 // vec::Distance loop bit-for-bit, ties broken by chunk id.
@@ -523,166 +498,125 @@ TEST(SearcherTest, RankChunksMatchesScalarCentroidReference) {
   }
 }
 
-// The tentpole's core promise: at every depth, under every stop rule, the
-// pipelined search returns the same bits as the synchronous one — prefetch
-// moves *when* bytes arrive, never what is scanned or what is charged.
-TEST(PrefetchSearcherTest, PipelinedSearchIsBitIdenticalToSynchronous) {
-  SrTreeChunker chunker(60);
-  IndexFixture fx(&chunker);
-  Searcher sync(&*fx.index, DiskCostModel(), nullptr, Depth(0));
-  ASSERT_EQ(sync.prefetcher(), nullptr);
-
-  const StopRule rules[] = {
-      StopRule::Exact(), StopRule::EpsilonApproximate(0.5),
-      StopRule::MaxChunks(3), StopRule::TimeBudget(60LL * 1000),
-      StopRule::TimeBudget(500LL * 1000)};
-
-  for (size_t depth : {1u, 2u, 4u, 8u}) {
-    Searcher pipelined(&*fx.index, DiskCostModel(), nullptr, Depth(depth));
-    ASSERT_NE(pipelined.prefetcher(), nullptr);
-    Rng rng(depth);
-    for (int trial = 0; trial < 4; ++trial) {
-      std::vector<float> query(kDescriptorDim);
-      for (auto& x : query) x = static_cast<float>(rng.UniformDouble(20, 80));
-      for (const StopRule& rule : rules) {
-        auto a = sync.Search(query, 10, rule);
-        auto b = pipelined.Search(query, 10, rule);
-        ASSERT_TRUE(a.ok());
-        ASSERT_TRUE(b.ok());
-        ExpectBitIdentical(*a, *b);
-        // The pipeline's own ledger must balance, and the synchronous
-        // searcher must not have touched it at all.
-        const PrefetchStats& p = b->telemetry.prefetch;
-        EXPECT_EQ(p.issued, p.used + p.wasted + p.cancelled);
-        // No cache: every chunk is read.
-        EXPECT_EQ(p.used, b->telemetry.chunks_read);
-        EXPECT_EQ(a->telemetry.prefetch.issued, 0u);
-        // The overlapped wall-time model can only improve on the depth-0
-        // timeline (the strict io+cpu serial schedule the sync path reports;
-        // model_micros is no upper bound — the paper's per-chunk
-        // max(io, cpu) charge already overlaps a chunk's I/O with its *own*
-        // scan, which a real pipeline cannot do for the first read).
-        EXPECT_LE(b->telemetry.model_overlapped_micros,
-                  a->telemetry.model_overlapped_micros);
-      }
-    }
+// Everything quality evaluation consumes must be equal, distances bitwise.
+void ExpectSameAnswer(const MethodResult& a, const MethodResult& b) {
+  EXPECT_EQ(a.telemetry.chunks_read, b.telemetry.chunks_read);
+  EXPECT_EQ(a.telemetry.descriptors_scanned, b.telemetry.descriptors_scanned);
+  EXPECT_EQ(a.telemetry.exact, b.telemetry.exact);
+  ASSERT_EQ(a.neighbors.size(), b.neighbors.size());
+  for (size_t i = 0; i < a.neighbors.size(); ++i) {
+    EXPECT_EQ(a.neighbors[i].id, b.neighbors[i].id) << "rank " << i;
+    EXPECT_EQ(a.neighbors[i].distance, b.neighbors[i].distance)
+        << "rank " << i;
   }
 }
 
-TEST(PrefetchSearcherTest, PipelinedCachedSearchMatchesSynchronousCached) {
+// A ChunkCache changes where chunk bytes come from, never the answer: fed
+// the same query sequence (repeats make warm hits), the cached searcher's
+// k-NN and range results match the uncached one; a warm hit may only make
+// the modeled time cheaper.
+TEST(SearcherTest, CachedSearchMatchesUncached) {
   SrTreeChunker chunker(60);
   IndexFixture fx(&chunker);
-  // Two identical caches, sized for eviction churn, fed the exact same
-  // query sequence: results, hit/miss streams, and final contents must not
-  // be distinguishable between the two paths.
-  ChunkCache sync_cache(64);
-  ChunkCache pipe_cache(64);
-  Searcher sync(&*fx.index, DiskCostModel(), &sync_cache, Depth(0));
-  Searcher pipelined(&*fx.index, DiskCostModel(), &pipe_cache, Depth(4));
+  ChunkCache cache(64);  // small: eviction churn
+  Searcher plain(&*fx.index, DiskCostModel());
+  Searcher cached(&*fx.index, DiskCostModel(), &cache);
 
-  const StopRule rules[] = {StopRule::Exact(), StopRule::MaxChunks(5),
-                            StopRule::TimeBudget(200LL * 1000)};
-  for (size_t pos : {0u, 11u, 222u, 333u, 11u, 0u}) {  // repeats: warm hits
+  const StopRule rules[] = {StopRule::Exact(), StopRule::MaxChunks(5)};
+  for (size_t pos : {0u, 11u, 222u, 333u, 11u, 0u}) {
+    const auto query = fx.collection.Vector(pos);
     for (const StopRule& rule : rules) {
-      auto a = sync.Search(fx.collection.Vector(pos), 10, rule);
-      auto b = pipelined.Search(fx.collection.Vector(pos), 10, rule);
+      auto a = plain.Search(query, 10, rule);
+      auto b = cached.Search(query, 10, rule);
       ASSERT_TRUE(a.ok());
       ASSERT_TRUE(b.ok());
-      ExpectBitIdentical(*a, *b);
-    }
-  }
-  // Same hit/miss/eviction history: the stream's peek-then-authoritative-Get
-  // discipline leaves the cache exactly as the synchronous path does.
-  const ChunkCacheStats sa = sync_cache.Stats();
-  const ChunkCacheStats sb = pipe_cache.Stats();
-  EXPECT_EQ(sa.hits, sb.hits);
-  EXPECT_EQ(sa.misses, sb.misses);
-  EXPECT_EQ(sa.evictions, sb.evictions);
-  EXPECT_EQ(sync_cache.used_pages(), pipe_cache.used_pages());
-  EXPECT_EQ(sync_cache.size(), pipe_cache.size());
-}
+      ExpectSameAnswer(*a, *b);
+      EXPECT_LE(b->telemetry.model_micros, a->telemetry.model_micros);
+      EXPECT_EQ(b->telemetry.cache_hits + b->telemetry.cache_misses,
+                b->telemetry.chunks_read);
 
-// A stop rule firing mid-order must cancel the stranded read-ahead without
-// perturbing the answer — the crash-safety half is covered in
-// storage_prefetcher_test (a cancelled read never publishes).
-TEST(PrefetchSearcherTest, MidScanExactStopCancelsStrandedReads) {
-  SrTreeChunker chunker(60);
-  IndexFixture fx(&chunker);
-  Searcher sync(&*fx.index, DiskCostModel(), nullptr, Depth(0));
-  Searcher pipelined(&*fx.index, DiskCostModel(), nullptr, Depth(8));
-
-  // A dataset query prunes after a few chunks (the exact stop fires with
-  // most of the order unread), so the 8-deep window is left stranded.
-  const auto query = fx.collection.Vector(100);
-  auto a = sync.Search(query, 5, StopRule::Exact());
-  auto b = pipelined.Search(query, 5, StopRule::Exact());
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  ExpectBitIdentical(*a, *b);
-  ASSERT_LT(b->telemetry.chunks_read, fx.index->num_chunks());
-
-  const PrefetchStats& p = b->telemetry.prefetch;
-  EXPECT_EQ(p.used, b->telemetry.chunks_read);
-  EXPECT_GT(p.issued, p.used);  // the window had run ahead of the stop
-  EXPECT_EQ(p.issued, p.used + p.wasted + p.cancelled);
-  EXPECT_GT(p.wasted + p.cancelled, 0u);
-}
-
-// Under kMaxChunks the read schedule is known statically, so read-ahead
-// must never run past the budget: every issued read is used.
-TEST(PrefetchSearcherTest, MaxChunksReadAheadStopsAtBudget) {
-  SrTreeChunker chunker(60);
-  IndexFixture fx(&chunker);
-  Searcher pipelined(&*fx.index, DiskCostModel(), nullptr, Depth(4));
-  ASSERT_GT(fx.index->num_chunks(), 8u);
-  for (size_t budget : {1u, 3u, 8u}) {
-    for (size_t pos : {0u, 250u, 777u}) {
-      auto result = pipelined.Search(fx.collection.Vector(pos), 10,
-                                     StopRule::MaxChunks(budget));
-      ASSERT_TRUE(result.ok());
-      const PrefetchStats& p = result->telemetry.prefetch;
-      EXPECT_EQ(result->telemetry.chunks_read, budget);
-      EXPECT_EQ(p.issued, result->telemetry.chunks_read)
-          << "budget " << budget << " query " << pos;
-      EXPECT_EQ(p.wasted + p.cancelled, 0u)
-          << "budget " << budget << " query " << pos;
-    }
-  }
-}
-
-TEST(PrefetchSearcherTest, PipelinedRangeSearchIsBitIdenticalToSynchronous) {
-  SrTreeChunker chunker(60);
-  IndexFixture fx(&chunker);
-  ChunkCache sync_cache(100000);
-  ChunkCache pipe_cache(100000);
-  Searcher sync_plain(&*fx.index, DiskCostModel(), nullptr, Depth(0));
-  Searcher pipe_plain(&*fx.index, DiskCostModel(), nullptr, Depth(4));
-  Searcher sync_cached(&*fx.index, DiskCostModel(), &sync_cache, Depth(0));
-  Searcher pipe_cached(&*fx.index, DiskCostModel(), &pipe_cache, Depth(4));
-
-  const StopRule rules[] = {StopRule::Exact(), StopRule::MaxChunks(2)};
-  Rng rng(7);
-  for (int trial = 0; trial < 6; ++trial) {
-    const size_t pos = rng.Uniform(fx.collection.size());
-    const double radius = rng.UniformDouble(2.0, 12.0);
-    for (const StopRule& rule : rules) {
-      auto a = sync_plain.SearchRange(fx.collection.Vector(pos), radius, rule);
-      auto b = pipe_plain.SearchRange(fx.collection.Vector(pos), radius, rule);
-      ASSERT_TRUE(a.ok());
-      ASSERT_TRUE(b.ok());
-      ExpectBitIdentical(*a, *b);
-
-      auto c =
-          sync_cached.SearchRange(fx.collection.Vector(pos), radius, rule);
-      auto d =
-          pipe_cached.SearchRange(fx.collection.Vector(pos), radius, rule);
+      auto c = plain.SearchRange(query, 6.0, rule);
+      auto d = cached.SearchRange(query, 6.0, rule);
       ASSERT_TRUE(c.ok());
       ASSERT_TRUE(d.ok());
-      ExpectBitIdentical(*c, *d);
+      ExpectSameAnswer(*c, *d);
     }
   }
-  EXPECT_EQ(sync_cache.Stats().hits, pipe_cache.Stats().hits);
-  EXPECT_EQ(sync_cache.Stats().misses, pipe_cache.Stats().misses);
+  EXPECT_GT(cache.Stats().hits, 0u);
+}
+
+// A chunk read that fails mid-order surfaces as the read's own Status from
+// every scan loop, cached or not: the chunk file is cut short before its
+// last stored chunk, and a query whose rank order reaches that chunk after
+// reading others must fail with exactly what ReadChunk reports.
+TEST(SearcherTest, FailedChunkReadMidOrderReturnsItsStatus) {
+  SrTreeChunker chunker(60);
+  IndexFixture fx(&chunker);
+  const size_t num_chunks = fx.index->num_chunks();
+  uint32_t last = 0;
+  for (uint32_t c = 1; c < num_chunks; ++c) {
+    if (fx.index->location(c).first_page >
+        fx.index->location(last).first_page) {
+      last = c;
+    }
+  }
+  // Copy the index under a new base with the chunk file truncated at the
+  // page where `last` begins.
+  const ChunkIndexPaths from = ChunkIndexPaths::ForBase("idx");
+  const ChunkIndexPaths to = ChunkIndexPaths::ForBase("cut");
+  const auto copy = [&](const std::string& src, const std::string& dst,
+                        uint64_t bytes) {
+    auto in = fx.env.NewRandomAccessFile(src);
+    QVT_CHECK_OK(in.status());
+    std::vector<uint8_t> buffer(bytes);
+    QVT_CHECK_OK((*in)->Read(0, bytes, buffer.data()));
+    auto out = fx.env.NewWritableFile(dst);
+    QVT_CHECK_OK(out.status());
+    QVT_CHECK_OK((*out)->Append(buffer.data(), buffer.size()));
+    QVT_CHECK_OK((*out)->Close());
+  };
+  copy(from.index_file, to.index_file, *fx.env.GetFileSize(from.index_file));
+  copy(from.chunk_file, to.chunk_file,
+       fx.index->location(last).first_page * kPageSize);
+  auto cut = ChunkIndex::Open(&fx.env, to);
+  ASSERT_TRUE(cut.ok()) << cut.status().ToString();
+  ChunkData chunk;
+  const Status expected = cut->ReadChunk(last, &chunk);
+  ASSERT_FALSE(expected.ok());
+
+  // Centered on another chunk's centroid, so rank 0 reads fine and the
+  // failure comes after it.
+  const uint32_t home = last == 0 ? 1 : 0;
+  const std::vector<float> query(fx.index->centroid(home).begin(),
+                                 fx.index->centroid(home).end());
+  const std::vector<float> other(fx.collection.Vector(7).begin(),
+                                 fx.collection.Vector(7).end());
+  const std::span<const float> batch[] = {query, other};
+  const StopRule rules[] = {
+      StopRule::MaxChunks(num_chunks),  // static schedule
+      StopRule::TimeBudget(std::numeric_limits<int64_t>::max())};  // rounds
+  ChunkCache cache(100000);
+  for (ChunkCache* c : {static_cast<ChunkCache*>(nullptr), &cache}) {
+    Searcher searcher(&*cut, DiskCostModel(), c);
+    for (const StopRule& rule : rules) {
+      size_t chunks_before_failure = 0;
+      const SearchObserver count = [&](const SearchProgress&) {
+        ++chunks_before_failure;
+      };
+      auto alone = searcher.Search(query, 10, rule, count);
+      ASSERT_FALSE(alone.ok());
+      EXPECT_EQ(alone.status().ToString(), expected.ToString());
+      EXPECT_GE(chunks_before_failure, 1u);
+      EXPECT_LT(chunks_before_failure, num_chunks);
+
+      auto shared = searcher.SearchShared(batch, 10, rule);
+      ASSERT_FALSE(shared.ok());
+      EXPECT_EQ(shared.status().ToString(), expected.ToString());
+    }
+    auto range = searcher.SearchRange(query, 1e9, StopRule::Exact());
+    ASSERT_FALSE(range.ok());
+    EXPECT_EQ(range.status().ToString(), expected.ToString());
+  }
 }
 
 TEST(SearcherTest, ApproximateIsSubsetQualityOfExact) {

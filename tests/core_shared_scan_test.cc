@@ -242,28 +242,6 @@ TEST(SharedScanTest, SharedCacheKeepsAnswersIdentical) {
   }
 }
 
-// The merged prefetch streams report through the shared ledger and the
-// batch totals; the ledger balances and per-query counters stay zero.
-TEST(SharedScanTest, MergedPrefetchStreamsReportThroughSharedLedger) {
-  SharedScanFixture fx(/*num_queries=*/40);
-  PrefetcherOptions deep;
-  deep.depth = 4;
-  const auto pipelined = MakeChunkedMethod(&*fx.index, nullptr, deep);
-  ASSERT_NE(pipelined->Describe().find("prefetch on"), std::string::npos);
-
-  BatchSearcher chunk_major(pipelined.get(), 1);
-  auto batch = chunk_major.SearchAll(fx.workload, 10, StopRule::Exact());
-  ASSERT_TRUE(batch.ok());
-  ASSERT_TRUE(batch->shared.enabled);
-  const PrefetchStats& p = batch->shared.prefetch;
-  EXPECT_GT(p.issued, 0u);
-  EXPECT_EQ(p.issued, p.used + p.wasted + p.cancelled);
-  EXPECT_EQ(batch->totals.prefetch.issued, p.issued);
-  for (const MethodResult& r : batch->results) {
-    EXPECT_EQ(r.telemetry.prefetch.issued, 0u);
-  }
-}
-
 // --- Duplicate-query dedup ------------------------------------------------
 
 TEST(SharedScanTest, DuplicateQueriesShareOnePlanAndScan) {

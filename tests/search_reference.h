@@ -22,7 +22,6 @@
 #include "geometry/kernels.h"
 #include "storage/chunk_cache.h"
 #include "storage/disk_cost_model.h"
-#include "storage/prefetcher.h"
 #include "util/logging.h"
 
 namespace qvt {
@@ -30,13 +29,11 @@ namespace qvt {
 /// The registry's "chunked" method over `index`, Prepare()d.
 inline std::unique_ptr<SearchMethod> MakeChunkedMethod(
     const ChunkIndex* index, ChunkCache* cache = nullptr,
-    PrefetcherOptions prefetch = {},
     DiskCostModel cost_model = DiskCostModel()) {
   MethodContext context;
   context.index = index;
   context.cost_model = cost_model;
   context.cache = cache;
-  context.prefetch = prefetch;
   auto method = MethodRegistry::Global().Create("chunked", context);
   QVT_CHECK_OK(method.status());
   QVT_CHECK_OK((*method)->Prepare());

@@ -104,23 +104,6 @@ TEST(ChunkCacheTest, EvictedChunkOutlivesEvictionWhileReferenced) {
   EXPECT_EQ(held->ids[2], 102u);
 }
 
-TEST(ChunkCacheTest, ContainsProbesWithoutTouchingStatsOrLru) {
-  ChunkCache cache(4);
-  cache.Put(1, MakeChunk(1, 0), 2);
-  cache.Put(2, MakeChunk(1, 10), 2);
-  // Probe chunk 1 (the LRU victim candidate) many times: a Get would both
-  // count hits and promote it to MRU; Contains must do neither.
-  for (int i = 0; i < 5; ++i) {
-    EXPECT_TRUE(cache.Contains(1));
-    EXPECT_FALSE(cache.Contains(99));
-  }
-  EXPECT_EQ(cache.Stats().hits, 0u);
-  EXPECT_EQ(cache.Stats().misses, 0u);
-  cache.Put(3, MakeChunk(1, 20), 2);  // still evicts 1, not 2
-  EXPECT_FALSE(cache.Contains(1));
-  EXPECT_TRUE(cache.Contains(2));
-}
-
 // ---------------------------------------------------------------------------
 // GetOrLoad single-flight
 // ---------------------------------------------------------------------------

@@ -85,7 +85,7 @@ TEST(DiskCostModelTest, PagesForBytesRoundsUp) {
 }
 
 // ---------------------------------------------------------------------------
-// OverlappedScanTimeline (the prefetch pipeline's modeled wall clock)
+// OverlappedScanTimeline (the modeled wall clock of a read-ahead scan)
 // ---------------------------------------------------------------------------
 
 TEST(OverlappedScanTimelineTest, DepthZeroIsTheSerialSum) {

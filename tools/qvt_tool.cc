@@ -20,11 +20,11 @@
 //                     [--json BENCH_tail.json]
 //   qvt_tool methods  [--names 1]
 //   qvt_tool search   --collection col.desc --index idx --query-pos 123
-//                     [--k 10] [--max-chunks 0 (=exact)] [--prefetch-depth 4]
+//                     [--k 10] [--max-chunks 0 (=exact)]
 //                     [--method chunked] [--method-params "key=val,..."]
 //   qvt_tool batch    --collection col.desc --index idx [--queries 1000]
 //                     [--k 10] [--threads 1] [--max-chunks 0] [--seed 7]
-//                     [--cache-pages 0] [--verify 0] [--prefetch-depth 4]
+//                     [--cache-pages 0] [--verify 0]
 //                     [--method chunked] [--method-params "key=val,..."]
 //                     [--check-recall 0.0] [--shared-scan on|off]
 //   qvt_tool ingest   --dyn base --collection col.desc [--offset 0]
@@ -58,9 +58,9 @@
 // sampled workload and fails (exit 1) when mean recall@k drops below R —
 // the CI smoke harness for the method matrix.
 //
-// --prefetch-depth sets the chunk read-ahead window (0 disables the
-// pipeline); its default also honors the QVT_PREFETCH_DEPTH environment
-// variable. Results are bit-identical at every depth.
+// Every chunk is fetched synchronously (a pread, or the single-flight
+// chunk cache with --cache-pages); there is no read-ahead. search's
+// "overlapped" time is the cost model's account of I/O-CPU overlap.
 //
 // batch --shared-scan on (the default) runs methods that support it
 // (chunked, pq) chunk-major: the queries' chunk schedules are merged, each
@@ -95,7 +95,8 @@
 // offset; exit 1, never an abort.
 //
 // A numeric flag that does not parse as a number is a usage error
-// ("error: --images: not a number: abc"), exit 2 like every other.
+// ("error: --images: not a number: abc"), exit 2 like every other; so is a
+// negative count or size ("error: --images: must be >= 0: -1").
 //
 // --build-threads sets how many threads generation and index construction
 // use (default: QVT_BUILD_THREADS, else hardware concurrency). Artifacts
@@ -151,14 +152,6 @@
 namespace qvt {
 namespace {
 
-/// Shared --prefetch-depth handling: flag wins, else QVT_PREFETCH_DEPTH,
-/// else the library default of 4.
-PrefetcherOptions PrefetchFromFlag(int64_t depth_flag) {
-  PrefetcherOptions prefetch;
-  if (depth_flag >= 0) prefetch.depth = static_cast<size_t>(depth_flag);
-  return prefetch;
-}
-
 class Flags {
  public:
   Flags(int argc, char** argv, int first) {
@@ -174,6 +167,18 @@ class Flags {
   }
   int64_t GetInt(const std::string& name, int64_t fallback) const {
     return GetNumber<int64_t>(name, fallback);
+  }
+  /// A count or size: like GetInt, but a negative value is a usage error
+  /// ("error: --name: must be >= 0: -1", exit 2) instead of wrapping.
+  size_t GetCount(const std::string& name, size_t fallback) const {
+    const int64_t value =
+        GetNumber<int64_t>(name, static_cast<int64_t>(fallback));
+    if (value < 0) {
+      std::fprintf(stderr, "error: --%s: must be >= 0: %s\n", name.c_str(),
+                   values_.at(name).c_str());
+      std::exit(2);
+    }
+    return static_cast<size_t>(value);
   }
   double GetDouble(const std::string& name, double fallback) const {
     return GetNumber<double>(name, fallback);
@@ -212,7 +217,7 @@ int Fail(const Status& status) {
 /// report below covers just this invocation.
 void ApplyBuildThreads(const Flags& flags) {
   if (flags.Has("build-threads")) {
-    SetBuildThreads(static_cast<size_t>(flags.GetInt("build-threads", 0)));
+    SetBuildThreads(flags.GetCount("build-threads", 0));
   }
   BuildStats::Global().Reset();
 }
@@ -231,10 +236,9 @@ int CmdGenerate(const Flags& flags) {
     return 2;
   }
   GeneratorConfig config;
-  config.num_images = static_cast<size_t>(flags.GetInt("images", 200));
-  config.descriptors_per_image =
-      static_cast<size_t>(flags.GetInt("descriptors", 100));
-  config.num_modes = static_cast<size_t>(flags.GetInt("modes", 20));
+  config.num_images = flags.GetCount("images", 200);
+  config.descriptors_per_image = flags.GetCount("descriptors", 100);
+  config.num_modes = flags.GetCount("modes", 20);
   config.seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
   config.heavy_mode_weight = flags.GetDouble("heavy-mode-weight", 0.0);
   if (config.heavy_mode_weight < 0.0 || config.heavy_mode_weight >= 1.0) {
@@ -261,10 +265,8 @@ int CmdBuild(const Flags& flags) {
   if (!collection.ok()) return Fail(collection.status());
   ApplyBuildThreads(flags);
 
-  const size_t chunk_size =
-      static_cast<size_t>(flags.GetInt("chunk-size", 1000));
-  const size_t max_chunk_pop =
-      static_cast<size_t>(flags.GetInt("max-chunk-pop", 0));
+  const size_t chunk_size = flags.GetCount("chunk-size", 1000);
+  const size_t max_chunk_pop = flags.GetCount("max-chunk-pop", 0);
   const std::string kind = flags.Get("chunker", "sr");
 
   std::unique_ptr<Chunker> chunker;
@@ -343,11 +345,10 @@ int CmdBuild(const Flags& flags) {
   // the chunk index, into the "QVTPQC01" file --method pq can open.
   if (flags.Has("pq-out")) {
     PqConfig pq_config;
-    pq_config.m = static_cast<size_t>(flags.GetInt("pq-m", 8));
-    pq_config.ksub = static_cast<size_t>(flags.GetInt("pq-ksub", 256));
-    pq_config.max_iterations =
-        static_cast<size_t>(flags.GetInt("pq-iters", 25));
-    pq_config.seed = static_cast<uint64_t>(flags.GetInt("pq-seed", 7));
+    pq_config.m = flags.GetCount("pq-m", 8);
+    pq_config.ksub = flags.GetCount("pq-ksub", 256);
+    pq_config.max_iterations = flags.GetCount("pq-iters", 25);
+    pq_config.seed = flags.GetCount("pq-seed", 7);
     auto codebook = TrainPq(*collection, pq_config);
     if (!codebook.ok()) return Fail(codebook.status());
     auto codes = PqEncode(*collection, *codebook);
@@ -378,10 +379,8 @@ StatusOr<DynamicOptions> DynamicOptionsFromFlags(const Flags& flags) {
   DynamicOptions options;
   options.method = flags.Get("method", "chunked");
   options.method_params = flags.Get("method-params", "");
-  options.extension.buffer_capacity =
-      static_cast<size_t>(flags.GetInt("buffer-capacity", 1024));
-  options.extension.scale_factor =
-      static_cast<size_t>(flags.GetInt("scale-factor", 4));
+  options.extension.buffer_capacity = flags.GetCount("buffer-capacity", 1024);
+  options.extension.scale_factor = flags.GetCount("scale-factor", 4);
   const std::string policy = flags.Get("policy", "tiering");
   if (policy == "tiering") {
     options.extension.policy = MergePolicy::kTiering;
@@ -390,8 +389,7 @@ StatusOr<DynamicOptions> DynamicOptionsFromFlags(const Flags& flags) {
   } else {
     return Status::InvalidArgument("--policy must be tiering or leveling");
   }
-  options.target_chunk_size =
-      static_cast<size_t>(flags.GetInt("chunk-size", 256));
+  options.target_chunk_size = flags.GetCount("chunk-size", 256);
   return options;
 }
 
@@ -429,17 +427,16 @@ int CmdIngest(const Flags& flags) {
   auto index = OpenOrCreateDynamic(flags, /*create_if_missing=*/true);
   if (!index.ok()) return Fail(index.status());
 
-  const size_t offset = static_cast<size_t>(flags.GetInt("offset", 0));
+  const size_t offset = flags.GetCount("offset", 0);
   if (offset > collection->size()) {
     std::fprintf(stderr, "--offset past the collection (%zu rows)\n",
                  collection->size());
     return 2;
   }
   const size_t remaining = collection->size() - offset;
-  size_t count = static_cast<size_t>(flags.GetInt("count", 0));
+  size_t count = flags.GetCount("count", 0);
   if (count == 0 || count > remaining) count = remaining;
-  const size_t delete_every =
-      static_cast<size_t>(flags.GetInt("delete-every", 0));
+  const size_t delete_every = flags.GetCount("delete-every", 0);
 
   const auto start = std::chrono::steady_clock::now();
   std::vector<DescriptorId> inserted;
@@ -615,8 +612,7 @@ int CmdInfo(const Flags& flags) {
                 pq->ksub(),
                 static_cast<unsigned long long>(pq->num_vectors()));
   }
-  const uint64_t cache_pages =
-      static_cast<uint64_t>(flags.GetInt("cache-pages", 0));
+  const uint64_t cache_pages = flags.GetCount("cache-pages", 0);
   if (cache_pages > 0) {
     std::printf("  chunk cache:     %.1f KiB capacity (%llu pages x %zu B)\n",
                 static_cast<double>(cache_pages) * kPageSize / 1024.0,
@@ -734,7 +730,7 @@ int CmdFsck(const Flags& flags) {
     auto index = ChunkIndex::Open(
         Env::Posix(), ChunkIndexPaths::ForBase(flags.Get("index", "")));
     Status verdict = index.ok() ? index->Validate(static_cast<uint32_t>(
-                                      flags.GetInt("max-chunk-pop", 0)))
+                                      flags.GetCount("max-chunk-pop", 0)))
                                 : index.status();
     if (!verdict.ok()) {
       std::fprintf(stderr, "fsck: index %s: %s\n",
@@ -834,19 +830,18 @@ int CmdSearch(const Flags& flags) {
     if (!index->ok()) return Fail(index->status());
   }
 
-  const size_t pos = static_cast<size_t>(flags.GetInt("query-pos", 0));
+  const size_t pos = flags.GetCount("query-pos", 0);
   if (pos >= collection->size()) {
     std::fprintf(stderr, "query-pos out of range (collection has %zu)\n",
                  collection->size());
     return 2;
   }
-  const size_t k = static_cast<size_t>(flags.GetInt("k", 10));
-  const int64_t max_chunks = flags.GetInt("max-chunks", 0);
+  const size_t k = flags.GetCount("k", 10);
+  const size_t max_chunks = flags.GetCount("max-chunks", 0);
 
   MethodContext context;
   context.collection = &*collection;
   context.index = index.has_value() ? &**index : nullptr;
-  context.prefetch = PrefetchFromFlag(flags.GetInt("prefetch-depth", -1));
   context.env = Env::Posix();
   auto method = MethodRegistry::Global().Create(
       flags.Get("method", "chunked"), context, flags.Get("method-params", ""));
@@ -856,10 +851,8 @@ int CmdSearch(const Flags& flags) {
   }
   std::printf("method: %s\n", (*method)->Describe().c_str());
 
-  const StopRule stop = max_chunks > 0
-                            ? StopRule::MaxChunks(
-                                  static_cast<size_t>(max_chunks))
-                            : StopRule::Exact();
+  const StopRule stop =
+      max_chunks > 0 ? StopRule::MaxChunks(max_chunks) : StopRule::Exact();
   auto result = (*method)->Search(collection->Vector(pos), k, stop);
   if (!result.ok()) return Fail(result.status());
 
@@ -869,14 +862,6 @@ int CmdSearch(const Flags& flags) {
               t.exact ? "exact" : "approximate", t.wall_micros / 1000.0,
               t.model_micros / 1000.0, t.model_overlapped_micros / 1000.0);
   PrintTelemetry(t, "");
-  if (t.prefetch.issued > 0) {
-    std::printf("prefetch: %llu issued, %llu used, %llu wasted, "
-                "%llu cancelled\n",
-                static_cast<unsigned long long>(t.prefetch.issued),
-                static_cast<unsigned long long>(t.prefetch.used),
-                static_cast<unsigned long long>(t.prefetch.wasted),
-                static_cast<unsigned long long>(t.prefetch.cancelled));
-  }
   for (const Neighbor& n : result->neighbors) {
     std::printf("  id %-10u dist %.4f\n", n.id, n.distance);
   }
@@ -888,9 +873,9 @@ int CmdSearch(const Flags& flags) {
 // Methods that support it run chunk-major by default (--shared-scan off
 // forces query-major); results are bit-identical either way, so
 // figure-reproduction runs stay on the paper's methodology.
-// --verify 1 re-runs the batch serially (query-major, prefetch off, fresh
-// cache) and cross-checks neighbors per query — covering concurrency,
-// prefetching, AND the shared-scan executor. --check-recall R scores the
+// --verify 1 re-runs the batch serially (query-major, fresh cache) and
+// cross-checks neighbors per query — covering concurrency AND the
+// shared-scan executor. --check-recall R scores the
 // batch against exact-scan ground truth and fails below the threshold.
 int CmdBatch(const Flags& flags) {
   const std::string method_name = flags.Get("method", "chunked");
@@ -911,36 +896,27 @@ int CmdBatch(const Flags& flags) {
     if (!index->ok()) return Fail(index->status());
   }
 
-  const size_t num_queries = std::min<size_t>(
-      static_cast<size_t>(flags.GetInt("queries", 1000)), collection->size());
-  const size_t k = static_cast<size_t>(flags.GetInt("k", 10));
-  const size_t threads = static_cast<size_t>(flags.GetInt("threads", 1));
-  const int64_t max_chunks = flags.GetInt("max-chunks", 0);
-  const uint64_t cache_pages =
-      static_cast<uint64_t>(flags.GetInt("cache-pages", 0));
+  const size_t num_queries =
+      std::min(flags.GetCount("queries", 1000), collection->size());
+  const size_t k = flags.GetCount("k", 10);
+  const size_t threads = flags.GetCount("threads", 1);
+  const size_t max_chunks = flags.GetCount("max-chunks", 0);
+  const uint64_t cache_pages = flags.GetCount("cache-pages", 0);
 
   Rng rng(static_cast<uint64_t>(flags.GetInt("seed", 7)));
   const Workload workload = MakeDatasetQueries(*collection, num_queries, &rng);
-  const StopRule stop = max_chunks > 0
-                            ? StopRule::MaxChunks(
-                                  static_cast<size_t>(max_chunks))
-                            : StopRule::Exact();
+  const StopRule stop =
+      max_chunks > 0 ? StopRule::MaxChunks(max_chunks) : StopRule::Exact();
 
   std::unique_ptr<ChunkCache> cache;
   if (cache_pages > 0) {
     cache = std::make_unique<ChunkCache>(cache_pages,
                                          std::max<size_t>(threads, 1));
   }
-  PrefetcherOptions prefetch =
-      PrefetchFromFlag(flags.GetInt("prefetch-depth", -1));
-  // Enough read workers that one stalled query never starves the others.
-  prefetch.io_threads = std::max<size_t>(2, threads);
-
   MethodContext context;
   context.collection = &*collection;
   context.index = index.has_value() ? &**index : nullptr;
   context.cache = cache.get();
-  context.prefetch = prefetch;
   context.env = Env::Posix();
   const std::string method_params = flags.Get("method-params", "");
   auto method = MethodRegistry::Global().Create(method_name, context,
@@ -982,15 +958,6 @@ int CmdBatch(const Flags& flags) {
   std::printf("telemetry totals (%zu exact of %zu):\n", batch->exact_queries,
               workload.num_queries());
   PrintTelemetry(batch->totals, "  ");
-  if (batch->totals.prefetch.issued > 0) {
-    std::printf("prefetch: %llu issued, %llu used, %llu wasted, "
-                "%llu cancelled\n",
-                static_cast<unsigned long long>(batch->totals.prefetch.issued),
-                static_cast<unsigned long long>(batch->totals.prefetch.used),
-                static_cast<unsigned long long>(batch->totals.prefetch.wasted),
-                static_cast<unsigned long long>(
-                    batch->totals.prefetch.cancelled));
-  }
   if (cache != nullptr) {
     const ChunkCacheStats stats = cache->Stats();
     std::printf("cache: %zu shard(s), hit rate %.1f%%, %llu evictions, "
@@ -1027,16 +994,13 @@ int CmdBatch(const Flags& flags) {
 
   if (flags.GetInt("verify", 0) != 0) {
     // A fresh method instance for the serial pass with a fresh cache, so
-    // both runs start cold — and the prefetch pipeline off, so the chunked
-    // reference is the plain synchronous searcher (this cross-check covers
-    // concurrency AND prefetching).
+    // both runs start cold.
     std::unique_ptr<ChunkCache> serial_cache;
     if (cache_pages > 0) {
       serial_cache = std::make_unique<ChunkCache>(cache_pages, 1);
     }
     MethodContext serial_context = context;
     serial_context.cache = serial_cache.get();
-    serial_context.prefetch.depth = 0;
     auto serial_method = MethodRegistry::Global().Create(
         method_name, serial_context, method_params);
     if (!serial_method.ok()) return Fail(serial_method.status());
@@ -1109,12 +1073,11 @@ int CmdTail(const Flags& flags) {
       Env::Posix(), ChunkIndexPaths::ForBase(flags.Get("index", "")));
   if (!index.ok()) return Fail(index.status());
 
-  const size_t num_queries = std::min<size_t>(
-      static_cast<size_t>(flags.GetInt("queries", 200)), collection->size());
-  const size_t k = static_cast<size_t>(flags.GetInt("k", 10));
-  const size_t threads = static_cast<size_t>(flags.GetInt("threads", 1));
-  const size_t max_chunk_pop =
-      static_cast<size_t>(flags.GetInt("max-chunk-pop", 0));
+  const size_t num_queries =
+      std::min(flags.GetCount("queries", 200), collection->size());
+  const size_t k = flags.GetCount("k", 10);
+  const size_t threads = flags.GetCount("threads", 1);
+  const size_t max_chunk_pop = flags.GetCount("max-chunk-pop", 0);
   if (max_chunk_pop > 0) {
     if (const Status valid =
             index->Validate(static_cast<uint32_t>(max_chunk_pop));
@@ -1145,7 +1108,6 @@ int CmdTail(const Flags& flags) {
   MethodContext context;
   context.collection = &*collection;
   context.index = &*index;
-  context.prefetch = PrefetchFromFlag(flags.GetInt("prefetch-depth", -1));
   context.env = Env::Posix();
   const std::string method_name = flags.Get("method", "chunked");
   auto method = MethodRegistry::Global().Create(method_name, context,

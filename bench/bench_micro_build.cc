@@ -2,7 +2,7 @@
 // --build-threads.
 //
 // Runs the deterministic build phases — synthetic generation, the SR-tree
-// bulk build, k-means chunking, and the outlier split — at several thread
+// bulk partition, k-means chunking, and the outlier split — at several thread
 // counts, checks that every artifact is bit-identical across all of them
 // (the determinism contract of util/parallel_for.h), prints a
 // serial-vs-parallel speedup table, and writes the raw numbers to

@@ -2,13 +2,13 @@
 #define QVT_CLUSTER_SRTREE_CHUNKER_H_
 
 #include "cluster/chunker.h"
-#include "srtree/sr_tree.h"
 
 namespace qvt {
 
-/// Uniform-chunk-size strategy (§2): statically bulk-builds an SR-tree with
-/// the requested leaf size and emits one chunk per leaf, discarding the upper
-/// levels of the tree. Produces "roundish chunks of uniform physical size".
+/// Uniform-chunk-size strategy (§2): runs the SR-tree's static bulk-load
+/// partition (recursive max-variance median splits) with the requested leaf
+/// size and emits one chunk per leaf. The upper levels of the tree are never
+/// built. Produces "roundish chunks of uniform physical size".
 /// Has no outlier handling of its own (§2); combine with NormOutlierFilter
 /// or with externally removed outliers as the paper does.
 class SrTreeChunker final : public Chunker {

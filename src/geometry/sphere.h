@@ -7,8 +7,8 @@
 namespace qvt {
 
 /// A hypersphere in d-dimensional space: the geometric summary used for
-/// chunks (§4.2: each index entry stores a centroid and a radius), for BAG
-/// clusters, and for SR-tree node entries.
+/// chunks (§4.2: each index entry stores a centroid and a radius) and for
+/// BAG clusters.
 struct Sphere {
   std::vector<float> center;
   double radius = 0.0;
@@ -48,9 +48,9 @@ Sphere MergeSpheres(const Sphere& a, const Sphere& b);
 Sphere CentroidBoundingSphere(std::span<const std::span<const float>> points,
                               size_t dim);
 
-/// Ritter's approximate minimum enclosing sphere (used by SR-tree leaf
-/// summaries where a tighter-than-centroid sphere is useful). At most ~5%
-/// larger than optimal in practice.
+/// Ritter's approximate minimum enclosing sphere, for summaries where a
+/// tighter-than-centroid sphere is useful. At most ~5% larger than optimal
+/// in practice.
 Sphere RitterBoundingSphere(std::span<const std::span<const float>> points,
                             size_t dim);
 

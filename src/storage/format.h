@@ -14,7 +14,8 @@
 namespace qvt {
 
 // Shared machinery of the versioned flat on-disk formats (the chunk index
-// file and the static SR-tree file). Both follow the same envelope:
+// file, the PQ code file and the dynamic manifest). All follow the same
+// envelope:
 //
 //   [ 64-byte header: magic, format version, dim, counts, section offsets ]
 //   [ section 0 ... ]   each section starts at a 64-byte-aligned offset,

@@ -6,14 +6,14 @@
 //   qvt_tool build    --collection col.desc --out idx
 //                     [--chunker sr|rr|kmeans|balanced-kmeans|birch|bag]
 //                     [--chunk-size 1000] [--max-chunk-pop 0]
-//                     [--build-threads N] [--tree-out tree.srt]
-//                     [--pq-out codes.pqc] [--pq-m 8] [--pq-ksub 256]
-//                     [--pq-iters 25] [--pq-seed 7]
+//                     [--build-threads N] [--pq-out codes.pqc]
+//                     [--pq-m 8] [--pq-ksub 256] [--pq-iters 25]
+//                     [--pq-seed 7]
 //   qvt_tool info     [--index idx] [--dyn base]
 //                     [--pq codes.pqc] [--cache-pages 0]
 //                     [--collection col.desc (per-method resident memory)]
-//   qvt_tool fsck     [--index idx] [--dyn base] [--tree tree.srt]
-//                     [--pq codes.pqc] [--max-chunk-pop 0]
+//   qvt_tool fsck     [--index idx] [--dyn base] [--pq codes.pqc]
+//                     [--max-chunk-pop 0]
 //   qvt_tool tail     --collection col.desc --index idx [--queries 200]
 //                     [--k 10] [--budgets 1,2,4,8,0] [--threads 1]
 //                     [--seed 7] [--max-chunk-pop 0] [--label chunked]
@@ -88,15 +88,17 @@
 // that collection and prints one resident-memory line per method — what
 // each first pass keeps in RAM to answer queries.
 //
-// Every command opens an index, SR-tree or PQ file the one way: map it and
-// check its envelope and every entry (or the tree's structure). fsck adds
-// the checks an open skips: the full-file CRC and each chunk payload
-// against its index sphere. Defects are reported with file path and byte
-// offset; exit 1, never an abort.
+// Every command opens an index or PQ file the one way: map it and check its
+// envelope and every entry. fsck adds the checks an open skips: the
+// full-file CRC and each chunk payload against its index sphere. Defects
+// are reported with file path and byte offset; exit 1, never an abort.
 //
 // A numeric flag that does not parse as a number is a usage error
 // ("error: --images: not a number: abc"), exit 2 like every other; so is a
-// negative count or size ("error: --images: must be >= 0: -1").
+// negative count or size ("error: --images: must be >= 0: -1"). The
+// --ids and --budgets lists check every item the same way, and an id must
+// also fit a descriptor id ("error: --ids: must be <= 4294967294: ...");
+// delete checks the whole list before it opens the index.
 //
 // --build-threads sets how many threads generation and index construction
 // use (default: QVT_BUILD_THREADS, else hardware concurrency). Artifacts
@@ -141,7 +143,6 @@
 #include "descriptor/workload.h"
 #include "dynamic/dynamic_index.h"
 #include "dynamic/manifest.h"
-#include "srtree/static_sr_tree.h"
 #include "storage/chunk_cache.h"
 #include "storage/pq_file.h"
 #include "util/build_stats.h"
@@ -171,14 +172,22 @@ class Flags {
   /// A count or size: like GetInt, but a negative value is a usage error
   /// ("error: --name: must be >= 0: -1", exit 2) instead of wrapping.
   size_t GetCount(const std::string& name, size_t fallback) const {
-    const int64_t value =
-        GetNumber<int64_t>(name, static_cast<int64_t>(fallback));
-    if (value < 0) {
-      std::fprintf(stderr, "error: --%s: must be >= 0: %s\n", name.c_str(),
-                   values_.at(name).c_str());
-      std::exit(2);
+    const auto it = values_.find(name);
+    if (it == values_.end()) return fallback;
+    return ParseCount(name, it->second, SIZE_MAX);
+  }
+  /// A comma-separated list of counts (empty items skipped), each checked
+  /// like GetCount and against `max`.
+  std::vector<size_t> GetCountList(const std::string& name,
+                                   const std::string& fallback,
+                                   size_t max) const {
+    std::vector<size_t> values;
+    std::stringstream list(Get(name, fallback));
+    std::string item;
+    while (std::getline(list, item, ',')) {
+      if (!item.empty()) values.push_back(ParseCount(name, item, max));
     }
-    return static_cast<size_t>(value);
+    return values;
   }
   double GetDouble(const std::string& name, double fallback) const {
     return GetNumber<double>(name, fallback);
@@ -186,23 +195,43 @@ class Flags {
   bool Has(const std::string& name) const { return values_.count(name) != 0; }
 
  private:
-  /// Parses the whole value as a finite T; anything else is a usage error:
-  /// "error: --name: not a number: text", exit 2.
   template <typename T>
   T GetNumber(const std::string& name, T fallback) const {
     const auto it = values_.find(name);
-    if (it == values_.end()) return fallback;
-    const std::string& text = it->second;
+    return it == values_.end() ? fallback : Parse<T>(name, it->second);
+  }
+
+  /// Parses all of `text` as a finite T; anything else is a usage error:
+  /// "error: --name: not a number: text", exit 2.
+  template <typename T>
+  static T Parse(const std::string& name, const std::string& text) {
     const char* end = text.data() + text.size();
     T value{};
     const auto [stop, error] = std::from_chars(text.data(), end, value);
     if (error != std::errc() || stop != end ||
         !std::isfinite(static_cast<double>(value))) {
-      std::fprintf(stderr, "error: --%s: not a number: %s\n", name.c_str(),
-                   text.c_str());
-      std::exit(2);
+      UsageError(name, "not a number", text);
     }
     return value;
+  }
+
+  /// Parses `text` as an integer in [0, max].
+  static size_t ParseCount(const std::string& name, const std::string& text,
+                           size_t max) {
+    const int64_t value = Parse<int64_t>(name, text);
+    if (value < 0) UsageError(name, "must be >= 0", text);
+    if (static_cast<uint64_t>(value) > max) {
+      UsageError(name, "must be <= " + std::to_string(max), text);
+    }
+    return static_cast<size_t>(value);
+  }
+
+  [[noreturn]] static void UsageError(const std::string& name,
+                                      const std::string& what,
+                                      const std::string& text) {
+    std::fprintf(stderr, "error: --%s: %s: %s\n", name.c_str(), what.c_str(),
+                 text.c_str());
+    std::exit(2);
   }
 
   std::map<std::string, std::string> values_;
@@ -311,25 +340,6 @@ int CmdBuild(const Flags& flags) {
     if (!rebalanced.ok()) return Fail(rebalanced.status());
     chunking = std::move(rebalanced);
     std::printf("rebalanced to max population %zu\n", max_chunk_pop);
-  }
-  // --tree-out additionally persists the static SR-tree (the structure the
-  // sr chunker derives its leaves from) in the "QVTSRT01" format, so fsck
-  // and the static search path have a file to work with.
-  if (flags.Has("tree-out")) {
-    if (kind != "sr") {
-      std::fprintf(stderr, "--tree-out requires --chunker sr\n");
-      return 2;
-    }
-    SrTreeConfig tree_config;
-    tree_config.leaf_capacity = chunk_size;
-    SrTree tree(&*collection, tree_config);
-    tree.BuildStatic();
-    const std::string tree_path = flags.Get("tree-out", "");
-    if (const Status saved = tree.SaveStatic(Env::Posix(), tree_path);
-        !saved.ok()) {
-      return Fail(saved);
-    }
-    std::printf("wrote static SR-tree to %s\n", tree_path.c_str());
   }
   auto index =
       ChunkIndex::Build(*collection, *chunking, Env::Posix(),
@@ -490,15 +500,16 @@ int CmdDeleteRows(const Flags& flags) {
     std::fprintf(stderr, "delete requires --dyn and --ids\n");
     return 2;
   }
+  // The whole list is checked before the index is touched, so a bad item
+  // is a usage error that changes nothing.
+  const std::vector<size_t> ids =
+      flags.GetCountList("ids", "", kInvalidDescriptorId - 1);
   auto index = OpenOrCreateDynamic(flags, /*create_if_missing=*/false);
   if (!index.ok()) return Fail(index.status());
   size_t deleted = 0;
   size_t failures = 0;
-  std::stringstream list(flags.Get("ids", ""));
-  std::string item;
-  while (std::getline(list, item, ',')) {
-    if (item.empty()) continue;
-    const auto id = static_cast<DescriptorId>(std::stoull(item));
+  for (const size_t item : ids) {
+    const auto id = static_cast<DescriptorId>(item);
     if (const Status status = (*index)->Delete(id); !status.ok()) {
       std::fprintf(stderr, "delete %u: %s\n", id, status.ToString().c_str());
       ++failures;
@@ -685,14 +696,11 @@ int CmdInfo(const Flags& flags) {
 
 // Offline integrity check: the open's envelope + header geometry and
 // per-entry checks, plus the full-file CRC and each chunk payload against
-// its index sphere. --tree additionally checks a static SR-tree file (CRC +
-// structural links).
+// its index sphere.
 // Defects print as "error: <what> in <path> at offset <n>"; exit 1.
 int CmdFsck(const Flags& flags) {
-  if (!flags.Has("index") && !flags.Has("tree") && !flags.Has("pq") &&
-      !flags.Has("dyn")) {
-    std::fprintf(stderr,
-                 "fsck requires --index, --dyn, --tree, and/or --pq\n");
+  if (!flags.Has("index") && !flags.Has("pq") && !flags.Has("dyn")) {
+    std::fprintf(stderr, "fsck requires --index, --dyn, and/or --pq\n");
     return 2;
   }
   int failures = 0;
@@ -741,22 +749,6 @@ int CmdFsck(const Flags& flags) {
       std::printf("fsck: index %s: OK (%zu chunks, dim %zu, format v%u)\n",
                   flags.Get("index", "").c_str(), index->num_chunks(),
                   index->dim(), index->file_header().version);
-    }
-  }
-  if (flags.Has("tree")) {
-    // Open validates the structure; VerifyCrc adds the checksum.
-    auto tree = StaticSrTree::Open(Env::Posix(), flags.Get("tree", ""));
-    const Status verdict = tree.ok() ? tree->VerifyCrc() : tree.status();
-    if (!verdict.ok()) {
-      std::fprintf(stderr, "fsck: tree %s: %s\n", flags.Get("tree", "").c_str(),
-                   verdict.ToString().c_str());
-      ++failures;
-    } else {
-      std::printf("fsck: tree %s: OK (%zu nodes, %zu leaves, %zu points, "
-                  "format v%u)\n",
-                  flags.Get("tree", "").c_str(), tree->num_nodes(),
-                  tree->num_leaves(), tree->num_points(),
-                  tree->header().version);
     }
   }
   if (flags.Has("pq")) {
@@ -1086,16 +1078,8 @@ int CmdTail(const Flags& flags) {
     }
   }
 
-  std::vector<size_t> budgets;
-  {
-    std::stringstream list(flags.Get("budgets", "1,2,4,8,0"));
-    std::string item;
-    while (std::getline(list, item, ',')) {
-      if (!item.empty()) {
-        budgets.push_back(static_cast<size_t>(std::stoull(item)));
-      }
-    }
-  }
+  const std::vector<size_t> budgets =
+      flags.GetCountList("budgets", "1,2,4,8,0", SIZE_MAX);
   if (budgets.empty()) {
     std::fprintf(stderr, "--budgets needs at least one entry (0 = exact)\n");
     return 2;

@@ -31,6 +31,7 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cluster/srtree_chunker.h"
@@ -329,9 +330,9 @@ int Run(int argc, char** argv) {
   std::fprintf(json,
                "{\n  \"config\": {\"collection_rows\": %zu, \"num_chunks\": "
                "%zu, \"chunk_target\": %zu, \"max_chunks\": %zu, \"k\": %zu, "
-               "\"num_threads\": 1},\n",
+               "\"num_threads\": 1, \"host_cores\": %u},\n",
                fx.collection.size(), fx.index->num_chunks(), fx.chunk_target,
-               fx.max_chunks, kK);
+               fx.max_chunks, kK, std::thread::hardware_concurrency());
   std::fprintf(json, "  \"qps\": {\n");
   for (size_t m = 0; m < 3; ++m) {
     std::fprintf(json, "    \"%s\": {", CacheModeName(kModes[m]));

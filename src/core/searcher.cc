@@ -50,7 +50,8 @@ Searcher::Searcher(const ChunkIndex* index, const DiskCostModel& cost_model,
 }
 
 int64_t Searcher::RankChunks(std::span<const float> query,
-                             SearchScratch& scratch) const {
+                             SearchScratch& scratch,
+                             const StopRule& stop) const {
   const size_t num_chunks = index_->num_chunks();
   scratch.rank_order.resize(num_chunks);
   scratch.centroid_distance.resize(num_chunks);
@@ -65,15 +66,29 @@ int64_t Searcher::RankChunks(std::span<const float> query,
     scratch.rank_order[i] = static_cast<uint32_t>(i);
     scratch.centroid_distance[i] = std::sqrt(scratch.centroid_distance[i]);
   }
-  std::sort(scratch.rank_order.begin(), scratch.rank_order.end(),
-            [&](uint32_t a, uint32_t b) {
-              if (scratch.centroid_distance[a] !=
-                  scratch.centroid_distance[b]) {
-                return scratch.centroid_distance[a] <
-                       scratch.centroid_distance[b];
-              }
-              return a < b;
-            });
+  // (distance, chunk id) is a strict total order, so the first m ranks of
+  // a partial sort are exactly the first m ranks of the full sort.
+  const auto closer = [&](uint32_t a, uint32_t b) {
+    if (scratch.centroid_distance[a] != scratch.centroid_distance[b]) {
+      return scratch.centroid_distance[a] < scratch.centroid_distance[b];
+    }
+    return a < b;
+  };
+  if (stop.kind == StopRule::Kind::kMaxChunks &&
+      stop.max_chunks < num_chunks) {
+    // Only the first max_chunks ranks are ever read.
+    std::partial_sort(scratch.rank_order.begin(),
+                      scratch.rank_order.begin() + stop.max_chunks,
+                      scratch.rank_order.end(), closer);
+  } else {
+    std::sort(scratch.rank_order.begin(), scratch.rank_order.end(), closer);
+  }
+  if (stop.kind != StopRule::Kind::kExact) {
+    // Only the exact (and epsilon) rule reads the suffix bound; clearing it
+    // leaves no stale bound from an earlier query in a reused scratch.
+    scratch.suffix_min_bound.clear();
+    return cost_model_.IndexScanMicros(num_chunks);
+  }
 
   // Suffix minimum of the chunk lower bounds (centroid distance - radius)
   // over the ranked order. suffix_min_bound[r] is the closest any
@@ -212,7 +227,7 @@ StatusOr<std::vector<MethodResult>> Searcher::Execute(
   WallClock wall;
   Stopwatch call_watch(&wall);
 
-  // --- Plan: rank every query's chunks up front (§4.3 step 1). ------------
+  // --- Plan: rank what each query's stop rule can read (§4.3 step 1). ----
   std::vector<SearchScratch> owned_scratch(
       scratch != nullptr && nq == 1 ? 0 : nq);
   std::vector<QueryState> states(nq);
@@ -221,7 +236,7 @@ StatusOr<std::vector<MethodResult>> Searcher::Execute(
     q.scratch = owned_scratch.empty() ? scratch : &owned_scratch[i];
     SearchScratch& s = *q.scratch;
     Stopwatch plan_watch(&wall);
-    q.model_micros = RankChunks(queries[i], s);
+    q.model_micros = RankChunks(queries[i], s, stop);
     QueryTelemetry& t = q.result.telemetry;
     t.plan.model_micros = q.model_micros;
     t.plan.wall_micros = plan_watch.ElapsedMicros();

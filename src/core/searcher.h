@@ -139,11 +139,11 @@ class Searcher {
                                 SearchScratch* scratch = nullptr) const;
 
   /// The k-NN executor of §4.3 over a batch of `queries` (all for the k
-  /// nearest neighbors under `stop`): every query's chunk rank order is
-  /// planned up front, demands are grouped into a chunk -> pending-queries
-  /// schedule, and each scheduled chunk is fetched and decoded once, then
-  /// swept once for all attached queries through the fused multi-query
-  /// kernels. Each query keeps its own result set, scratch, stop-rule
+  /// nearest neighbors under `stop`): every query's chunks are ranked up
+  /// front as far as `stop` can read (RankChunks), demands are grouped
+  /// into a chunk -> pending-queries schedule, and each scheduled chunk is
+  /// fetched and decoded once, then swept once for all attached queries
+  /// through the fused multi-query kernels. Each query keeps its own result set, scratch, stop-rule
   /// state, and accounting, and detaches from the schedule the moment its
   /// stop rule fires, so per-query results — neighbors, chunks_read,
   /// descriptors, exact verdicts, and (cache-less) modeled times — do not
@@ -179,13 +179,21 @@ class Searcher {
                                      double radius, const StopRule& stop,
                                      SearchScratch* scratch = nullptr) const;
 
-  /// Step 1 of §4.3 into `scratch`: centroid distances, rank order, and the
-  /// suffix-minimum lower bounds, via one batched kernel call over the
-  /// index's contiguous centroid matrix. Returns the modeled index-scan
-  /// charge. Public so tests can pin the ranking bit-identical to the
-  /// scalar per-centroid reference.
-  int64_t RankChunks(std::span<const float> query,
-                     SearchScratch& scratch) const;
+  /// Step 1 of §4.3 into `scratch`, ranking only what `stop` can read.
+  /// Every rule gets all centroid distances (one batched kernel call over
+  /// the index's contiguous centroid matrix) and `rank_order` as a
+  /// permutation of every chunk id, ordered by (distance, chunk id):
+  ///  - kExact (and epsilon): fully sorted, plus the suffix-minimum lower
+  ///    bounds the stop rule reads;
+  ///  - kMaxChunks(m): only `rank_order[0..m)` is sorted (the rest is in
+  ///    no particular order) and `suffix_min_bound` is empty;
+  ///  - kTimeBudget: fully sorted, `suffix_min_bound` empty.
+  /// The sorted ranks equal the full sort's, since the order is strict.
+  /// Returns the modeled index-scan charge, the same under every rule.
+  /// Public so tests can pin the ranking bit-identical to the scalar
+  /// per-centroid reference.
+  int64_t RankChunks(std::span<const float> query, SearchScratch& scratch,
+                     const StopRule& stop = StopRule::Exact()) const;
 
   /// The chunk index this searcher scans (borrowed).
   const ChunkIndex* index() const { return index_; }

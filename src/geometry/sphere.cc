@@ -57,48 +57,4 @@ Sphere CentroidBoundingSphere(std::span<const std::span<const float>> points,
   return sphere;
 }
 
-Sphere RitterBoundingSphere(std::span<const std::span<const float>> points,
-                            size_t dim) {
-  if (points.empty()) return Sphere(std::vector<float>(dim, 0.0f), 0.0);
-
-  // Pick any point x, find the farthest point y from x, then the farthest
-  // point z from y. Start with the sphere spanning y-z and grow to cover
-  // stragglers.
-  const auto farthest_from = [&](std::span<const float> from) {
-    size_t best = 0;
-    double best_sq = -1.0;
-    for (size_t i = 0; i < points.size(); ++i) {
-      const double sq = vec::SquaredDistance(from, points[i]);
-      if (sq > best_sq) {
-        best_sq = sq;
-        best = i;
-      }
-    }
-    return best;
-  };
-
-  const size_t y = farthest_from(points[0]);
-  const size_t z = farthest_from(points[y]);
-
-  std::vector<float> center(dim);
-  for (size_t i = 0; i < dim; ++i) {
-    center[i] = (points[y][i] + points[z][i]) / 2.0f;
-  }
-  double radius = vec::Distance(points[y], points[z]) / 2.0;
-
-  for (const auto& p : points) {
-    const double d = vec::Distance(center, p);
-    if (d > radius) {
-      // Grow: new sphere covers old sphere and p.
-      const double new_radius = (radius + d) / 2.0;
-      const double t = (d - new_radius) / d;
-      for (size_t i = 0; i < dim; ++i) {
-        center[i] = static_cast<float>(center[i] + t * (p[i] - center[i]));
-      }
-      radius = new_radius;
-    }
-  }
-  return Sphere(std::move(center), radius);
-}
-
 }  // namespace qvt

@@ -48,12 +48,6 @@ Sphere MergeSpheres(const Sphere& a, const Sphere& b);
 Sphere CentroidBoundingSphere(std::span<const std::span<const float>> points,
                               size_t dim);
 
-/// Ritter's approximate minimum enclosing sphere, for summaries where a
-/// tighter-than-centroid sphere is useful. At most ~5% larger than optimal
-/// in practice.
-Sphere RitterBoundingSphere(std::span<const std::span<const float>> points,
-                            size_t dim);
-
 }  // namespace qvt
 
 #endif  // QVT_GEOMETRY_SPHERE_H_

@@ -1,6 +1,9 @@
 #include "core/searcher.h"
 
+#include <algorithm>
+#include <cstring>
 #include <limits>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -9,6 +12,7 @@
 
 #include "cluster/round_robin.h"
 #include "cluster/srtree_chunker.h"
+#include "core/batch_searcher.h"
 #include "core/exact_scan.h"
 #include "descriptor/generator.h"
 #include "descriptor/workload.h"
@@ -494,6 +498,169 @@ TEST(SearcherTest, RankChunksMatchesScalarCentroidReference) {
     for (size_t i = 0; i < num_chunks; ++i) {
       EXPECT_EQ(scratch.centroid_distance[i], reference[i]) << "chunk " << i;
       EXPECT_EQ(scratch.rank_order[i], order[i]) << "rank " << i;
+    }
+  }
+}
+
+// An index in which every centroid appears twice: the collection holds
+// each row of TestCollection() twice (positions p and p + n), and chunk
+// c + C holds the copies of chunk c's rows in the same order, so the two
+// centroids are bit-identical and centroid-distance ties must break by
+// chunk id.
+struct DuplicatedCentroidFixture {
+  MemEnv env;
+  Collection collection;
+  std::optional<ChunkIndex> index;
+
+  DuplicatedCentroidFixture() {
+    const Collection base = TestCollection();
+    const size_t n = base.size();
+    for (size_t copy = 0; copy < 2; ++copy) {
+      for (size_t p = 0; p < n; ++p) {
+        collection.Append(static_cast<DescriptorId>(base.Id(p) + copy * n),
+                          base.Vector(p), base.Image(p));
+      }
+    }
+    SrTreeChunker chunker(60);
+    auto chunking = chunker.FormChunks(base);
+    QVT_CHECK(chunking.ok());
+    QVT_CHECK(chunking->outliers.empty());
+    const size_t num_base_chunks = chunking->chunks.size();
+    for (size_t c = 0; c < num_base_chunks; ++c) {
+      std::vector<size_t> copy = chunking->chunks[c];
+      for (size_t& p : copy) p += n;
+      chunking->chunks.push_back(std::move(copy));
+    }
+    auto built = ChunkIndex::Build(collection, *chunking, &env,
+                                   ChunkIndexPaths::ForBase("dup"));
+    QVT_CHECK(built.ok());
+    index.emplace(std::move(built).value());
+  }
+};
+
+// Under MaxChunks(m) RankChunks sorts only the first m ranks. Those ranks
+// and every centroid distance must equal the full ranking's, with ties
+// (every centroid is duplicated) broken by chunk id; no suffix bound from
+// an earlier exact ranking may survive in the reused scratch.
+TEST(SearcherTest, MaxChunksRankingIsPrefixOfFullRanking) {
+  DuplicatedCentroidFixture fx;
+  Searcher searcher(&*fx.index, DiskCostModel());
+  const size_t n = fx.index->num_chunks();
+  ASSERT_GE(n, 10u);
+  const size_t half = n / 2;
+  for (size_t c = 0; c < half; ++c) {
+    const auto a = fx.index->centroid(c);
+    const auto b = fx.index->centroid(c + half);
+    ASSERT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(float)), 0)
+        << "chunk " << c;
+  }
+
+  Rng rng(23);
+  std::vector<std::vector<float>> queries;
+  for (int trial = 0; trial < 5; ++trial) {
+    std::vector<float> query(kDescriptorDim);
+    for (auto& x : query) x = static_cast<float>(rng.UniformDouble(20, 80));
+    queries.push_back(std::move(query));
+  }
+  for (size_t pos : {0u, 333u}) {
+    const auto v = fx.collection.Vector(pos);
+    queries.emplace_back(v.begin(), v.end());
+  }
+
+  SearchScratch full;
+  SearchScratch partial;
+  for (size_t qi = 0; qi < queries.size(); ++qi) {
+    const int64_t full_micros = searcher.RankChunks(queries[qi], full);
+    ASSERT_EQ(full.rank_order.size(), n);
+    for (const size_t m : {size_t{0}, size_t{1}, size_t{8}, n - 1, n, n + 3}) {
+      const std::string label =
+          "query " + std::to_string(qi) + " m " + std::to_string(m);
+      searcher.RankChunks(queries[qi], partial);  // leaves a suffix bound
+      ASSERT_EQ(partial.suffix_min_bound.size(), n + 1) << label;
+      EXPECT_EQ(searcher.RankChunks(queries[qi], partial,
+                                    StopRule::MaxChunks(m)),
+                full_micros)
+          << label;
+      EXPECT_TRUE(partial.suffix_min_bound.empty()) << label;
+      ASSERT_EQ(partial.rank_order.size(), n) << label;
+      ASSERT_EQ(partial.centroid_distance.size(), n) << label;
+      for (size_t r = 0; r < std::min(m, n); ++r) {
+        EXPECT_EQ(partial.rank_order[r], full.rank_order[r])
+            << label << " rank " << r;
+      }
+      for (size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(std::memcmp(&partial.centroid_distance[i],
+                              &full.centroid_distance[i], sizeof(double)),
+                  0)
+            << label << " chunk " << i;
+      }
+      // The unsorted tail still names every chunk exactly once.
+      std::vector<uint32_t> ids = partial.rank_order;
+      std::sort(ids.begin(), ids.end());
+      for (size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(ids[i], i) << label;
+      }
+    }
+  }
+}
+
+// The executor under MaxChunks plans with the partial ranking; the
+// rank-order reference plans with the full one. For every budget, thread
+// count and batch mode the answers, chunks read, model clock and exact
+// verdict must agree bit for bit.
+TEST(SearcherTest, MaxChunksExecutorsMatchFullRankingReference) {
+  DuplicatedCentroidFixture fx;
+  const DiskCostModel model;
+  Searcher searcher(&*fx.index, model);
+  const auto method = MakeChunkedMethod(&*fx.index);
+  const size_t n = fx.index->num_chunks();
+  Rng rng(29);
+  const Workload workload = MakeDatasetQueries(fx.collection, 24, &rng);
+  std::vector<std::span<const float>> spans;
+  for (size_t q = 0; q < workload.num_queries(); ++q) {
+    spans.push_back(workload.Query(q));
+  }
+
+  SearchScratch reused;
+  for (const size_t m : {size_t{1}, size_t{8}, n, n + 3}) {
+    const StopRule rule = StopRule::MaxChunks(m);
+    std::vector<MethodResult> reference;
+    for (const auto& query : spans) {
+      reference.push_back(RankOrderReference(searcher, model, query, 10, rule));
+    }
+    for (size_t q = 0; q < spans.size(); ++q) {
+      const std::string label =
+          "m " + std::to_string(m) + " query " + std::to_string(q);
+      // A scratch last used by an exact search must not leak its plan.
+      ASSERT_TRUE(
+          searcher.Search(spans[q], 10, StopRule::Exact(), nullptr, &reused)
+              .ok());
+      auto alone = searcher.Search(spans[q], 10, rule, nullptr, &reused);
+      ASSERT_TRUE(alone.ok()) << label;
+      ExpectMatchesReference(*alone, reference[q], label + " (Search)");
+    }
+    for (const size_t threads : {size_t{1}, size_t{4}}) {
+      const std::string label =
+          "m " + std::to_string(m) + " t" + std::to_string(threads);
+      auto shared = searcher.SearchShared(spans, 10, rule, threads);
+      ASSERT_TRUE(shared.ok()) << label;
+      for (size_t q = 0; q < spans.size(); ++q) {
+        ExpectMatchesReference((*shared)[q], reference[q],
+                               label + " query " + std::to_string(q) +
+                                   " (SearchShared)");
+      }
+      for (const bool shared_scan : {true, false}) {
+        const std::string mode =
+            shared_scan ? " (chunk-major)" : " (query-major)";
+        BatchSearcher batcher(method.get(), threads, shared_scan);
+        auto batch = batcher.SearchAll(workload, 10, rule);
+        ASSERT_TRUE(batch.ok()) << label << mode;
+        EXPECT_EQ(batch->shared.enabled, shared_scan) << label << mode;
+        for (size_t q = 0; q < spans.size(); ++q) {
+          ExpectMatchesReference(batch->results[q], reference[q],
+                                 label + " query " + std::to_string(q) + mode);
+        }
+      }
     }
   }
 }

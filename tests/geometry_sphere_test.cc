@@ -92,19 +92,6 @@ TEST_P(SpherePropertyTest, CentroidBoundingSphereCoversAllPoints) {
   EXPECT_NEAR(s.radius, max_dist, 1e-6);
 }
 
-TEST_P(SpherePropertyTest, RitterSphereCoversAllPointsAndIsReasonable) {
-  Rng rng(GetParam() ^ 0xcafe);
-  std::vector<std::vector<float>> points;
-  for (int i = 0; i < 40; ++i) points.push_back(RandomPoint(&rng, 6));
-  std::vector<std::span<const float>> spans(points.begin(), points.end());
-  const Sphere ritter = RitterBoundingSphere(spans, 6);
-  const Sphere centroid = CentroidBoundingSphere(spans, 6);
-  for (const auto& p : points) EXPECT_TRUE(ritter.Contains(p, 1e-4));
-  // Ritter is usually tighter than the centroid sphere and never wildly
-  // larger.
-  EXPECT_LE(ritter.radius, centroid.radius * 1.3);
-}
-
 INSTANTIATE_TEST_SUITE_P(Seeds, SpherePropertyTest,
                          ::testing::Values(11, 22, 33));
 
@@ -112,8 +99,6 @@ TEST(BoundingSphereTest, EmptyPointsGiveZeroSphere) {
   const Sphere s = CentroidBoundingSphere({}, 4);
   EXPECT_EQ(s.dim(), 4u);
   EXPECT_DOUBLE_EQ(s.radius, 0.0);
-  const Sphere r = RitterBoundingSphere({}, 4);
-  EXPECT_EQ(r.dim(), 4u);
 }
 
 TEST(BoundingSphereTest, SinglePointSphere) {

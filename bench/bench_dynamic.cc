@@ -376,6 +376,8 @@ int Main(int argc, char** argv) {
   json << "  \"method\": \"" << options.method << "\",\n";
   json << "  \"descriptors\": " << n << ",\n";
   json << "  \"readers\": " << num_readers << ",\n";
+  json << "  \"host_cores\": " << std::thread::hardware_concurrency()
+       << ",\n";
   json << "  \"ingest\": {\n";
   json << "    \"inserts\": " << ingest_stats.inserts << ",\n";
   json << "    \"deletes\": " << ingest_stats.deletes << ",\n";

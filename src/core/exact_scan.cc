@@ -9,9 +9,11 @@
 namespace qvt {
 
 std::vector<Neighbor> ExactScan(const Collection& collection,
-                                std::span<const float> query, size_t k) {
+                                std::span<const float> query, size_t k,
+                                std::span<const DescriptorId> excluded,
+                                uint64_t* refused) {
   QVT_CHECK(k > 0);
-  KnnResultSet result(k);
+  KnnResultSet result(k, excluded);
   // Blocked kernel scan with early abandon against the running k-th
   // distance; AbandonThreshold()'s margin keeps the output bit-identical to
   // the naive per-descriptor loop.
@@ -30,6 +32,7 @@ std::vector<Neighbor> ExactScan(const Collection& collection,
       result.Insert(collection.Id(b + i), std::sqrt(sq));
     }
   }
+  if (refused != nullptr) *refused = result.refused();
   return result.Sorted();
 }
 

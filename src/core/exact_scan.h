@@ -15,9 +15,13 @@ namespace qvt {
 
 /// Exact k nearest neighbors of `query` by sequential scan of `collection`,
 /// sorted by ascending distance. The reference answer every approximate
-/// search is scored against (§5.4).
+/// search is scored against (§5.4). Ids in `excluded` (sorted ascending)
+/// are refused by the result set; `refused`, when non-null, receives how
+/// many were.
 std::vector<Neighbor> ExactScan(const Collection& collection,
-                                std::span<const float> query, size_t k);
+                                std::span<const float> query, size_t k,
+                                std::span<const DescriptorId> excluded = {},
+                                uint64_t* refused = nullptr);
 
 /// Precomputed exact answers for a whole workload — the paper's ground-truth
 /// file ("we first ran a sequential scan of the collection, and stored the

@@ -88,14 +88,15 @@ LshIndex LshIndex::Build(const Collection* collection,
 }
 
 StatusOr<std::vector<Neighbor>> LshIndex::Search(
-    std::span<const float> query, size_t k, QueryTelemetry* telemetry) const {
+    std::span<const float> query, size_t k, QueryTelemetry* telemetry,
+    std::span<const DescriptorId> excluded) const {
   QVT_RETURN_IF_ERROR(ValidateQuery(query, collection_->dim()));
   if (k == 0) return Status::InvalidArgument("k must be positive");
 
   WallClock wall;
   Stopwatch stopwatch(&wall);
   QueryTelemetry telem;
-  KnnResultSet result(k);
+  KnnResultSet result(k, excluded);
   std::vector<uint8_t> seen(collection_->size(), 0);
 
   // Plan stage: hash the query once per table (the bucket keys fully
@@ -123,6 +124,7 @@ StatusOr<std::vector<Neighbor>> LshIndex::Search(
   telem.scan.wall_micros = telem.wall_micros - telem.plan.wall_micros;
   telem.bytes_read = telem.descriptors_scanned *
                     DescriptorRecordBytes(collection_->dim());
+  telem.tombstones_filtered = result.refused();
   if (telemetry != nullptr) *telemetry = telem;
   return result.Sorted();
 }

@@ -39,9 +39,11 @@ class LshIndex {
   /// candidates. `telemetry`, when non-null, receives the unified query
   /// record (probes = buckets probed, candidates_examined = bucket members
   /// before dedup, descriptors_scanned = exact distance computations).
+  /// Ids in `excluded` (sorted ascending) are refused by the result set.
   StatusOr<std::vector<Neighbor>> Search(
       std::span<const float> query, size_t k,
-      QueryTelemetry* telemetry = nullptr) const;
+      QueryTelemetry* telemetry = nullptr,
+      std::span<const DescriptorId> excluded = {}) const;
 
   double bucket_width() const { return config_.bucket_width; }
 

@@ -62,7 +62,8 @@ MedrankIndex MedrankIndex::Build(const Collection* collection,
 }
 
 StatusOr<std::vector<Neighbor>> MedrankIndex::Search(
-    std::span<const float> query, size_t k, QueryTelemetry* telemetry) const {
+    std::span<const float> query, size_t k, QueryTelemetry* telemetry,
+    std::span<const DescriptorId> excluded) const {
   const size_t dim = collection_->dim();
   const size_t n = collection_->size();
   QVT_RETURN_IF_ERROR(ValidateQuery(query, dim));
@@ -155,6 +156,10 @@ StatusOr<std::vector<Neighbor>> MedrankIndex::Search(
     ++telem.index_entries_scanned;
 
     if (++seen_count[position] == needed) {
+      if (IsExcluded(excluded, collection_->Id(position))) {
+        ++telem.tombstones_filtered;
+        continue;
+      }
       ++telem.candidates_examined;
       ++telem.descriptors_scanned;
       result.push_back(

@@ -42,10 +42,13 @@ class MedrankIndex {
   /// query record (probes = lines walked, index_entries_scanned =
   /// sorted-access steps — the algorithm's I/O unit, in which Medrank is
   /// I/O-optimal; descriptors_scanned = emitted neighbors whose distances
-  /// are filled in).
+  /// are filled in). Ids in `excluded` (sorted ascending) are refused where
+  /// they would be emitted, so the walk goes on to the next live candidate;
+  /// it stops with fewer than k when every line is exhausted.
   StatusOr<std::vector<Neighbor>> Search(
       std::span<const float> query, size_t k,
-      QueryTelemetry* telemetry = nullptr) const;
+      QueryTelemetry* telemetry = nullptr,
+      std::span<const DescriptorId> excluded = {}) const;
 
   size_t num_lines() const { return config_.num_lines; }
 

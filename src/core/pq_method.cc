@@ -166,8 +166,9 @@ size_t PqMethod::ResidentBytes() const {
          id_to_position_.size() * sizeof(id_to_position_[0]);
 }
 
-StatusOr<MethodResult> PqMethod::Search(std::span<const float> query, size_t k,
-                                        const StopRule& stop) const {
+StatusOr<MethodResult> PqMethod::Search(
+    std::span<const float> query, size_t k, const StopRule& stop,
+    std::span<const DescriptorId> excluded) const {
   if (!prepared_) {
     return Status::FailedPrecondition("pq used before Prepare()");
   }
@@ -194,8 +195,9 @@ StatusOr<MethodResult> PqMethod::Search(std::span<const float> query, size_t k,
   // threshold tightens as the filter fills. The filter keeps the best
   // max(R, k) rows by (ADC distance, row) — row order, not id order, since
   // ADC values are bit-identical across backends this stays deterministic.
+  // Excluded rows are refused here, so the survivors are all live.
   const size_t depth = std::min(std::max(config_.rerank, k), num_rows_);
-  KnnResultSet filter(depth);
+  KnnResultSet filter(depth, excluded);
   {
     Stopwatch phase(&wall);
     static thread_local std::vector<double> adc;
@@ -209,12 +211,14 @@ StatusOr<MethodResult> PqMethod::Search(std::span<const float> query, size_t k,
                               filter.KthDistance(), adc.data());
       for (size_t i = 0; i < count; ++i) {
         if (adc[i] == kernels::kAbandoned) continue;
-        filter.Insert(static_cast<DescriptorId>(start + i), adc[i]);
+        filter.Insert(static_cast<DescriptorId>(start + i), adc[i],
+                      ids_[start + i]);
       }
     }
     t.scan.wall_micros = phase.ElapsedMicros();
   }
   t.index_entries_scanned = num_rows_;
+  t.tombstones_filtered = filter.refused();
 
   // Refine: exact distances for the survivors, visited in ADC-score order.
   {
@@ -249,8 +253,8 @@ StatusOr<MethodResult> PqMethod::Search(std::span<const float> query, size_t k,
 
 StatusOr<std::vector<MethodResult>> PqMethod::SearchShared(
     std::span<const std::span<const float>> queries, size_t k,
-    const StopRule& stop, size_t num_threads,
-    SharedScanStats* stats) const {
+    const StopRule& stop, size_t num_threads, SharedScanStats* stats,
+    std::span<const DescriptorId> excluded) const {
   if (!prepared_) {
     return Status::FailedPrecondition("pq used before Prepare()");
   }
@@ -281,7 +285,7 @@ StatusOr<std::vector<MethodResult>> PqMethod::SearchShared(
     q.table.resize(config_.m * config_.ksub);
     kernels::BuildAdcTable(codebooks_.data(), config_.m, config_.ksub,
                            sub_dim_, queries[i], q.table.data());
-    q.filter.emplace(depth);
+    q.filter.emplace(depth, excluded);
     q.adc.resize(kScanBlock);
     q.result.telemetry.plan.wall_micros = phase.ElapsedMicros();
     q.wall_micros = q.result.telemetry.plan.wall_micros;
@@ -319,7 +323,8 @@ StatusOr<std::vector<MethodResult>> PqMethod::SearchShared(
           const double* adc = outs[j];
           for (size_t i = 0; i < count; ++i) {
             if (adc[i] == kernels::kAbandoned) continue;
-            filter.Insert(static_cast<DescriptorId>(start + i), adc[i]);
+            filter.Insert(static_cast<DescriptorId>(start + i), adc[i],
+                          ids_[start + i]);
           }
         }
       }
@@ -344,6 +349,7 @@ StatusOr<std::vector<MethodResult>> PqMethod::SearchShared(
       q.result.telemetry.scan.wall_micros = share;
       q.wall_micros += share;
       q.result.telemetry.index_entries_scanned = num_rows_;
+      q.result.telemetry.tombstones_filtered = q.filter->refused();
     }
     if (stats != nullptr && nq > 0) {
       stats->rows_scan_shared +=

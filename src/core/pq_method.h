@@ -60,8 +60,11 @@ class PqMethod final : public SearchMethod {
 
   Status Prepare() override;
 
-  StatusOr<MethodResult> Search(std::span<const float> query, size_t k,
-                                const StopRule& stop) const override;
+  /// `excluded` ids are refused at the ADC filter (each row mapped to its
+  /// id once it beats the filter's k-th), so they are never reranked.
+  StatusOr<MethodResult> Search(
+      std::span<const float> query, size_t k, const StopRule& stop,
+      std::span<const DescriptorId> excluded = {}) const override;
 
   bool SupportsSharedScan() const override { return true; }
 
@@ -73,8 +76,8 @@ class PqMethod final : public SearchMethod {
   /// batch's coalescing ledger.
   StatusOr<std::vector<MethodResult>> SearchShared(
       std::span<const std::span<const float>> queries, size_t k,
-      const StopRule& stop, size_t num_threads,
-      SharedScanStats* stats) const override;
+      const StopRule& stop, size_t num_threads, SharedScanStats* stats,
+      std::span<const DescriptorId> excluded = {}) const override;
 
   /// Bytes of RAM the prepared first pass holds resident (codebooks +
   /// packed codes + id sidecar + rerank routing table). For `qvt_tool

@@ -64,7 +64,8 @@ double PSphereTree::ReplicationFactor() const {
 }
 
 StatusOr<std::vector<Neighbor>> PSphereTree::Search(
-    std::span<const float> query, size_t k, QueryTelemetry* telemetry) const {
+    std::span<const float> query, size_t k, QueryTelemetry* telemetry,
+    std::span<const DescriptorId> excluded) const {
   QVT_RETURN_IF_ERROR(ValidateQuery(query, dim_));
   if (k == 0) return Status::InvalidArgument("k must be positive");
 
@@ -87,7 +88,7 @@ StatusOr<std::vector<Neighbor>> PSphereTree::Search(
   telem.plan.wall_micros = stopwatch.ElapsedMicros();
 
   // ...and a single sequential scan of its members.
-  KnnResultSet result(k);
+  KnnResultSet result(k, excluded);
   for (uint32_t pos : members_[best]) {
     result.Insert(collection_->Id(pos),
                   vec::Distance(collection_->Vector(pos), query));
@@ -97,6 +98,7 @@ StatusOr<std::vector<Neighbor>> PSphereTree::Search(
   telem.descriptors_scanned = members_[best].size();
   telem.bytes_read =
       telem.descriptors_scanned * DescriptorRecordBytes(dim_);
+  telem.tombstones_filtered = result.refused();
   telem.wall_micros = stopwatch.ElapsedMicros();
   telem.scan.wall_micros = telem.wall_micros - telem.plan.wall_micros;
   if (telemetry != nullptr) *telemetry = telem;

@@ -38,10 +38,12 @@ class PSphereTree {
   /// Approximate k-NN from the single nearest sphere. `telemetry`, when
   /// non-null, receives the unified query record (probes = 1 sphere,
   /// index_entries_scanned = sphere centers ranked, descriptors_scanned =
-  /// members of the probed sphere).
+  /// members of the probed sphere). Ids in `excluded` (sorted ascending)
+  /// are refused by the result set.
   StatusOr<std::vector<Neighbor>> Search(
       std::span<const float> query, size_t k,
-      QueryTelemetry* telemetry = nullptr) const;
+      QueryTelemetry* telemetry = nullptr,
+      std::span<const DescriptorId> excluded = {}) const;
 
   size_t num_spheres() const { return centers_.size() / dim_; }
   /// Total stored vectors across spheres / collection size (>= 1).

@@ -17,24 +17,38 @@ bool HeapLess(const Neighbor& a, const Neighbor& b) {
 }
 }  // namespace
 
-KnnResultSet::KnnResultSet(size_t k) : k_(k) {
+bool IsExcluded(std::span<const DescriptorId> excluded, DescriptorId id) {
+  return !excluded.empty() &&
+         std::binary_search(excluded.begin(), excluded.end(), id);
+}
+
+KnnResultSet::KnnResultSet(size_t k, std::span<const DescriptorId> excluded)
+    : k_(k), excluded_(excluded) {
   QVT_CHECK(k > 0);
   heap_.reserve(k);
 }
 
-bool KnnResultSet::Insert(DescriptorId id, double distance) {
-  if (heap_.size() < k_) {
-    heap_.push_back({id, distance});
+bool KnnResultSet::Insert(DescriptorId key, double distance,
+                          DescriptorId id) {
+  const bool full = heap_.size() == k_;
+  if (full) {
+    const Neighbor& worst = heap_.front();
+    if (distance > worst.distance ||
+        (distance == worst.distance && key >= worst.id)) {
+      return false;
+    }
+  }
+  if (IsExcluded(excluded_, id)) {
+    ++refused_;
+    return false;
+  }
+  if (!full) {
+    heap_.push_back({key, distance});
     std::push_heap(heap_.begin(), heap_.end(), HeapLess);
     return true;
   }
-  const Neighbor& worst = heap_.front();
-  if (distance > worst.distance ||
-      (distance == worst.distance && id >= worst.id)) {
-    return false;
-  }
   std::pop_heap(heap_.begin(), heap_.end(), HeapLess);
-  heap_.back() = {id, distance};
+  heap_.back() = {key, distance};
   std::push_heap(heap_.begin(), heap_.end(), HeapLess);
   return true;
 }

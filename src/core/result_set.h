@@ -1,6 +1,7 @@
 #ifndef QVT_CORE_RESULT_SET_H_
 #define QVT_CORE_RESULT_SET_H_
 
+#include <cstdint>
 #include <limits>
 #include <span>
 #include <vector>
@@ -15,18 +16,39 @@ struct Neighbor {
   double distance = std::numeric_limits<double>::infinity();
 };
 
+/// True when `id` is in `excluded`, a list sorted ascending: the binary
+/// search behind every dead-id filter.
+bool IsExcluded(std::span<const DescriptorId> excluded, DescriptorId id);
+
 /// Bounded max-heap holding the current k best candidates during a search.
 /// Insert is O(log k) and a no-op when the candidate is worse than the
 /// current k-th under (distance, id) order — exact-distance ties are broken
 /// by the smaller descriptor id, so the final set does not depend on the
 /// order candidates were offered (scan order, chunker, or thread schedule).
+///
+/// `excluded` (sorted ascending, borrowed) lists ids that must never be
+/// kept: the dynamic layer's deleted rows. A candidate is checked against it
+/// only after it has beaten the current k-th, so rows that would not enter
+/// cost nothing extra, and a dead row never takes a slot — the k-th
+/// distance, and with it every abandon threshold, is that of the live rows.
 class KnnResultSet {
  public:
-  explicit KnnResultSet(size_t k);
+  explicit KnnResultSet(size_t k,
+                        std::span<const DescriptorId> excluded = {});
 
-  /// Offers a candidate; keeps it only if it improves the top-k.
-  /// Returns true if the candidate entered the result set.
-  bool Insert(DescriptorId id, double distance);
+  /// Offers a candidate; keeps it only if it improves the top-k and its id
+  /// is not excluded. Returns true if the candidate entered the result set.
+  bool Insert(DescriptorId id, double distance) {
+    return Insert(id, distance, id);
+  }
+
+  /// Insert for sets keyed by something other than the descriptor id (the
+  /// pq filter keys by code row): `key` orders and is stored, `id` is what
+  /// the excluded list is checked against.
+  bool Insert(DescriptorId key, double distance, DescriptorId id);
+
+  /// Candidates refused because their id is excluded.
+  uint64_t refused() const { return refused_; }
 
   size_t k() const { return k_; }
   size_t size() const { return heap_.size(); }
@@ -44,10 +66,15 @@ class KnnResultSet {
   /// intact.
   std::vector<Neighbor> Sorted() const;
 
-  void Clear() { heap_.clear(); }
+  void Clear() {
+    heap_.clear();
+    refused_ = 0;
+  }
 
  private:
   size_t k_;
+  std::span<const DescriptorId> excluded_;
+  uint64_t refused_ = 0;
   std::vector<Neighbor> heap_;  // max-heap by distance
 };
 

@@ -139,7 +139,7 @@ StatusOr<MethodResult> SearchMethod::SearchRange(std::span<const float>,
 
 StatusOr<std::vector<MethodResult>> SearchMethod::SearchShared(
     std::span<const std::span<const float>>, size_t, const StopRule&, size_t,
-    SharedScanStats*) const {
+    SharedScanStats*, std::span<const DescriptorId>) const {
   return Status::Unimplemented(std::string(name()) +
                                " does not support shared scans");
 }
@@ -191,11 +191,12 @@ class ChunkedMethod final : public SearchMethod {
     return Status::OK();
   }
 
-  StatusOr<MethodResult> Search(std::span<const float> query, size_t k,
-                                const StopRule& stop) const override {
+  StatusOr<MethodResult> Search(
+      std::span<const float> query, size_t k, const StopRule& stop,
+      std::span<const DescriptorId> excluded) const override {
     QVT_RETURN_IF_ERROR(RequirePrepared(prepared_, name()));
     static thread_local SearchScratch scratch;
-    return searcher_.Search(query, k, stop, nullptr, &scratch);
+    return searcher_.Search(query, k, stop, nullptr, &scratch, excluded);
   }
 
   StatusOr<MethodResult> SearchRange(std::span<const float> query,
@@ -210,10 +211,11 @@ class ChunkedMethod final : public SearchMethod {
 
   StatusOr<std::vector<MethodResult>> SearchShared(
       std::span<const std::span<const float>> queries, size_t k,
-      const StopRule& stop, size_t num_threads,
-      SharedScanStats* stats) const override {
+      const StopRule& stop, size_t num_threads, SharedScanStats* stats,
+      std::span<const DescriptorId> excluded) const override {
     QVT_RETURN_IF_ERROR(RequirePrepared(prepared_, name()));
-    return searcher_.SearchShared(queries, k, stop, num_threads, stats);
+    return searcher_.SearchShared(queries, k, stop, num_threads, stats,
+                                  excluded);
   }
 
   size_t ResidentBytes() const override {
@@ -255,8 +257,9 @@ class ExactScanMethod final : public SearchMethod {
     return Status::OK();
   }
 
-  StatusOr<MethodResult> Search(std::span<const float> query, size_t k,
-                                const StopRule& stop) const override {
+  StatusOr<MethodResult> Search(
+      std::span<const float> query, size_t k, const StopRule& stop,
+      std::span<const DescriptorId> excluded) const override {
     QVT_RETURN_IF_ERROR(RequirePrepared(prepared_, name()));
     QVT_RETURN_IF_ERROR(RequireExactStop(stop, name()));
     if (k == 0) return Status::InvalidArgument("k must be positive");
@@ -264,7 +267,8 @@ class ExactScanMethod final : public SearchMethod {
     WallClock wall;
     Stopwatch stopwatch(&wall);
     MethodResult result;
-    result.neighbors = ExactScan(*collection_, query, k);
+    result.neighbors = ExactScan(*collection_, query, k, excluded,
+                                 &result.telemetry.tombstones_filtered);
     FillTelemetry(stopwatch.ElapsedMicros(), &result.telemetry);
     return result;
   }
@@ -335,13 +339,14 @@ class LshMethod final : public SearchMethod {
     return Status::OK();
   }
 
-  StatusOr<MethodResult> Search(std::span<const float> query, size_t k,
-                                const StopRule& stop) const override {
+  StatusOr<MethodResult> Search(
+      std::span<const float> query, size_t k, const StopRule& stop,
+      std::span<const DescriptorId> excluded) const override {
     QVT_RETURN_IF_ERROR(RequirePrepared(index_.has_value(), name()));
     QVT_RETURN_IF_ERROR(RequireExactStop(stop, name()));
     MethodResult result;
     QVT_ASSIGN_OR_RETURN(result.neighbors,
-                         index_->Search(query, k, &result.telemetry));
+                         index_->Search(query, k, &result.telemetry, excluded));
     return result;
   }
 
@@ -390,15 +395,16 @@ class VaFileMethod final : public SearchMethod {
     return Status::OK();
   }
 
-  StatusOr<MethodResult> Search(std::span<const float> query, size_t k,
-                                const StopRule& stop) const override {
+  StatusOr<MethodResult> Search(
+      std::span<const float> query, size_t k, const StopRule& stop,
+      std::span<const DescriptorId> excluded) const override {
     QVT_RETURN_IF_ERROR(RequirePrepared(va_.has_value(), name()));
     QVT_RETURN_IF_ERROR(RequireExactStop(stop, name()));
     MethodResult result;
     QVT_ASSIGN_OR_RETURN(
         result.neighbors,
-        va_->SearchApproximate(query, k, max_refinements_,
-                               &result.telemetry));
+        va_->SearchApproximate(query, k, max_refinements_, &result.telemetry,
+                               excluded));
     return result;
   }
 
@@ -441,13 +447,14 @@ class MedrankMethod final : public SearchMethod {
     return Status::OK();
   }
 
-  StatusOr<MethodResult> Search(std::span<const float> query, size_t k,
-                                const StopRule& stop) const override {
+  StatusOr<MethodResult> Search(
+      std::span<const float> query, size_t k, const StopRule& stop,
+      std::span<const DescriptorId> excluded) const override {
     QVT_RETURN_IF_ERROR(RequirePrepared(index_.has_value(), name()));
     QVT_RETURN_IF_ERROR(RequireExactStop(stop, name()));
     MethodResult result;
     QVT_ASSIGN_OR_RETURN(result.neighbors,
-                         index_->Search(query, k, &result.telemetry));
+                         index_->Search(query, k, &result.telemetry, excluded));
     // The native API emits rank order; the unified contract is (distance,
     // id) like every other method.
     SortNeighbors(&result.neighbors);
@@ -499,13 +506,14 @@ class PSphereMethod final : public SearchMethod {
     return Status::OK();
   }
 
-  StatusOr<MethodResult> Search(std::span<const float> query, size_t k,
-                                const StopRule& stop) const override {
+  StatusOr<MethodResult> Search(
+      std::span<const float> query, size_t k, const StopRule& stop,
+      std::span<const DescriptorId> excluded) const override {
     QVT_RETURN_IF_ERROR(RequirePrepared(tree_.has_value(), name()));
     QVT_RETURN_IF_ERROR(RequireExactStop(stop, name()));
     MethodResult result;
     QVT_ASSIGN_OR_RETURN(result.neighbors,
-                         tree_->Search(query, k, &result.telemetry));
+                         tree_->Search(query, k, &result.telemetry, excluded));
     return result;
   }
 

@@ -103,6 +103,11 @@ Status ValidateQuery(std::span<const float> query, size_t dim);
 ///  * Methods without stop-rule support fail InvalidArgument on any stop
 ///    other than StopRule::Exact(); methods without range support fail
 ///    Unimplemented on SearchRange.
+///  * `excluded` (ids sorted ascending; empty for static searches) never
+///    appear in an answer. Each method hands it to the structure that
+///    selects its candidates, so a dead row never takes a slot a live one
+///    could fill; telemetry.tombstones_filtered counts the refusals. The
+///    dynamic layer passes a shard's pending tombstones here.
 class SearchMethod {
  public:
   virtual ~SearchMethod() = default;
@@ -120,7 +125,8 @@ class SearchMethod {
   /// k-nearest-neighbor query under `stop`.
   virtual StatusOr<MethodResult> Search(
       std::span<const float> query, size_t k,
-      const StopRule& stop = StopRule::Exact()) const = 0;
+      const StopRule& stop = StopRule::Exact(),
+      std::span<const DescriptorId> excluded = {}) const = 0;
 
   /// Epsilon-neighbor (range) query. Default: Unimplemented.
   virtual StatusOr<MethodResult> SearchRange(std::span<const float> query,
@@ -142,8 +148,8 @@ class SearchMethod {
   /// coalescing ledger. Default: Unimplemented (check SupportsSharedScan).
   virtual StatusOr<std::vector<MethodResult>> SearchShared(
       std::span<const std::span<const float>> queries, size_t k,
-      const StopRule& stop, size_t num_threads,
-      SharedScanStats* stats) const;
+      const StopRule& stop, size_t num_threads, SharedScanStats* stats,
+      std::span<const DescriptorId> excluded = {}) const;
 
   /// Bytes of RAM the prepared method holds resident beyond the collection
   /// itself (hash tables, sorted projections, centroids, packed codes, ...).

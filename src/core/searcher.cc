@@ -119,23 +119,24 @@ void Searcher::FinishTelemetry(QueryTelemetry& t) const {
   t.candidates_examined = t.descriptors_scanned;
 }
 
-StatusOr<MethodResult> Searcher::Search(std::span<const float> query,
-                                        size_t k, const StopRule& stop,
-                                        const SearchObserver& observer,
-                                        SearchScratch* scratch) const {
+StatusOr<MethodResult> Searcher::Search(
+    std::span<const float> query, size_t k, const StopRule& stop,
+    const SearchObserver& observer, SearchScratch* scratch,
+    std::span<const DescriptorId> excluded) const {
   SearchScratch local_scratch;
   QVT_ASSIGN_OR_RETURN(
       std::vector<MethodResult> results,
       Execute({&query, 1}, k, stop, /*num_threads=*/1, nullptr, observer,
-              scratch != nullptr ? scratch : &local_scratch));
+              scratch != nullptr ? scratch : &local_scratch, excluded));
   return std::move(results.front());
 }
 
 StatusOr<std::vector<MethodResult>> Searcher::SearchShared(
     std::span<const std::span<const float>> queries, size_t k,
-    const StopRule& stop, size_t num_threads,
-    SharedScanStats* shared) const {
-  return Execute(queries, k, stop, num_threads, shared, nullptr, nullptr);
+    const StopRule& stop, size_t num_threads, SharedScanStats* shared,
+    std::span<const DescriptorId> excluded) const {
+  return Execute(queries, k, stop, num_threads, shared, nullptr, nullptr,
+                 excluded);
 }
 
 namespace {
@@ -216,7 +217,8 @@ void SweepChunkForQueries(const ChunkData& data,
 StatusOr<std::vector<MethodResult>> Searcher::Execute(
     std::span<const std::span<const float>> queries, size_t k,
     const StopRule& stop, size_t num_threads, SharedScanStats* shared,
-    const SearchObserver& observer, SearchScratch* scratch) const {
+    const SearchObserver& observer, SearchScratch* scratch,
+    std::span<const DescriptorId> excluded) const {
   if (k == 0) return Status::InvalidArgument("k must be positive");
   for (const auto& query : queries) {
     QVT_RETURN_IF_ERROR(ValidateQuery(query, index_->dim()));
@@ -241,7 +243,7 @@ StatusOr<std::vector<MethodResult>> Searcher::Execute(
     t.plan.model_micros = q.model_micros;
     t.plan.wall_micros = plan_watch.ElapsedMicros();
     q.wall_micros = t.plan.wall_micros;
-    q.result_set.emplace(k);
+    q.result_set.emplace(k, excluded);
     s.distances.resize(kScanBlock);  // sweep output, reserved once
     s.wide_query.assign(queries[i].begin(), queries[i].end());
     s.charges.clear();
@@ -486,6 +488,7 @@ StatusOr<std::vector<MethodResult>> Searcher::Execute(
     t.model_micros = q.model_micros;
     t.model_overlapped_micros = timeline.ElapsedMicros();
     t.wall_micros = nq == 1 ? call_watch.ElapsedMicros() : q.wall_micros;
+    t.tombstones_filtered = q.result_set->refused();
     FinishTelemetry(t);
     results.push_back(std::move(q.result));
   }

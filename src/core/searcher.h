@@ -132,11 +132,13 @@ class Searcher {
   /// disagree. `observer`, when set, is invoked after every processed chunk
   /// (for a lone query the schedule is its rank order). `scratch`, when
   /// non-null, supplies reusable working memory; pass one scratch per
-  /// thread when calling concurrently.
-  StatusOr<MethodResult> Search(std::span<const float> query, size_t k,
-                                const StopRule& stop,
-                                const SearchObserver& observer = nullptr,
-                                SearchScratch* scratch = nullptr) const;
+  /// thread when calling concurrently. `excluded` (ids sorted ascending)
+  /// never enter the result set (KnnResultSet's dead-id filter).
+  StatusOr<MethodResult> Search(
+      std::span<const float> query, size_t k, const StopRule& stop,
+      const SearchObserver& observer = nullptr,
+      SearchScratch* scratch = nullptr,
+      std::span<const DescriptorId> excluded = {}) const;
 
   /// The k-NN executor of §4.3 over a batch of `queries` (all for the k
   /// nearest neighbors under `stop`): every query's chunks are ranked up
@@ -163,10 +165,12 @@ class Searcher {
   /// coalescing ledger. Per-query wall times are fair-share attributions
   /// (plan measured per query; each chunk's fetch+scan wall split evenly
   /// across its attached queries; a lone query owns the whole call).
+  /// `excluded` (ids sorted ascending) is every query's dead-id filter.
   StatusOr<std::vector<MethodResult>> SearchShared(
       std::span<const std::span<const float>> queries, size_t k,
       const StopRule& stop, size_t num_threads = 1,
-      SharedScanStats* shared = nullptr) const;
+      SharedScanStats* shared = nullptr,
+      std::span<const DescriptorId> excluded = {}) const;
 
   /// Range (epsilon-neighbor) search: every stored descriptor within
   /// `radius` of `query`, ascending by distance — the query type of the BAG
@@ -205,7 +209,8 @@ class Searcher {
   StatusOr<std::vector<MethodResult>> Execute(
       std::span<const std::span<const float>> queries, size_t k,
       const StopRule& stop, size_t num_threads, SharedScanStats* shared,
-      const SearchObserver& observer, SearchScratch* scratch) const;
+      const SearchObserver& observer, SearchScratch* scratch,
+      std::span<const DescriptorId> excluded) const;
 
   /// Fills the chunked-path telemetry that follows from the per-chunk
   /// counters: plan/scan split, probes, candidates, index entries.

@@ -98,7 +98,9 @@ struct ShardAttribution {
   uint64_t rows = 0;
   /// How many of the final merged top-k neighbors this structure supplied.
   uint64_t neighbors_contributed = 0;
-  /// Candidates this structure produced that were dropped as deleted.
+  /// Dead rows this structure dropped: for the buffer every deleted row it
+  /// skipped, for a shard the dead rows its method refused at the filter
+  /// (QueryTelemetry::tombstones_filtered of the shard's search).
   uint64_t tombstones_filtered = 0;
   /// This structure's share of the query wall time.
   int64_t wall_micros = 0;
@@ -160,8 +162,11 @@ struct QueryTelemetry {
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
   /// Dynamic-layer counters: structures consulted for this query (immutable
-  /// shards plus the mutable buffer when non-empty) and candidates dropped
-  /// by tombstone filtering. Zero for static methods.
+  /// shards plus the mutable buffer when non-empty), and dead rows dropped:
+  /// deleted buffer rows skipped, plus the rows a method refused at its
+  /// dead-id filter — excluded ids that had beaten the current k-th (see
+  /// KnnResultSet). A dead row that would not have entered is not counted.
+  /// Zero for static methods.
   uint64_t shards_searched = 0;
   uint64_t tombstones_filtered = 0;
   /// True when the method proved no better neighbor exists.

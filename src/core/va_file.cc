@@ -86,20 +86,21 @@ void VaFile::QueryBounds(std::span<const float> query,
 }
 
 StatusOr<std::vector<Neighbor>> VaFile::Search(
-    std::span<const float> query, size_t k, QueryTelemetry* telemetry) const {
+    std::span<const float> query, size_t k, QueryTelemetry* telemetry,
+    std::span<const DescriptorId> excluded) const {
   return SearchInternal(query, k, std::numeric_limits<size_t>::max(),
-                        telemetry);
+                        telemetry, excluded);
 }
 
 StatusOr<std::vector<Neighbor>> VaFile::SearchApproximate(
     std::span<const float> query, size_t k, size_t max_refinements,
-    QueryTelemetry* telemetry) const {
-  return SearchInternal(query, k, max_refinements, telemetry);
+    QueryTelemetry* telemetry, std::span<const DescriptorId> excluded) const {
+  return SearchInternal(query, k, max_refinements, telemetry, excluded);
 }
 
 StatusOr<std::vector<Neighbor>> VaFile::SearchInternal(
     std::span<const float> query, size_t k, size_t max_refinements,
-    QueryTelemetry* telemetry) const {
+    QueryTelemetry* telemetry, std::span<const DescriptorId> excluded) const {
   const size_t dim = collection_->dim();
   const size_t n = collection_->size();
   QVT_RETURN_IF_ERROR(ValidateQuery(query, dim));
@@ -116,6 +117,8 @@ StatusOr<std::vector<Neighbor>> VaFile::SearchInternal(
 
   // Phase 1: scan all approximations; track the k smallest upper bounds and
   // keep every vector whose lower bound beats the running k-th upper bound.
+  // Excluded rows are refused at that point, so they never bound the live
+  // rows and never reach phase 2.
   struct Candidate {
     double lower_bound_sq;
     uint32_t position;
@@ -136,6 +139,10 @@ StatusOr<std::vector<Neighbor>> VaFile::SearchInternal(
                               ? upper_heap.top()
                               : std::numeric_limits<double>::infinity();
     if (lb <= kth_ub) {
+      if (IsExcluded(excluded, collection_->Id(i))) {
+        ++telem.tombstones_filtered;
+        continue;
+      }
       candidates.push_back({lb, static_cast<uint32_t>(i)});
       if (upper_heap.size() < k) {
         upper_heap.push(ub);

@@ -38,15 +38,23 @@ class VaFile {
   /// record (index_entries_scanned = phase-1 approximations, always the
   /// whole file; candidates_examined = phase-1 survivors;
   /// descriptors_scanned = exact vectors refined in phase 2).
+  ///
+  /// Ids in `excluded` (sorted ascending) are refused when they would
+  /// become phase-1 candidates, before their upper bound enters the
+  /// k-th-bound heap: a dead row's bound would prune live rows it cannot
+  /// stand in for, and the answer would no longer be exact over the live
+  /// rows.
   StatusOr<std::vector<Neighbor>> Search(
       std::span<const float> query, size_t k,
-      QueryTelemetry* telemetry = nullptr) const;
+      QueryTelemetry* telemetry = nullptr,
+      std::span<const DescriptorId> excluded = {}) const;
 
   /// Approximate k-NN: like Search but phase 2 stops after at most
   /// `max_refinements` exact-vector fetches (the EDBT'00 interrupt).
   StatusOr<std::vector<Neighbor>> SearchApproximate(
       std::span<const float> query, size_t k, size_t max_refinements,
-      QueryTelemetry* telemetry = nullptr) const;
+      QueryTelemetry* telemetry = nullptr,
+      std::span<const DescriptorId> excluded = {}) const;
 
   /// Bytes of the approximation array (the compression the VA-file buys).
   size_t ApproximationBytes() const { return codes_.size(); }
@@ -63,7 +71,8 @@ class VaFile {
 
   StatusOr<std::vector<Neighbor>> SearchInternal(
       std::span<const float> query, size_t k, size_t max_refinements,
-      QueryTelemetry* telemetry) const;
+      QueryTelemetry* telemetry,
+      std::span<const DescriptorId> excluded) const;
 
   /// Squared lower/upper bound contributions of dimension d for cell code c.
   void QueryBounds(std::span<const float> query,

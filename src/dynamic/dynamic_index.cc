@@ -623,21 +623,6 @@ size_t DynamicIndex::ResidentBytes() const {
 
 // --- query path -------------------------------------------------------------
 
-uint64_t DynamicIndex::MergeShardResult(const DynamicShard& shard,
-                                        const TombstoneSet& tombstones,
-                                        std::span<const Neighbor> neighbors,
-                                        KnnResultSet* set) {
-  uint64_t filtered = 0;
-  for (const Neighbor& neighbor : neighbors) {
-    if (tombstones.SeqFor(neighbor.id) > shard.created_seq) {
-      ++filtered;
-      continue;
-    }
-    set->Insert(neighbor.id, neighbor.distance);
-  }
-  return filtered;
-}
-
 namespace {
 
 /// Finds which structure a final neighbor's live row sits in: the buffer
@@ -668,12 +653,12 @@ ShardAttribution* AttributionFor(
 
 }  // namespace
 
-StatusOr<MethodResult> DynamicIndex::Search(std::span<const float> query,
-                                            size_t k,
-                                            const StopRule& stop) const {
+StatusOr<MethodResult> DynamicIndex::Search(
+    std::span<const float> query, size_t k, const StopRule& stop,
+    std::span<const DescriptorId> excluded) const {
   QVT_ASSIGN_OR_RETURN(std::vector<MethodResult> results,
                        SearchShared({&query, 1}, k, stop, /*num_threads=*/1,
-                                    /*stats=*/nullptr));
+                                    /*stats=*/nullptr, excluded));
   return std::move(results.front());
 }
 
@@ -681,8 +666,14 @@ bool DynamicIndex::SupportsSharedScan() const { return true; }
 
 StatusOr<std::vector<MethodResult>> DynamicIndex::SearchShared(
     std::span<const std::span<const float>> queries, size_t k,
-    const StopRule& stop, size_t num_threads, SharedScanStats* stats) const {
+    const StopRule& stop, size_t num_threads, SharedScanStats* stats,
+    std::span<const DescriptorId> excluded) const {
   if (k == 0) return Status::InvalidArgument("k must be positive");
+  if (!excluded.empty()) {
+    return Status::InvalidArgument(
+        "the dynamic index filters its own tombstones; excluded ids are not "
+        "accepted");
+  }
   for (const auto& query : queries) {
     QVT_RETURN_IF_ERROR(ValidateQuery(query, options_.dim));
   }
@@ -690,10 +681,6 @@ StatusOr<std::vector<MethodResult>> DynamicIndex::SearchShared(
   WallClock clock;
   Stopwatch call_watch(&clock);
   const TombstoneSet& tombstones = *version->tombstones;
-  // Over-fetch per shard so that even if every tombstone kills a returned
-  // neighbor, k live candidates survive. With no tombstones (post-
-  // compaction), k_eff == k and the wrapped search is untouched.
-  const size_t k_eff = k + tombstones.size();
   const size_t num_queries = queries.size();
 
   std::vector<MethodResult> results(num_queries);
@@ -719,38 +706,49 @@ StatusOr<std::vector<MethodResult>> DynamicIndex::SearchShared(
       attribution.rows = buffer_rows;
       attribution.tombstones_filtered = filtered;
       attribution.wall_micros = part.ElapsedMicros();
-      results[qi].telemetry.tombstones_filtered += filtered;
       results[qi].shards.push_back(attribution);
     }
   }
 
+  // Each shard's dead rows are the ids tombstoned after it was built (older
+  // tombstones were purged by the build). The wrapped method refuses them
+  // as they beat its k-th, so every shard searches at k — a shard asked for
+  // more neighbors than it holds is asked for all of them — and its answer
+  // holds only live rows.
+  std::vector<DescriptorId> dead;
   for (const auto& shard : version->shards) {
+    dead.clear();
+    for (const auto& [id, seq] : tombstones.entries()) {
+      if (seq > shard->created_seq) dead.push_back(id);  // ascending by id
+    }
+    const size_t shard_k = std::min(k, shard->rows());
     std::vector<MethodResult> subs;
     if (shard->built.method->SupportsSharedScan()) {
       // The wrapped shared scan is bit-identical to per-query Search by
       // contract, so the merged dynamic answer is too.
-      QVT_ASSIGN_OR_RETURN(subs, shard->built.method->SearchShared(
-                                     queries, k_eff, stop, num_threads, stats));
+      QVT_ASSIGN_OR_RETURN(
+          subs, shard->built.method->SearchShared(queries, shard_k, stop,
+                                                  num_threads, stats, dead));
     } else {
       subs.reserve(num_queries);
       for (size_t qi = 0; qi < num_queries; ++qi) {
-        QVT_ASSIGN_OR_RETURN(
-            MethodResult sub, shard->built.method->Search(queries[qi], k_eff,
-                                                          stop));
+        QVT_ASSIGN_OR_RETURN(MethodResult sub,
+                             shard->built.method->Search(queries[qi], shard_k,
+                                                         stop, dead));
         subs.push_back(std::move(sub));
       }
     }
     for (size_t qi = 0; qi < num_queries; ++qi) {
-      const uint64_t filtered =
-          MergeShardResult(*shard, tombstones, subs[qi].neighbors, &sets[qi]);
+      for (const Neighbor& neighbor : subs[qi].neighbors) {
+        sets[qi].Insert(neighbor.id, neighbor.distance);
+      }
       exact[qi] = exact[qi] && subs[qi].telemetry.exact;
       results[qi].telemetry += subs[qi].telemetry;
-      results[qi].telemetry.tombstones_filtered += filtered;
       ShardAttribution attribution;
       attribution.shard_id = shard->id;
       attribution.level = shard->level;
       attribution.rows = shard->rows();
-      attribution.tombstones_filtered = filtered;
+      attribution.tombstones_filtered = subs[qi].telemetry.tombstones_filtered;
       attribution.wall_micros = subs[qi].telemetry.wall_micros;
       results[qi].shards.push_back(attribution);
     }

@@ -68,10 +68,13 @@ struct DynamicStats {
 /// and a leveled structure of immutable shards (each a full Prepare()d
 /// instance of the wrapped method over its subset, built through
 /// MethodRegistry::BuildShard) absorbs buffer flushes through deterministic
-/// merges. A query scans the buffer exactly and the shards through the
-/// wrapped method, filters tombstones, and merges everything in one
-/// KnnResultSet — so the result contract ((distance, id) order, tie-break)
-/// is exactly the static methods'.
+/// merges. A query scans the buffer exactly, skipping deleted rows, and
+/// searches each shard through the wrapped method at k, handing it the ids
+/// tombstoned since the shard was built: the method refuses them inside its
+/// scan (KnnResultSet's dead-id filter), so no shard over-fetches and a
+/// dead row never loosens a shard's abandon threshold. Everything merges in
+/// one KnnResultSet — so the result contract ((distance, id) order,
+/// tie-break) is exactly the static methods'.
 ///
 /// Concurrency (epoch-based handoff): the entire readable state lives in an
 /// immutable DynamicVersion reached through one shared_ptr. Readers copy it
@@ -161,13 +164,16 @@ class DynamicIndex final : public SearchMethod {
   std::string Describe() const override;
   MethodCapabilities capabilities() const override;
   Status Prepare() override { return Status::OK(); }
-  StatusOr<MethodResult> Search(std::span<const float> query, size_t k,
-                                const StopRule& stop) const override;
+  /// Search and SearchShared filter the index's own tombstones and reject
+  /// a non-empty `excluded` with InvalidArgument.
+  StatusOr<MethodResult> Search(
+      std::span<const float> query, size_t k, const StopRule& stop,
+      std::span<const DescriptorId> excluded = {}) const override;
   bool SupportsSharedScan() const override;
   StatusOr<std::vector<MethodResult>> SearchShared(
       std::span<const std::span<const float>> queries, size_t k,
-      const StopRule& stop, size_t num_threads,
-      SharedScanStats* stats) const override;
+      const StopRule& stop, size_t num_threads, SharedScanStats* stats,
+      std::span<const DescriptorId> excluded = {}) const override;
   size_t ResidentBytes() const override;
 
  private:
@@ -194,13 +200,6 @@ class DynamicIndex final : public SearchMethod {
   void PublishLocked(std::shared_ptr<MutableBuffer> buffer,
                      std::vector<std::shared_ptr<const DynamicShard>> shards,
                      std::shared_ptr<const TombstoneSet> tombstones);
-
-  /// Merges one shard's answer into `set`, applying the created_seq
-  /// tombstone watermark. Returns the number filtered.
-  static uint64_t MergeShardResult(const DynamicShard& shard,
-                                   const TombstoneSet& tombstones,
-                                   std::span<const Neighbor> neighbors,
-                                   KnnResultSet* set);
 
   Env* env_;
   std::string base_;

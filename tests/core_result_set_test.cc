@@ -1,6 +1,7 @@
 #include "core/result_set.h"
 
 #include <algorithm>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -106,6 +107,92 @@ TEST_P(ResultSetPropertyTest, MatchesSortOfAllCandidates) {
     EXPECT_EQ(result[i].id, all[i].id);
   }
   EXPECT_DOUBLE_EQ(set.KthDistance(), all[k - 1].distance);
+}
+
+TEST(KnnResultSetTest, ExcludedIdIsRefusedOnlyWhenItWouldEnter) {
+  const std::vector<DescriptorId> excluded = {2, 7};
+  KnnResultSet set(2, excluded);
+  EXPECT_TRUE(set.Insert(1, 4.0));
+  EXPECT_FALSE(set.Insert(2, 1.0));  // would enter: refused
+  EXPECT_EQ(set.refused(), 1u);
+  EXPECT_TRUE(set.Insert(3, 5.0));
+  // Full with k-th 5.0: a dead row that does not beat it is not counted.
+  EXPECT_FALSE(set.Insert(7, 6.0));
+  EXPECT_EQ(set.refused(), 1u);
+  EXPECT_FALSE(set.Insert(7, 0.5));
+  EXPECT_EQ(set.refused(), 2u);
+  const auto sorted = set.Sorted();
+  ASSERT_EQ(sorted.size(), 2u);
+  EXPECT_EQ(sorted[0].id, 1u);
+  EXPECT_EQ(sorted[1].id, 3u);
+  set.Clear();
+  EXPECT_EQ(set.refused(), 0u);
+}
+
+TEST(KnnResultSetTest, KeyedInsertChecksTheGivenId) {
+  // The pq filter keys by code row and filters by the row's id.
+  const std::vector<DescriptorId> excluded = {100};
+  KnnResultSet set(3, excluded);
+  EXPECT_FALSE(set.Insert(/*key=*/0, 1.0, /*id=*/100));
+  EXPECT_TRUE(set.Insert(/*key=*/100, 2.0, /*id=*/5));
+  EXPECT_EQ(set.refused(), 1u);
+  ASSERT_EQ(set.size(), 1u);
+  EXPECT_EQ(set.Sorted()[0].id, 100u);
+}
+
+// Inserting a stream with `excluded` keeps exactly what filtering the
+// stream first and inserting the rest keeps; the refusals are the excluded
+// offers that beat the k-th at the time; an empty span changes nothing.
+// Distances come from a small grid and ids repeat, so ties are common.
+TEST_P(ResultSetPropertyTest, ExcludedEqualsFilterThenInsert) {
+  Rng rng(GetParam());
+  for (const size_t k : {1, 5, 20}) {
+    std::vector<DescriptorId> excluded;
+    for (DescriptorId id = 0; id < 400; ++id) {
+      if (rng.Uniform(4) == 0) excluded.push_back(id);
+    }
+    KnnResultSet filtered(k, excluded);
+    KnnResultSet reference(k);
+    KnnResultSet plain(k);
+    KnnResultSet empty_span(k, {});
+    uint64_t expected_refusals = 0;
+    for (size_t i = 0; i < 600; ++i) {
+      const auto id = static_cast<DescriptorId>(rng.Uniform(400));
+      const auto distance = static_cast<double>(rng.Uniform(50));
+      const bool dead =
+          std::binary_search(excluded.begin(), excluded.end(), id);
+      if (dead) {
+        bool beats = !filtered.full();
+        if (!beats) {
+          const auto kept = filtered.Sorted();
+          beats = distance < kept.back().distance ||
+                  (distance == kept.back().distance && id < kept.back().id);
+        }
+        expected_refusals += beats ? 1 : 0;
+        EXPECT_FALSE(filtered.Insert(id, distance));
+      } else {
+        EXPECT_EQ(filtered.Insert(id, distance),
+                  reference.Insert(id, distance));
+      }
+      EXPECT_EQ(plain.Insert(id, distance), empty_span.Insert(id, distance));
+    }
+    const auto got = filtered.Sorted();
+    const auto want = reference.Sorted();
+    ASSERT_EQ(got.size(), want.size()) << "k=" << k;
+    for (size_t r = 0; r < got.size(); ++r) {
+      EXPECT_EQ(got[r].id, want[r].id) << "k=" << k << " rank " << r;
+      EXPECT_EQ(got[r].distance, want[r].distance);
+    }
+    EXPECT_EQ(filtered.refused(), expected_refusals) << "k=" << k;
+    const auto plain_sorted = plain.Sorted();
+    const auto empty_sorted = empty_span.Sorted();
+    ASSERT_EQ(plain_sorted.size(), empty_sorted.size());
+    for (size_t r = 0; r < plain_sorted.size(); ++r) {
+      EXPECT_EQ(plain_sorted[r].id, empty_sorted[r].id);
+      EXPECT_EQ(plain_sorted[r].distance, empty_sorted[r].distance);
+    }
+    EXPECT_EQ(empty_span.refused(), 0u);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ResultSetPropertyTest,

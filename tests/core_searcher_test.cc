@@ -786,6 +786,144 @@ TEST(SearcherTest, FailedChunkReadMidOrderReturnsItsStatus) {
   }
 }
 
+/// Every fourth-ish id of `collection`, drawn with `rng`, sorted ascending:
+/// the dead rows a dynamic shard hands its searcher.
+std::vector<DescriptorId> RandomExcluded(const Collection& collection,
+                                         Rng* rng) {
+  std::vector<DescriptorId> excluded;
+  for (size_t i = 0; i < collection.size(); ++i) {
+    if (rng->Uniform(4) == 0) excluded.push_back(collection.Id(i));
+  }
+  std::sort(excluded.begin(), excluded.end());
+  return excluded;
+}
+
+/// The over-fetch answer the filter replaces: k + |excluded| neighbors,
+/// the excluded ones dropped afterwards, truncated to k.
+std::vector<Neighbor> FilterAndTruncate(
+    const std::vector<Neighbor>& neighbors,
+    const std::vector<DescriptorId>& excluded, size_t k) {
+  std::vector<Neighbor> live;
+  for (const Neighbor& n : neighbors) {
+    if (std::binary_search(excluded.begin(), excluded.end(), n.id)) continue;
+    if (live.size() < k) live.push_back(n);
+  }
+  return live;
+}
+
+// Under MaxChunks the chunks read do not depend on k, so filtering dead
+// rows inside the scan at k is bit-identical to over-fetching k + |E| and
+// filtering afterwards: same ids, same distance bits, same chunks read and
+// model clock — through Search and through SearchShared at 1 and 4
+// threads.
+TEST(SearcherTest, ExcludedUnderMaxChunksEqualsOverFetchThenFilter) {
+  SrTreeChunker chunker(60);
+  IndexFixture fx(&chunker);
+  Searcher searcher(&*fx.index, DiskCostModel());
+  const size_t n = fx.index->num_chunks();
+  Rng rng(31);
+  const std::vector<DescriptorId> excluded =
+      RandomExcluded(fx.collection, &rng);
+  ASSERT_FALSE(excluded.empty());
+  const Workload workload = MakeDatasetQueries(fx.collection, 16, &rng);
+  std::vector<std::span<const float>> spans;
+  for (size_t q = 0; q < workload.num_queries(); ++q) {
+    spans.push_back(workload.Query(q));
+  }
+  const size_t k = 10;
+  uint64_t refused = 0;
+  for (const size_t m : {size_t{1}, size_t{8}, n}) {
+    const StopRule rule = StopRule::MaxChunks(m);
+    std::vector<MethodResult> filtered;
+    for (size_t q = 0; q < spans.size(); ++q) {
+      const std::string label =
+          "m " + std::to_string(m) + " query " + std::to_string(q);
+      auto over = searcher.Search(spans[q], k + excluded.size(), rule);
+      auto got = searcher.Search(spans[q], k, rule, nullptr, nullptr,
+                                 excluded);
+      ASSERT_TRUE(over.ok()) << label;
+      ASSERT_TRUE(got.ok()) << label;
+      const std::vector<Neighbor> want =
+          FilterAndTruncate(over->neighbors, excluded, k);
+      ASSERT_EQ(got->neighbors.size(), want.size()) << label;
+      for (size_t r = 0; r < want.size(); ++r) {
+        EXPECT_EQ(got->neighbors[r].id, want[r].id) << label << " rank " << r;
+        EXPECT_EQ(got->neighbors[r].distance, want[r].distance)
+            << label << " rank " << r;
+      }
+      EXPECT_EQ(got->telemetry.chunks_read, over->telemetry.chunks_read)
+          << label;
+      EXPECT_EQ(got->telemetry.model_micros, over->telemetry.model_micros)
+          << label;
+      EXPECT_EQ(got->telemetry.model_overlapped_micros,
+                over->telemetry.model_overlapped_micros)
+          << label;
+      refused += got->telemetry.tombstones_filtered;
+      filtered.push_back(std::move(got).value());
+    }
+    for (const size_t threads : {size_t{1}, size_t{4}}) {
+      auto shared =
+          searcher.SearchShared(spans, k, rule, threads, nullptr, excluded);
+      ASSERT_TRUE(shared.ok());
+      for (size_t q = 0; q < spans.size(); ++q) {
+        ExpectSameAnswer((*shared)[q], filtered[q]);
+        // The refusal count is not compared: it depends on the order rows
+        // are offered, and a batch sweeps chunks in its shared schedule.
+        EXPECT_EQ((*shared)[q].telemetry.model_micros,
+                  filtered[q].telemetry.model_micros);
+      }
+    }
+  }
+  // Dataset queries sit on rows, a quarter of which are dead.
+  EXPECT_GT(refused, 0u);
+}
+
+// Under the exact rule the filtered search is exact over the live rows,
+// and since its k-th distance is that of k live rows instead of k + |E|
+// rows, it never reads more chunks than the over-fetch search.
+TEST(SearcherTest, ExcludedUnderExactRuleMatchesLiveScan) {
+  SrTreeChunker chunker(60);
+  IndexFixture fx(&chunker);
+  Searcher searcher(&*fx.index, DiskCostModel());
+  Rng rng(37);
+  const std::vector<DescriptorId> excluded =
+      RandomExcluded(fx.collection, &rng);
+  std::vector<size_t> live_positions;
+  for (size_t i = 0; i < fx.collection.size(); ++i) {
+    if (!std::binary_search(excluded.begin(), excluded.end(),
+                            fx.collection.Id(i))) {
+      live_positions.push_back(i);
+    }
+  }
+  const Collection live = fx.collection.Subset(live_positions);
+  const Workload workload = MakeDatasetQueries(fx.collection, 16, &rng);
+  const size_t k = 10;
+  uint64_t filtered_chunks = 0;
+  uint64_t over_chunks = 0;
+  for (size_t q = 0; q < workload.num_queries(); ++q) {
+    const std::string label = "query " + std::to_string(q);
+    const auto query = workload.Query(q);
+    auto got = searcher.Search(query, k, StopRule::Exact(), nullptr, nullptr,
+                               excluded);
+    auto over = searcher.Search(query, k + excluded.size(), StopRule::Exact());
+    ASSERT_TRUE(got.ok()) << label;
+    ASSERT_TRUE(over.ok()) << label;
+    EXPECT_TRUE(got->telemetry.exact) << label;
+    const std::vector<Neighbor> truth = ExactScan(live, query, k);
+    ASSERT_EQ(got->neighbors.size(), truth.size()) << label;
+    for (size_t r = 0; r < truth.size(); ++r) {
+      EXPECT_EQ(got->neighbors[r].id, truth[r].id) << label << " rank " << r;
+      EXPECT_EQ(got->neighbors[r].distance, truth[r].distance)
+          << label << " rank " << r;
+    }
+    EXPECT_LE(got->telemetry.chunks_read, over->telemetry.chunks_read)
+        << label;
+    filtered_chunks += got->telemetry.chunks_read;
+    over_chunks += over->telemetry.chunks_read;
+  }
+  EXPECT_LT(filtered_chunks, over_chunks);
+}
+
 TEST(SearcherTest, ApproximateIsSubsetQualityOfExact) {
   SrTreeChunker chunker(60);
   IndexFixture fx(&chunker);

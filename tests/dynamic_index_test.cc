@@ -20,6 +20,7 @@
 #include "descriptor/workload.h"
 #include "util/logging.h"
 #include "util/parallel_for.h"
+#include "util/random.h"
 
 namespace qvt {
 namespace {
@@ -67,22 +68,46 @@ DynamicOptions SmallOptions(const std::string& method,
   return options;
 }
 
+double L2(std::span<const float> values, std::span<const float> query) {
+  double sq = 0;
+  for (size_t d = 0; d < query.size(); ++d) {
+    // Widen before subtracting — the kernels' rounding contract.
+    const double diff =
+        static_cast<double>(values[d]) - static_cast<double>(query[d]);
+    sq += diff * diff;
+  }
+  return std::sqrt(sq);
+}
+
 /// Brute-force k-NN over a live-row map, with the (distance, id) tie-break.
 std::vector<Neighbor> BruteForce(
     const std::map<DescriptorId, std::vector<float>>& live,
     std::span<const float> query, size_t k) {
   KnnResultSet set(k);
-  for (const auto& [id, values] : live) {
-    double sq = 0;
-    for (size_t d = 0; d < query.size(); ++d) {
-      // Widen before subtracting — the kernels' rounding contract.
-      const double diff = static_cast<double>(values[d]) -
-                          static_cast<double>(query[d]);
-      sq += diff * diff;
-    }
-    set.Insert(id, std::sqrt(sq));
-  }
+  for (const auto& [id, values] : live) set.Insert(id, L2(values, query));
   return set.Sorted();
+}
+
+/// What any answer must satisfy, exact or not: at most k neighbors, in
+/// ascending (distance, id) order, every one live, each at the true L2
+/// distance of its live row.
+void ExpectLiveOrderedTrueDistances(
+    const std::vector<Neighbor>& got,
+    const std::map<DescriptorId, std::vector<float>>& live,
+    std::span<const float> query, size_t k, const std::string& label) {
+  EXPECT_LE(got.size(), k) << label;
+  for (size_t i = 0; i < got.size(); ++i) {
+    const auto it = live.find(got[i].id);
+    ASSERT_NE(it, live.end()) << label << ": dead id " << got[i].id;
+    EXPECT_DOUBLE_EQ(got[i].distance, L2(it->second, query))
+        << label << " rank " << i;
+    if (i > 0) {
+      EXPECT_TRUE(got[i - 1].distance < got[i].distance ||
+                  (got[i - 1].distance == got[i].distance &&
+                   got[i - 1].id < got[i].id))
+          << label << " rank " << i << " out of order";
+    }
+  }
 }
 
 void ExpectSameNeighbors(const std::vector<Neighbor>& got,
@@ -127,6 +152,13 @@ TEST(DynamicIndexTest, InsertDeleteLifecycleAndErrors) {
   ASSERT_EQ(result->neighbors.size(), 1u);
   EXPECT_EQ(result->neighbors[0].id, data.Id(3));
   EXPECT_DOUBLE_EQ(result->neighbors[0].distance, 0.0);
+
+  // The index filters its own tombstones; a caller's excluded ids are
+  // refused.
+  const std::vector<DescriptorId> excluded = {1};
+  EXPECT_TRUE(index.Search(data.Vector(20), 1, StopRule::Exact(), excluded)
+                  .status()
+                  .IsInvalidArgument());
 
   // Dimension mismatches fail loudly.
   std::vector<float> short_vec(3, 0.0f);
@@ -324,6 +356,158 @@ TEST(DynamicIndexTest, CompactedStreamEqualsStaticBuildForEveryMethod) {
   }
 }
 
+// Every shard is searched at k with its dead ids filtered inside the
+// method, so a shard whose rows are all deleted, or one holding fewer rows
+// than k, is an ordinary search for every method. (Over-fetching
+// k + tombstones asked such a Medrank shard for more rows than it holds:
+// "k out of range".)
+TEST(DynamicIndexTest, EveryMethodSearchesDeadAndTinyShards) {
+  const MethodCase cases[] = {
+      {"exact-scan", ""},
+      {"chunked", ""},
+      {"lsh", ""},
+      {"va-file", ""},
+      {"medrank", ""},
+      {"psphere", "num_spheres=8"},
+      {"pq", "m=4,ksub=16,rerank=32"},
+  };
+  Collection data = SmallCollection(120);
+  const auto queries = SmallQueries(data, 6);
+  const size_t k = 10;
+  for (const MethodCase& c : cases) {
+    const std::string method = c.method;
+    const bool exact = method == "exact-scan" || method == "chunked" ||
+                       method == "va-file";
+    // Inserts rows [0, n), deletes rows [0, dead), optionally flushes, and
+    // checks every query against the live rows.
+    auto run = [&](size_t n, size_t dead, bool flush,
+                   const std::string& stage) {
+      const std::string at = method + " " + stage;
+      MemEnv env;
+      auto created =
+          DynamicIndex::Create(&env, "dyn", SmallOptions(c.method, c.params));
+      ASSERT_TRUE(created.ok()) << at << ": " << created.status().ToString();
+      DynamicIndex& index = **created;
+      std::map<DescriptorId, std::vector<float>> live;
+      for (size_t i = 0; i < n; ++i) {
+        ASSERT_TRUE(index.Insert(data.Id(i), data.Vector(i)).ok()) << at;
+        live[data.Id(i)] = {data.Vector(i).begin(), data.Vector(i).end()};
+      }
+      for (size_t i = 0; i < dead; ++i) {
+        ASSERT_TRUE(index.Delete(data.Id(i)).ok()) << at;
+        live.erase(data.Id(i));
+      }
+      if (flush) {
+        ASSERT_TRUE(index.Flush().ok()) << at;
+      }
+      ASSERT_GE(index.num_shards(), 1u) << at;
+      for (size_t qi = 0; qi < queries.size(); ++qi) {
+        const std::string label = at + " query " + std::to_string(qi);
+        auto result = index.Search(queries[qi], k, StopRule::Exact());
+        ASSERT_TRUE(result.ok())
+            << label << ": " << result.status().ToString();
+        ExpectLiveOrderedTrueDistances(result->neighbors, live, queries[qi],
+                                       k, label);
+        if (exact) {
+          ExpectSameNeighbors(result->neighbors,
+                              BruteForce(live, queries[qi], k), label);
+        }
+      }
+    };
+    // 120 inserts through a 60-row buffer: rows 0-59 form the first shard,
+    // and deleting them all leaves it with no live row.
+    run(120, 60, false, "dead shard");
+    // A flush of 10 buffered rows, 7 of them deleted: a 3-row shard.
+    run(10, 7, true, "tiny shard");
+  }
+}
+
+// Model-based test of the dynamic layer: seeded random sequences of
+// insert, delete, re-insert (under a new vector), Flush, Compact, and Save
+// followed by Open, checked after every few operations against a naive
+// in-memory map of the live rows. Exact-rule answers equal brute force;
+// MaxChunks(3) answers hold only live rows, in order, at true distances.
+TEST(DynamicIndexTest, RandomOperationSequencesMatchInMemoryModel) {
+  Collection data = SmallCollection(400);
+  const auto queries = SmallQueries(data, 3);
+  const size_t k = 10;
+  for (const char* method : {"exact-scan", "chunked"}) {
+    for (const MergePolicy policy :
+         {MergePolicy::kTiering, MergePolicy::kLeveling}) {
+      for (const uint64_t seed : {1, 2}) {
+        const std::string label =
+            std::string(method) +
+            (policy == MergePolicy::kTiering ? " tiering" : " leveling") +
+            " seed " + std::to_string(seed);
+        const DynamicOptions options =
+            SmallOptions(method, "", /*buffer=*/30, /*scale=*/2, policy);
+        MemEnv env;
+        auto created = DynamicIndex::Create(&env, "dyn", options);
+        ASSERT_TRUE(created.ok()) << label;
+        std::unique_ptr<DynamicIndex> index = std::move(created).value();
+        std::map<DescriptorId, std::vector<float>> live;
+        std::vector<DescriptorId> dead;
+        size_t next_row = 0;
+        Rng rng(seed);
+        for (size_t op = 0; op < 300; ++op) {
+          const std::string at = label + " op " + std::to_string(op);
+          const uint64_t roll = rng.Uniform(100);
+          if (roll < 50 && next_row < data.size()) {
+            const size_t row = next_row++;
+            ASSERT_TRUE(index->Insert(data.Id(row), data.Vector(row)).ok())
+                << at;
+            live[data.Id(row)] = {data.Vector(row).begin(),
+                                  data.Vector(row).end()};
+          } else if (roll < 80 && !live.empty()) {
+            auto it = live.begin();
+            std::advance(it, rng.Uniform(live.size()));
+            ASSERT_TRUE(index->Delete(it->first).ok()) << at;
+            dead.push_back(it->first);
+            live.erase(it);
+          } else if (roll < 90 && !dead.empty()) {
+            // Re-insert a deleted id under some other row's vector: its
+            // old row must stay dead while the new one lives.
+            const size_t j = rng.Uniform(dead.size());
+            const DescriptorId id = dead[j];
+            dead[j] = dead.back();
+            dead.pop_back();
+            const auto values = data.Vector(rng.Uniform(data.size()));
+            ASSERT_TRUE(index->Insert(id, values).ok()) << at;
+            live[id] = {values.begin(), values.end()};
+          } else if (roll < 95) {
+            ASSERT_TRUE(index->Flush().ok()) << at;
+          } else if (roll < 97) {
+            ASSERT_TRUE(index->Compact().ok()) << at;
+          } else {
+            ASSERT_TRUE(index->Save().ok()) << at;
+            index.reset();
+            auto opened = DynamicIndex::Open(&env, "dyn", options);
+            ASSERT_TRUE(opened.ok()) << at << ": "
+                                     << opened.status().ToString();
+            index = std::move(opened).value();
+          }
+          ASSERT_EQ(index->live_rows(), live.size()) << at;
+          if (op % 10 != 9) continue;
+          for (const auto& q : queries) {
+            auto result = index->Search(q, k, StopRule::Exact());
+            ASSERT_TRUE(result.ok()) << at << ": "
+                                     << result.status().ToString();
+            EXPECT_TRUE(result->telemetry.exact) << at;
+            ExpectSameNeighbors(result->neighbors, BruteForce(live, q, k),
+                                at + " exact");
+            if (std::string(method) != "chunked") continue;
+            auto approx = index->Search(q, k, StopRule::MaxChunks(3));
+            ASSERT_TRUE(approx.ok()) << at << ": "
+                                     << approx.status().ToString();
+            ExpectLiveOrderedTrueDistances(approx->neighbors, live, q, k,
+                                           at + " max-chunks");
+          }
+        }
+      }
+    }
+  }
+}
+
 // Exact-capable methods must stay exact mid-stream too — buffer + shards +
 // tombstones at arbitrary points, checked against brute force.
 TEST(DynamicIndexTest, MidStreamExactnessForExactMethods) {
@@ -385,10 +569,12 @@ TEST(DynamicIndexTest, AttributionAccountsForEveryNeighbor) {
     EXPECT_EQ(result->telemetry.shards_searched, result->shards.size());
     uint64_t contributed = 0;
     uint64_t rows = 0;
+    uint64_t filtered = 0;
     bool saw_buffer = false;
     for (const ShardAttribution& attribution : result->shards) {
       contributed += attribution.neighbors_contributed;
       rows += attribution.rows;
+      filtered += attribution.tombstones_filtered;
       saw_buffer |= attribution.shard_id == ShardAttribution::kMutableBuffer;
     }
     EXPECT_TRUE(saw_buffer);
@@ -398,6 +584,8 @@ TEST(DynamicIndexTest, AttributionAccountsForEveryNeighbor) {
     EXPECT_EQ(contributed, result->neighbors.size());
     EXPECT_EQ(rows, data.size());
     EXPECT_GT(result->telemetry.tombstones_filtered, 0u);
+    // Each dead row is counted once, by the structure that dropped it.
+    EXPECT_EQ(result->telemetry.tombstones_filtered, filtered);
   }
 }
 

@@ -2,12 +2,13 @@
 // --build-threads.
 //
 // Runs the deterministic build phases — synthetic generation, the SR-tree
-// bulk partition, k-means chunking, and the outlier split — at several thread
-// counts, checks that every artifact is bit-identical across all of them
-// (the determinism contract of util/parallel_for.h), prints a
-// serial-vs-parallel speedup table, and writes the raw numbers to
-// BENCH_build.json. On a single-core container the speedups print as ~1.0x;
-// the bit-identity checks still exercise the full sharded code path.
+// bulk partition, k-means and balanced k-means chunking, and the outlier
+// split — at several thread counts, checks that every artifact is
+// bit-identical across all of them (the determinism contract of
+// util/parallel_for.h), prints a serial-vs-parallel speedup table, and
+// writes the raw numbers to BENCH_build.json. On a single-core container
+// the speedups print as ~1.0x; the bit-identity checks still exercise the
+// full sharded code path.
 //
 // Flags: --images N (default 800), --tiny (64 images), --json PATH
 // (default BENCH_build.json).
@@ -20,6 +21,7 @@
 #include <thread>
 #include <vector>
 
+#include "cluster/balanced_kmeans.h"
 #include "cluster/kmeans.h"
 #include "cluster/outlier.h"
 #include "cluster/srtree_chunker.h"
@@ -98,6 +100,16 @@ std::vector<PhaseRun> RunBuild(const GeneratorConfig& gen_config) {
     config.num_clusters = std::max<size_t>(1, collection.size() / 1000);
     config.max_iterations = 6;  // enough work to measure, bounded runtime
     KMeansChunker chunker(config);
+    auto chunks = chunker.FormChunks(collection);
+    QVT_CHECK_OK(chunks.status());
+    return HashChunks(*chunks);
+  });
+
+  timed("balanced-kmeans", [&] {
+    BalancedKMeansConfig config;
+    config.base.num_clusters = std::max<size_t>(1, collection.size() / 1000);
+    config.base.max_iterations = 6;
+    BalancedKMeansChunker chunker(config);
     auto chunks = chunker.FormChunks(collection);
     QVT_CHECK_OK(chunks.status());
     return HashChunks(*chunks);

@@ -2,20 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 
 #include "geometry/kernels.h"
 #include "util/build_stats.h"
 #include "util/logging.h"
-#include "util/parallel_for.h"
 
 namespace qvt {
-
-namespace {
-/// Same fixed shard width as kmeans.cc: shard boundaries (and therefore
-/// every merge order) depend only on n, never on the thread count.
-constexpr size_t kRowGrain = 4096;
-}  // namespace
 
 BalancedKMeansChunker::BalancedKMeansChunker(const BalancedKMeansConfig& config)
     : config_(config) {
@@ -50,124 +42,56 @@ StatusOr<ChunkingResult> BalancedKMeansChunker::FormChunks(
   Rng rng(config_.base.seed);
   std::vector<std::vector<double>> centroids =
       SeedKMeansCentroids(collection, k, config_.base, rng);
-  auto set_centroid = [&](size_t c, size_t pos) {
-    const auto v = collection.Vector(pos);
-    for (size_t d = 0; d < dim; ++d) centroids[c][d] = v[d];
-  };
 
   const float* raw = collection.RawData().data();
-  std::vector<double> dist(n * k);       // row-major point x centroid
-  std::vector<uint32_t> order(n * k);    // per-point ascending-dist centroids
-  std::vector<double> centroid_sq(n);    // batched kernel output
   std::vector<uint32_t> assignment(n, 0);
   std::vector<size_t> loads(k);
-  std::vector<std::vector<double>> sums(k, std::vector<double>(dim));
-  std::vector<size_t> counts(k);
 
   last_iterations_ = 0;
   for (size_t iter = 0; iter < config_.base.max_iterations; ++iter) {
     ++last_iterations_;
-    // Assign, phase 1 (parallel): the distance matrix and each point's
-    // candidate order. Both are pure functions of the point's row, so the
-    // row sharding cannot change them. Ties break toward the lower centroid
-    // index, matching KMeansChunker's strict-< scan.
+    // Assign, phase 1 (parallel): every point's nearest centroid, exactly
+    // as KMeansChunker assigns it.
     {
       BuildPhaseTimer assign_timer("balanced_kmeans.assign");
-      ParallelFor(n, kRowGrain, [&](size_t begin, size_t end) {
-        const size_t rows = end - begin;
-        for (size_t c = 0; c < k; ++c) {
-          kernels::BatchSquaredDistance(raw + begin * dim, rows, dim,
-                                        std::span<const double>(centroids[c]),
-                                        centroid_sq.data() + begin);
-          for (size_t i = begin; i < end; ++i) {
-            dist[i * k + c] = centroid_sq[i];
-          }
-        }
-        for (size_t i = begin; i < end; ++i) {
-          uint32_t* row = order.data() + i * k;
-          std::iota(row, row + k, 0u);
-          const double* d = dist.data() + i * k;
-          std::sort(row, row + k, [d](uint32_t a, uint32_t b) {
-            if (d[a] != d[b]) return d[a] < d[b];
-            return a < b;
-          });
-        }
-      });
+      AssignNearestCentroids(collection, centroids, assignment);
     }
     // Assign, phase 2 (serial, position order): greedy capacity-constrained
-    // placement. Each point takes its nearest centroid with load < bound,
-    // spilling to the next-nearest otherwise. Serial consumption in point
-    // order is what makes the spill cascade deterministic; a slot always
-    // exists because bound * k >= n.
+    // placement. A point keeps its nearest centroid while that has room;
+    // otherwise it spills to the nearest centroid with room, by (squared
+    // distance, index), recomputed with the same kernel (per-row values do
+    // not depend on the batch). That is the first centroid with room in
+    // the point's ascending (distance, index) order. Serial consumption in
+    // point order is what makes the spill cascade deterministic; a slot
+    // always exists because bound * k >= n.
     {
       BuildPhaseTimer place_timer("balanced_kmeans.place");
       std::fill(loads.begin(), loads.end(), 0);
       for (size_t i = 0; i < n; ++i) {
-        const uint32_t* row = order.data() + i * k;
-        for (size_t r = 0; r < k; ++r) {
-          const uint32_t c = row[r];
-          if (loads[c] < bound) {
-            assignment[i] = c;
-            ++loads[c];
-            break;
+        if (loads[assignment[i]] >= bound) {
+          uint32_t best = static_cast<uint32_t>(k);
+          double best_sq = 0.0;
+          for (uint32_t c = 0; c < k; ++c) {
+            if (loads[c] >= bound) continue;
+            double sq;
+            kernels::BatchSquaredDistance(raw + i * dim, 1, dim,
+                                          std::span<const double>(centroids[c]),
+                                          &sq);
+            if (best == k || sq < best_sq) {
+              best = c;
+              best_sq = sq;
+            }
           }
+          assignment[i] = best;
         }
+        ++loads[assignment[i]];
       }
     }
-    // Update: identical fixed-shard reduction to kmeans.cc — per-shard
-    // partial sums merged in shard-index order.
-    {
-      BuildPhaseTimer update_timer("balanced_kmeans.update");
-      struct Partial {
-        std::vector<double> sums;  // k * dim, flat
-        std::vector<size_t> counts;
-      };
-      Partial total = ParallelReduce(
-          n, kRowGrain, Partial{std::vector<double>(k * dim, 0.0),
-                                std::vector<size_t>(k, 0)},
-          [&](size_t begin, size_t end) {
-            Partial p{std::vector<double>(k * dim, 0.0),
-                      std::vector<size_t>(k, 0)};
-            for (size_t i = begin; i < end; ++i) {
-              const auto v = collection.Vector(i);
-              double* sum = p.sums.data() + assignment[i] * dim;
-              for (size_t d = 0; d < dim; ++d) sum[d] += v[d];
-              ++p.counts[assignment[i]];
-            }
-            return p;
-          },
-          [](Partial acc, const Partial& p) {
-            for (size_t j = 0; j < acc.sums.size(); ++j) {
-              acc.sums[j] += p.sums[j];
-            }
-            for (size_t c = 0; c < acc.counts.size(); ++c) {
-              acc.counts[c] += p.counts[c];
-            }
-            return acc;
-          });
-      for (size_t c = 0; c < k; ++c) {
-        std::copy(total.sums.begin() + c * dim,
-                  total.sums.begin() + (c + 1) * dim, sums[c].begin());
-        counts[c] = total.counts[c];
-      }
+    BuildPhaseTimer update_timer("balanced_kmeans.update");
+    if (UpdateKMeansCentroids(collection, assignment, rng, centroids) <
+        config_.base.tolerance) {
+      break;
     }
-    double movement = 0.0;
-    for (size_t c = 0; c < k; ++c) {
-      if (counts[c] == 0) {
-        // Re-seed empty clusters on a random point, as KMeansChunker does.
-        set_centroid(c, rng.Uniform(n));
-        continue;
-      }
-      double delta_sq = 0.0;
-      for (size_t d = 0; d < dim; ++d) {
-        const double next = sums[c][d] / static_cast<double>(counts[c]);
-        const double x = next - centroids[c][d];
-        delta_sq += x * x;
-        centroids[c][d] = next;
-      }
-      movement += std::sqrt(delta_sq);
-    }
-    if (movement < config_.base.tolerance) break;
   }
 
   ChunkingResult result;

@@ -21,14 +21,15 @@ struct BalancedKMeansConfig {
   double balance_slack = 1.05;
 };
 
-/// Capacity-constrained Lloyd's. Each assignment pass computes the full
-/// point-to-centroid distance matrix and each point's ascending-distance
-/// centroid order in parallel (both pure per-row functions, so sharding
-/// cannot change them), then assigns points serially in position order:
-/// every point goes to its nearest centroid that still has room, spilling
-/// deterministically to the next-nearest when the nearest is full. The
-/// update step reuses the fixed-shard ParallelReduce of KMeansChunker, so
-/// the whole build is bit-identical at any thread count.
+/// Capacity-constrained Lloyd's. Each assignment pass finds every point's
+/// nearest centroid in parallel (AssignNearestCentroids, a pure per-row
+/// function, so sharding cannot change it), then places points serially in
+/// position order: a point keeps its nearest centroid while that has room,
+/// and otherwise spills to the nearest centroid with room by (distance,
+/// index), recomputing only that point's distances. Memory is O(n), not
+/// O(n * k). The update step is KMeansChunker's fixed-shard
+/// UpdateKMeansCentroids, so the whole build is bit-identical at any
+/// thread count.
 class BalancedKMeansChunker final : public Chunker {
  public:
   explicit BalancedKMeansChunker(const BalancedKMeansConfig& config);

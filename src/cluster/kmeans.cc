@@ -4,7 +4,6 @@
 #include <limits>
 
 #include "geometry/kernels.h"
-#include "geometry/vec.h"
 #include "util/build_stats.h"
 #include "util/logging.h"
 #include "util/parallel_for.h"
@@ -73,6 +72,82 @@ std::vector<std::vector<double>> SeedKMeansCentroids(
   return centroids;
 }
 
+void AssignNearestCentroids(const Collection& collection,
+                            const std::vector<std::vector<double>>& centroids,
+                            std::span<uint32_t> nearest) {
+  const size_t dim = collection.dim();
+  const float* raw = collection.RawData().data();
+  ParallelFor(collection.size(), kRowGrain, [&](size_t begin, size_t end) {
+    const size_t rows = end - begin;
+    std::vector<double> centroid_sq(rows);
+    std::vector<double> best_sq(rows);
+    for (size_t c = 0; c < centroids.size(); ++c) {
+      kernels::BatchSquaredDistance(raw + begin * dim, rows, dim,
+                                    std::span<const double>(centroids[c]),
+                                    centroid_sq.data());
+      for (size_t r = 0; r < rows; ++r) {
+        if (c == 0 || centroid_sq[r] < best_sq[r]) {
+          best_sq[r] = centroid_sq[r];
+          nearest[begin + r] = static_cast<uint32_t>(c);
+        }
+      }
+    }
+  });
+}
+
+double UpdateKMeansCentroids(const Collection& collection,
+                             std::span<const uint32_t> assignment, Rng& rng,
+                             std::vector<std::vector<double>>& centroids) {
+  const size_t n = collection.size();
+  const size_t dim = collection.dim();
+  const size_t k = centroids.size();
+  struct Partial {
+    std::vector<double> sums;  // k * dim, flat
+    std::vector<size_t> counts;
+  };
+  const Partial total = ParallelReduce(
+      n, kRowGrain,
+      Partial{std::vector<double>(k * dim, 0.0), std::vector<size_t>(k, 0)},
+      [&](size_t begin, size_t end) {
+        Partial p{std::vector<double>(k * dim, 0.0),
+                  std::vector<size_t>(k, 0)};
+        for (size_t i = begin; i < end; ++i) {
+          const auto v = collection.Vector(i);
+          double* sum = p.sums.data() + assignment[i] * dim;
+          for (size_t d = 0; d < dim; ++d) sum[d] += v[d];
+          ++p.counts[assignment[i]];
+        }
+        return p;
+      },
+      [](Partial acc, const Partial& p) {
+        for (size_t j = 0; j < acc.sums.size(); ++j) acc.sums[j] += p.sums[j];
+        for (size_t c = 0; c < acc.counts.size(); ++c) {
+          acc.counts[c] += p.counts[c];
+        }
+        return acc;
+      });
+
+  double movement = 0.0;
+  for (size_t c = 0; c < k; ++c) {
+    if (total.counts[c] == 0) {
+      // Re-seed empty clusters on a random point.
+      const auto v = collection.Vector(rng.Uniform(n));
+      for (size_t d = 0; d < dim; ++d) centroids[c][d] = v[d];
+      continue;
+    }
+    double delta_sq = 0.0;
+    for (size_t d = 0; d < dim; ++d) {
+      const double next =
+          total.sums[c * dim + d] / static_cast<double>(total.counts[c]);
+      const double x = next - centroids[c][d];
+      delta_sq += x * x;
+      centroids[c][d] = next;
+    }
+    movement += std::sqrt(delta_sq);
+  }
+  return movement;
+}
+
 KMeansChunker::KMeansChunker(const KMeansConfig& config) : config_(config) {
   QVT_CHECK(config.num_clusters >= 1);
   QVT_CHECK(config.max_iterations >= 1);
@@ -84,109 +159,25 @@ StatusOr<ChunkingResult> KMeansChunker::FormChunks(
     return Status::InvalidArgument("cannot cluster an empty collection");
   }
   const size_t n = collection.size();
-  const size_t dim = collection.dim();
   const size_t k = std::min(config_.num_clusters, n);
   Rng rng(config_.seed);
 
   std::vector<std::vector<double>> centroids =
       SeedKMeansCentroids(collection, k, config_, rng);
-  auto set_centroid = [&](size_t c, size_t pos) {
-    const auto v = collection.Vector(pos);
-    for (size_t d = 0; d < dim; ++d) centroids[c][d] = v[d];
-  };
-
-  const float* raw = collection.RawData().data();
-  std::vector<double> centroid_sq(n);  // batched kernel output
-
-  // --- Lloyd iterations ----------------------------------------------------
   std::vector<uint32_t> assignment(n, 0);
-  std::vector<double> best_sq(n);
-  std::vector<std::vector<double>> sums(k, std::vector<double>(dim));
-  std::vector<size_t> counts(k);
 
   last_iterations_ = 0;
   for (size_t iter = 0; iter < config_.max_iterations; ++iter) {
     ++last_iterations_;
-    // Assign: each row shard runs its own kernel sweep over all centroids.
-    // Every row's best centroid is a pure function of that row, so the
-    // sharding cannot change the result. Strict < keeps the lowest-index
-    // centroid on ties, matching the original per-point loop.
     {
       BuildPhaseTimer assign_timer("kmeans.assign");
-      ParallelFor(n, kRowGrain, [&](size_t begin, size_t end) {
-        const size_t rows = end - begin;
-        for (size_t c = 0; c < k; ++c) {
-          kernels::BatchSquaredDistance(raw + begin * dim, rows, dim,
-                                        std::span<const double>(centroids[c]),
-                                        centroid_sq.data() + begin);
-          if (c == 0) {
-            std::copy(centroid_sq.begin() + begin, centroid_sq.begin() + end,
-                      best_sq.begin() + begin);
-            std::fill(assignment.begin() + begin, assignment.begin() + end,
-                      0u);
-          } else {
-            for (size_t i = begin; i < end; ++i) {
-              if (centroid_sq[i] < best_sq[i]) {
-                best_sq[i] = centroid_sq[i];
-                assignment[i] = static_cast<uint32_t>(c);
-              }
-            }
-          }
-        }
-      });
+      AssignNearestCentroids(collection, centroids, assignment);
     }
-    // Update: per-shard partial sums merged in shard-index order, so the
-    // floating-point accumulation order is fixed regardless of thread count.
-    {
-      BuildPhaseTimer update_timer("kmeans.update");
-      struct Partial {
-        std::vector<double> sums;  // k * dim, flat
-        std::vector<size_t> counts;
-      };
-      Partial total = ParallelReduce(
-          n, kRowGrain, Partial{std::vector<double>(k * dim, 0.0),
-                                std::vector<size_t>(k, 0)},
-          [&](size_t begin, size_t end) {
-            Partial p{std::vector<double>(k * dim, 0.0),
-                      std::vector<size_t>(k, 0)};
-            for (size_t i = begin; i < end; ++i) {
-              const auto v = collection.Vector(i);
-              double* sum = p.sums.data() + assignment[i] * dim;
-              for (size_t d = 0; d < dim; ++d) sum[d] += v[d];
-              ++p.counts[assignment[i]];
-            }
-            return p;
-          },
-          [](Partial acc, const Partial& p) {
-            for (size_t j = 0; j < acc.sums.size(); ++j) acc.sums[j] += p.sums[j];
-            for (size_t c = 0; c < acc.counts.size(); ++c) {
-              acc.counts[c] += p.counts[c];
-            }
-            return acc;
-          });
-      for (size_t c = 0; c < k; ++c) {
-        std::copy(total.sums.begin() + c * dim,
-                  total.sums.begin() + (c + 1) * dim, sums[c].begin());
-        counts[c] = total.counts[c];
-      }
+    BuildPhaseTimer update_timer("kmeans.update");
+    if (UpdateKMeansCentroids(collection, assignment, rng, centroids) <
+        config_.tolerance) {
+      break;
     }
-    double movement = 0.0;
-    for (size_t c = 0; c < k; ++c) {
-      if (counts[c] == 0) {
-        // Re-seed empty clusters on a random point.
-        set_centroid(c, rng.Uniform(n));
-        continue;
-      }
-      double delta_sq = 0.0;
-      for (size_t d = 0; d < dim; ++d) {
-        const double next = sums[c][d] / static_cast<double>(counts[c]);
-        const double x = next - centroids[c][d];
-        delta_sq += x * x;
-        centroids[c][d] = next;
-      }
-      movement += std::sqrt(delta_sq);
-    }
-    if (movement < config_.tolerance) break;
   }
 
   ChunkingResult result;

@@ -1,6 +1,8 @@
 #ifndef QVT_CLUSTER_KMEANS_H_
 #define QVT_CLUSTER_KMEANS_H_
 
+#include <span>
+
 #include "cluster/chunker.h"
 #include "util/random.h"
 
@@ -29,6 +31,24 @@ struct KMeansConfig {
 std::vector<std::vector<double>> SeedKMeansCentroids(
     const Collection& collection, size_t k, const KMeansConfig& config,
     Rng& rng);
+
+/// Lloyd's assign step: sets `nearest[i]` to the centroid closest to row i
+/// by squared distance, one BatchSquaredDistance sweep per centroid with a
+/// running strict-< argmin (ties keep the lowest index). Each row's answer
+/// is a pure function of that row, so the fixed row sharding cannot change
+/// it at any build thread count.
+void AssignNearestCentroids(const Collection& collection,
+                            const std::vector<std::vector<double>>& centroids,
+                            std::span<uint32_t> nearest);
+
+/// Lloyd's update step: moves every centroid to the mean of the rows that
+/// `assignment` gives it, re-seeding an empty cluster on a row drawn from
+/// `rng` (in centroid order). Per-shard partial sums merge in shard-index
+/// order, so the accumulation order is fixed at any build thread count.
+/// Returns the total centroid movement.
+double UpdateKMeansCentroids(const Collection& collection,
+                             std::span<const uint32_t> assignment, Rng& rng,
+                             std::vector<std::vector<double>>& centroids);
 
 class KMeansChunker final : public Chunker {
  public:

@@ -1,8 +1,6 @@
 #include "cluster/pq.h"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 
 #include "cluster/kmeans.h"
 #include "geometry/kernels.h"
@@ -14,8 +12,8 @@ namespace qvt {
 
 namespace {
 
-/// Same fixed shard width as KMeansChunker: shard boundaries (and thus the
-/// order per-shard partial sums merge in) never depend on the thread count.
+/// Row shard width of the encode sweep. Each row's code is a pure function
+/// of that row, so the sharding cannot change it.
 constexpr size_t kRowGrain = 4096;
 
 Status CheckShape(size_t dim, size_t m, size_t ksub) {
@@ -44,89 +42,19 @@ Collection SubspaceCollection(const Collection& collection, size_t s,
   return sub;
 }
 
-/// Lloyd's iterations over one subspace, KMeansChunker's loop kept in
-/// double precision so the final centroids (not chunk assignments) come
-/// out. Deterministic at any thread count: assignment is a pure function
-/// of the row, partial sums merge in shard-index order.
+/// Lloyd's iterations over one subspace, KMeansChunker's assign and update
+/// steps kept in double precision so the final centroids (not chunk
+/// assignments) come out. Deterministic at any thread count.
 std::vector<std::vector<double>> LloydCentroids(
     const Collection& sub, std::vector<std::vector<double>> centroids,
     const PqConfig& config, Rng& rng) {
-  const size_t n = sub.size();
-  const size_t dim = sub.dim();
-  const size_t k = centroids.size();
-  const float* raw = sub.RawData().data();
-
-  std::vector<double> centroid_sq(n);
-  std::vector<uint32_t> assignment(n, 0);
-  std::vector<double> best_sq(n);
-
+  std::vector<uint32_t> assignment(sub.size(), 0);
   for (size_t iter = 0; iter < config.max_iterations; ++iter) {
-    ParallelFor(n, kRowGrain, [&](size_t begin, size_t end) {
-      const size_t rows = end - begin;
-      for (size_t c = 0; c < k; ++c) {
-        kernels::BatchSquaredDistance(raw + begin * dim, rows, dim,
-                                      std::span<const double>(centroids[c]),
-                                      centroid_sq.data() + begin);
-        if (c == 0) {
-          std::copy(centroid_sq.begin() + begin, centroid_sq.begin() + end,
-                    best_sq.begin() + begin);
-          std::fill(assignment.begin() + begin, assignment.begin() + end, 0u);
-        } else {
-          for (size_t i = begin; i < end; ++i) {
-            if (centroid_sq[i] < best_sq[i]) {
-              best_sq[i] = centroid_sq[i];
-              assignment[i] = static_cast<uint32_t>(c);
-            }
-          }
-        }
-      }
-    });
-
-    struct Partial {
-      std::vector<double> sums;  // k * dim, flat
-      std::vector<size_t> counts;
-    };
-    Partial total = ParallelReduce(
-        n, kRowGrain,
-        Partial{std::vector<double>(k * dim, 0.0), std::vector<size_t>(k, 0)},
-        [&](size_t begin, size_t end) {
-          Partial p{std::vector<double>(k * dim, 0.0),
-                    std::vector<size_t>(k, 0)};
-          for (size_t i = begin; i < end; ++i) {
-            const auto v = sub.Vector(i);
-            double* sum = p.sums.data() + assignment[i] * dim;
-            for (size_t d = 0; d < dim; ++d) sum[d] += v[d];
-            ++p.counts[assignment[i]];
-          }
-          return p;
-        },
-        [](Partial acc, const Partial& p) {
-          for (size_t j = 0; j < acc.sums.size(); ++j) acc.sums[j] += p.sums[j];
-          for (size_t c = 0; c < acc.counts.size(); ++c) {
-            acc.counts[c] += p.counts[c];
-          }
-          return acc;
-        });
-
-    double movement = 0.0;
-    for (size_t c = 0; c < k; ++c) {
-      if (total.counts[c] == 0) {
-        // Re-seed empty clusters on a random point.
-        const auto v = sub.Vector(rng.Uniform(n));
-        for (size_t d = 0; d < dim; ++d) centroids[c][d] = v[d];
-        continue;
-      }
-      double delta_sq = 0.0;
-      for (size_t d = 0; d < dim; ++d) {
-        const double next =
-            total.sums[c * dim + d] / static_cast<double>(total.counts[c]);
-        const double x = next - centroids[c][d];
-        delta_sq += x * x;
-        centroids[c][d] = next;
-      }
-      movement += std::sqrt(delta_sq);
+    AssignNearestCentroids(sub, centroids, assignment);
+    if (UpdateKMeansCentroids(sub, assignment, rng, centroids) <
+        config.tolerance) {
+      break;
     }
-    if (movement < config.tolerance) break;
   }
   return centroids;
 }

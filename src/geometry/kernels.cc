@@ -723,20 +723,6 @@ constexpr size_t kFusedRowBlock = 128;
 
 }  // namespace
 
-void MultiQueryBatchSquaredDistance(const float* base, size_t count,
-                                    size_t dim,
-                                    const double* const* queries,
-                                    size_t num_queries,
-                                    double* const* outs) {
-  const KernelOps& ops = OpsFor(ActiveBackend());
-  for (size_t b = 0; b < count; b += kFusedRowBlock) {
-    const size_t bn = std::min(kFusedRowBlock, count - b);
-    for (size_t q = 0; q < num_queries; ++q) {
-      ops.contig(base + b * dim, bn, dim, queries[q], kInf, outs[q] + b);
-    }
-  }
-}
-
 void MultiQueryBatchSquaredDistanceAbandon(const float* base, size_t count,
                                            size_t dim,
                                            const double* const* queries,

@@ -155,15 +155,9 @@ void AdcScanAbandon(const uint8_t* codes, size_t count, size_t m,
 // `thresholds` holds one abandon bound per query (squared space, +inf
 // disables pruning for that query).
 
-/// Fused multi-query form of BatchSquaredDistance: outs[q][i] is the
-/// squared distance from queries[q] (dim doubles, pre-widened) to row i.
-void MultiQueryBatchSquaredDistance(const float* base, size_t count,
-                                    size_t dim,
-                                    const double* const* queries,
-                                    size_t num_queries, double* const* outs);
-
 /// Fused multi-query form of BatchSquaredDistanceAbandon with a per-query
-/// threshold; pruned rows of query q get outs[q][i] = kAbandoned.
+/// threshold (queries[q] holds dim doubles, pre-widened); pruned rows of
+/// query q get outs[q][i] = kAbandoned.
 void MultiQueryBatchSquaredDistanceAbandon(const float* base, size_t count,
                                            size_t dim,
                                            const double* const* queries,

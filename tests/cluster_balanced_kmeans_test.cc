@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <numeric>
 #include <vector>
 
 #include "cluster/chunker.h"
@@ -14,6 +16,7 @@
 #include "core/search_method.h"
 #include "descriptor/generator.h"
 #include "descriptor/workload.h"
+#include "geometry/kernels.h"
 #include "search_reference.h"
 #include "util/parallel_for.h"
 
@@ -128,6 +131,136 @@ TEST(BalancedKMeansTest, BitIdenticalAcrossBuildThreadCounts) {
       EXPECT_EQ(result->chunks, reference.chunks)
           << "chunking differs at " << threads << " build threads";
       EXPECT_EQ(result->outliers, reference.outliers);
+    }
+  }
+  SetBuildThreads(0);
+}
+
+/// The placement rule as first written, kept as an oracle: the full n x k
+/// distance matrix, each point's centroids sorted by (distance, index), and
+/// the first centroid with room. Seeding and the update step are the
+/// chunker's own, so any difference lies in the placement alone. Counts in
+/// `*ties` the points whose two nearest centroids are equidistant.
+std::vector<std::vector<size_t>> SortedOrderReference(
+    const Collection& c, const BalancedKMeansConfig& config, size_t* ties) {
+  const size_t n = c.size();
+  const size_t dim = c.dim();
+  const size_t k = std::min(config.base.num_clusters, n);
+  const size_t bound =
+      config.max_population > 0
+          ? config.max_population
+          : static_cast<size_t>(std::ceil(config.balance_slack *
+                                          static_cast<double>(n) /
+                                          static_cast<double>(k)));
+  Rng rng(config.base.seed);
+  std::vector<std::vector<double>> centroids =
+      SeedKMeansCentroids(c, k, config.base, rng);
+  std::vector<double> dist(n * k), column(n);
+  std::vector<uint32_t> order(k), assignment(n);
+  *ties = 0;
+  for (size_t iter = 0; iter < config.base.max_iterations; ++iter) {
+    for (size_t j = 0; j < k; ++j) {
+      kernels::BatchSquaredDistance(c.RawData().data(), n, dim,
+                                    std::span<const double>(centroids[j]),
+                                    column.data());
+      for (size_t i = 0; i < n; ++i) dist[i * k + j] = column[i];
+    }
+    std::vector<size_t> loads(k, 0);
+    for (size_t i = 0; i < n; ++i) {
+      const double* d = dist.data() + i * k;
+      std::iota(order.begin(), order.end(), 0u);
+      std::sort(order.begin(), order.end(), [d](uint32_t a, uint32_t b) {
+        if (d[a] != d[b]) return d[a] < d[b];
+        return a < b;
+      });
+      if (k > 1 && d[order[0]] == d[order[1]]) ++*ties;
+      for (const uint32_t j : order) {
+        if (loads[j] < bound) {
+          assignment[i] = j;
+          ++loads[j];
+          break;
+        }
+      }
+    }
+    if (UpdateKMeansCentroids(c, assignment, rng, centroids) <
+        config.base.tolerance) {
+      break;
+    }
+  }
+  std::vector<std::vector<size_t>> chunks(k);
+  for (size_t i = 0; i < n; ++i) chunks[assignment[i]].push_back(i);
+  std::erase_if(chunks, [](const std::vector<size_t>& x) { return x.empty(); });
+  return chunks;
+}
+
+/// `base` with its first `rows` descriptors appended `copies` more times,
+/// so centroids seeded on copies of one row tie exactly.
+Collection WithDuplicates(const Collection& base, size_t rows,
+                          size_t copies) {
+  Collection out = base;
+  for (size_t r = 0; r < copies; ++r) {
+    for (size_t i = 0; i < std::min(rows, base.size()); ++i) {
+      out.Append(static_cast<DescriptorId>(out.size()), base.Vector(i));
+    }
+  }
+  return out;
+}
+
+TEST(BalancedKMeansTest, PlacementMatchesSortedOrderReference) {
+  struct Case {
+    std::string label;
+    Collection collection;
+    BalancedKMeansConfig config;
+    bool expect_ties = false;
+  };
+  std::vector<Case> cases;
+  for (const uint64_t seed : {1u, 7u, 42u}) {
+    GeneratorConfig gen;
+    gen.num_images = 24;
+    gen.descriptors_per_image = 25;
+    gen.num_modes = 6;
+    gen.heavy_mode_weight = 0.5;
+    gen.seed = seed;
+    const Collection c = GenerateCollection(gen);
+    const std::string tag = "seed " + std::to_string(seed);
+    cases.push_back({tag + " slack 1.05", c, SkewConfig()});
+    BalancedKMeansConfig tight = SkewConfig();
+    tight.balance_slack = 1.0;
+    cases.push_back({tag + " slack 1.0", c, tight});
+    BalancedKMeansConfig capped = SkewConfig();
+    capped.max_population = (c.size() + 7) / 8;  // ceil(n / k)
+    cases.push_back({tag + " max_population ceil(n/k)", c, capped});
+    BalancedKMeansConfig uniform_seeds = tight;
+    uniform_seeds.base.plus_plus_init = false;
+    cases.push_back({tag + " duplicates", WithDuplicates(c, 40, 4),
+                     uniform_seeds});
+  }
+  const Collection small = SkewedCollection(3);  // 120 descriptors
+  cases.push_back({"k = 1", small, SkewConfig(1)});
+  BalancedKMeansConfig all = SkewConfig(small.size());
+  all.balance_slack = 1.0;
+  cases.push_back({"k = n", small, all});
+  // k-means++ runs out of distinct rows and seeds centroids on duplicates,
+  // so tied nearest centroids are certain.
+  const Collection dup_small = WithDuplicates(small, small.size(), 1);
+  BalancedKMeansConfig all_dup = SkewConfig(dup_small.size());
+  all_dup.balance_slack = 1.0;
+  cases.push_back({"k = n with duplicates", dup_small, all_dup, true});
+
+  for (const Case& test_case : cases) {
+    size_t ties = 0;
+    const auto expected =
+        SortedOrderReference(test_case.collection, test_case.config, &ties);
+    if (test_case.expect_ties) {
+      EXPECT_GT(ties, 0u) << test_case.label;
+    }
+    for (const size_t threads : {1u, 4u}) {
+      SetBuildThreads(threads);
+      BalancedKMeansChunker chunker(test_case.config);
+      auto result = chunker.FormChunks(test_case.collection);
+      ASSERT_TRUE(result.ok()) << test_case.label;
+      EXPECT_EQ(result->chunks, expected)
+          << test_case.label << " at " << threads << " build threads";
     }
   }
   SetBuildThreads(0);

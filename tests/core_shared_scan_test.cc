@@ -385,23 +385,9 @@ TEST(SharedScanTest, FusedKernelsMatchSingleQueryKernelsPerBackend) {
       outs[q] = fused[q].data();
     }
 
-    kernels::MultiQueryBatchSquaredDistance(base.data(), count, dim,
-                                            query_ptrs.data(), nq,
-                                            outs.data());
-    for (size_t q = 0; q < nq; ++q) {
-      kernels::BatchSquaredDistance(base.data(), count, dim,
-                                    std::span<const double>(queries[q]),
-                                    single[q].data());
-      for (size_t i = 0; i < count; ++i) {
-        EXPECT_EQ(std::memcmp(&fused[q][i], &single[q][i], sizeof(double)), 0)
-            << kernels::BackendName(backend) << " plain q" << q << " row "
-            << i;
-      }
-    }
-
-    // Abandoning variant: same backend, same row pairing (the fused row
-    // block is a multiple of every backend's lane group), so both the
-    // completed values AND the abandon pattern must coincide.
+    // Same backend, same row pairing (the fused row block is a multiple of
+    // every backend's lane group), so both the completed values AND the
+    // abandon pattern must coincide.
     kernels::MultiQueryBatchSquaredDistanceAbandon(
         base.data(), count, dim, query_ptrs.data(), thresholds.data(), nq,
         outs.data());

@@ -6,7 +6,7 @@
 namespace qvt {
 
 /// Post-hoc population rebalancing for the output of ANY chunker — k-means,
-/// BAG, BIRCH, SR-tree, round-robin. The chunkers optimize different
+/// BAG, SR-tree, round-robin. The chunkers optimize different
 /// objectives (uniform size, intra-chunk dissimilarity); these passes bolt a
 /// population bound on afterwards, trading a little of the original
 /// objective for a bounded worst-case probe cost. Outliers pass through

@@ -627,8 +627,7 @@ void RegisterPqMethod(MethodRegistry& registry) {
        "product-quantization compressed first pass: SIMD ADC scan over "
        "packed in-memory codes, exact rerank of the top R through the "
        "chunk file",
-       {/*exact=*/false, /*range_search=*/false, /*stop_rules=*/false,
-        /*disk_model=*/false}},
+       {/*exact=*/false, /*stop_rules=*/false, /*disk_model=*/false}},
       [](const MethodContext& context, MethodOptions& options)
           -> StatusOr<std::unique_ptr<SearchMethod>> {
         PqMethodConfig config;

@@ -53,10 +53,6 @@ class PqMethod final : public SearchMethod {
 
   std::string_view name() const override { return "pq"; }
   std::string Describe() const override;
-  MethodCapabilities capabilities() const override {
-    return {/*exact=*/false, /*range_search=*/false, /*stop_rules=*/false,
-            /*disk_model=*/false};
-  }
 
   Status Prepare() override;
 

@@ -16,7 +16,6 @@
 #include "core/psphere.h"
 #include "core/va_file.h"
 #include "descriptor/types.h"
-#include "geometry/vec.h"
 #include "storage/index_file.h"
 #include "storage/page.h"
 #include "util/clock.h"
@@ -130,13 +129,6 @@ Status ValidateQuery(std::span<const float> query, size_t dim) {
   return Status::OK();
 }
 
-StatusOr<MethodResult> SearchMethod::SearchRange(std::span<const float>,
-                                                 double,
-                                                 const StopRule&) const {
-  return Status::Unimplemented(std::string(name()) +
-                               " does not support range search");
-}
-
 StatusOr<std::vector<MethodResult>> SearchMethod::SearchShared(
     std::span<const std::span<const float>>, size_t, const StopRule&, size_t,
     SharedScanStats*, std::span<const DescriptorId>) const {
@@ -179,11 +171,6 @@ class ChunkedMethod final : public SearchMethod {
     return out.str();
   }
 
-  MethodCapabilities capabilities() const override {
-    return {/*exact=*/true, /*range_search=*/true, /*stop_rules=*/true,
-            /*disk_model=*/true};
-  }
-
   Status Prepare() override {
     // The chunk index was built before the context existed; nothing heavy
     // remains, but the contract's Prepare-before-Search gate still applies.
@@ -197,14 +184,6 @@ class ChunkedMethod final : public SearchMethod {
     QVT_RETURN_IF_ERROR(RequirePrepared(prepared_, name()));
     static thread_local SearchScratch scratch;
     return searcher_.Search(query, k, stop, nullptr, &scratch, excluded);
-  }
-
-  StatusOr<MethodResult> SearchRange(std::span<const float> query,
-                                     double radius,
-                                     const StopRule& stop) const override {
-    QVT_RETURN_IF_ERROR(RequirePrepared(prepared_, name()));
-    static thread_local SearchScratch scratch;
-    return searcher_.SearchRange(query, radius, stop, &scratch);
   }
 
   bool SupportsSharedScan() const override { return true; }
@@ -246,11 +225,6 @@ class ExactScanMethod final : public SearchMethod {
     return out.str();
   }
 
-  MethodCapabilities capabilities() const override {
-    return {/*exact=*/true, /*range_search=*/true, /*stop_rules=*/false,
-            /*disk_model=*/false};
-  }
-
   Status Prepare() override {
     // Scans need no build, but the Prepare-before-Search gate is uniform.
     prepared_ = true;
@@ -269,27 +243,6 @@ class ExactScanMethod final : public SearchMethod {
     MethodResult result;
     result.neighbors = ExactScan(*collection_, query, k, excluded,
                                  &result.telemetry.tombstones_filtered);
-    FillTelemetry(stopwatch.ElapsedMicros(), &result.telemetry);
-    return result;
-  }
-
-  StatusOr<MethodResult> SearchRange(std::span<const float> query,
-                                     double radius,
-                                     const StopRule& stop) const override {
-    QVT_RETURN_IF_ERROR(RequirePrepared(prepared_, name()));
-    QVT_RETURN_IF_ERROR(RequireExactStop(stop, name()));
-    if (radius < 0.0) {
-      return Status::InvalidArgument("radius must be non-negative");
-    }
-    QVT_RETURN_IF_ERROR(ValidateQuery(query, collection_->dim()));
-    WallClock wall;
-    Stopwatch stopwatch(&wall);
-    MethodResult result;
-    for (size_t i = 0; i < collection_->size(); ++i) {
-      const double d = vec::Distance(collection_->Vector(i), query);
-      if (d <= radius) result.neighbors.push_back({collection_->Id(i), d});
-    }
-    SortNeighbors(&result.neighbors);
     FillTelemetry(stopwatch.ElapsedMicros(), &result.telemetry);
     return result;
   }
@@ -325,11 +278,6 @@ class LshMethod final : public SearchMethod {
         << (index_.has_value() ? index_->bucket_width()
                                : config_.bucket_width);
     return out.str();
-  }
-
-  MethodCapabilities capabilities() const override {
-    return {/*exact=*/false, /*range_search=*/false, /*stop_rules=*/false,
-            /*disk_model=*/false};
   }
 
   Status Prepare() override {
@@ -383,11 +331,6 @@ class VaFileMethod final : public SearchMethod {
     return out.str();
   }
 
-  MethodCapabilities capabilities() const override {
-    return {/*exact=*/true, /*range_search=*/false, /*stop_rules=*/false,
-            /*disk_model=*/false};
-  }
-
   Status Prepare() override {
     if (!va_.has_value()) {
       va_.emplace(VaFile::Build(collection_, config_));
@@ -433,11 +376,6 @@ class MedrankMethod final : public SearchMethod {
     out << "Medrank: " << config_.num_lines << " lines, min frequency "
         << config_.min_frequency;
     return out.str();
-  }
-
-  MethodCapabilities capabilities() const override {
-    return {/*exact=*/false, /*range_search=*/false, /*stop_rules=*/false,
-            /*disk_model=*/false};
   }
 
   Status Prepare() override {
@@ -488,11 +426,6 @@ class PSphereMethod final : public SearchMethod {
       out << ", replication " << tree_->ReplicationFactor();
     }
     return out.str();
-  }
-
-  MethodCapabilities capabilities() const override {
-    return {/*exact=*/false, /*range_search=*/false, /*stop_rules=*/false,
-            /*disk_model=*/false};
   }
 
   Status Prepare() override {
@@ -588,8 +521,7 @@ MethodRegistry BuildGlobalRegistry() {
       {"chunked",
        "the paper's chunk-index searcher (§4.3): rank chunks by centroid "
        "distance, scan under a stop rule",
-       {/*exact=*/true, /*range_search=*/true, /*stop_rules=*/true,
-        /*disk_model=*/true}},
+       {/*exact=*/true, /*stop_rules=*/true, /*disk_model=*/true}},
       [](const MethodContext& context, MethodOptions&)
           -> StatusOr<std::unique_ptr<SearchMethod>> {
         if (context.index == nullptr) {
@@ -604,8 +536,7 @@ MethodRegistry BuildGlobalRegistry() {
       {"exact-scan",
        "exact sequential scan of the collection — the ground-truth "
        "reference (§5.4)",
-       {/*exact=*/true, /*range_search=*/true, /*stop_rules=*/false,
-        /*disk_model=*/false}},
+       {/*exact=*/true, /*stop_rules=*/false, /*disk_model=*/false}},
       [](const MethodContext& context, MethodOptions&)
           -> StatusOr<std::unique_ptr<SearchMethod>> {
         QVT_RETURN_IF_ERROR(RequireCollection(context, "exact-scan"));
@@ -615,8 +546,7 @@ MethodRegistry BuildGlobalRegistry() {
   QVT_CHECK_OK(registry.Register(
       {"lsh",
        "multi-table p-stable LSH (Gionis et al., VLDB'99; related work §6)",
-       {/*exact=*/false, /*range_search=*/false, /*stop_rules=*/false,
-        /*disk_model=*/false}},
+       {/*exact=*/false, /*stop_rules=*/false, /*disk_model=*/false}},
       [](const MethodContext& context, MethodOptions& options)
           -> StatusOr<std::unique_ptr<SearchMethod>> {
         QVT_RETURN_IF_ERROR(RequireCollection(context, "lsh"));
@@ -642,8 +572,7 @@ MethodRegistry BuildGlobalRegistry() {
       {"va-file",
        "vector-approximation file (Weber et al., VLDB'98), optionally with "
        "the EDBT'00 refinement interrupt",
-       {/*exact=*/true, /*range_search=*/false, /*stop_rules=*/false,
-        /*disk_model=*/false}},
+       {/*exact=*/true, /*stop_rules=*/false, /*disk_model=*/false}},
       [](const MethodContext& context, MethodOptions& options)
           -> StatusOr<std::unique_ptr<SearchMethod>> {
         QVT_RETURN_IF_ERROR(RequireCollection(context, "va-file"));
@@ -667,8 +596,7 @@ MethodRegistry BuildGlobalRegistry() {
       {"medrank",
        "rank aggregation over random projection lines (Fagin et al., "
        "SIGMOD'03; related work §6)",
-       {/*exact=*/false, /*range_search=*/false, /*stop_rules=*/false,
-        /*disk_model=*/false}},
+       {/*exact=*/false, /*stop_rules=*/false, /*disk_model=*/false}},
       [](const MethodContext& context, MethodOptions& options)
           -> StatusOr<std::unique_ptr<SearchMethod>> {
         QVT_RETURN_IF_ERROR(RequireCollection(context, "medrank"));
@@ -693,8 +621,7 @@ MethodRegistry BuildGlobalRegistry() {
       {"psphere",
        "P-Sphere tree: replicated hyperspheres, one-sphere probe "
        "(Goldstein & Ramakrishnan, VLDB'00; related work §6)",
-       {/*exact=*/false, /*range_search=*/false, /*stop_rules=*/false,
-        /*disk_model=*/false}},
+       {/*exact=*/false, /*stop_rules=*/false, /*disk_model=*/false}},
       [](const MethodContext& context, MethodOptions& options)
           -> StatusOr<std::unique_ptr<SearchMethod>> {
         QVT_RETURN_IF_ERROR(RequireCollection(context, "psphere"));

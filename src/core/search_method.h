@@ -27,8 +27,6 @@ namespace qvt {
 struct MethodCapabilities {
   /// Can prove exactness (telemetry.exact may come back true).
   bool exact = false;
-  /// Supports SearchRange (epsilon-neighbor queries).
-  bool range_search = false;
   /// Honors approximate StopRules (kMaxChunks / kTimeBudget / epsilon).
   /// Methods without this reject any stop other than StopRule::Exact().
   bool stop_rules = false;
@@ -79,11 +77,10 @@ class MethodOptions {
 };
 
 /// Shared input guard of every query entry point (all methods, the
-/// searcher's k-NN and range paths, the dynamic layer and its inserts): OK
-/// iff `query` has `dim` coordinates and every one is finite;
-/// InvalidArgument otherwise. A NaN or infinite coordinate would make every
-/// distance NaN or infinite, so no answer — and no exactness verdict —
-/// could be trusted.
+/// searcher, the dynamic layer and its inserts): OK iff `query` has `dim`
+/// coordinates and every one is finite; InvalidArgument otherwise. A NaN or
+/// infinite coordinate would make every distance NaN or infinite, so no
+/// answer — and no exactness verdict — could be trusted.
 Status ValidateQuery(std::span<const float> query, size_t dim);
 
 /// The polymorphic face of every search method in the repo: the paper's
@@ -96,13 +93,12 @@ Status ValidateQuery(std::span<const float> query, size_t dim);
 /// Contract:
 ///  * Prepare() does the expensive build (hash tables, sorted projections,
 ///    sphere assignment); construction through the registry is cheap.
-///  * Search()/SearchRange() are const and thread-safe after Prepare() —
-///    BatchSearcher calls them from many threads concurrently.
+///  * Search() is const and thread-safe after Prepare() — BatchSearcher
+///    calls it from many threads concurrently.
 ///  * Neighbors come back ascending by (distance, id), bit-identical to the
 ///    underlying method's direct call (tested).
 ///  * Methods without stop-rule support fail InvalidArgument on any stop
-///    other than StopRule::Exact(); methods without range support fail
-///    Unimplemented on SearchRange.
+///    other than StopRule::Exact().
 ///  * `excluded` (ids sorted ascending; empty for static searches) never
 ///    appear in an answer. Each method hands it to the structure that
 ///    selects its candidates, so a dead row never takes a slot a live one
@@ -116,7 +112,6 @@ class SearchMethod {
   virtual std::string_view name() const = 0;
   /// One-line human description including resolved parameters.
   virtual std::string Describe() const = 0;
-  virtual MethodCapabilities capabilities() const = 0;
 
   /// Builds the method's data structures. Idempotent; must be called (and
   /// must succeed) before Search.
@@ -127,11 +122,6 @@ class SearchMethod {
       std::span<const float> query, size_t k,
       const StopRule& stop = StopRule::Exact(),
       std::span<const DescriptorId> excluded = {}) const = 0;
-
-  /// Epsilon-neighbor (range) query. Default: Unimplemented.
-  virtual StatusOr<MethodResult> SearchRange(std::span<const float> query,
-                                             double radius,
-                                             const StopRule& stop) const;
 
   /// True when this method implements SearchShared — chunk-major batched
   /// execution where one pass over each storage unit serves many queries

@@ -495,105 +495,4 @@ StatusOr<std::vector<MethodResult>> Searcher::Execute(
   return results;
 }
 
-StatusOr<MethodResult> Searcher::SearchRange(std::span<const float> query,
-                                             double radius,
-                                             const StopRule& stop,
-                                             SearchScratch* scratch) const {
-  if (radius < 0.0) {
-    return Status::InvalidArgument("radius must be non-negative");
-  }
-  QVT_RETURN_IF_ERROR(ValidateQuery(query, index_->dim()));
-  SearchScratch local_scratch;
-  SearchScratch& s = scratch != nullptr ? *scratch : local_scratch;
-  const size_t num_chunks = index_->num_chunks();
-
-  WallClock wall;
-  Stopwatch stopwatch(&wall);
-
-  // Rank chunks by centroid distance, as in Search().
-  MethodResult result;
-  QueryTelemetry& t = result.telemetry;
-  int64_t model_micros = RankChunks(query, s);
-  t.plan.model_micros = model_micros;
-  t.plan.wall_micros = stopwatch.ElapsedMicros();
-
-  OverlappedScanTimeline timeline(kModeledReadAheadDepth, model_micros);
-
-  s.distances.resize(kScanBlock);  // scan scratch, reserved once per query
-  for (size_t r = 0; r < num_chunks; ++r) {
-    if (stop.kind == StopRule::Kind::kMaxChunks &&
-        t.chunks_read >= stop.max_chunks) {
-      break;
-    }
-    if (stop.kind == StopRule::Kind::kTimeBudget &&
-        model_micros >= stop.budget_micros) {
-      break;
-    }
-    if (stop.kind == StopRule::Kind::kExact &&
-        s.suffix_min_bound[r] > radius) {
-      t.exact = true;
-      break;
-    }
-    // Skip chunks whose own bound proves they cannot intersect the ball
-    // (cheap: the ranking is already computed; no I/O is charged).
-    const uint32_t chunk_id = s.rank_order[r];
-    const ChunkLocation& loc = index_->location(chunk_id);
-    if (s.centroid_distance[chunk_id] - index_->radius(chunk_id) > radius) {
-      continue;
-    }
-
-    std::shared_ptr<const ChunkData> cache_ref;
-    const ChunkData* data = nullptr;
-    bool from_cache = false;
-    QVT_RETURN_IF_ERROR(FetchChunk(*index_, cache_, chunk_id, &s.chunk,
-                                   &cache_ref, &data, &from_cache));
-
-    // Blocked kernel scan with a fixed abandon threshold: the query radius
-    // never shrinks, so every block prunes against the same bound.
-    const size_t dim = data->dim;
-    const double threshold = kernels::AbandonThreshold(radius);
-    for (size_t b = 0; b < data->size(); b += kScanBlock) {
-      const size_t bn = std::min(kScanBlock, data->size() - b);
-      kernels::BatchSquaredDistanceAbandon(data->values.data() + b * dim, bn,
-                                           dim, query, threshold,
-                                           s.distances.data());
-      for (size_t i = 0; i < bn; ++i) {
-        const double sq = s.distances[i];
-        if (sq == kernels::kAbandoned) continue;
-        const double d = std::sqrt(sq);
-        if (d <= radius) result.neighbors.push_back({data->ids[b + i], d});
-      }
-    }
-    ++t.chunks_read;
-    t.descriptors_scanned += data->size();
-    t.max_probe_rows =
-        std::max<uint64_t>(t.max_probe_rows, loc.num_descriptors);
-    if (cache_ != nullptr) {
-      from_cache ? ++t.cache_hits : ++t.cache_misses;
-    }
-    if (!from_cache) t.bytes_read += loc.num_pages * kPageSize;
-    // Same accounting as Search(): resident chunks cost CPU only.
-    model_micros +=
-        from_cache
-            ? cost_model_.ChunkCpuMicros(loc.num_descriptors)
-            : cost_model_.ChunkTotalMicros(loc.num_pages,
-                                           loc.num_descriptors);
-    timeline.AddChunk(
-        from_cache ? 0 : cost_model_.ChunkIoMicros(loc.num_pages),
-        cost_model_.ChunkCpuMicros(loc.num_descriptors));
-  }
-  if (stop.kind == StopRule::Kind::kExact) t.exact = true;
-
-  std::sort(result.neighbors.begin(), result.neighbors.end(),
-            [](const Neighbor& a, const Neighbor& b) {
-              if (a.distance != b.distance) return a.distance < b.distance;
-              return a.id < b.id;
-            });
-  t.model_micros = model_micros;
-  t.model_overlapped_micros = timeline.ElapsedMicros();
-  t.wall_micros = stopwatch.ElapsedMicros();
-  FinishTelemetry(t);
-  return result;
-}
-
 }  // namespace qvt

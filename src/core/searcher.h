@@ -88,11 +88,11 @@ struct SearchScratch {
 };
 
 /// The one way a chunk is fetched, shared by every scan loop (Searcher's
-/// k-NN and range searches, PqMethod's reranks). Through `cache` when
-/// non-null: single-flight GetOrLoad, so concurrent misses on one chunk
-/// share one disk read and the scan reads straight out of `*cache_ref`.
-/// Otherwise ReadChunk into `buffer`. `*from_cache` reports the cache
-/// verdict that decides the cost-model charge.
+/// k-NN executor, PqMethod's reranks). Through `cache` when non-null:
+/// single-flight GetOrLoad, so concurrent misses on one chunk share one
+/// disk read and the scan reads straight out of `*cache_ref`. Otherwise
+/// ReadChunk into `buffer`. `*from_cache` reports the cache verdict that
+/// decides the cost-model charge.
 Status FetchChunk(const ChunkIndex& index, ChunkCache* cache,
                   uint32_t chunk_id, ChunkData* buffer,
                   std::shared_ptr<const ChunkData>* cache_ref,
@@ -171,17 +171,6 @@ class Searcher {
       const StopRule& stop, size_t num_threads = 1,
       SharedScanStats* shared = nullptr,
       std::span<const DescriptorId> excluded = {}) const;
-
-  /// Range (epsilon-neighbor) search: every stored descriptor within
-  /// `radius` of `query`, ascending by distance — the query type of the BAG
-  /// paper itself (Berrani et al., CIKM'03: "approximate searches:
-  /// epsilon-neighbors + precision"). Chunks are scanned in centroid-rank
-  /// order; kMaxChunks and kTimeBudget stop rules yield approximate
-  /// (subset) answers, kExact stops once no unread chunk can intersect the
-  /// query ball.
-  StatusOr<MethodResult> SearchRange(std::span<const float> query,
-                                     double radius, const StopRule& stop,
-                                     SearchScratch* scratch = nullptr) const;
 
   /// Step 1 of §4.3 into `scratch`, ranking only what `stop` can read.
   /// Every rule gets all centroid distances (one batched kernel call over

@@ -76,20 +76,15 @@ std::vector<DescriptorId> SortedIds(const Collection& data) {
 
 }  // namespace
 
-DynamicIndex::DynamicIndex(Env* env, std::string base, DynamicOptions options,
-                           MethodCapabilities inner_capabilities)
-    : env_(env),
-      base_(std::move(base)),
-      options_(std::move(options)),
-      inner_capabilities_(inner_capabilities) {}
+DynamicIndex::DynamicIndex(Env* env, std::string base, DynamicOptions options)
+    : env_(env), base_(std::move(base)), options_(std::move(options)) {}
 
 StatusOr<std::unique_ptr<DynamicIndex>> DynamicIndex::Create(
     Env* env, std::string base, DynamicOptions options) {
   QVT_RETURN_IF_ERROR(ValidateDynamicOptions(env, base, options));
-  QVT_ASSIGN_OR_RETURN(MethodInfo info,
-                       MethodRegistry::Global().Info(options.method));
-  auto index = std::unique_ptr<DynamicIndex>(new DynamicIndex(
-      env, std::move(base), std::move(options), info.capabilities));
+  QVT_RETURN_IF_ERROR(MethodRegistry::Global().Info(options.method).status());
+  auto index = std::unique_ptr<DynamicIndex>(
+      new DynamicIndex(env, std::move(base), std::move(options)));
   auto version = std::make_shared<DynamicVersion>();
   version->buffer = std::make_shared<MutableBuffer>(
       index->options_.dim, index->options_.extension.buffer_capacity,
@@ -112,10 +107,9 @@ StatusOr<std::unique_ptr<DynamicIndex>> DynamicIndex::Open(
   options.method_params = manifest.method_params;
   options.dim = manifest.dim;
   QVT_RETURN_IF_ERROR(ValidateDynamicOptions(env, base, options));
-  QVT_ASSIGN_OR_RETURN(MethodInfo info,
-                       MethodRegistry::Global().Info(options.method));
-  auto index = std::unique_ptr<DynamicIndex>(new DynamicIndex(
-      env, std::move(base), std::move(options), info.capabilities));
+  QVT_RETURN_IF_ERROR(MethodRegistry::Global().Info(options.method).status());
+  auto index = std::unique_ptr<DynamicIndex>(
+      new DynamicIndex(env, std::move(base), std::move(options)));
   index->next_seq_ = manifest.next_seq;
 
   auto version = std::make_shared<DynamicVersion>();
@@ -602,12 +596,6 @@ std::string DynamicIndex::Describe() const {
   return out.str();
 }
 
-MethodCapabilities DynamicIndex::capabilities() const {
-  MethodCapabilities capabilities = inner_capabilities_;
-  capabilities.range_search = false;  // not offered through the wrapper
-  return capabilities;
-}
-
 size_t DynamicIndex::ResidentBytes() const {
   auto version = Snapshot();
   size_t bytes = version->buffer->ResidentBytes();
@@ -781,9 +769,10 @@ Status RegisterDynamicMethod(MethodRegistry& registry) {
       "Bentley-Saxe extension layer: opens the saved dynamic index at "
       "base=<prefix>, serving any wrapped method's shards behind a mutable "
       "buffer";
-  // Static flags are conservative; a constructed instance reports the
-  // wrapped method's real capabilities.
-  info.capabilities = {false, false, true, false};
+  // The wrapped method is chosen per index, so the flags are the
+  // conservative ones: exactness and the disk model depend on it.
+  info.capabilities = {/*exact=*/false, /*stop_rules=*/true,
+                       /*disk_model=*/false};
   return registry.Register(
       std::move(info),
       [](const MethodContext& context,

@@ -162,7 +162,6 @@ class DynamicIndex final : public SearchMethod {
 
   std::string_view name() const override { return "dynamic"; }
   std::string Describe() const override;
-  MethodCapabilities capabilities() const override;
   Status Prepare() override { return Status::OK(); }
   /// Search and SearchShared filter the index's own tombstones and reject
   /// a non-empty `excluded` with InvalidArgument.
@@ -177,8 +176,7 @@ class DynamicIndex final : public SearchMethod {
   size_t ResidentBytes() const override;
 
  private:
-  DynamicIndex(Env* env, std::string base, DynamicOptions options,
-               MethodCapabilities inner_capabilities);
+  DynamicIndex(Env* env, std::string base, DynamicOptions options);
 
   std::shared_ptr<const DynamicVersion> Snapshot() const {
     std::lock_guard<std::mutex> lock(version_mu_);
@@ -204,7 +202,6 @@ class DynamicIndex final : public SearchMethod {
   Env* env_;
   std::string base_;
   DynamicOptions options_;
-  MethodCapabilities inner_capabilities_;
 
   /// The current readable snapshot (epoch handoff point). `version_mu_` is
   /// held only for the pointer copy (Snapshot) or swap (PublishLocked) —

@@ -77,21 +77,6 @@ void GatherScalar(const float* base, size_t dim, const uint32_t* positions,
   }
 }
 
-void ScaledRowsScalar(const double* const* rows, const double* scales,
-                      size_t count, size_t dim, const double* query,
-                      double* out) {
-  for (size_t i = 0; i < count; ++i) {
-    const double* row = rows[i];
-    const double s = scales[i];
-    double acc = 0.0;
-    for (size_t d = 0; d < dim; ++d) {
-      const double x = row[d] * s - query[d];
-      acc += x * x;
-    }
-    out[i] = acc;
-  }
-}
-
 void AdcScalar(const uint8_t* codes, size_t count, size_t m, size_t ksub,
                const double* table, double threshold, double* out) {
   if (threshold == kInf) {
@@ -246,26 +231,6 @@ void GatherSse2(const float* base, size_t dim, const uint32_t* positions,
   }
 }
 
-void ScaledRowsSse2(const double* const* rows, const double* scales,
-                    size_t count, size_t dim, const double* query,
-                    double* out) {
-  size_t i = 0;
-  for (; i + 2 <= count; i += 2) {
-    const double* r0 = rows[i];
-    const double* r1 = rows[i + 1];
-    const __m128d scale = _mm_loadu_pd(scales + i);
-    __m128d acc = _mm_setzero_pd();
-    for (size_t d = 0; d < dim; ++d) {
-      const __m128d v = _mm_mul_pd(_mm_set_pd(r1[d], r0[d]), scale);
-      acc = Sse2Step(acc, v, query[d]);
-    }
-    _mm_storeu_pd(out + i, acc);
-  }
-  if (i < count) {
-    ScaledRowsScalar(rows + i, scales + i, count - i, dim, query, out + i);
-  }
-}
-
 void AdcSse2(const uint8_t* codes, size_t count, size_t m, size_t ksub,
              const double* table, double threshold, double* out) {
   const bool abandon = threshold != kInf;
@@ -405,27 +370,6 @@ void GatherNeon(const float* base, size_t dim, const uint32_t* positions,
   }
 }
 
-void ScaledRowsNeon(const double* const* rows, const double* scales,
-                    size_t count, size_t dim, const double* query,
-                    double* out) {
-  size_t i = 0;
-  for (; i + 2 <= count; i += 2) {
-    const double* r0 = rows[i];
-    const double* r1 = rows[i + 1];
-    const float64x2_t scale = vld1q_f64(scales + i);
-    float64x2_t acc = vdupq_n_f64(0.0);
-    for (size_t d = 0; d < dim; ++d) {
-      float64x2_t v = vdupq_n_f64(r0[d]);
-      v = vsetq_lane_f64(r1[d], v, 1);
-      acc = NeonStep(acc, vmulq_f64(v, scale), query[d]);
-    }
-    vst1q_f64(out + i, acc);
-  }
-  if (i < count) {
-    ScaledRowsScalar(rows + i, scales + i, count - i, dim, query, out + i);
-  }
-}
-
 void AdcNeon(const uint8_t* codes, size_t count, size_t m, size_t ksub,
              const double* table, double threshold, double* out) {
   const bool abandon = threshold != kInf;
@@ -484,7 +428,6 @@ namespace {
 
 using internal::ContigScalar;
 using internal::GatherScalar;
-using internal::ScaledRowsScalar;
 
 inline constexpr double kInf = std::numeric_limits<double>::infinity();
 
@@ -493,25 +436,20 @@ struct KernelOps {
                  double*);
   void (*gather)(const float*, size_t, const uint32_t*, size_t,
                  const double*, double*);
-  void (*scaled_rows)(const double* const*, const double*, size_t, size_t,
-                      const double*, double*);
   void (*adc)(const uint8_t*, size_t, size_t, size_t, const double*, double,
               double*);
 };
 
 constexpr KernelOps kScalarOps = {&ContigScalar, &GatherScalar,
-                                  &ScaledRowsScalar, &internal::AdcScalar};
+                                  &internal::AdcScalar};
 #if defined(__x86_64__) || defined(_M_X64)
 constexpr KernelOps kSse2Ops = {&internal::ContigSse2, &internal::GatherSse2,
-                                &internal::ScaledRowsSse2,
                                 &internal::AdcSse2};
 constexpr KernelOps kAvx2Ops = {&internal::ContigAvx2, &internal::GatherAvx2,
-                                &internal::ScaledRowsAvx2,
                                 &internal::AdcAvx2};
 #endif
 #if defined(__aarch64__)
 constexpr KernelOps kNeonOps = {&internal::ContigNeon, &internal::GatherNeon,
-                                &internal::ScaledRowsNeon,
                                 &internal::AdcNeon};
 #endif
 
@@ -678,14 +616,6 @@ void GatherSquaredDistance(const float* base, size_t dim,
   OpsFor(ActiveBackend())
       .gather(base, dim, positions.data(), positions.size(), query.data(),
               out);
-}
-
-void ScaledRowsSquaredDistance(const double* const* rows,
-                               const double* scales, size_t count, size_t dim,
-                               std::span<const double> query, double* out) {
-  QVT_DCHECK(query.size() == dim);
-  OpsFor(ActiveBackend())
-      .scaled_rows(rows, scales, count, dim, query.data(), out);
 }
 
 void BuildAdcTable(const float* codebooks, size_t m, size_t ksub,

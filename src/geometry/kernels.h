@@ -88,16 +88,6 @@ void GatherSquaredDistance(const float* base, size_t dim,
                            std::span<const uint32_t> positions,
                            std::span<const double> query, double* out);
 
-/// Squared distances from `query` to `count` scaled double rows:
-///
-///     out[i] = sum_d (rows[i][d] * scales[i] - query[d])^2
-///
-/// BIRCH's CF-centroid form: rows are linear sums, scales are 1/N. Each
-/// product and subtraction rounds exactly like the scalar CF loops.
-void ScaledRowsSquaredDistance(const double* const* rows,
-                               const double* scales, size_t count, size_t dim,
-                               std::span<const double> query, double* out);
-
 // --- Packed-code ADC kernels (the product-quantization first pass) --------
 //
 // `codes` holds `count` rows of `m` uint8 codebook indices (one byte per

@@ -177,29 +177,6 @@ QVT_TARGET_AVX2 void GatherAvx2(const float* base, size_t dim,
   }
 }
 
-QVT_TARGET_AVX2 void ScaledRowsAvx2(const double* const* rows,
-                                    const double* scales, size_t count,
-                                    size_t dim, const double* query,
-                                    double* out) {
-  size_t i = 0;
-  for (; i + 4 <= count; i += 4) {
-    const double* r0 = rows[i];
-    const double* r1 = rows[i + 1];
-    const double* r2 = rows[i + 2];
-    const double* r3 = rows[i + 3];
-    const __m256d scale = _mm256_loadu_pd(scales + i);
-    __m256d acc = _mm256_setzero_pd();
-    for (size_t d = 0; d < dim; ++d) {
-      const __m256d v = _mm256_set_pd(r3[d], r2[d], r1[d], r0[d]);
-      acc = Step(acc, _mm256_mul_pd(v, scale), query[d]);
-    }
-    _mm256_storeu_pd(out + i, acc);
-  }
-  if (i < count) {
-    ScaledRowsScalar(rows + i, scales + i, count - i, dim, query, out + i);
-  }
-}
-
 QVT_TARGET_AVX2 void AdcAvx2(const uint8_t* codes, size_t count, size_t m,
                              size_t ksub, const double* table,
                              double threshold, double* out) {

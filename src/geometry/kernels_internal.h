@@ -27,9 +27,6 @@ void ContigScalar(const float* base, size_t count, size_t dim,
                   const double* query, double threshold, double* out);
 void GatherScalar(const float* base, size_t dim, const uint32_t* positions,
                   size_t count, const double* query, double* out);
-void ScaledRowsScalar(const double* const* rows, const double* scales,
-                      size_t count, size_t dim, const double* query,
-                      double* out);
 void AdcScalar(const uint8_t* codes, size_t count, size_t m, size_t ksub,
                const double* table, double threshold, double* out);
 
@@ -39,9 +36,6 @@ void ContigSse2(const float* base, size_t count, size_t dim,
                 const double* query, double threshold, double* out);
 void GatherSse2(const float* base, size_t dim, const uint32_t* positions,
                 size_t count, const double* query, double* out);
-void ScaledRowsSse2(const double* const* rows, const double* scales,
-                    size_t count, size_t dim, const double* query,
-                    double* out);
 void AdcSse2(const uint8_t* codes, size_t count, size_t m, size_t ksub,
              const double* table, double threshold, double* out);
 
@@ -50,9 +44,6 @@ void ContigAvx2(const float* base, size_t count, size_t dim,
                 const double* query, double threshold, double* out);
 void GatherAvx2(const float* base, size_t dim, const uint32_t* positions,
                 size_t count, const double* query, double* out);
-void ScaledRowsAvx2(const double* const* rows, const double* scales,
-                    size_t count, size_t dim, const double* query,
-                    double* out);
 void AdcAvx2(const uint8_t* codes, size_t count, size_t m, size_t ksub,
              const double* table, double threshold, double* out);
 #endif  // x86-64
@@ -63,9 +54,6 @@ void ContigNeon(const float* base, size_t count, size_t dim,
                 const double* query, double threshold, double* out);
 void GatherNeon(const float* base, size_t dim, const uint32_t* positions,
                 size_t count, const double* query, double* out);
-void ScaledRowsNeon(const double* const* rows, const double* scales,
-                    size_t count, size_t dim, const double* query,
-                    double* out);
 void AdcNeon(const uint8_t* codes, size_t count, size_t m, size_t ksub,
              const double* table, double threshold, double* out);
 #endif  // aarch64

@@ -17,30 +17,7 @@ struct Sphere {
   Sphere(std::vector<float> c, double r) : center(std::move(c)), radius(r) {}
 
   size_t dim() const { return center.size(); }
-
-  /// Distance from `point` to the sphere's surface: max(0, |p-c| - r).
-  /// This is the lower bound on the distance from the query to any point
-  /// inside the sphere — the quantity the search's exact stop rule uses.
-  double MinDistanceTo(std::span<const float> point) const;
-
-  /// Distance from `point` to the centroid (the chunk-ranking key of §4.3).
-  double CenterDistanceTo(std::span<const float> point) const;
-
-  /// Upper bound on the distance from `point` to any point in the sphere:
-  /// |p-c| + r.
-  double MaxDistanceTo(std::span<const float> point) const;
-
-  /// True if the point lies inside or on the sphere (with tolerance eps).
-  bool Contains(std::span<const float> point, double eps = 1e-6) const;
-
-  /// True if the two spheres intersect or touch.
-  bool Intersects(const Sphere& other, double eps = 1e-9) const;
 };
-
-/// Smallest sphere enclosing both input spheres. If one contains the other,
-/// returns (a copy of) the container; otherwise the classic two-sphere
-/// bounding construction on the center line.
-Sphere MergeSpheres(const Sphere& a, const Sphere& b);
 
 /// Sphere centered at the centroid of `points` with the minimal radius that
 /// covers them all (the paper's "minimum bounding radius", §3). Note the

@@ -27,15 +27,6 @@ double Norm(std::span<const float> v) {
   return std::sqrt(sum);
 }
 
-void AddInPlace(std::span<float> a, std::span<const float> b) {
-  QVT_DCHECK(a.size() == b.size());
-  for (size_t i = 0; i < a.size(); ++i) a[i] += b[i];
-}
-
-void ScaleInPlace(std::span<float> a, double s) {
-  for (float& x : a) x = static_cast<float>(x * s);
-}
-
 std::vector<float> Mean(std::span<const std::span<const float>> vectors,
                         size_t dim) {
   std::vector<double> acc(dim, 0.0);
@@ -51,18 +42,6 @@ std::vector<float> Mean(std::span<const std::span<const float>> vectors,
     }
   }
   return mean;
-}
-
-std::vector<float> WeightedMean(std::span<const float> a, double wa,
-                                std::span<const float> b, double wb) {
-  QVT_DCHECK(a.size() == b.size());
-  QVT_CHECK(wa + wb > 0.0);
-  const double inv = 1.0 / (wa + wb);
-  std::vector<float> out(a.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    out[i] = static_cast<float>((wa * a[i] + wb * b[i]) * inv);
-  }
-  return out;
 }
 
 }  // namespace vec

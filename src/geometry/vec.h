@@ -26,20 +26,10 @@ double Distance(std::span<const float> a, std::span<const float> b);
 /// L2 norm.
 double Norm(std::span<const float> v);
 
-/// a += b.
-void AddInPlace(std::span<float> a, std::span<const float> b);
-
-/// a *= s.
-void ScaleInPlace(std::span<float> a, double s);
-
 /// Arithmetic mean of `vectors` (all of length `dim`); empty input returns a
 /// zero vector.
 std::vector<float> Mean(std::span<const std::span<const float>> vectors,
                         size_t dim);
-
-/// Weighted mean of two vectors: (wa*a + wb*b) / (wa+wb). Requires wa+wb > 0.
-std::vector<float> WeightedMean(std::span<const float> a, double wa,
-                                std::span<const float> b, double wb);
 
 }  // namespace vec
 }  // namespace qvt

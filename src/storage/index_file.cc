@@ -163,23 +163,4 @@ StatusOr<IndexFileView> OpenIndexFile(Env* env, const std::string& path,
   return IndexFileView::Open(std::move(file).value(), path, dim);
 }
 
-StatusOr<std::vector<ChunkIndexEntry>> ReadIndexFile(Env* env,
-                                                     const std::string& path,
-                                                     size_t dim) {
-  auto view = OpenIndexFile(env, path, dim);
-  if (!view.ok()) return view.status();
-  QVT_RETURN_IF_ERROR(view->VerifyCrc());
-
-  std::vector<ChunkIndexEntry> entries(view->num_chunks());
-  const std::span<const float> centroids = view->centroids();
-  for (size_t i = 0; i < entries.size(); ++i) {
-    ChunkIndexEntry& entry = entries[i];
-    entry.bounds.center.assign(centroids.begin() + i * view->dim(),
-                               centroids.begin() + (i + 1) * view->dim());
-    entry.bounds.radius = view->radii()[i];
-    entry.location = view->locations()[i];
-  }
-  return entries;
-}
-
 }  // namespace qvt

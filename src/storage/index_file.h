@@ -111,10 +111,9 @@ class IndexFileView {
     return {locations_, header_.num_chunks};
   }
 
-  /// CRC over the whole payload — run by fsck, ChunkIndex::Validate and
-  /// ReadIndexFile, not by Open. ValidateEntries checks the per-entry
-  /// invariants (finite non-negative radius, non-empty extent and
-  /// population); Open runs it.
+  /// CRC over the whole payload — run by fsck and ChunkIndex::Validate,
+  /// not by Open. ValidateEntries checks the per-entry invariants (finite
+  /// non-negative radius, non-empty extent and population); Open runs it.
   Status VerifyCrc() const;
   Status ValidateEntries() const;
 
@@ -139,12 +138,6 @@ Status WriteIndexFile(Env* env, const std::string& path, size_t dim,
 /// runs IndexFileView::Open's envelope and per-entry checks.
 StatusOr<IndexFileView> OpenIndexFile(Env* env, const std::string& path,
                                       size_t dim);
-
-/// Reads the whole index file into materialized entries (open + VerifyCrc
-/// + copy).
-StatusOr<std::vector<ChunkIndexEntry>> ReadIndexFile(Env* env,
-                                                     const std::string& path,
-                                                     size_t dim);
 
 }  // namespace qvt
 

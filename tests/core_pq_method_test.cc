@@ -330,10 +330,6 @@ TEST(PqMethodTest, InvalidArgumentsRejected) {
   EXPECT_TRUE(method->Search(fx.queries[0], 10, StopRule::MaxChunks(2))
                   .status()
                   .IsInvalidArgument());
-  EXPECT_TRUE(
-      method->SearchRange(fx.queries[0], 1.0, StopRule::Exact())
-          .status()
-          .IsUnimplemented());
 }
 
 }  // namespace

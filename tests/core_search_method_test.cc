@@ -224,13 +224,6 @@ TEST(SearchMethodTest, EveryMethodConstructibleAndSearchable) {
       const std::string label = info.name + " with " + std::to_string(bad);
       EXPECT_TRUE((*method)->Search(query, 5).status().IsInvalidArgument())
           << label;
-      if (info.capabilities.range_search) {
-        EXPECT_TRUE((*method)
-                        ->SearchRange(query, 10.0, StopRule::Exact())
-                        .status()
-                        .IsInvalidArgument())
-            << label;
-      }
       if ((*method)->SupportsSharedScan()) {
         const std::vector<std::span<const float>> batch = {good, query};
         EXPECT_TRUE((*method)
@@ -256,23 +249,6 @@ TEST(SearchMethodTest, MethodsWithoutStopRulesRejectApproximateStops) {
     } else {
       ASSERT_FALSE(result.ok()) << info.name;
       EXPECT_TRUE(result.status().IsInvalidArgument()) << info.name;
-    }
-  }
-}
-
-TEST(SearchMethodTest, RangeSearchMatchesCapabilityFlag) {
-  const MethodFixture fx;
-  for (const MethodInfo& info : MethodRegistry::Global().List()) {
-    auto method = MethodRegistry::Global().Create(info.name, fx.Context());
-    ASSERT_TRUE(method.ok()) << info.name;
-    ASSERT_TRUE((*method)->Prepare().ok()) << info.name;
-    auto result = (*method)->SearchRange(fx.collection.Vector(0), 10.0,
-                                         StopRule::Exact());
-    if (info.capabilities.range_search) {
-      EXPECT_TRUE(result.ok()) << info.name;
-    } else {
-      ASSERT_FALSE(result.ok()) << info.name;
-      EXPECT_TRUE(result.status().IsUnimplemented()) << info.name;
     }
   }
 }

@@ -269,63 +269,6 @@ TEST(SearcherTest, SearchAndSharedMatchRankOrderReference) {
   }
 }
 
-TEST(SearcherTest, RangeSearchMatchesBruteForce) {
-  SrTreeChunker chunker(60);
-  IndexFixture fx(&chunker);
-  Searcher searcher(&*fx.index, DiskCostModel());
-
-  Rng rng(99);
-  for (int trial = 0; trial < 8; ++trial) {
-    const size_t pos = rng.Uniform(fx.collection.size());
-    const double radius = rng.UniformDouble(1.0, 12.0);
-    auto result = searcher.SearchRange(fx.collection.Vector(pos), radius,
-                                       StopRule::Exact());
-    ASSERT_TRUE(result.ok());
-    EXPECT_TRUE(result->telemetry.exact);
-
-    size_t expected = 0;
-    for (size_t i = 0; i < fx.collection.size(); ++i) {
-      if (vec::Distance(fx.collection.Vector(i),
-                        fx.collection.Vector(pos)) <= radius) {
-        ++expected;
-      }
-    }
-    EXPECT_EQ(result->neighbors.size(), expected) << "radius " << radius;
-    for (size_t i = 1; i < result->neighbors.size(); ++i) {
-      EXPECT_GE(result->neighbors[i].distance,
-                result->neighbors[i - 1].distance);
-    }
-    // The bound-based pruning must save reads for small balls.
-    EXPECT_LE(result->telemetry.chunks_read, fx.index->num_chunks());
-  }
-}
-
-TEST(SearcherTest, ApproximateRangeIsSubset) {
-  SrTreeChunker chunker(60);
-  IndexFixture fx(&chunker);
-  Searcher searcher(&*fx.index, DiskCostModel());
-  const auto query = fx.collection.Vector(33);
-  const double radius = 8.0;
-
-  auto exact = searcher.SearchRange(query, radius, StopRule::Exact());
-  auto approx = searcher.SearchRange(query, radius, StopRule::MaxChunks(2));
-  ASSERT_TRUE(exact.ok());
-  ASSERT_TRUE(approx.ok());
-  EXPECT_FALSE(approx->telemetry.exact);
-  EXPECT_LE(approx->neighbors.size(), exact->neighbors.size());
-  // Every approximate hit is a true hit.
-  for (const Neighbor& a : approx->neighbors) {
-    bool found = false;
-    for (const Neighbor& e : exact->neighbors) {
-      if (e.id == a.id) {
-        found = true;
-        break;
-      }
-    }
-    EXPECT_TRUE(found);
-  }
-}
-
 // The kernel layer's determinism contract at the API that matters: the same
 // queries through the forced-scalar path and through the best SIMD backend
 // must return bit-identical results (ids, distances, chunks read,
@@ -340,58 +283,28 @@ TEST(SearcherTest, SimdAndScalarBackendsReturnIdenticalResults) {
   for (int trial = 0; trial < 12; ++trial) {
     std::vector<float> query(kDescriptorDim);
     for (auto& x : query) x = static_cast<float>(rng.UniformDouble(20, 80));
-    const double radius = rng.UniformDouble(2.0, 12.0);
 
     kernels::SetBackendForTesting(kernels::Backend::kScalar);
     auto knn_scalar = searcher.Search(query, 10, StopRule::Exact());
-    auto range_scalar = searcher.SearchRange(query, radius, StopRule::Exact());
     kernels::SetBackendForTesting(best);
     auto knn_simd = searcher.Search(query, 10, StopRule::Exact());
-    auto range_simd = searcher.SearchRange(query, radius, StopRule::Exact());
     kernels::ResetBackendForTesting();
 
     ASSERT_TRUE(knn_scalar.ok() && knn_simd.ok());
-    ASSERT_TRUE(range_scalar.ok() && range_simd.ok());
-    for (auto [a, b] : {std::pair{&*knn_scalar, &*knn_simd},
-                        std::pair{&*range_scalar, &*range_simd}}) {
-      EXPECT_EQ(a->telemetry.chunks_read, b->telemetry.chunks_read);
-      EXPECT_EQ(a->telemetry.descriptors_scanned,
-                b->telemetry.descriptors_scanned);
-      EXPECT_EQ(a->telemetry.model_micros, b->telemetry.model_micros);
-      EXPECT_EQ(a->telemetry.exact, b->telemetry.exact);
-      ASSERT_EQ(a->neighbors.size(), b->neighbors.size());
-      for (size_t i = 0; i < a->neighbors.size(); ++i) {
-        EXPECT_EQ(a->neighbors[i].id, b->neighbors[i].id) << "rank " << i;
-        // Bitwise equality, not almost-equal: the kernels promise it.
-        EXPECT_EQ(a->neighbors[i].distance, b->neighbors[i].distance)
-            << "rank " << i;
-      }
+    const MethodResult* a = &*knn_scalar;
+    const MethodResult* b = &*knn_simd;
+    EXPECT_EQ(a->telemetry.chunks_read, b->telemetry.chunks_read);
+    EXPECT_EQ(a->telemetry.descriptors_scanned,
+              b->telemetry.descriptors_scanned);
+    EXPECT_EQ(a->telemetry.model_micros, b->telemetry.model_micros);
+    EXPECT_EQ(a->telemetry.exact, b->telemetry.exact);
+    ASSERT_EQ(a->neighbors.size(), b->neighbors.size());
+    for (size_t i = 0; i < a->neighbors.size(); ++i) {
+      EXPECT_EQ(a->neighbors[i].id, b->neighbors[i].id) << "rank " << i;
+      // Bitwise equality, not almost-equal: the kernels promise it.
+      EXPECT_EQ(a->neighbors[i].distance, b->neighbors[i].distance)
+          << "rank " << i;
     }
-  }
-}
-
-TEST(SearcherTest, RangeSearchRejectsBadArguments) {
-  SrTreeChunker chunker(60);
-  IndexFixture fx(&chunker);
-  Searcher searcher(&*fx.index, DiskCostModel());
-  EXPECT_TRUE(searcher
-                  .SearchRange(fx.collection.Vector(0), -0.5,
-                               StopRule::Exact())
-                  .status()
-                  .IsInvalidArgument());
-  std::vector<float> wrong(3, 0.0f);
-  EXPECT_TRUE(searcher.SearchRange(wrong, 1.0, StopRule::Exact())
-                  .status()
-                  .IsInvalidArgument());
-  const auto base = fx.collection.Vector(5);
-  for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
-                          std::numeric_limits<float>::infinity(),
-                          -std::numeric_limits<float>::infinity()}) {
-    std::vector<float> query(base.begin(), base.end());
-    query[3] = bad;
-    EXPECT_TRUE(searcher.SearchRange(query, 5.0, StopRule::Exact())
-                    .status()
-                    .IsInvalidArgument());
   }
 }
 
@@ -680,8 +593,8 @@ void ExpectSameAnswer(const MethodResult& a, const MethodResult& b) {
 
 // A ChunkCache changes where chunk bytes come from, never the answer: fed
 // the same query sequence (repeats make warm hits), the cached searcher's
-// k-NN and range results match the uncached one; a warm hit may only make
-// the modeled time cheaper.
+// k-NN results match the uncached one; a warm hit may only make the
+// modeled time cheaper.
 TEST(SearcherTest, CachedSearchMatchesUncached) {
   SrTreeChunker chunker(60);
   IndexFixture fx(&chunker);
@@ -701,12 +614,6 @@ TEST(SearcherTest, CachedSearchMatchesUncached) {
       EXPECT_LE(b->telemetry.model_micros, a->telemetry.model_micros);
       EXPECT_EQ(b->telemetry.cache_hits + b->telemetry.cache_misses,
                 b->telemetry.chunks_read);
-
-      auto c = plain.SearchRange(query, 6.0, rule);
-      auto d = cached.SearchRange(query, 6.0, rule);
-      ASSERT_TRUE(c.ok());
-      ASSERT_TRUE(d.ok());
-      ExpectSameAnswer(*c, *d);
     }
   }
   EXPECT_GT(cache.Stats().hits, 0u);
@@ -780,9 +687,6 @@ TEST(SearcherTest, FailedChunkReadMidOrderReturnsItsStatus) {
       ASSERT_FALSE(shared.ok());
       EXPECT_EQ(shared.status().ToString(), expected.ToString());
     }
-    auto range = searcher.SearchRange(query, 1e9, StopRule::Exact());
-    ASSERT_FALSE(range.ok());
-    EXPECT_EQ(range.status().ToString(), expected.ToString());
   }
 }
 

@@ -225,40 +225,6 @@ TEST(KernelsTest, GatherMatchesScalarReference) {
   }
 }
 
-TEST(KernelsTest, ScaledRowsMatchesScalarLoop) {
-  Rng rng(23);
-  const size_t dim = 24, count = 13;
-  std::vector<std::vector<double>> storage(count,
-                                           std::vector<double>(dim));
-  std::vector<const double*> rows(count);
-  std::vector<double> scales(count);
-  for (size_t i = 0; i < count; ++i) {
-    for (auto& x : storage[i]) x = rng.UniformDouble(-10.0, 10.0);
-    rows[i] = storage[i].data();
-    scales[i] = 1.0 / static_cast<double>(1 + rng.Uniform(40));
-  }
-  std::vector<double> query(dim);
-  for (auto& x : query) x = rng.UniformDouble(-10.0, 10.0);
-
-  // Reference: the pre-kernel BIRCH CF loop.
-  std::vector<double> expected(count);
-  for (size_t i = 0; i < count; ++i) {
-    double acc = 0.0;
-    for (size_t d = 0; d < dim; ++d) {
-      const double x = storage[i][d] * scales[i] - query[d];
-      acc += x * x;
-    }
-    expected[i] = acc;
-  }
-  for (Backend backend : SupportedBackends()) {
-    BackendGuard guard(backend);
-    std::vector<double> got(count);
-    kernels::ScaledRowsSquaredDistance(rows.data(), scales.data(), count,
-                                       dim, query, got.data());
-    EXPECT_EQ(got, expected) << kernels::BackendName(backend);
-  }
-}
-
 TEST(KernelsTest, AbandonThresholdIsConservative) {
   EXPECT_EQ(kernels::AbandonThreshold(
                 std::numeric_limits<double>::infinity()),

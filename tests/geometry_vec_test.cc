@@ -33,17 +33,6 @@ TEST(VecTest, NormMatchesDistanceFromOrigin) {
   EXPECT_DOUBLE_EQ(vec::Norm(v), 3.0);
 }
 
-TEST(VecTest, AddAndScaleInPlace) {
-  std::vector<float> a = {1, 2};
-  std::vector<float> b = {10, 20};
-  vec::AddInPlace(a, b);
-  EXPECT_EQ(a[0], 11);
-  EXPECT_EQ(a[1], 22);
-  vec::ScaleInPlace(a, 0.5);
-  EXPECT_FLOAT_EQ(a[0], 5.5f);
-  EXPECT_FLOAT_EQ(a[1], 11.0f);
-}
-
 TEST(VecTest, MeanOfEmptyIsZero) {
   const auto mean = vec::Mean({}, 3);
   EXPECT_EQ(mean, (std::vector<float>{0, 0, 0}));
@@ -56,13 +45,6 @@ TEST(VecTest, MeanOfVectors) {
   const auto mean = vec::Mean(vs, 2);
   EXPECT_FLOAT_EQ(mean[0], 1.0f);
   EXPECT_FLOAT_EQ(mean[1], 2.0f);
-}
-
-TEST(VecTest, WeightedMeanRespectsWeights) {
-  std::vector<float> a = {0.0f};
-  std::vector<float> b = {10.0f};
-  const auto m = vec::WeightedMean(a, 3.0, b, 1.0);
-  EXPECT_FLOAT_EQ(m[0], 2.5f);
 }
 
 class VecPropertyTest : public ::testing::TestWithParam<uint64_t> {};

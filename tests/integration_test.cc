@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include "cluster/bag.h"
-#include "cluster/birch.h"
 #include "cluster/kmeans.h"
 #include "cluster/round_robin.h"
 #include "cluster/srtree_chunker.h"
@@ -82,13 +81,10 @@ TEST_F(IntegrationTest, EveryChunkerProducesASearchableIndex) {
   KMeansConfig km_config;
   km_config.num_clusters = 12;
   KMeansChunker km(km_config);
-  BirchConfig birch_config;
-  birch_config.max_subclusters = 24;
-  BirchChunker birch(birch_config);
   BagChunker bag(24, BagConfig{});
 
   const std::pair<Chunker*, const char*> chunkers[] = {
-      {&sr, "sr"}, {&rr, "rr"}, {&km, "km"}, {&birch, "birch"}, {&bag, "bag"}};
+      {&sr, "sr"}, {&rr, "rr"}, {&km, "km"}, {&bag, "bag"}};
 
   Rng rng(7);
   std::vector<float> query(collection_->dim());

@@ -445,57 +445,5 @@ TEST(CachedSearcherTest, CacheAgreesWithUncachedSearch) {
   }
 }
 
-// Satellite regression: SearchRange must route chunk reads through the cache
-// and charge CPU-only on hits, exactly like Search.
-TEST(CachedSearcherTest, RangeSearchUsesCache) {
-  SearchFixture fx;
-  ChunkCache cache(100000);
-  Searcher searcher(&*fx.index, DiskCostModel(), &cache);
-  const auto query = fx.collection.Vector(17);
-  const double radius = 10.0;
-
-  auto cold = searcher.SearchRange(query, radius, StopRule::Exact());
-  ASSERT_TRUE(cold.ok());
-  const ChunkCacheStats after_cold = cache.Stats();
-  EXPECT_GT(after_cold.misses, 0u);
-
-  auto warm = searcher.SearchRange(query, radius, StopRule::Exact());
-  ASSERT_TRUE(warm.ok());
-  const ChunkCacheStats after_warm = cache.Stats();
-  EXPECT_EQ(after_warm.misses, after_cold.misses);  // all resident now
-  EXPECT_GT(after_warm.hits, after_cold.hits);
-
-  // Same answer, but hits were charged ChunkCpuMicros instead of full I/O.
-  ASSERT_EQ(cold->neighbors.size(), warm->neighbors.size());
-  for (size_t i = 0; i < cold->neighbors.size(); ++i) {
-    EXPECT_EQ(cold->neighbors[i].id, warm->neighbors[i].id);
-  }
-  EXPECT_LT(warm->telemetry.model_micros, cold->telemetry.model_micros);
-}
-
-TEST(CachedSearcherTest, RangeSearchCacheAgreesWithUncached) {
-  SearchFixture fx;
-  ChunkCache cache(64);  // eviction churn
-  Searcher cached(&*fx.index, DiskCostModel(), &cache);
-  Searcher plain(&*fx.index, DiskCostModel());
-
-  for (size_t pos : {3u, 77u, 400u}) {
-    for (double radius : {4.0, 9.0}) {
-      auto a = cached.SearchRange(fx.collection.Vector(pos), radius,
-                                  StopRule::Exact());
-      auto b = plain.SearchRange(fx.collection.Vector(pos), radius,
-                                 StopRule::Exact());
-      ASSERT_TRUE(a.ok());
-      ASSERT_TRUE(b.ok());
-      EXPECT_EQ(a->telemetry.chunks_read, b->telemetry.chunks_read);
-      ASSERT_EQ(a->neighbors.size(), b->neighbors.size());
-      for (size_t i = 0; i < a->neighbors.size(); ++i) {
-        EXPECT_EQ(a->neighbors[i].id, b->neighbors[i].id);
-        EXPECT_DOUBLE_EQ(a->neighbors[i].distance, b->neighbors[i].distance);
-      }
-    }
-  }
-}
-
 }  // namespace
 }  // namespace qvt

@@ -1,6 +1,7 @@
 #include "storage/index_file.h"
 
 #include <cstring>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -15,6 +16,28 @@ ChunkIndexEntry MakeEntry(size_t dim, float center, double radius,
   entry.bounds = Sphere(std::vector<float>(dim, center), radius);
   entry.location = ChunkLocation{page, pages, count};
   return entry;
+}
+
+// The whole read path: the open's envelope and entry checks, then the CRC.
+Status OpenAndVerify(MemEnv* env, const std::string& path, size_t dim) {
+  auto view = OpenIndexFile(env, path, dim);
+  if (!view.ok()) return view.status();
+  return view->VerifyCrc();
+}
+
+// Every column of `view` holds what `entries` wrote.
+void ExpectViewMatches(const IndexFileView& view,
+                       const std::vector<ChunkIndexEntry>& entries) {
+  ASSERT_EQ(view.num_chunks(), entries.size());
+  const size_t dim = view.dim();
+  for (size_t i = 0; i < entries.size(); ++i) {
+    const std::span<const float> centroid =
+        view.centroids().subspan(i * dim, dim);
+    EXPECT_EQ(std::vector<float>(centroid.begin(), centroid.end()),
+              entries[i].bounds.center);
+    EXPECT_DOUBLE_EQ(view.radii()[i], entries[i].bounds.radius);
+    EXPECT_EQ(view.locations()[i], entries[i].location);
+  }
 }
 
 std::vector<uint8_t> FileBytes(MemEnv* env, const std::string& path) {
@@ -36,14 +59,13 @@ TEST(IndexFileTest, RoundTrip) {
   };
   ASSERT_TRUE(WriteIndexFile(&env, "idx", 24, entries).ok());
 
-  auto loaded = ReadIndexFile(&env, "idx", 24);
-  ASSERT_TRUE(loaded.ok());
-  ASSERT_EQ(loaded->size(), 2u);
-  EXPECT_EQ((*loaded)[0].bounds.center, entries[0].bounds.center);
-  EXPECT_DOUBLE_EQ((*loaded)[0].bounds.radius, 2.5);
-  EXPECT_EQ((*loaded)[0].location, entries[0].location);
-  EXPECT_EQ((*loaded)[1].location.first_page, 3u);
-  EXPECT_EQ((*loaded)[1].location.num_descriptors, 7u);
+  auto view = OpenIndexFile(&env, "idx", 24);
+  ASSERT_TRUE(view.ok());
+  ASSERT_TRUE(view->VerifyCrc().ok());
+  ExpectViewMatches(*view, entries);
+  EXPECT_DOUBLE_EQ(view->radii()[0], 2.5);
+  EXPECT_EQ(view->locations()[1].first_page, 3u);
+  EXPECT_EQ(view->locations()[1].num_descriptors, 7u);
 }
 
 // The round trip must hold at every dim parity: at odd dims the f64 radius
@@ -62,14 +84,10 @@ TEST(IndexFileTest, RoundTripAtAwkwardDims) {
     }
     ASSERT_TRUE(WriteIndexFile(&env, "idx", dim, entries).ok());
 
-    auto loaded = ReadIndexFile(&env, "idx", dim);
-    ASSERT_TRUE(loaded.ok());
-    ASSERT_EQ(loaded->size(), entries.size());
-    for (size_t i = 0; i < entries.size(); ++i) {
-      EXPECT_EQ((*loaded)[i].bounds.center, entries[i].bounds.center);
-      EXPECT_DOUBLE_EQ((*loaded)[i].bounds.radius, entries[i].bounds.radius);
-      EXPECT_EQ((*loaded)[i].location, entries[i].location);
-    }
+    auto view = OpenIndexFile(&env, "idx", dim);
+    ASSERT_TRUE(view.ok());
+    ASSERT_TRUE(view->VerifyCrc().ok());
+    ExpectViewMatches(*view, entries);
   }
 }
 
@@ -113,7 +131,7 @@ TEST(IndexFileTest, FlippedMagicRejectedWithPathAndOffset) {
   bytes[0] ^= 0xff;
   PutBytes(&env, "idx", bytes);
 
-  const Status s = ReadIndexFile(&env, "idx", 24).status();
+  const Status s = OpenAndVerify(&env, "idx", 24);
   EXPECT_TRUE(s.IsCorruption());
   EXPECT_NE(s.ToString().find("idx"), std::string::npos);
   EXPECT_NE(s.ToString().find("offset 0"), std::string::npos);
@@ -132,13 +150,13 @@ TEST(IndexFileTest, TruncationMidRecordRejected) {
   std::vector<uint8_t> truncated(bytes.begin(),
                                  bytes.begin() + bytes.size() / 2);
   PutBytes(&env, "idx", truncated);
-  EXPECT_TRUE(ReadIndexFile(&env, "idx", 24).status().IsCorruption());
+  EXPECT_TRUE(OpenAndVerify(&env, "idx", 24).IsCorruption());
   EXPECT_TRUE(OpenIndexFile(&env, "idx", 24).status().IsCorruption());
 
   // Shorter than even a header.
   std::vector<uint8_t> stub(bytes.begin(), bytes.begin() + 20);
   PutBytes(&env, "idx", stub);
-  EXPECT_TRUE(ReadIndexFile(&env, "idx", 24).status().IsCorruption());
+  EXPECT_TRUE(OpenAndVerify(&env, "idx", 24).IsCorruption());
 }
 
 TEST(IndexFileTest, CorruptedCrcRejectedByDeserializingOpenOnly) {
@@ -150,13 +168,13 @@ TEST(IndexFileTest, CorruptedCrcRejectedByDeserializingOpenOnly) {
   bytes[kFormatHeaderBytes + 1] ^= 0x20;  // flip one centroid payload bit
   PutBytes(&env, "idx", bytes);
 
-  const Status s = ReadIndexFile(&env, "idx", 24).status();
+  const Status s = OpenAndVerify(&env, "idx", 24);
   EXPECT_TRUE(s.IsCorruption());
   EXPECT_NE(s.ToString().find("crc"), std::string::npos);
 
   // The open checks entries, not the checksum, so it admits a flip that
-  // leaves every entry valid; VerifyCrc is the explicit check fsck,
-  // ChunkIndex::Validate and ReadIndexFile run.
+  // leaves every entry valid; VerifyCrc is the explicit check fsck and
+  // ChunkIndex::Validate run.
   auto opened = OpenIndexFile(&env, "idx", 24);
   ASSERT_TRUE(opened.ok());
   EXPECT_TRUE(opened->VerifyCrc().IsCorruption());
@@ -169,7 +187,7 @@ TEST(IndexFileTest, GarbageFileRejected) {
     garbage[i] = static_cast<uint8_t>(i * 37 + 11);
   }
   PutBytes(&env, "idx", garbage);
-  EXPECT_TRUE(ReadIndexFile(&env, "idx", 24).status().IsCorruption());
+  EXPECT_TRUE(OpenAndVerify(&env, "idx", 24).IsCorruption());
   EXPECT_TRUE(OpenIndexFile(&env, "idx", 24).status().IsCorruption());
 }
 
@@ -177,7 +195,7 @@ TEST(IndexFileTest, DimMismatchRejected) {
   MemEnv env;
   std::vector<ChunkIndexEntry> entries = {MakeEntry(24, 1.0f, 1.0, 0, 1, 1)};
   ASSERT_TRUE(WriteIndexFile(&env, "idx", 24, entries).ok());
-  const Status s = ReadIndexFile(&env, "idx", 16).status();
+  const Status s = OpenAndVerify(&env, "idx", 16);
   EXPECT_TRUE(s.IsCorruption());
   EXPECT_NE(s.ToString().find("dim"), std::string::npos);
 }
@@ -189,7 +207,7 @@ TEST(IndexFileTest, InvalidEntryContentsRejected) {
   std::vector<ChunkIndexEntry> entries = {MakeEntry(24, 0.0f, 1.0, 0, 1, 5)};
   entries[0].location.num_pages = 0;
   ASSERT_TRUE(WriteIndexFile(&env, "idx", 24, entries).ok());
-  EXPECT_TRUE(ReadIndexFile(&env, "idx", 24).status().IsCorruption());
+  EXPECT_TRUE(OpenAndVerify(&env, "idx", 24).IsCorruption());
   EXPECT_TRUE(OpenIndexFile(&env, "idx", 24).status().IsCorruption());
 
   // A negative radius likewise — rewrite the radius column in place and
@@ -205,7 +223,7 @@ TEST(IndexFileTest, InvalidEntryContentsRejected) {
   const uint32_t crc = Crc32(bytes.data(), view->header().footer_off);
   std::memcpy(bytes.data() + view->header().footer_off, &crc, sizeof(crc));
   PutBytes(&env, "idx", bytes);
-  const Status s = ReadIndexFile(&env, "idx", 24).status();
+  const Status s = OpenAndVerify(&env, "idx", 24);
   EXPECT_TRUE(s.IsCorruption());
   EXPECT_NE(s.ToString().find("radius"), std::string::npos);
   const Status opened = OpenIndexFile(&env, "idx", 24).status();

@@ -4,7 +4,7 @@
 //                     [--modes 20] [--seed 42] [--build-threads N]
 //                     [--heavy-mode-weight 0.0]
 //   qvt_tool build    --collection col.desc --out idx
-//                     [--chunker sr|rr|kmeans|balanced-kmeans|birch|bag]
+//                     [--chunker sr|rr|kmeans|balanced-kmeans|bkm|bag]
 //                     [--chunk-size 1000] [--max-chunk-pop 0]
 //                     [--build-threads N] [--pq-out codes.pqc]
 //                     [--pq-m 8] [--pq-ksub 256] [--pq-iters 25]
@@ -127,7 +127,6 @@
 #include "bench_util/runner.h"
 #include "cluster/bag.h"
 #include "cluster/balanced_kmeans.h"
-#include "cluster/birch.h"
 #include "cluster/kmeans.h"
 #include "cluster/pq.h"
 #include "cluster/rebalance.h"
@@ -290,13 +289,20 @@ int CmdBuild(const Flags& flags) {
     std::fprintf(stderr, "build requires --collection and --out\n");
     return 2;
   }
-  auto collection = Collection::Load(Env::Posix(), flags.Get("collection", ""));
-  if (!collection.ok()) return Fail(collection.status());
-  ApplyBuildThreads(flags);
-
   const size_t chunk_size = flags.GetCount("chunk-size", 1000);
   const size_t max_chunk_pop = flags.GetCount("max-chunk-pop", 0);
   const std::string kind = flags.Get("chunker", "sr");
+  // Every chunker divides by the chunk size; an SR-tree leaf splits in two,
+  // so it needs room for at least two rows.
+  const size_t min_chunk_size = kind == "sr" ? 2 : 1;
+  if (chunk_size < min_chunk_size) {
+    std::fprintf(stderr, "--chunk-size must be at least %zu for --chunker %s\n",
+                 min_chunk_size, kind.c_str());
+    return 2;
+  }
+  auto collection = Collection::Load(Env::Posix(), flags.Get("collection", ""));
+  if (!collection.ok()) return Fail(collection.status());
+  ApplyBuildThreads(flags);
 
   std::unique_ptr<Chunker> chunker;
   if (kind == "sr") {
@@ -314,11 +320,6 @@ int CmdBuild(const Flags& flags) {
         std::max<size_t>(1, collection->size() / chunk_size);
     config.max_population = max_chunk_pop;
     chunker = std::make_unique<BalancedKMeansChunker>(config);
-  } else if (kind == "birch") {
-    BirchConfig config;
-    config.max_subclusters =
-        std::max<size_t>(1, collection->size() / chunk_size * 2);
-    chunker = std::make_unique<BirchChunker>(config);
   } else if (kind == "bag") {
     chunker = std::make_unique<BagChunker>(
         std::max<size_t>(1, collection->size() / chunk_size * 2),
@@ -782,10 +783,9 @@ int CmdMethods(const Flags& flags) {
     }
     const MethodCapabilities& caps = info.capabilities;
     std::printf("%-11s %s\n", info.name.c_str(), info.summary.c_str());
-    std::printf("            capabilities: exact=%s range=%s stop-rules=%s "
+    std::printf("            capabilities: exact=%s stop-rules=%s "
                 "disk-model=%s\n",
-                caps.exact ? "yes" : "no", caps.range_search ? "yes" : "no",
-                caps.stop_rules ? "yes" : "no",
+                caps.exact ? "yes" : "no", caps.stop_rules ? "yes" : "no",
                 caps.disk_model ? "yes" : "no");
   }
   return 0;

@@ -1,6 +1,5 @@
 #include "core/exact_scan.h"
 
-#include <cmath>
 #include <cstring>
 
 #include "geometry/kernels.h"
@@ -15,22 +14,21 @@ std::vector<Neighbor> ExactScan(const Collection& collection,
   QVT_CHECK(k > 0);
   KnnResultSet result(k, excluded);
   // Blocked kernel scan with early abandon against the running k-th
-  // distance; AbandonThreshold()'s margin keeps the output bit-identical to
-  // the naive per-descriptor loop.
+  // distance; AdmitRows keeps the output bit-identical to the naive
+  // per-descriptor loop.
   constexpr size_t kBlock = 256;
   const size_t dim = collection.dim();
   const float* base = collection.RawData().data();
+  const std::span<const DescriptorId> ids = collection.Ids();
   std::vector<double> distances(std::min(collection.size(), kBlock));
   for (size_t b = 0; b < collection.size(); b += kBlock) {
     const size_t bn = std::min(kBlock, collection.size() - b);
-    const double threshold = kernels::AbandonThreshold(result.KthDistance());
-    kernels::BatchSquaredDistanceAbandon(base + b * dim, bn, dim, query,
-                                         threshold, distances.data());
-    for (size_t i = 0; i < bn; ++i) {
-      const double sq = distances[i];
-      if (sq == kernels::kAbandoned) continue;
-      result.Insert(collection.Id(b + i), std::sqrt(sq));
-    }
+    kernels::BatchSquaredDistanceAbandon(
+        base + b * dim, bn, dim, query,
+        kernels::AbandonThreshold(result.KthDistance()), distances.data());
+    AdmitRows(distances.data(), bn, result, [&](size_t i, double distance) {
+      return result.Insert(ids[b + i], distance);
+    });
   }
   if (refused != nullptr) *refused = result.refused();
   return result.Sorted();

@@ -254,7 +254,7 @@ StatusOr<MethodResult> PqMethod::Search(
 StatusOr<std::vector<MethodResult>> PqMethod::SearchShared(
     std::span<const std::span<const float>> queries, size_t k,
     const StopRule& stop, size_t num_threads, SharedScanStats* stats,
-    std::span<const DescriptorId> excluded) const {
+    std::span<const DescriptorId> excluded, std::span<const double>) const {
   if (!prepared_) {
     return Status::FailedPrecondition("pq used before Prepare()");
   }

@@ -69,11 +69,14 @@ class PqMethod final : public SearchMethod {
   /// per-query thresholds), and the rerank fetches the union of the
   /// queries' candidate chunks once each. Per-query neighbors and counters
   /// are bit-identical to Search() per query; `stats` accumulates the
-  /// batch's coalescing ledger.
+  /// batch's coalescing ledger. `bounds` is ignored (the contract allows
+  /// it): the ADC filter ranks by approximate distances, which a bound on
+  /// exact ones cannot prune.
   StatusOr<std::vector<MethodResult>> SearchShared(
       std::span<const std::span<const float>> queries, size_t k,
       const StopRule& stop, size_t num_threads, SharedScanStats* stats,
-      std::span<const DescriptorId> excluded = {}) const override;
+      std::span<const DescriptorId> excluded = {},
+      std::span<const double> bounds = {}) const override;
 
   /// Bytes of RAM the prepared first pass holds resident (codebooks +
   /// packed codes + id sidecar + rerank routing table). For `qvt_tool

@@ -22,9 +22,11 @@ bool IsExcluded(std::span<const DescriptorId> excluded, DescriptorId id) {
          std::binary_search(excluded.begin(), excluded.end(), id);
 }
 
-KnnResultSet::KnnResultSet(size_t k, std::span<const DescriptorId> excluded)
-    : k_(k), excluded_(excluded) {
+KnnResultSet::KnnResultSet(size_t k, std::span<const DescriptorId> excluded,
+                           double bound)
+    : k_(k), bound_(bound), excluded_(excluded) {
   QVT_CHECK(k > 0);
+  QVT_CHECK(bound >= 0.0) << "result-set bound must be >= 0, got " << bound;
   heap_.reserve(k);
 }
 
@@ -37,6 +39,10 @@ bool KnnResultSet::Insert(DescriptorId key, double distance,
         (distance == worst.distance && key >= worst.id)) {
       return false;
     }
+  } else if (distance > bound_) {
+    // Beyond the caller's k neighbors; once full, the worst kept is within
+    // the bound, so the check above covers it.
+    return false;
   }
   if (IsExcluded(excluded_, id)) {
     ++refused_;
@@ -51,11 +57,6 @@ bool KnnResultSet::Insert(DescriptorId key, double distance,
   heap_.back() = {key, distance};
   std::push_heap(heap_.begin(), heap_.end(), HeapLess);
   return true;
-}
-
-double KnnResultSet::KthDistance() const {
-  if (heap_.size() < k_) return std::numeric_limits<double>::infinity();
-  return heap_.front().distance;
 }
 
 std::vector<Neighbor> KnnResultSet::Sorted() const {

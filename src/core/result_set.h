@@ -1,12 +1,14 @@
 #ifndef QVT_CORE_RESULT_SET_H_
 #define QVT_CORE_RESULT_SET_H_
 
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <span>
 #include <vector>
 
 #include "descriptor/types.h"
+#include "geometry/kernels.h"
 
 namespace qvt {
 
@@ -31,10 +33,16 @@ bool IsExcluded(std::span<const DescriptorId> excluded, DescriptorId id);
 /// only after it has beaten the current k-th, so rows that would not enter
 /// cost nothing extra, and a dead row never takes a slot — the k-th
 /// distance, and with it every abandon threshold, is that of the live rows.
+///
+/// `bound` says the caller already holds k neighbors no farther than it
+/// (the dynamic layer's running merged k-th): the set behaves as if seeded
+/// with k phantoms at distance `bound` and an id above every real one, so
+/// it refuses any candidate farther than `bound`, keeps ties at `bound`,
+/// and KthDistance() never exceeds it. +inf (the default) changes nothing.
 class KnnResultSet {
  public:
-  explicit KnnResultSet(size_t k,
-                        std::span<const DescriptorId> excluded = {});
+  explicit KnnResultSet(size_t k, std::span<const DescriptorId> excluded = {},
+                        double bound = std::numeric_limits<double>::infinity());
 
   /// Offers a candidate; keeps it only if it improves the top-k and its id
   /// is not excluded. Returns true if the candidate entered the result set.
@@ -54,9 +62,12 @@ class KnnResultSet {
   size_t size() const { return heap_.size(); }
   bool full() const { return heap_.size() == k_; }
 
-  /// Distance of the current k-th (worst kept) neighbor; +inf until full.
-  /// This is the pruning bound of the exact stop rule (§4.3).
-  double KthDistance() const;
+  /// Distance of the current k-th (worst kept) neighbor; the caller's
+  /// bound (+inf by default) until full. This is the pruning bound of the
+  /// exact stop rule (§4.3) and of every scan's row admission.
+  double KthDistance() const {
+    return heap_.size() < k_ ? bound_ : heap_.front().distance;
+  }
 
   /// Current candidates, unordered (heap order). Stable for membership
   /// queries; use ExtractSorted for ranked output.
@@ -73,10 +84,35 @@ class KnnResultSet {
 
  private:
   size_t k_;
+  double bound_;
   std::span<const DescriptorId> excluded_;
   uint64_t refused_ = 0;
   std::vector<Neighbor> heap_;  // max-heap by distance
 };
+
+/// The admission step of every exact-distance scan (the chunked executor's
+/// sweep, ExactScan, the dynamic buffer): offers one kernel block to `set`.
+/// `squared[i]` is row i's squared distance from a kernel whose abandon
+/// threshold was kernels::AbandonThreshold(set.KthDistance()) at the start
+/// of the block, or kernels::kAbandoned where it pruned. A row whose squared
+/// distance exceeds AbandonThreshold of the current limit (the set's k-th,
+/// which its bound caps) is skipped before its sqrt; for the rest
+/// `offer(i, distance)` inserts and returns true iff the set changed, and
+/// only then is the limit re-derived. The threshold's inflation means no row
+/// that could enter the set, ties included, is ever skipped, so the set ends
+/// bit-identical to offering every row; kAbandoned rows are skipped because
+/// the limit never rises within a block.
+template <typename Offer>
+void AdmitRows(const double* squared, size_t count, const KnnResultSet& set,
+               Offer&& offer) {
+  double threshold = kernels::AbandonThreshold(set.KthDistance());
+  for (size_t i = 0; i < count; ++i) {
+    if (squared[i] > threshold) continue;
+    if (offer(i, std::sqrt(squared[i]))) {
+      threshold = kernels::AbandonThreshold(set.KthDistance());
+    }
+  }
+}
 
 }  // namespace qvt
 

@@ -104,6 +104,16 @@ Status ValidateQuery(std::span<const float> query, size_t dim);
 ///    selects its candidates, so a dead row never takes a slot a live one
 ///    could fill; telemetry.tombstones_filtered counts the refusals. The
 ///    dynamic layer passes a shard's pending tombstones here.
+///  * `bounds` (SearchShared only; empty, or one entry per query) promises
+///    that the caller already holds k neighbors no farther than bounds[q].
+///    A method may use it to prune: it may then leave out any neighbor
+///    farther than bounds[q], but must keep every one at or within it
+///    that its unbounded answer holds (ties at the bound included), so
+///    merging its answer into the caller's k gives the unbounded merge. The
+///    chunked method prunes its scan and its exact stop test with it
+///    (answer: the unbounded one filtered to distance <= bounds[q]); a
+///    method may also ignore it (pq and the per-query fallback do). The
+///    dynamic layer passes each query's running merged k-th here.
 class SearchMethod {
  public:
   virtual ~SearchMethod() = default;
@@ -139,7 +149,8 @@ class SearchMethod {
   virtual StatusOr<std::vector<MethodResult>> SearchShared(
       std::span<const std::span<const float>> queries, size_t k,
       const StopRule& stop, size_t num_threads, SharedScanStats* stats,
-      std::span<const DescriptorId> excluded = {}) const;
+      std::span<const DescriptorId> excluded = {},
+      std::span<const double> bounds = {}) const;
 
   /// Bytes of RAM the prepared method holds resident beyond the collection
   /// itself (hash tables, sorted projections, centroids, packed codes, ...).

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <optional>
+#include <string>
 #include <utility>
 
 #include "core/search_method.h"
@@ -127,16 +129,17 @@ StatusOr<MethodResult> Searcher::Search(
   QVT_ASSIGN_OR_RETURN(
       std::vector<MethodResult> results,
       Execute({&query, 1}, k, stop, /*num_threads=*/1, nullptr, observer,
-              scratch != nullptr ? scratch : &local_scratch, excluded));
+              scratch != nullptr ? scratch : &local_scratch, excluded, {}));
   return std::move(results.front());
 }
 
 StatusOr<std::vector<MethodResult>> Searcher::SearchShared(
     std::span<const std::span<const float>> queries, size_t k,
     const StopRule& stop, size_t num_threads, SharedScanStats* shared,
-    std::span<const DescriptorId> excluded) const {
+    std::span<const DescriptorId> excluded,
+    std::span<const double> bounds) const {
   return Execute(queries, k, stop, num_threads, shared, nullptr, nullptr,
-                 excluded);
+                 excluded, bounds);
 }
 
 namespace {
@@ -170,12 +173,14 @@ struct SweepScratch {
 
 /// Sweeps one fetched chunk for all attached queries through the fused
 /// multi-query kernel: kScanBlock row blocks, per-query abandon thresholds
-/// recomputed from each query's own result set between blocks, so each
-/// query's (threshold, completed rows) sequence is the one it would see
-/// scanning the chunk alone. Rows whose partial sum provably exceeds the
-/// current k-th distance are abandoned mid-row; AbandonThreshold()'s margin
-/// guarantees no row that could enter the result set (ties included) is
-/// ever pruned, so results are bit-identical to the plain per-row scan.
+/// recomputed from each query's own result set (k-th capped by its bound)
+/// between blocks, so each query's (threshold, completed rows) sequence is
+/// the one it would see scanning the chunk alone. Rows whose partial sum
+/// provably exceeds that limit are abandoned mid-row, and AdmitRows skips
+/// the completed ones beyond it before their sqrt; AbandonThreshold()'s
+/// margin guarantees no row that could enter the result set (ties
+/// included) is ever pruned, so results are bit-identical to the plain
+/// per-row scan.
 void SweepChunkForQueries(const ChunkData& data,
                           std::span<const ChunkAttachment> atts,
                           SweepScratch& sweep) {
@@ -203,11 +208,9 @@ void SweepChunkForQueries(const ChunkData& data,
         outs);
     for (size_t j = 0; j < nq; ++j) {
       KnnResultSet& result_set = *atts[j].state->result_set;
-      const double* sq = outs[j];
-      for (size_t i = 0; i < bn; ++i) {
-        if (sq[i] == kernels::kAbandoned) continue;
-        result_set.Insert(data.ids[b + i], std::sqrt(sq[i]));
-      }
+      AdmitRows(outs[j], bn, result_set, [&](size_t i, double distance) {
+        return result_set.Insert(data.ids[b + i], distance);
+      });
     }
   }
 }
@@ -218,10 +221,21 @@ StatusOr<std::vector<MethodResult>> Searcher::Execute(
     std::span<const std::span<const float>> queries, size_t k,
     const StopRule& stop, size_t num_threads, SharedScanStats* shared,
     const SearchObserver& observer, SearchScratch* scratch,
-    std::span<const DescriptorId> excluded) const {
+    std::span<const DescriptorId> excluded,
+    std::span<const double> bounds) const {
   if (k == 0) return Status::InvalidArgument("k must be positive");
   for (const auto& query : queries) {
     QVT_RETURN_IF_ERROR(ValidateQuery(query, index_->dim()));
+  }
+  if (!bounds.empty() && bounds.size() != queries.size()) {
+    return Status::InvalidArgument(
+        "bounds holds " + std::to_string(bounds.size()) + " entries for " +
+        std::to_string(queries.size()) + " queries");
+  }
+  for (const double bound : bounds) {
+    if (!(bound >= 0.0)) {
+      return Status::InvalidArgument("a query bound must be >= 0 (or +inf)");
+    }
   }
   const size_t num_chunks = index_->num_chunks();
   const size_t nq = queries.size();
@@ -243,7 +257,9 @@ StatusOr<std::vector<MethodResult>> Searcher::Execute(
     t.plan.model_micros = q.model_micros;
     t.plan.wall_micros = plan_watch.ElapsedMicros();
     q.wall_micros = t.plan.wall_micros;
-    q.result_set.emplace(k, excluded);
+    const double bound =
+        bounds.empty() ? std::numeric_limits<double>::infinity() : bounds[i];
+    q.result_set.emplace(k, excluded, bound);
     s.distances.resize(kScanBlock);  // sweep output, reserved once
     s.wide_query.assign(queries[i].begin(), queries[i].end());
     s.charges.clear();
@@ -457,7 +473,9 @@ StatusOr<std::vector<MethodResult>> Searcher::Execute(
             q->model_micros >= stop.budget_micros) {
           continue;
         }
-        if (stop.kind == StopRule::Kind::kExact && q->result_set->full() &&
+        // KthDistance() is the query's bound (+inf without one) until its
+        // own set is full, so a caller's k neighbors can end the scan too.
+        if (stop.kind == StopRule::Kind::kExact &&
             s.suffix_min_bound[r] * (1.0 + stop.epsilon) >
                 q->result_set->KthDistance()) {
           q->result.telemetry.exact = stop.epsilon == 0.0;

@@ -166,11 +166,21 @@ class Searcher {
   /// (plan measured per query; each chunk's fetch+scan wall split evenly
   /// across its attached queries; a lone query owns the whole call).
   /// `excluded` (ids sorted ascending) is every query's dead-id filter.
+  /// `bounds`, when non-empty, holds one entry per query: the caller
+  /// already holds k neighbors no farther than bounds[q] (+inf: none), so
+  /// query q's result set starts with that limit (KnnResultSet's `bound`).
+  /// It caps the abandon threshold, the row admission and the exact and
+  /// epsilon stop test; the answer is the unbounded one filtered to
+  /// distance <= bounds[q], ties kept. Under kMaxChunks and kTimeBudget
+  /// chunks_read and the model clock do not change; under the exact rule
+  /// fewer chunks may be read. InvalidArgument when the size differs from
+  /// the query count or an entry is negative or NaN.
   StatusOr<std::vector<MethodResult>> SearchShared(
       std::span<const std::span<const float>> queries, size_t k,
       const StopRule& stop, size_t num_threads = 1,
       SharedScanStats* shared = nullptr,
-      std::span<const DescriptorId> excluded = {}) const;
+      std::span<const DescriptorId> excluded = {},
+      std::span<const double> bounds = {}) const;
 
   /// Step 1 of §4.3 into `scratch`, ranking only what `stop` can read.
   /// Every rule gets all centroid distances (one batched kernel call over
@@ -199,7 +209,8 @@ class Searcher {
       std::span<const std::span<const float>> queries, size_t k,
       const StopRule& stop, size_t num_threads, SharedScanStats* shared,
       const SearchObserver& observer, SearchScratch* scratch,
-      std::span<const DescriptorId> excluded) const;
+      std::span<const DescriptorId> excluded,
+      std::span<const double> bounds) const;
 
   /// Fills the chunked-path telemetry that follows from the per-chunk
   /// counters: plan/scan split, probes, candidates, index entries.

@@ -98,9 +98,11 @@ struct ShardAttribution {
   uint64_t rows = 0;
   /// How many of the final merged top-k neighbors this structure supplied.
   uint64_t neighbors_contributed = 0;
-  /// Dead rows this structure dropped: for the buffer every deleted row it
-  /// skipped, for a shard the dead rows its method refused at the filter
-  /// (QueryTelemetry::tombstones_filtered of the shard's search).
+  /// Dead rows this structure dropped: for the buffer the deleted rows that
+  /// passed its admission (within the merged k-th), for a shard the dead
+  /// rows its method refused at the filter (QueryTelemetry::
+  /// tombstones_filtered of the shard's search). A dead row beyond the
+  /// query's running bound is never offered, so it is not counted.
   uint64_t tombstones_filtered = 0;
   /// This structure's share of the query wall time.
   int64_t wall_micros = 0;
@@ -163,9 +165,10 @@ struct QueryTelemetry {
   uint64_t cache_misses = 0;
   /// Dynamic-layer counters: structures consulted for this query (immutable
   /// shards plus the mutable buffer when non-empty), and dead rows dropped:
-  /// deleted buffer rows skipped, plus the rows a method refused at its
-  /// dead-id filter — excluded ids that had beaten the current k-th (see
-  /// KnnResultSet). A dead row that would not have entered is not counted.
+  /// deleted buffer rows and the rows a method refused at its dead-id
+  /// filter — in both cases only rows that had beaten the current k-th,
+  /// capped by the query's running bound (see KnnResultSet). A dead row
+  /// that would not have entered is not counted.
   /// Zero for static methods.
   uint64_t shards_searched = 0;
   uint64_t tombstones_filtered = 0;

@@ -613,23 +613,20 @@ size_t DynamicIndex::ResidentBytes() const {
 
 namespace {
 
-/// Finds which structure a final neighbor's live row sits in: the buffer
-/// attribution slot, or the slot of the one shard holding it live. There is
-/// at most one live row per id, so the answer is unique.
+/// Finds which structure a final neighbor's live row sits in: slot 0 (the
+/// buffer) when `live_buffer_ids` (sorted) holds it, else the slot of the
+/// one shard holding it live. There is at most one live row per id, so the
+/// answer is unique.
 ShardAttribution* AttributionFor(
     DescriptorId id, const DynamicVersion& version,
-    const TombstoneSet& tombstones, size_t buffer_rows,
+    const TombstoneSet& tombstones,
+    std::span<const DescriptorId> live_buffer_ids, bool has_buffer_slot,
     std::vector<ShardAttribution>& slots) {
-  size_t slot = 0;
-  if (buffer_rows > 0) {
-    const MutableBuffer& buffer = *version.buffer;
-    for (size_t i = 0; i < buffer_rows; ++i) {
-      if (buffer.id(i) == id && tombstones.SeqFor(id) <= buffer.seq(i)) {
-        return &slots[0];
-      }
-    }
-    slot = 1;
+  if (std::binary_search(live_buffer_ids.begin(), live_buffer_ids.end(),
+                         id)) {
+    return &slots[0];
   }
+  size_t slot = has_buffer_slot ? 1 : 0;
   for (const auto& shard : version.shards) {
     if (tombstones.SeqFor(id) <= shard->created_seq && shard->ContainsId(id)) {
       return &slots[slot];
@@ -655,11 +652,17 @@ bool DynamicIndex::SupportsSharedScan() const { return true; }
 StatusOr<std::vector<MethodResult>> DynamicIndex::SearchShared(
     std::span<const std::span<const float>> queries, size_t k,
     const StopRule& stop, size_t num_threads, SharedScanStats* stats,
-    std::span<const DescriptorId> excluded) const {
+    std::span<const DescriptorId> excluded,
+    std::span<const double> bounds) const {
   if (k == 0) return Status::InvalidArgument("k must be positive");
   if (!excluded.empty()) {
     return Status::InvalidArgument(
         "the dynamic index filters its own tombstones; excluded ids are not "
+        "accepted");
+  }
+  if (!bounds.empty()) {
+    return Status::InvalidArgument(
+        "the dynamic index derives its own per-query bounds; bounds are not "
         "accepted");
   }
   for (const auto& query : queries) {
@@ -670,39 +673,29 @@ StatusOr<std::vector<MethodResult>> DynamicIndex::SearchShared(
   Stopwatch call_watch(&clock);
   const TombstoneSet& tombstones = *version->tombstones;
   const size_t num_queries = queries.size();
+  const MutableBuffer& buffer = *version->buffer;
+  const size_t buffer_rows = buffer.committed();
 
   std::vector<MethodResult> results(num_queries);
   std::vector<KnnResultSet> sets;
   sets.reserve(num_queries);
-  for (size_t i = 0; i < num_queries; ++i) sets.emplace_back(k);
+  for (size_t i = 0; i < num_queries; ++i) {
+    sets.emplace_back(k);
+    // Slot 0 is the buffer's; it is filled in after the shards.
+    if (buffer_rows > 0) results[i].shards.emplace_back();
+  }
   std::vector<char> exact(num_queries, 1);
+  std::vector<double> running_kth(num_queries);
+  const uint64_t queries_before = stats != nullptr ? stats->queries : 0;
 
-  const MutableBuffer& buffer = *version->buffer;
-  const size_t buffer_rows = buffer.committed();
-  std::vector<uint64_t> row_tombstones(buffer_rows);
-  for (size_t i = 0; i < buffer_rows; ++i) {
-    row_tombstones[i] = tombstones.SeqFor(buffer.id(i));
-  }
-  if (buffer_rows > 0) {
-    for (size_t qi = 0; qi < num_queries; ++qi) {
-      Stopwatch part(&clock);
-      const uint64_t filtered = buffer.Scan(queries[qi], buffer_rows,
-                                            row_tombstones, &sets[qi],
-                                            &results[qi].telemetry);
-      ShardAttribution attribution;
-      attribution.shard_id = ShardAttribution::kMutableBuffer;
-      attribution.rows = buffer_rows;
-      attribution.tombstones_filtered = filtered;
-      attribution.wall_micros = part.ElapsedMicros();
-      results[qi].shards.push_back(attribution);
-    }
-  }
-
-  // Each shard's dead rows are the ids tombstoned after it was built (older
+  // Shards in seq_floor order, each pruned by the query's running merged
+  // k-th: the merged set already holds k neighbors no farther than it, so a
+  // shard may skip anything beyond (SearchMethod's `bounds` contract). Each
+  // shard's dead rows are the ids tombstoned after it was built (older
   // tombstones were purged by the build). The wrapped method refuses them
-  // as they beat its k-th, so every shard searches at k — a shard asked for
-  // more neighbors than it holds is asked for all of them — and its answer
-  // holds only live rows.
+  // as they beat its limit, so every shard searches at k — a shard asked
+  // for more neighbors than it holds is asked for all of them — and its
+  // answer holds only live rows.
   std::vector<DescriptorId> dead;
   for (const auto& shard : version->shards) {
     dead.clear();
@@ -712,11 +705,16 @@ StatusOr<std::vector<MethodResult>> DynamicIndex::SearchShared(
     const size_t shard_k = std::min(k, shard->rows());
     std::vector<MethodResult> subs;
     if (shard->built.method->SupportsSharedScan()) {
+      for (size_t qi = 0; qi < num_queries; ++qi) {
+        running_kth[qi] = sets[qi].KthDistance();
+      }
       // The wrapped shared scan is bit-identical to per-query Search by
-      // contract, so the merged dynamic answer is too.
+      // contract, and a bound only drops rows the merged set would refuse,
+      // so the merged dynamic answer is the per-query one too.
       QVT_ASSIGN_OR_RETURN(
           subs, shard->built.method->SearchShared(queries, shard_k, stop,
-                                                  num_threads, stats, dead));
+                                                  num_threads, stats, dead,
+                                                  running_kth));
     } else {
       subs.reserve(num_queries);
       for (size_t qi = 0; qi < num_queries; ++qi) {
@@ -741,12 +739,42 @@ StatusOr<std::vector<MethodResult>> DynamicIndex::SearchShared(
       results[qi].shards.push_back(attribution);
     }
   }
+  // Every chunk-major shard counted the batch's queries again; a dynamic
+  // query is one query, however many shards served it.
+  if (stats != nullptr && stats->queries > queries_before) {
+    stats->queries = queries_before + num_queries;
+  }
+
+  // The buffer last, scanned exactly straight into the merged set, whose
+  // k-th prunes it from the first row.
+  std::vector<DescriptorId> live_buffer_ids;
+  if (buffer_rows > 0) {
+    std::vector<uint64_t> row_tombstones(buffer_rows);
+    for (size_t i = 0; i < buffer_rows; ++i) {
+      row_tombstones[i] = tombstones.SeqFor(buffer.id(i));
+      if (row_tombstones[i] <= buffer.seq(i)) {
+        live_buffer_ids.push_back(buffer.id(i));
+      }
+    }
+    std::sort(live_buffer_ids.begin(), live_buffer_ids.end());
+    for (size_t qi = 0; qi < num_queries; ++qi) {
+      Stopwatch part(&clock);
+      ShardAttribution& attribution = results[qi].shards.front();
+      attribution.shard_id = ShardAttribution::kMutableBuffer;
+      attribution.rows = buffer_rows;
+      attribution.tombstones_filtered =
+          buffer.Scan(queries[qi], buffer_rows, row_tombstones, &sets[qi],
+                      &results[qi].telemetry);
+      attribution.wall_micros = part.ElapsedMicros();
+    }
+  }
 
   for (size_t qi = 0; qi < num_queries; ++qi) {
     results[qi].neighbors = sets[qi].Sorted();
     for (const Neighbor& neighbor : results[qi].neighbors) {
-      ShardAttribution* slot = AttributionFor(
-          neighbor.id, *version, tombstones, buffer_rows, results[qi].shards);
+      ShardAttribution* slot =
+          AttributionFor(neighbor.id, *version, tombstones, live_buffer_ids,
+                         buffer_rows > 0, results[qi].shards);
       if (slot != nullptr) ++slot->neighbors_contributed;
     }
     results[qi].telemetry.exact = exact[qi] != 0;

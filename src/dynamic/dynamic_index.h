@@ -68,12 +68,14 @@ struct DynamicStats {
 /// and a leveled structure of immutable shards (each a full Prepare()d
 /// instance of the wrapped method over its subset, built through
 /// MethodRegistry::BuildShard) absorbs buffer flushes through deterministic
-/// merges. A query scans the buffer exactly, skipping deleted rows, and
-/// searches each shard through the wrapped method at k, handing it the ids
-/// tombstoned since the shard was built: the method refuses them inside its
-/// scan (KnnResultSet's dead-id filter), so no shard over-fetches and a
-/// dead row never loosens a shard's abandon threshold. Everything merges in
-/// one KnnResultSet — so the result contract ((distance, id) order,
+/// merges. A query searches each shard, in seq_floor order, through the
+/// wrapped method at k, handing it the ids tombstoned since the shard was
+/// built (the method refuses them inside its scan — KnnResultSet's dead-id
+/// filter — so no shard over-fetches and a dead row never loosens a
+/// shard's abandon threshold) and its running merged k-th as the bound
+/// (a shared-scan method prunes everything beyond it). The buffer is
+/// scanned last, exactly and skipping deleted rows, straight into the
+/// merged KnnResultSet — so the result contract ((distance, id) order,
 /// tie-break) is exactly the static methods'.
 ///
 /// Concurrency (epoch-based handoff): the entire readable state lives in an
@@ -163,8 +165,9 @@ class DynamicIndex final : public SearchMethod {
   std::string_view name() const override { return "dynamic"; }
   std::string Describe() const override;
   Status Prepare() override { return Status::OK(); }
-  /// Search and SearchShared filter the index's own tombstones and reject
-  /// a non-empty `excluded` with InvalidArgument.
+  /// Search and SearchShared filter the index's own tombstones and derive
+  /// their own per-query bounds; a non-empty `excluded` or `bounds` fails
+  /// with InvalidArgument.
   StatusOr<MethodResult> Search(
       std::span<const float> query, size_t k, const StopRule& stop,
       std::span<const DescriptorId> excluded = {}) const override;
@@ -172,7 +175,8 @@ class DynamicIndex final : public SearchMethod {
   StatusOr<std::vector<MethodResult>> SearchShared(
       std::span<const std::span<const float>> queries, size_t k,
       const StopRule& stop, size_t num_threads, SharedScanStats* stats,
-      std::span<const DescriptorId> excluded = {}) const override;
+      std::span<const DescriptorId> excluded = {},
+      std::span<const double> bounds = {}) const override;
   size_t ResidentBytes() const override;
 
  private:

@@ -1,7 +1,6 @@
 #include "dynamic/mutable_buffer.h"
 
 #include <algorithm>
-#include <cmath>
 #include <vector>
 
 #include "descriptor/types.h"
@@ -45,24 +44,26 @@ uint64_t MutableBuffer::Scan(std::span<const float> query, size_t rows,
   std::vector<double> distances(std::min(rows, kBlock));
   for (size_t b = 0; b < rows; b += kBlock) {
     const size_t bn = std::min(kBlock, rows - b);
-    const double threshold = kernels::AbandonThreshold(result->KthDistance());
-    kernels::BatchSquaredDistanceAbandon(data_.get() + b * dim_, bn, dim_,
-                                         query, threshold, distances.data());
-    for (size_t i = 0; i < bn; ++i) {
+    kernels::BatchSquaredDistanceAbandon(
+        data_.get() + b * dim_, bn, dim_, query,
+        kernels::AbandonThreshold(result->KthDistance()), distances.data());
+    AdmitRows(distances.data(), bn, *result, [&](size_t i, double distance) {
       const size_t row = b + i;
       if (tombstone_seqs[row] > seqs_[row]) {
         ++filtered;
-        continue;
+        return false;
       }
-      const double sq = distances[i];
-      if (sq == kernels::kAbandoned) continue;
-      result->Insert(ids_[row], std::sqrt(sq));
-    }
+      return result->Insert(ids_[row], distance);
+    });
   }
   if (telemetry != nullptr) {
+    uint64_t dead = 0;
+    for (size_t row = 0; row < rows; ++row) {
+      dead += tombstone_seqs[row] > seqs_[row] ? 1 : 0;
+    }
     telemetry->candidates_examined += rows;
-    telemetry->descriptors_scanned += rows - filtered;
-    telemetry->bytes_read += (rows - filtered) * DescriptorRecordBytes(dim_);
+    telemetry->descriptors_scanned += rows - dead;
+    telemetry->bytes_read += (rows - dead) * DescriptorRecordBytes(dim_);
     telemetry->tombstones_filtered += filtered;
   }
   return filtered;

@@ -55,14 +55,17 @@ class MutableBuffer {
   uint64_t seq(size_t row) const { return seqs_[row]; }
 
   /// Exact k-NN over the first `rows` committed rows, merged into
-  /// `result`. `tombstone_seqs[i]` is the tombstone seq of row i's id (0
-  /// for none); a row is skipped as deleted iff its tombstone seq is
-  /// greater than the row's own seq, so a re-inserted id's fresh row
-  /// survives its older tombstone. Mirrors the blocked early-abandon
-  /// kernel scan of ExactScan, so buffer hits are bit-identical to what a
+  /// `result` (whose k-th distance prunes the scan from its first row).
+  /// `tombstone_seqs[i]` is the tombstone seq of row i's id (0 for none); a
+  /// row is skipped as deleted iff its tombstone seq is greater than the
+  /// row's own seq, so a re-inserted id's fresh row survives its older
+  /// tombstone. Mirrors the blocked early-abandon kernel scan of ExactScan
+  /// (the same AdmitRows step), so buffer hits are bit-identical to what a
   /// flushed shard would return for the same rows. Returns the number of
-  /// rows filtered out; `telemetry`, when non-null, accrues the scan
-  /// counters.
+  /// deleted rows that passed admission and were refused — a dead row
+  /// beyond the result's k-th is not counted; `telemetry`, when non-null,
+  /// accrues the scan counters (descriptors_scanned and bytes_read count
+  /// every live row).
   uint64_t Scan(std::span<const float> query, size_t rows,
                 std::span<const uint64_t> tombstone_seqs, KnnResultSet* result,
                 QueryTelemetry* telemetry) const;

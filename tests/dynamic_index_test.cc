@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <map>
 #include <memory>
@@ -16,6 +17,7 @@
 #include <vector>
 
 #include "core/batch_searcher.h"
+#include "core/exact_scan.h"
 #include "descriptor/generator.h"
 #include "descriptor/workload.h"
 #include "util/logging.h"
@@ -625,6 +627,236 @@ TEST(DynamicIndexTest, SearchSharedMatchesPerQuerySearch) {
       EXPECT_EQ((*shared)[qi].telemetry.exact, single->telemetry.exact);
     }
   }
+}
+
+/// A dynamic index of known content: three chunked shards from explicit
+/// Flushes (the scale factor is large enough that nothing merges), rows
+/// duplicated across shards (ties between structures), buffer rows, and
+/// tombstones in every structure, still pending. Alongside it, the same
+/// shards built independently through MethodRegistry::BuildShard.
+struct KnownShardsFixture {
+  static constexpr size_t kShardRows[] = {150, 150, 120};
+  static constexpr size_t kBufferRows = 60;
+
+  MemEnv env;
+  MemEnv reference_env;
+  Collection data = SmallCollection(480);
+  std::unique_ptr<DynamicIndex> index;
+  std::vector<MethodShard> shards;   ///< the reference shards, in order
+  Collection buffer_rows;            ///< the buffer's rows, in order
+  std::vector<DescriptorId> deleted;  ///< ascending
+
+  KnownShardsFixture() {
+    auto created = DynamicIndex::Create(
+        &env, "dyn",
+        SmallOptions("chunked", "", /*buffer=*/1000, /*scale=*/100));
+    QVT_CHECK_OK(created.status());
+    index = std::move(created).value();
+    size_t next = 0;
+    for (size_t s = 0; s <= std::size(kShardRows); ++s) {
+      const size_t rows =
+          s < std::size(kShardRows) ? kShardRows[s] : kBufferRows;
+      Collection part;
+      for (size_t i = 0; i < rows; ++i, ++next) {
+        // Every fourth row of a later structure repeats a row of an
+        // earlier one under its own id.
+        const size_t source = s > 0 && i % 4 == s - 1 ? i : next;
+        part.Append(data.Id(next), data.Vector(source), data.Image(next));
+        QVT_CHECK_OK(index->Insert(data.Id(next), data.Vector(source)));
+      }
+      if (s == std::size(kShardRows)) {
+        buffer_rows = std::move(part);
+        break;
+      }
+      QVT_CHECK_OK(index->Flush());
+      ShardBuildContext context;
+      context.data = std::make_shared<Collection>(std::move(part));
+      context.env = &reference_env;
+      context.artifact_base = "ref" + std::to_string(s);
+      context.target_chunk_size = index->options().target_chunk_size;
+      auto shard = MethodRegistry::Global().BuildShard("chunked", context);
+      QVT_CHECK_OK(shard.status());
+      shards.push_back(std::move(shard).value());
+    }
+    for (DescriptorId id = 3; id < data.size(); id += 7) {
+      QVT_CHECK_OK(index->Delete(id));
+      deleted.push_back(id);
+    }
+  }
+
+  /// The reference answer: every shard searched on its own with the dead
+  /// list (unbounded, or under the running merged k-th when `bounded`),
+  /// then the buffer, merged in one result set. Model clock and chunks
+  /// read are summed.
+  MethodResult Reference(std::span<const float> query, size_t k,
+                         const StopRule& stop, bool bounded) const {
+    KnnResultSet merged(k);
+    MethodResult out;
+    out.telemetry.exact = true;
+    for (const MethodShard& shard : shards) {
+      const size_t shard_k = std::min(k, shard.data->size());
+      const std::vector<std::span<const float>> one = {query};
+      const std::vector<double> bound = {merged.KthDistance()};
+      auto sub = shard.method->SearchShared(
+          one, shard_k, stop, 1, nullptr, deleted,
+          bounded ? std::span<const double>(bound)
+                  : std::span<const double>());
+      QVT_CHECK_OK(sub.status());
+      const MethodResult& r = sub->front();
+      for (const Neighbor& n : r.neighbors) merged.Insert(n.id, n.distance);
+      out.telemetry.exact = out.telemetry.exact && r.telemetry.exact;
+      out.telemetry.chunks_read += r.telemetry.chunks_read;
+      out.telemetry.model_micros += r.telemetry.model_micros;
+    }
+    for (const Neighbor& n : ExactScan(buffer_rows, query, k, deleted)) {
+      merged.Insert(n.id, n.distance);
+    }
+    out.neighbors = merged.Sorted();
+    return out;
+  }
+};
+
+void ExpectSameBits(const std::vector<Neighbor>& got,
+                    const std::vector<Neighbor>& want,
+                    const std::string& label) {
+  ASSERT_EQ(got.size(), want.size()) << label;
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].id, want[i].id) << label << " rank " << i;
+    EXPECT_EQ(std::memcmp(&got[i].distance, &want[i].distance,
+                          sizeof(double)),
+              0)
+        << label << " rank " << i;
+  }
+}
+
+// The running merged k-th each shard is searched under, and the buffer
+// scanned last into the merged set, change nothing a query returns: the
+// answer equals, bit for bit, the merge of unbounded per-shard searches.
+TEST(DynamicIndexTest, BoundedShardSearchesEqualUnboundedMerge) {
+  const KnownShardsFixture fx;
+  ASSERT_EQ(fx.index->num_shards(), std::size(fx.kShardRows));
+  ASSERT_EQ(fx.index->buffer_rows(), fx.kBufferRows);
+  ASSERT_GT(fx.index->num_tombstones(), 0u);
+  const size_t k = 10;
+  const auto query_vectors = SmallQueries(fx.data, 12);
+  std::vector<std::span<const float>> spans(query_vectors.begin(),
+                                            query_vectors.end());
+  const double epsilon = 0.5;
+  const struct {
+    const char* name;
+    StopRule rule;
+  } rules[] = {
+      {"max-chunks-1", StopRule::MaxChunks(1)},
+      {"max-chunks-3", StopRule::MaxChunks(3)},
+      {"max-chunks-8", StopRule::MaxChunks(8)},
+      {"exact", StopRule::Exact()},
+      {"epsilon", StopRule::EpsilonApproximate(epsilon)},
+  };
+  std::map<DescriptorId, std::vector<float>> live;
+  for (const auto* part :
+       {&fx.shards[0].data, &fx.shards[1].data, &fx.shards[2].data}) {
+    for (size_t i = 0; i < (*part)->size(); ++i) {
+      const auto v = (*part)->Vector(i);
+      live[(*part)->Id(i)].assign(v.begin(), v.end());
+    }
+  }
+  for (size_t i = 0; i < fx.buffer_rows.size(); ++i) {
+    const auto v = fx.buffer_rows.Vector(i);
+    live[fx.buffer_rows.Id(i)].assign(v.begin(), v.end());
+  }
+  for (DescriptorId id : fx.deleted) live.erase(id);
+
+  for (const auto& r : rules) {
+    auto shared = fx.index->SearchShared(spans, k, r.rule, /*num_threads=*/2,
+                                         nullptr);
+    ASSERT_TRUE(shared.ok()) << r.name;
+    for (size_t q = 0; q < spans.size(); ++q) {
+      const std::string label = std::string(r.name) + " query " +
+                                std::to_string(q);
+      const MethodResult& got = (*shared)[q];
+      // The dynamic layer is exactly: shards in order under the running
+      // merged k-th, then the buffer.
+      const MethodResult bounded = fx.Reference(spans[q], k, r.rule, true);
+      ExpectSameBits(got.neighbors, bounded.neighbors, label + " bounded");
+      EXPECT_EQ(got.telemetry.exact, bounded.telemetry.exact) << label;
+      EXPECT_EQ(got.telemetry.chunks_read, bounded.telemetry.chunks_read)
+          << label;
+      if (r.rule.epsilon > 0.0) {
+        // An epsilon stop reads min(k-th, bound), so a bounded shard may
+        // stop earlier than an unbounded one; the (1+epsilon) guarantee on
+        // the k-th distance still holds.
+        const auto truth = BruteForce(live, spans[q], k);
+        ASSERT_EQ(got.neighbors.size(), truth.size()) << label;
+        EXPECT_LE(got.neighbors.back().distance,
+                  (1.0 + epsilon) * truth.back().distance * (1.0 + 1e-12))
+            << label;
+        continue;
+      }
+      const MethodResult unbounded = fx.Reference(spans[q], k, r.rule, false);
+      ExpectSameBits(got.neighbors, unbounded.neighbors, label);
+      EXPECT_EQ(got.telemetry.exact, unbounded.telemetry.exact) << label;
+      if (r.rule.kind == StopRule::Kind::kMaxChunks) {
+        EXPECT_EQ(got.telemetry.chunks_read, unbounded.telemetry.chunks_read)
+            << label;
+        EXPECT_EQ(got.telemetry.model_micros,
+                  unbounded.telemetry.model_micros)
+            << label;
+      } else {
+        EXPECT_TRUE(got.telemetry.exact) << label;
+        EXPECT_LE(got.telemetry.chunks_read, unbounded.telemetry.chunks_read)
+            << label;
+        ExpectLiveOrderedTrueDistances(got.neighbors, live, spans[q], k,
+                                       label);
+      }
+    }
+  }
+}
+
+// A dynamic query is one query to the shared-scan ledger, however many
+// chunk-major shards serve it; fetches and attachments sum over shards.
+TEST(DynamicIndexTest, SharedScanLedgerCountsEachQueryOnce) {
+  const KnownShardsFixture fx;
+  ASSERT_GE(fx.index->num_shards(), 2u);
+  const size_t k = 10;
+  const auto query_vectors = SmallQueries(fx.data, 9);
+  std::vector<std::span<const float>> spans(query_vectors.begin(),
+                                            query_vectors.end());
+  const StopRule stop = StopRule::MaxChunks(3);
+  SharedScanStats stats;
+  ASSERT_TRUE(fx.index->SearchShared(spans, k, stop, 1, &stats).ok());
+  EXPECT_TRUE(stats.enabled);
+  EXPECT_EQ(stats.queries, spans.size());
+
+  SharedScanStats summed;
+  for (const MethodShard& shard : fx.shards) {
+    SharedScanStats one;
+    ASSERT_TRUE(shard.method
+                    ->SearchShared(spans, std::min(k, shard.data->size()),
+                                   stop, 1, &one, fx.deleted)
+                    .ok());
+    summed += one;
+  }
+  EXPECT_EQ(stats.chunk_fetches, summed.chunk_fetches);
+  EXPECT_EQ(stats.chunk_attachments, summed.chunk_attachments);
+  EXPECT_EQ(stats.rows_fetched, summed.rows_fetched);
+  EXPECT_EQ(stats.rows_scan_shared, summed.rows_scan_shared);
+
+  // The ledger accumulates across calls: a second call adds n again.
+  ASSERT_TRUE(fx.index->SearchShared(spans, k, stop, 1, &stats).ok());
+  EXPECT_EQ(stats.queries, 2 * spans.size());
+}
+
+TEST(DynamicIndexTest, SearchSharedRejectsCallerBounds) {
+  const KnownShardsFixture fx;
+  const auto query_vectors = SmallQueries(fx.data, 2);
+  std::vector<std::span<const float>> spans(query_vectors.begin(),
+                                            query_vectors.end());
+  const std::vector<double> bounds(spans.size(), 1.0);
+  EXPECT_TRUE(fx.index
+                  ->SearchShared(spans, 5, StopRule::Exact(), 1, nullptr, {},
+                                 bounds)
+                  .status()
+                  .IsInvalidArgument());
 }
 
 TEST(DynamicIndexTest, BatchSearcherDrivesTheDynamicIndex) {

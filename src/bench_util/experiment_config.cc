@@ -24,8 +24,10 @@ uint64_t ExperimentConfig::Fingerprint() const {
   // draws each image from its own RNG stream and build-path reductions use
   // fixed shard order, both of which re-baseline the cached artifacts;
   // v4: index files moved to the versioned "QVTIDX01" column format —
-  // headerless v0 caches are unreadable and must be rebuilt).
-  uint64_t h = 0x5eed0004ULL;
+  // headerless v0 caches are unreadable and must be rebuilt; v5: index
+  // files are "QVTIDX02", with a bounding-rectangle section, and v1 files
+  // are no longer read).
+  uint64_t h = 0x5eed0005ULL;
   h = MixU64(h, generator.dim);
   h = MixU64(h, generator.seed);
   h = MixU64(h, generator.num_images);

@@ -42,6 +42,14 @@ StatusOr<ChunkIndex> ChunkIndex::Build(const Collection& collection,
 
     ChunkIndexEntry entry;
     entry.bounds = CentroidBoundingSphere(points, dim);
+    entry.rect_lo.assign(points.front().begin(), points.front().end());
+    entry.rect_hi = entry.rect_lo;
+    for (const auto& p : points) {
+      for (size_t d = 0; d < dim; ++d) {
+        entry.rect_lo[d] = std::min(entry.rect_lo[d], p[d]);
+        entry.rect_hi[d] = std::max(entry.rect_hi[d], p[d]);
+      }
+    }
     auto location = (*writer)->AppendChunk(collection, chunk);
     if (!location.ok()) return location.status();
     entry.location = *location;
@@ -131,14 +139,26 @@ Status ChunkIndex::Validate(uint32_t max_population) const {
       return Status::Corruption("chunk " + std::to_string(i) +
                                 " descriptor count mismatch");
     }
-    constexpr double kEps = 1e-3;
+    // The radius is the sqrt of the largest vec::SquaredDistance from the
+    // centroid, and the kernel computes the same sum bit for bit, so a row
+    // is inside the sphere exactly, with no slack.
     distances.resize(chunk.size());
     kernels::BatchSquaredDistance(chunk.values.data(), chunk.size(),
                                   chunk.dim, centroid(i), distances.data());
-    for (size_t d = 0; d < chunk.size(); ++d) {
-      if (std::sqrt(distances[d]) > radius(i) + kEps) {
+    const std::span<const float> lo = rect_lo(i);
+    const std::span<const float> hi = rect_hi(i);
+    for (size_t row = 0; row < chunk.size(); ++row) {
+      if (std::sqrt(distances[row]) > radius(i)) {
         return Status::Corruption("descriptor outside chunk sphere in chunk " +
                                   std::to_string(i));
+      }
+      const std::span<const float> v = chunk.Vector(row);
+      for (size_t d = 0; d < chunk.dim; ++d) {
+        if (v[d] < lo[d] || v[d] > hi[d]) {
+          return Status::Corruption(
+              "descriptor outside chunk rectangle in chunk " +
+              std::to_string(i));
+        }
       }
     }
   }

@@ -30,8 +30,8 @@ enum class IndexOpenMode { kMmap };
 
 /// The two-file chunk index of §4.2: a chunk file holding the descriptors
 /// grouped by chunk (each chunk contiguous and padded to whole pages) and an
-/// index file with one entry per chunk — centroid coordinates, radius, and
-/// location — in chunk-file order.
+/// index file with one entry per chunk — centroid coordinates, radius,
+/// location and bounding rectangle — in chunk-file order.
 ///
 /// The index file is the versioned column format of storage/index_file.h;
 /// all accessors below are spans into the opened IndexFileView, so an
@@ -40,7 +40,8 @@ enum class IndexOpenMode { kMmap };
 class ChunkIndex {
  public:
   /// Builds a chunk index from a chunking result: computes each chunk's
-  /// centroid and exact minimum bounding radius, writes both files
+  /// centroid, exact minimum bounding radius and bounding rectangle (the
+  /// per-dimension min and max of its rows), writes both files
   /// (atomically — temp + rename), and returns the index re-opened from
   /// what was written. `chunking.outliers` are simply not written.
   static StatusOr<ChunkIndex> Build(const Collection& collection,
@@ -74,6 +75,9 @@ class ChunkIndex {
   std::span<const ChunkLocation> locations() const {
     return view_.locations();
   }
+  /// Bounding rectangle of chunk `i`: per-dimension min and max of its rows.
+  std::span<const float> rect_lo(size_t i) const { return view_.rect_lo(i); }
+  std::span<const float> rect_hi(size_t i) const { return view_.rect_hi(i); }
 
   /// All chunk centroids as one contiguous row-major num_chunks() x dim()
   /// matrix (row i == centroid(i)), 64-byte-aligned (superset of the
@@ -106,9 +110,11 @@ class ChunkIndex {
   Status ReadChunk(size_t i, ChunkData* out) const;
 
   /// Verifies the index file's CRC (Open already checked every entry),
-  /// then that every chunk's contents lie within its index entry's sphere,
-  /// that locations are consistent, and that no chunk is empty (an empty
-  /// chunk silently inflates probe counts with zero-row scans).
+  /// then that every chunk's rows lie within its index entry's sphere and
+  /// rectangle — both exactly, with no slack, since the searcher's
+  /// chunk-level abandon relies on them — that locations are consistent,
+  /// and that no chunk is empty (an empty chunk silently inflates probe
+  /// counts with zero-row scans).
   /// `max_population` > 0 additionally rejects any chunk more populous than
   /// the declared bound — the check a balance-constrained index is held
   /// to. Expensive; for tests and fsck.

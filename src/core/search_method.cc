@@ -200,8 +200,8 @@ class ChunkedMethod final : public SearchMethod {
   }
 
   size_t ResidentBytes() const override {
-    // Only the index entries stay resident (centroids, radii, locations);
-    // chunk payloads live on disk and pass through the cache.
+    // Only the index entries stay resident (centroids, radii, locations,
+    // rectangles); chunk payloads live on disk and pass through the cache.
     const ChunkIndex& index = *searcher_.index();
     return index.num_chunks() * IndexEntryBytes(index.dim());
   }

@@ -22,6 +22,43 @@ namespace {
 /// over many rows.
 constexpr size_t kScanBlock = 256;
 
+/// Relative slack of the chunk-level sphere test, scaled by
+/// centroid_distance + radius. It covers the rounding of both computed
+/// distances and of their difference (a few ulps times the dimension,
+/// ~1e-15 at dim 24) and AbandonThreshold's 1e-12 inflation, with orders of
+/// magnitude to spare; see DESIGN.md "Chunk-level abandon".
+constexpr double kSphereSlack = 1e-9;
+
+/// True when no row of chunk `chunk_id` can get past AdmitRows for a query
+/// whose result set's limit (k-th distance, capped by its bound) is
+/// `limit`: every row's kernel squared distance provably exceeds
+/// kernels::AbandonThreshold(limit), so sweeping the chunk would leave the
+/// set untouched. Tests the sphere bound (centroid distance - radius, from
+/// the plan) first, then the rectangle bound sum_d gap_d^2 with gap_d =
+/// max(0, lo_d - q_d, q_d - hi_d). The rectangle sum needs no slack: each
+/// gap is a rounded difference no larger than the row's rounded difference
+/// (rounding is monotone and lo_d <= row_d <= hi_d), and it is squared and
+/// summed in the kernel's ascending-d order, so it never exceeds any row's
+/// kernel value.
+bool ChunkRuledOut(const ChunkIndex& index, uint32_t chunk_id,
+                   const SearchScratch& s, double limit) {
+  if (!(limit < std::numeric_limits<double>::infinity())) return false;
+  const double cd = s.centroid_distance[chunk_id];
+  const double r = index.radius(chunk_id);
+  if (cd - r - kSphereSlack * (cd + r) > limit) return true;
+  const std::span<const float> lo = index.rect_lo(chunk_id);
+  const std::span<const float> hi = index.rect_hi(chunk_id);
+  const double* q = s.wide_query.data();
+  double sum = 0.0;
+  for (size_t d = 0; d < lo.size(); ++d) {
+    const double below = static_cast<double>(lo[d]) - q[d];
+    const double above = q[d] - static_cast<double>(hi[d]);
+    const double gap = std::max(std::max(below, above), 0.0);
+    sum += gap * gap;
+  }
+  return sum > kernels::AbandonThreshold(limit);
+}
+
 }  // namespace
 
 Status FetchChunk(const ChunkIndex& index, ChunkCache* cache,
@@ -154,6 +191,7 @@ struct QueryState {
   int64_t model_micros = 0;  ///< as-if-alone serial model clock
   int64_t wall_micros = 0;   ///< fair-share wall attribution
   size_t next_rank = 0;      ///< next rank position to demand (round mode)
+  bool skipped = false;      ///< the chunk being processed was not swept
 };
 
 /// One (query, rank position) pair attached to a scheduled chunk.
@@ -277,6 +315,7 @@ StatusOr<std::vector<MethodResult>> Searcher::Execute(
   // One sweep scratch per worker, reused across every chunk and schedule.
   std::vector<SweepScratch> sweeps(pool.has_value() ? pool->num_threads()
                                                     : 1);
+  std::vector<ChunkAttachment> swept;  // a chunk's attachments not skipped
 
   // Fetches and sweeps one schedule: chunk order[ci] is swept once for its
   // attached queries atts[range_end[ci-1] .. range_end[ci]). Accounting is
@@ -301,22 +340,34 @@ StatusOr<std::vector<MethodResult>> Searcher::Execute(
       const size_t att_begin = ci == 0 ? 0 : range_end[ci - 1];
       const std::span<const ChunkAttachment> atts =
           flat_atts.subspan(att_begin, range_end[ci] - att_begin);
-      if (pool.has_value() && atts.size() > 1) {
+      // Chunk-level abandon: a query whose limit the chunk's bound already
+      // rules out would admit none of its rows, so only the others sweep.
+      // The chunk was still fetched and every attachment is still charged
+      // below, so answers, counters and the model clock do not change.
+      swept.clear();
+      for (const ChunkAttachment& att : atts) {
+        QueryState& q = *att.state;
+        q.skipped = ChunkRuledOut(*index_, chunk_id, *q.scratch,
+                                  q.result_set->KthDistance());
+        if (!q.skipped) swept.push_back(att);
+      }
+      if (pool.has_value() && swept.size() > 1) {
         // Per-query state is disjoint, so splitting the attachment list
         // into contiguous ranges is safe and results are independent of
         // the thread count and of task completion order.
-        const size_t tasks = std::min(pool->num_threads(), atts.size());
+        const std::span<const ChunkAttachment> work = swept;
+        const size_t tasks = std::min(pool->num_threads(), work.size());
         for (size_t t = 0; t < tasks; ++t) {
-          const size_t begin = atts.size() * t / tasks;
-          const size_t end = atts.size() * (t + 1) / tasks;
-          pool->Submit([&sweeps, &atts, data, begin, end, t] {
-            SweepChunkForQueries(*data, atts.subspan(begin, end - begin),
+          const size_t begin = work.size() * t / tasks;
+          const size_t end = work.size() * (t + 1) / tasks;
+          pool->Submit([&sweeps, work, data, begin, end, t] {
+            SweepChunkForQueries(*data, work.subspan(begin, end - begin),
                                  sweeps[t]);
           });
         }
         pool->Wait();
-      } else {
-        SweepChunkForQueries(*data, atts, sweeps.front());
+      } else if (!swept.empty()) {
+        SweepChunkForQueries(*data, swept, sweeps.front());
       }
 
       const int64_t io_micros = cost_model_.ChunkIoMicros(loc.num_pages);
@@ -332,6 +383,7 @@ StatusOr<std::vector<MethodResult>> Searcher::Execute(
         QueryState& q = *att.state;
         QueryTelemetry& t = q.result.telemetry;
         ++t.chunks_read;
+        if (q.skipped) ++t.sweeps_skipped;
         t.descriptors_scanned += data->size();
         t.max_probe_rows =
             std::max<uint64_t>(t.max_probe_rows, loc.num_descriptors);
@@ -361,6 +413,7 @@ StatusOr<std::vector<MethodResult>> Searcher::Execute(
           progress.descriptors_processed = t.descriptors_scanned;
           progress.model_elapsed_micros = q.model_micros;
           progress.wall_elapsed_micros = q.wall_micros;
+          progress.skipped = q.skipped;
           progress.result = &*q.result_set;
           observer(progress);
         }

@@ -66,6 +66,9 @@ struct SearchProgress {
   uint64_t descriptors_processed = 0;
   int64_t model_elapsed_micros = 0;  ///< cost-model time incl. index scan
   int64_t wall_elapsed_micros = 0;   ///< real time on this host
+  /// True when the chunk's bound ruled out every row, so it was read and
+  /// charged but not swept (QueryTelemetry::sweeps_skipped).
+  bool skipped = false;
   const KnnResultSet* result = nullptr;
 };
 

@@ -131,7 +131,8 @@ struct ShardAttribution {
 ///                            method, approximation codes plus refined
 ///                            records for the VA-file, 100-byte records per
 ///                            exact distance for the memory-resident methods.
-///  * chunks_read, cache_* — chunked-path ledgers (zero elsewhere).
+///  * chunks_read, sweeps_skipped, cache_*
+///                          — chunked-path ledgers (zero elsewhere).
 struct QueryTelemetry {
   // --- timers -------------------------------------------------------------
   int64_t wall_micros = 0;   ///< whole query on the host wall clock
@@ -155,6 +156,11 @@ struct QueryTelemetry {
   uint64_t descriptors_scanned = 0;
   uint64_t bytes_read = 0;
   uint64_t chunks_read = 0;
+  /// Chunks read for this query whose sweep was skipped because the chunk's
+  /// sphere or rectangle bound already exceeded the query's k-th distance
+  /// (Searcher's chunk-level abandon). Each is still counted in
+  /// chunks_read, descriptors_scanned, bytes_read and the model clock.
+  uint64_t sweeps_skipped = 0;
   /// Population of the largest probe this query scanned (rows of the
   /// biggest chunk read, for the chunked method; 0 for methods without
   /// per-probe populations). The per-query exposure to chunk imbalance:
@@ -192,6 +198,7 @@ struct QueryTelemetry {
     descriptors_scanned += other.descriptors_scanned;
     bytes_read += other.bytes_read;
     chunks_read += other.chunks_read;
+    sweeps_skipped += other.sweeps_skipped;
     max_probe_rows = std::max(max_probe_rows, other.max_probe_rows);
     cache_hits += other.cache_hits;
     cache_misses += other.cache_misses;

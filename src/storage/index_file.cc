@@ -20,7 +20,8 @@ IndexFileHeader ComputeLayout(uint32_t dim, uint64_t num_chunks) {
   h.centroids_off = kFormatHeaderBytes;
   h.radii_off = AlignUp(h.centroids_off + num_chunks * dim * sizeof(float));
   h.directory_off = AlignUp(h.radii_off + num_chunks * sizeof(double));
-  h.footer_off = h.directory_off + num_chunks * sizeof(ChunkLocation);
+  h.rects_off = AlignUp(h.directory_off + num_chunks * sizeof(ChunkLocation));
+  h.footer_off = h.rects_off + num_chunks * 2 * dim * sizeof(float);
   return h;
 }
 
@@ -39,6 +40,9 @@ Status WriteIndexFile(Env* env, const std::string& path, size_t dim,
     if (entry.bounds.dim() != dim) {
       return Status::InvalidArgument("index entry centroid has wrong dim");
     }
+    if (entry.rect_lo.size() != dim || entry.rect_hi.size() != dim) {
+      return Status::InvalidArgument("index entry rectangle has wrong dim");
+    }
   }
 
   const IndexFileHeader h =
@@ -55,6 +59,7 @@ Status WriteIndexFile(Env* env, const std::string& path, size_t dim,
   std::memcpy(header + 32, &h.radii_off, 8);
   std::memcpy(header + 40, &h.directory_off, 8);
   std::memcpy(header + 48, &h.footer_off, 8);
+  std::memcpy(header + 56, &h.rects_off, 8);
   QVT_RETURN_IF_ERROR(writer->Append(header, sizeof(header)));
 
   QVT_RETURN_IF_ERROR(writer->BeginSection().status());
@@ -70,6 +75,13 @@ Status WriteIndexFile(Env* env, const std::string& path, size_t dim,
   for (const ChunkIndexEntry& entry : entries) {
     QVT_RETURN_IF_ERROR(writer->Append(&entry.location,
                                        sizeof(ChunkLocation)));
+  }
+  QVT_RETURN_IF_ERROR(writer->BeginSection().status());
+  for (const ChunkIndexEntry& entry : entries) {
+    QVT_RETURN_IF_ERROR(writer->Append(entry.rect_lo.data(),
+                                       dim * sizeof(float)));
+    QVT_RETURN_IF_ERROR(writer->Append(entry.rect_hi.data(),
+                                       dim * sizeof(float)));
   }
   QVT_CHECK(writer->offset() == h.footer_off);  // layout math matches writes
   return writer->Finish();
@@ -91,6 +103,7 @@ StatusOr<IndexFileView> IndexFileView::Open(
   header.radii_off = LoadU64(h + 32);
   header.directory_off = LoadU64(h + 40);
   header.footer_off = LoadU64(h + 48);
+  header.rects_off = LoadU64(h + 56);
 
   if (header.dim == 0 ||
       (expected_dim != 0 && header.dim != expected_dim)) {
@@ -111,6 +124,7 @@ StatusOr<IndexFileView> IndexFileView::Open(
   if (header.centroids_off != expect.centroids_off ||
       header.radii_off != expect.radii_off ||
       header.directory_off != expect.directory_off ||
+      header.rects_off != expect.rects_off ||
       header.footer_off != expect.footer_off) {
     return fv.CorruptionAt(24, "section offsets disagree with layout");
   }
@@ -125,6 +139,9 @@ StatusOr<IndexFileView> IndexFileView::Open(
   auto directory = fv.Section(header.directory_off, header.num_chunks,
                               sizeof(ChunkLocation), "chunk directory");
   if (!directory.ok()) return directory.status();
+  auto rects = fv.Section(header.rects_off, header.num_chunks,
+                          2 * header.dim * sizeof(float), "rectangles");
+  if (!rects.ok()) return rects.status();
 
   // Section offsets are 64-aligned within the file and the mapping base is
   // at least 64-aligned (page-aligned mmap or Env's aligned heap copy), so
@@ -132,6 +149,7 @@ StatusOr<IndexFileView> IndexFileView::Open(
   view.centroids_ = reinterpret_cast<const float*>(*centroids);
   view.radii_ = reinterpret_cast<const double*>(*radii);
   view.locations_ = reinterpret_cast<const ChunkLocation*>(*directory);
+  view.rects_ = reinterpret_cast<const float*>(*rects);
   QVT_RETURN_IF_ERROR(view.ValidateEntries());
   return view;
 }
@@ -151,6 +169,16 @@ Status IndexFileView::ValidateEntries() const {
       return fv.CorruptionAt(
           header_.directory_off + i * sizeof(ChunkLocation),
           "empty extent in entry " + std::to_string(i));
+    }
+    const std::span<const float> lo = rect_lo(i);
+    const std::span<const float> hi = rect_hi(i);
+    for (size_t d = 0; d < header_.dim; ++d) {
+      if (!std::isfinite(lo[d]) || !std::isfinite(hi[d]) || lo[d] > hi[d]) {
+        return fv.CorruptionAt(
+            header_.rects_off + (2 * i * header_.dim + d) * sizeof(float),
+            "invalid rectangle in entry " + std::to_string(i) +
+                " (dimension " + std::to_string(d) + ")");
+      }
     }
   }
   return Status::OK();

@@ -18,27 +18,32 @@
 namespace qvt {
 
 /// One entry of the chunk index (§4.2): the chunk's centroid, its radius,
-/// and where it lives in the chunk file. Entry order matches chunk order in
-/// the chunk file. This is the build-side/materialized representation; on
-/// disk the three fields live in separate column sections (see below).
+/// its bounding rectangle, and where it lives in the chunk file. Entry order
+/// matches chunk order in the chunk file. This is the build-side/materialized
+/// representation; on disk the fields live in separate column sections (see
+/// below).
 struct ChunkIndexEntry {
   Sphere bounds;           ///< centroid + minimum bounding radius
   ChunkLocation location;  ///< placement in the chunk file
+  /// Per-dimension minimum and maximum of the chunk's rows (dim floats
+  /// each). Float min/max are exact, so every row lies inside, bit for bit.
+  std::vector<float> rect_lo;
+  std::vector<float> rect_hi;
 };
 
-/// Chunk index file format "QVTIDX01", version 1 (little endian, see
+/// Chunk index file format "QVTIDX02", version 2 (little endian, see
 /// storage/format.h for the shared envelope):
 ///
 ///   header (64 bytes):
-///     0  u64 magic            "QVTIDX01"
-///     8  u32 format version   1
+///     0  u64 magic            "QVTIDX02"
+///     8  u32 format version   2
 ///     12 u32 dim
 ///     16 u64 num_chunks       > 0
 ///     24 u64 centroids_off    64-aligned; f32[num_chunks * dim]
 ///     32 u64 radii_off        64-aligned; f64[num_chunks]
 ///     40 u64 directory_off    64-aligned; ChunkLocation[num_chunks] (16 B)
 ///     48 u64 footer_off       == file size - 16
-///     56 u64 reserved         0
+///     56 u64 rects_off        64-aligned; per chunk f32 lo[dim], f32 hi[dim]
 ///   sections at the declared offsets, zero-padded gaps between them
 ///   footer (16 bytes): u32 crc32 of [0, footer_off), u32 reserved,
 ///     u64 magic echo
@@ -46,18 +51,21 @@ struct ChunkIndexEntry {
 /// Columns instead of packed per-entry records buy two things: the centroid
 /// matrix is directly the contiguous row-major input the batched SIMD
 /// kernels scan (zero-copy from a mapping), and every f64 radius sits in an
-/// 8-byte-aligned section regardless of dim parity.
-inline constexpr uint64_t kIndexMagic = 0x3130584449545651ull;  // "QVTIDX01"
-inline constexpr uint32_t kIndexFormatVersion = 1;
+/// 8-byte-aligned section regardless of dim parity. The rectangle section
+/// keeps one chunk's lo and hi side by side: the searcher reads both for
+/// one chunk at a time (Searcher's chunk-level abandon). Version 1
+/// ("QVTIDX01", no rectangles, word 56 reserved) is no longer read.
+inline constexpr uint64_t kIndexMagic = 0x3230584449545651ull;  // "QVTIDX02"
+inline constexpr uint32_t kIndexFormatVersion = 2;
 
-/// Logical payload bytes one entry contributes across the three column
-/// sections. (Equal to the packed-record size of format v0, which had no
-/// header: f32[dim] + f64 + u64 + u32 + u32.)
+/// Logical payload bytes one entry contributes across the four column
+/// sections: f32[dim] centroid + f64 radius + 16-byte location + f32[2 *
+/// dim] rectangle.
 inline constexpr size_t IndexEntryBytes(size_t dim) {
-  return dim * sizeof(float) + sizeof(double) + sizeof(ChunkLocation);
+  return 3 * dim * sizeof(float) + sizeof(double) + sizeof(ChunkLocation);
 }
-static_assert(IndexEntryBytes(24) == 120);
-static_assert(IndexEntryBytes(1) == 28);
+static_assert(IndexEntryBytes(24) == 312);
+static_assert(IndexEntryBytes(1) == 36);
 
 // The directory section is read by casting mapped bytes, so the record
 // layout must be exactly the three packed little-endian words.
@@ -76,6 +84,7 @@ struct IndexFileHeader {
   uint64_t radii_off = 0;
   uint64_t directory_off = 0;
   uint64_t footer_off = 0;
+  uint64_t rects_off = 0;
 };
 
 /// Zero-copy view of one index file: owns the mapping and exposes the
@@ -110,10 +119,18 @@ class IndexFileView {
   std::span<const ChunkLocation> locations() const {
     return {locations_, header_.num_chunks};
   }
+  /// Bounding rectangle of chunk `i`: dim lower then dim upper bounds.
+  std::span<const float> rect_lo(size_t i) const {
+    return {rects_ + 2 * i * header_.dim, header_.dim};
+  }
+  std::span<const float> rect_hi(size_t i) const {
+    return {rects_ + (2 * i + 1) * header_.dim, header_.dim};
+  }
 
   /// CRC over the whole payload — run by fsck and ChunkIndex::Validate,
   /// not by Open. ValidateEntries checks the per-entry invariants (finite
-  /// non-negative radius, non-empty extent and population); Open runs it.
+  /// non-negative radius, non-empty extent and population, finite rectangle
+  /// bounds with lo <= hi); Open runs it.
   Status VerifyCrc() const;
   Status ValidateEntries() const;
 
@@ -127,6 +144,7 @@ class IndexFileView {
   const float* centroids_ = nullptr;
   const double* radii_ = nullptr;
   const ChunkLocation* locations_ = nullptr;
+  const float* rects_ = nullptr;
 };
 
 /// Writes the whole index file in one shot: to `path + ".tmp"`, then an

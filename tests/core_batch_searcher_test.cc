@@ -89,6 +89,15 @@ TEST(BatchSearcherTest, EightThreadsBitIdenticalToSerial) {
   ASSERT_TRUE(batch.ok());
   EXPECT_EQ(batch->num_threads, 8u);
   ExpectIdenticalResults(batch->results, serial);
+  // Chunk-level abandon fired, so the identity covers skipped sweeps; under
+  // the exact rule each query's sweep sequence is its lone one, so even
+  // the skips agree.
+  uint64_t serial_skipped = 0;
+  for (const MethodResult& r : serial) {
+    serial_skipped += r.telemetry.sweeps_skipped;
+  }
+  EXPECT_GT(serial_skipped, 0u);
+  EXPECT_EQ(batch->totals.sweeps_skipped, serial_skipped);
 }
 
 // Every registered method over one shared index: four worker threads read

@@ -1,7 +1,11 @@
 #include "core/chunk_index.h"
 
+#include <cmath>
 #include <cstddef>
 #include <cstring>
+#include <span>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -130,13 +134,83 @@ TEST(ChunkIndexTest, EntriesHaveExactMinimumBoundingRadius) {
   for (size_t i = 0; i < index->num_chunks(); ++i) {
     ASSERT_TRUE(index->ReadChunk(i, &chunk).ok());
     double max_dist = 0;
+    std::vector<float> lo(chunk.Vector(0).begin(), chunk.Vector(0).end());
+    std::vector<float> hi = lo;
     for (size_t d = 0; d < chunk.size(); ++d) {
       max_dist =
           std::max(max_dist, vec::Distance(index->centroid(i),
                                            chunk.Vector(d)));
+      for (size_t j = 0; j < chunk.dim; ++j) {
+        lo[j] = std::min(lo[j], chunk.Vector(d)[j]);
+        hi[j] = std::max(hi[j], chunk.Vector(d)[j]);
+      }
     }
-    // Radius is tight: equals the farthest member distance.
-    EXPECT_NEAR(index->radius(i), max_dist, 1e-4);
+    // Radius is tight: it is the farthest member distance, bit for bit, and
+    // the rectangle is the exact per-dimension min and max.
+    EXPECT_EQ(index->radius(i), max_dist);
+    const std::span<const float> rect_lo = index->rect_lo(i);
+    const std::span<const float> rect_hi = index->rect_hi(i);
+    EXPECT_EQ(std::vector<float>(rect_lo.begin(), rect_lo.end()), lo);
+    EXPECT_EQ(std::vector<float>(rect_hi.begin(), rect_hi.end()), hi);
+  }
+}
+
+// fsck holds every row to its sphere and rectangle exactly, with no slack:
+// a radius one ulp too small, or a rectangle one ulp too narrow on either
+// side, is a Corruption. The CRC is refreshed after each edit (and the
+// edited entry stays valid for the open), so Validate's row check is what
+// objects.
+TEST(ChunkIndexTest, ValidateRejectsBoundsThatExcludeARow) {
+  MemEnv env;
+  const Collection c = TestCollection();
+  SrTreeChunker chunker(80);
+  auto chunking = chunker.FormChunks(c);
+  ASSERT_TRUE(chunking.ok());
+  const ChunkIndexPaths paths = ChunkIndexPaths::ForBase("idx");
+  auto built = ChunkIndex::Build(c, *chunking, &env, paths);
+  ASSERT_TRUE(built.ok());
+  ASSERT_TRUE(built->Validate().ok());
+  ASSERT_GT(built->num_chunks(), 3u);
+  const IndexFileHeader header = built->file_header();
+  const size_t dim = built->dim();
+  auto good = ReadFileBytes(&env, paths.index_file);
+  ASSERT_TRUE(good.ok());
+
+  const auto validate_with = [&](uint64_t at, const void* value, size_t size) {
+    std::vector<uint8_t> bytes = *good;
+    std::memcpy(bytes.data() + at, value, size);
+    const uint32_t crc = Crc32(bytes.data(), header.footer_off);
+    std::memcpy(bytes.data() + header.footer_off, &crc, sizeof(crc));
+    EXPECT_TRUE(
+        WriteFileBytes(&env, paths.index_file, bytes.data(), bytes.size())
+            .ok());
+    auto opened = ChunkIndex::Open(&env, paths);
+    EXPECT_TRUE(opened.ok()) << opened.status().ToString();
+    return opened.ok() ? opened->Validate() : opened.status();
+  };
+
+  const double radius = std::nextafter(built->radius(2), 0.0);
+  const Status sphere = validate_with(header.radii_off + 2 * sizeof(double),
+                                      &radius, sizeof(radius));
+  EXPECT_TRUE(sphere.IsCorruption()) << sphere.ToString();
+  EXPECT_NE(sphere.ToString().find("outside chunk sphere in chunk 2"),
+            std::string::npos);
+
+  // Dimension 7 of chunk 1: raise lo, then lower hi, by one ulp.
+  const size_t d = 7;
+  const float lo = built->rect_lo(1)[d];
+  const float hi = built->rect_hi(1)[d];
+  ASSERT_LT(lo, hi);
+  const uint64_t lo_at = header.rects_off + (2 * 1 * dim + d) * sizeof(float);
+  const uint64_t hi_at = lo_at + dim * sizeof(float);
+  const float raised = std::nextafter(lo, hi);
+  const float lowered = std::nextafter(hi, lo);
+  for (const auto& [at, value] : {std::pair{lo_at, raised},
+                                  std::pair{hi_at, lowered}}) {
+    const Status rect = validate_with(at, &value, sizeof(value));
+    EXPECT_TRUE(rect.IsCorruption()) << rect.ToString();
+    EXPECT_NE(rect.ToString().find("outside chunk rectangle in chunk 1"),
+              std::string::npos);
   }
 }
 

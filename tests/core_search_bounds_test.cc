@@ -144,6 +144,7 @@ TEST(SearchBoundsTest, BoundedAnswerIsTheUnboundedOneWithinTheBound) {
   };
   size_t ties = 0;
   size_t fewer_chunks = 0;
+  uint64_t skipped = 0;
   for (const auto& r : rules) {
     for (const size_t threads : {size_t{1}, size_t{4}}) {
       const std::string label =
@@ -158,6 +159,7 @@ TEST(SearchBoundsTest, BoundedAnswerIsTheUnboundedOneWithinTheBound) {
         const std::string at = label + " query " + std::to_string(q);
         const MethodResult& got = (*bounded)[q];
         const MethodResult& free = (*unbounded)[q];
+        skipped += got.telemetry.sweeps_skipped;
         switch (r.rule.kind) {
           case StopRule::Kind::kMaxChunks:
           case StopRule::Kind::kTimeBudget:
@@ -204,6 +206,9 @@ TEST(SearchBoundsTest, BoundedAnswerIsTheUnboundedOneWithinTheBound) {
   // really stops earlier for some query.
   EXPECT_GT(ties, 0u);
   EXPECT_GT(fewer_chunks, 0u);
+  // Chunk-level abandon fired on bounded queries, so the identities above
+  // cover skipped sweeps.
+  EXPECT_GT(skipped, 0u);
 }
 
 TEST(SearchBoundsTest, ZeroBoundKeepsOnlyExactDuplicates) {

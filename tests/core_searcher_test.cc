@@ -170,6 +170,69 @@ TEST(SearcherTest, ObserverSeesMonotoneProgress) {
   EXPECT_EQ(calls, result->telemetry.chunks_read);
 }
 
+// Chunk-level abandon skips a chunk's sweep only when its bound exceeds
+// the k-th distance; a bound equal to it is swept, since a row at exactly
+// the k-th distance with a smaller id still enters the set. Rows lie on
+// axis 0 around a query at the origin:
+//   chunk 0: id 1 at -0.8 and id 2 at 1.0 (centroid 0.1, ranked first);
+//   chunk 1: id 0 at 1.0 alone (radius 0, sphere and rectangle bound 1.0);
+//   chunk 2: id 3 at 1 + 2^-20 alone (bound above 1.0).
+// At k = 2 the k-th after chunk 0 is 1.0 (id 2). Chunk 1's bound equals it,
+// so chunk 1 is swept and id 0 takes id 2's place; chunk 2 is read under
+// MaxChunks(3) but not swept.
+TEST(SearcherTest, ChunkBoundEqualToKthIsSweptNotSkipped) {
+  MemEnv env;
+  Collection collection;
+  const auto row = [](float x) {
+    std::vector<float> v(kDescriptorDim, 0.0f);
+    v[0] = x;
+    return v;
+  };
+  collection.Append(0, row(1.0f), 0);
+  collection.Append(1, row(-0.8f), 0);
+  collection.Append(2, row(1.0f), 0);
+  collection.Append(3, row(1.0f + 0x1p-20f), 0);
+  ChunkingResult chunking;
+  chunking.chunks = {{1, 2}, {0}, {3}};
+  auto index = ChunkIndex::Build(collection, chunking, &env,
+                                 ChunkIndexPaths::ForBase("tie"));
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  ASSERT_EQ(index->radius(1), 0.0);
+  const Searcher searcher(&*index, DiskCostModel());
+  const std::vector<float> query(kDescriptorDim, 0.0f);
+
+  std::vector<bool> skipped;
+  const SearchObserver observer = [&](const SearchProgress& progress) {
+    skipped.push_back(progress.skipped);
+  };
+  for (const StopRule& rule : {StopRule::Exact(), StopRule::MaxChunks(3)}) {
+    const bool exact = rule.kind == StopRule::Kind::kExact;
+    SCOPED_TRACE(exact ? "exact" : "max-chunks-3");
+    skipped.clear();
+    auto alone = searcher.Search(query, 2, rule, observer);
+    ASSERT_TRUE(alone.ok());
+    // The exact rule stops before chunk 2 (its bound exceeds the k-th).
+    std::vector<bool> want = {false, false};
+    if (!exact) want.push_back(true);
+    EXPECT_EQ(skipped, want);
+    for (const size_t threads : {size_t{1}, size_t{4}}) {
+      const std::vector<std::span<const float>> batch = {query, query};
+      auto shared = searcher.SearchShared(batch, 2, rule, threads);
+      ASSERT_TRUE(shared.ok());
+      for (const MethodResult* got : {&*alone, &(*shared)[0], &(*shared)[1]}) {
+        const QueryTelemetry& t = got->telemetry;
+        EXPECT_EQ(t.chunks_read, exact ? 2u : 3u);
+        EXPECT_EQ(t.sweeps_skipped, exact ? 0u : 1u);
+        EXPECT_EQ(t.exact, exact);
+        ASSERT_EQ(got->neighbors.size(), 2u);
+        EXPECT_EQ(got->neighbors[0].id, 1u);
+        EXPECT_EQ(got->neighbors[1].id, 0u);
+        EXPECT_EQ(got->neighbors[1].distance, 1.0);
+      }
+    }
+  }
+}
+
 TEST(SearcherTest, ModelTimeIncludesIndexScan) {
   SrTreeChunker chunker(60);
   IndexFixture fx(&chunker);
@@ -252,6 +315,7 @@ TEST(SearcherTest, SearchAndSharedMatchRankOrderReference) {
       {"time-budget-half",
        StopRule::TimeBudget(probe->telemetry.model_micros / 2)},
   };
+  uint64_t skipped = 0;
   for (const auto& r : rules) {
     auto shared = searcher.SearchShared(spans, 10, r.rule);
     ASSERT_TRUE(shared.ok()) << r.name;
@@ -265,8 +329,12 @@ TEST(SearcherTest, SearchAndSharedMatchRankOrderReference) {
           std::string(r.name) + " query " + std::to_string(q);
       ExpectMatchesReference(*alone, reference, label + " (Search)");
       ExpectMatchesReference((*shared)[q], reference, label + " (shared)");
+      skipped += alone->telemetry.sweeps_skipped +
+                 (*shared)[q].telemetry.sweeps_skipped;
     }
   }
+  // Chunk-level abandon fired, so the identity above covers skipped sweeps.
+  EXPECT_GT(skipped, 0u);
 }
 
 // The kernel layer's determinism contract at the API that matters: the same
@@ -535,6 +603,7 @@ TEST(SearcherTest, MaxChunksExecutorsMatchFullRankingReference) {
   }
 
   SearchScratch reused;
+  uint64_t skipped = 0;
   for (const size_t m : {size_t{1}, size_t{8}, n, n + 3}) {
     const StopRule rule = StopRule::MaxChunks(m);
     std::vector<MethodResult> reference;
@@ -573,9 +642,11 @@ TEST(SearcherTest, MaxChunksExecutorsMatchFullRankingReference) {
           ExpectMatchesReference(batch->results[q], reference[q],
                                  label + " query " + std::to_string(q) + mode);
         }
+        skipped += batch->totals.sweeps_skipped;
       }
     }
   }
+  EXPECT_GT(skipped, 0u);
 }
 
 // Everything quality evaluation consumes must be equal, distances bitwise.

@@ -142,6 +142,7 @@ TEST(SharedScanTest, ChunkedBitIdenticalAcrossStopRulesBackendsThreads) {
   };
 
   BackendGuard guard;
+  uint64_t skipped = 0;
   for (const kernels::Backend backend : SupportedBackends()) {
     kernels::SetBackendForTesting(backend);
     for (const auto& r : rules) {
@@ -183,9 +184,13 @@ TEST(SharedScanTest, ChunkedBitIdenticalAcrossStopRulesBackendsThreads) {
         EXPECT_LE(batch->shared.chunk_fetches,
                   batch->shared.chunk_attachments)
             << label;
+        skipped += batch->totals.sweeps_skipped;
       }
+      skipped += reference->totals.sweeps_skipped;
     }
   }
+  // Chunk-level abandon fired, so the identity above covers skipped sweeps.
+  EXPECT_GT(skipped, 0u);
 }
 
 // Exact stops fire at different rounds for different queries (mid-scan

@@ -1,6 +1,7 @@
 #include "storage/index_file.h"
 
 #include <cstring>
+#include <limits>
 #include <span>
 #include <string>
 #include <vector>
@@ -15,6 +16,8 @@ ChunkIndexEntry MakeEntry(size_t dim, float center, double radius,
   ChunkIndexEntry entry;
   entry.bounds = Sphere(std::vector<float>(dim, center), radius);
   entry.location = ChunkLocation{page, pages, count};
+  entry.rect_lo.assign(dim, center - static_cast<float>(radius));
+  entry.rect_hi.assign(dim, center + static_cast<float>(radius));
   return entry;
 }
 
@@ -37,6 +40,10 @@ void ExpectViewMatches(const IndexFileView& view,
               entries[i].bounds.center);
     EXPECT_DOUBLE_EQ(view.radii()[i], entries[i].bounds.radius);
     EXPECT_EQ(view.locations()[i], entries[i].location);
+    const std::span<const float> lo = view.rect_lo(i);
+    const std::span<const float> hi = view.rect_hi(i);
+    EXPECT_EQ(std::vector<float>(lo.begin(), lo.end()), entries[i].rect_lo);
+    EXPECT_EQ(std::vector<float>(hi.begin(), hi.end()), entries[i].rect_hi);
   }
 }
 
@@ -49,6 +56,23 @@ std::vector<uint8_t> FileBytes(MemEnv* env, const std::string& path) {
 void PutBytes(MemEnv* env, const std::string& path,
               const std::vector<uint8_t>& bytes) {
   ASSERT_TRUE(WriteFileBytes(env, path, bytes.data(), bytes.size()).ok());
+}
+
+// Refreshes the footer CRC after an in-place edit, so only the check under
+// test can object to the file.
+void Reseal(std::vector<uint8_t>* bytes) {
+  const size_t footer_off = bytes->size() - kFormatFooterBytes;
+  const uint32_t crc = Crc32(bytes->data(), footer_off);
+  std::memcpy(bytes->data() + footer_off, &crc, sizeof(crc));
+}
+
+// Overwrites `size` bytes at `offset` of the file and reseals it.
+void Patch(MemEnv* env, const std::string& path, uint64_t offset,
+           const void* data, size_t size) {
+  std::vector<uint8_t> bytes = FileBytes(env, path);
+  std::memcpy(bytes.data() + offset, data, size);
+  Reseal(&bytes);
+  PutBytes(env, path, bytes);
 }
 
 TEST(IndexFileTest, RoundTrip) {
@@ -105,6 +129,9 @@ TEST(IndexFileTest, HeaderDeclaresAlignedSections) {
   EXPECT_EQ(h.centroids_off % kSectionAlignment, 0u);
   EXPECT_EQ(h.radii_off % kSectionAlignment, 0u);
   EXPECT_EQ(h.directory_off % kSectionAlignment, 0u);
+  EXPECT_EQ(h.rects_off % kSectionAlignment, 0u);
+  EXPECT_GT(h.rects_off, h.directory_off);
+  EXPECT_EQ(h.footer_off, h.rects_off + 2 * 23 * sizeof(float));
   EXPECT_EQ(h.footer_off + kFormatFooterBytes, *env.GetFileSize("idx"));
 }
 
@@ -119,6 +146,9 @@ TEST(IndexFileTest, EmptyIndexRejectedAtWrite) {
 TEST(IndexFileTest, WrongDimEntryRejectedAtWrite) {
   MemEnv env;
   std::vector<ChunkIndexEntry> entries = {MakeEntry(8, 1.0f, 1.0, 0, 1, 1)};
+  EXPECT_TRUE(WriteIndexFile(&env, "idx", 24, entries).IsInvalidArgument());
+  entries = {MakeEntry(24, 1.0f, 1.0, 0, 1, 1)};
+  entries[0].rect_hi.pop_back();
   EXPECT_TRUE(WriteIndexFile(&env, "idx", 24, entries).IsInvalidArgument());
 }
 
@@ -216,19 +246,107 @@ TEST(IndexFileTest, InvalidEntryContentsRejected) {
   ASSERT_TRUE(WriteIndexFile(&env, "idx", 24, entries).ok());
   auto view = OpenIndexFile(&env, "idx", 24);
   ASSERT_TRUE(view.ok());
-  std::vector<uint8_t> bytes = FileBytes(&env, "idx");
   const double bad_radius = -1.0;
-  std::memcpy(bytes.data() + view->header().radii_off, &bad_radius,
-              sizeof(bad_radius));
-  const uint32_t crc = Crc32(bytes.data(), view->header().footer_off);
-  std::memcpy(bytes.data() + view->header().footer_off, &crc, sizeof(crc));
-  PutBytes(&env, "idx", bytes);
+  Patch(&env, "idx", view->header().radii_off, &bad_radius, sizeof(bad_radius));
   const Status s = OpenAndVerify(&env, "idx", 24);
   EXPECT_TRUE(s.IsCorruption());
   EXPECT_NE(s.ToString().find("radius"), std::string::npos);
   const Status opened = OpenIndexFile(&env, "idx", 24).status();
   EXPECT_TRUE(opened.IsCorruption());
   EXPECT_NE(opened.ToString().find("radius"), std::string::npos);
+}
+
+// Hostile rectangle bytes: a lower bound above its upper bound, and a NaN
+// on either side, are each a Corruption naming the rectangle, after a CRC
+// refresh so the open's entry check is what objects.
+TEST(IndexFileTest, InvalidRectangleRejected) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const struct {
+    const char* name;
+    size_t column;  // 0: lo, 1: hi
+    float value;
+  } cases[] = {
+      {"lo above hi", 0, 9.0f},
+      {"hi below lo", 1, -9.0f},
+      {"nan lo", 0, nan},
+      {"nan hi", 1, nan},
+      {"infinite hi", 1, inf},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    MemEnv env;
+    ASSERT_TRUE(WriteIndexFile(&env, "idx", 24,
+                               {MakeEntry(24, 1.0f, 1.0, 0, 1, 1),
+                                MakeEntry(24, 2.0f, 1.0, 1, 1, 1)})
+                    .ok());
+    auto view = OpenIndexFile(&env, "idx", 24);
+    ASSERT_TRUE(view.ok());
+    // Dimension 5 of the second entry.
+    const uint64_t offset = view->header().rects_off +
+                            ((2 + c.column) * 24 + 5) * sizeof(float);
+    Patch(&env, "idx", offset, &c.value, sizeof(c.value));
+    const Status s = OpenIndexFile(&env, "idx", 24).status();
+    EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+    EXPECT_NE(s.ToString().find("rectangle in entry 1"), std::string::npos)
+        << s.ToString();
+  }
+}
+
+// A rectangle section cut short, or declared outside the file, is a Status.
+TEST(IndexFileTest, TruncatedOrMisplacedRectSectionRejected) {
+  MemEnv env;
+  ASSERT_TRUE(WriteIndexFile(&env, "idx", 24,
+                             {MakeEntry(24, 1.0f, 1.0, 0, 1, 1),
+                              MakeEntry(24, 2.0f, 1.0, 1, 1, 1)})
+                  .ok());
+  const std::vector<uint8_t> bytes = FileBytes(&env, "idx");
+  auto view = OpenIndexFile(&env, "idx", 24);
+  ASSERT_TRUE(view.ok());
+  const IndexFileHeader h = view->header();
+
+  // Cut mid-section, then give the shorter file a valid footer and header
+  // word, so the envelope and CRC pass and only the layout can object.
+  std::vector<uint8_t> cut(bytes.begin(),
+                           bytes.begin() + h.rects_off + 24 * sizeof(float));
+  cut.insert(cut.end(), bytes.end() - kFormatFooterBytes, bytes.end());
+  const uint64_t footer_off = cut.size() - kFormatFooterBytes;
+  std::memcpy(cut.data() + 48, &footer_off, sizeof(footer_off));
+  Reseal(&cut);
+  PutBytes(&env, "idx", cut);
+  EXPECT_TRUE(OpenIndexFile(&env, "idx", 24).status().IsCorruption());
+
+  // Plain truncation inside the section fails the envelope.
+  PutBytes(&env, "idx",
+           std::vector<uint8_t>(bytes.begin(), bytes.end() - 40));
+  EXPECT_TRUE(OpenIndexFile(&env, "idx", 24).status().IsCorruption());
+
+  // A rects_off pointing past the end of the file.
+  PutBytes(&env, "idx", bytes);
+  const uint64_t far = AlignUp(bytes.size() + 4096);
+  Patch(&env, "idx", 56, &far, sizeof(far));
+  EXPECT_TRUE(OpenIndexFile(&env, "idx", 24).status().IsCorruption());
+}
+
+// A version-1 file (magic "QVTIDX01", no rectangle section) is not read:
+// there is one index format.
+TEST(IndexFileTest, VersionOneFileRejected) {
+  MemEnv env;
+  ASSERT_TRUE(
+      WriteIndexFile(&env, "idx", 24, {MakeEntry(24, 1.0f, 1.0, 0, 1, 1)})
+          .ok());
+  std::vector<uint8_t> bytes = FileBytes(&env, "idx");
+  const uint64_t v1_magic = 0x3130584449545651ull;  // "QVTIDX01"
+  const uint32_t v1_version = 1;
+  std::memcpy(bytes.data(), &v1_magic, sizeof(v1_magic));
+  std::memcpy(bytes.data() + 8, &v1_version, sizeof(v1_version));
+  std::memcpy(bytes.data() + bytes.size() - 8, &v1_magic, sizeof(v1_magic));
+  Reseal(&bytes);
+  PutBytes(&env, "idx", bytes);
+  const Status s = OpenIndexFile(&env, "idx", 24).status();
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  EXPECT_NE(s.ToString().find("bad magic"), std::string::npos)
+      << s.ToString();
 }
 
 TEST(IndexFileTest, MappedViewIsZeroCopy) {

@@ -576,11 +576,12 @@ int CmdInfo(const Flags& flags) {
     }
     const IndexFileHeader& h = (*index)->file_header();
     std::printf("format:            QVTIDX v%u, dim %u, sections at "
-                "%llu/%llu/%llu, footer at %llu\n",
+                "%llu/%llu/%llu/%llu, footer at %llu\n",
                 h.version, h.dim,
                 static_cast<unsigned long long>(h.centroids_off),
                 static_cast<unsigned long long>(h.radii_off),
                 static_cast<unsigned long long>(h.directory_off),
+                static_cast<unsigned long long>(h.rects_off),
                 static_cast<unsigned long long>(h.footer_off));
     std::printf("open:              %.3f ms (mmap, entries checked)\n",
                 open_micros / 1000.0);
@@ -799,10 +800,11 @@ void PrintTelemetry(const QueryTelemetry& t, const char* prefix) {
               static_cast<unsigned long long>(t.index_entries_scanned),
               static_cast<unsigned long long>(t.candidates_examined),
               static_cast<unsigned long long>(t.descriptors_scanned));
-  std::printf("%sbytes read %llu, chunks read %llu, cache %llu hit / %llu "
-              "miss\n",
+  std::printf("%sbytes read %llu, chunks read %llu (%llu sweeps skipped "
+              "by bound), cache %llu hit / %llu miss\n",
               prefix, static_cast<unsigned long long>(t.bytes_read),
               static_cast<unsigned long long>(t.chunks_read),
+              static_cast<unsigned long long>(t.sweeps_skipped),
               static_cast<unsigned long long>(t.cache_hits),
               static_cast<unsigned long long>(t.cache_misses));
 }
@@ -866,8 +868,9 @@ int CmdSearch(const Flags& flags) {
 // forces query-major); results are bit-identical either way, so
 // figure-reproduction runs stay on the paper's methodology.
 // --verify 1 re-runs the batch serially (query-major, fresh cache) and
-// cross-checks neighbors per query — covering concurrency AND the
-// shared-scan executor. --check-recall R scores the
+// cross-checks each query's neighbor ids and distance bits, chunks read,
+// exact verdict and (without --cache-pages) model time — covering
+// concurrency AND the shared-scan executor. --check-recall R scores the
 // batch against exact-scan ground truth and fails below the threshold.
 int CmdBatch(const Flags& flags) {
   const std::string method_name = flags.Get("method", "chunked");
@@ -1008,11 +1011,18 @@ int CmdBatch(const Flags& flags) {
     for (size_t q = 0; q < workload.num_queries(); ++q) {
       const MethodResult& a = batch->results[q];
       const MethodResult& b = reference->results[q];
+      // With a cache, hit verdicts (and so the model clock) depend on how
+      // queries interleave, so model time is compared only without one.
       bool same =
           a.telemetry.chunks_read == b.telemetry.chunks_read &&
+          a.telemetry.exact == b.telemetry.exact &&
+          (cache != nullptr ||
+           a.telemetry.model_micros == b.telemetry.model_micros) &&
           a.neighbors.size() == b.neighbors.size();
       for (size_t i = 0; same && i < a.neighbors.size(); ++i) {
-        same = a.neighbors[i].id == b.neighbors[i].id;
+        same = a.neighbors[i].id == b.neighbors[i].id &&
+               std::memcmp(&a.neighbors[i].distance, &b.neighbors[i].distance,
+                           sizeof(double)) == 0;
       }
       if (!same) ++mismatches;
     }

@@ -25,10 +25,10 @@ namespace bench {
 /// Shared configuration for the paper-reproduction benches.
 ///
 /// Defaults to the full scaled experiment (~200k descriptors; the first run
-/// builds a disk cache under /tmp/qvt_cache that every bench reuses).
-/// `--tiny` or QVT_TINY=1 switches to the smoke-test configuration.
+/// builds a disk cache under qvt_cache/ in the build tree that every bench
+/// reuses). `--tiny` switches to the smoke-test configuration.
 inline ExperimentConfig ParseConfig(int argc, char** argv) {
-  bool tiny = std::getenv("QVT_TINY") != nullptr;
+  bool tiny = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--tiny") == 0) tiny = true;
   }

@@ -72,8 +72,10 @@ struct ExperimentConfig {
 
   /// Directory for cached collections/indexes/ground truth. The BAG runs
   /// are the expensive part (12 days at paper scale, minutes here); caching
-  /// lets every bench binary share one build.
-  std::string cache_dir = "/tmp/qvt_cache";
+  /// lets every bench binary share one build. Defaults to `qvt_cache` in
+  /// the CMake build tree (QVT_BENCH_CACHE_DIR, set by the qvt_bench_util
+  /// target), so each checkout and build keeps its own cache.
+  std::string cache_dir = QVT_BENCH_CACHE_DIR;
 
   static ExperimentConfig Default() { return ExperimentConfig{}; }
 
@@ -87,7 +89,7 @@ struct ExperimentConfig {
     config.medium_chunk_size = 110;
     config.large_chunk_size = 160;
     config.queries_per_workload = 20;
-    config.cache_dir = "/tmp/qvt_cache_tiny";
+    config.cache_dir = QVT_BENCH_CACHE_DIR "_tiny";
     return config;
   }
 

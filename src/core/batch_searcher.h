@@ -79,9 +79,10 @@ struct BatchSearchResult {
 /// more threads, per-query neighbors and telemetry counters are still
 /// deterministic (all per-query state is private; ties are broken by
 /// descriptor id); only wall-clock figures vary run to run.
-/// Execution mode: when the method supports shared scans (chunked, pq) and
-/// the batch has more than one query, SearchAll runs chunk-major by default
-/// — all queries' chunk schedules are merged so every chunk is fetched,
+/// Execution mode: when the method supports shared scans (chunked and
+/// dynamic; pq and the other methods always run query-major) and the batch
+/// has more than one query, SearchAll runs chunk-major by default — all
+/// queries' chunk schedules are merged so every chunk is fetched,
 /// decoded, and swept once for all the queries that want it, through the
 /// fused multi-query kernels. Identical query vectors are deduplicated
 /// first (one plan and scan, results fanned back out). Per-query results

@@ -2,10 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
-#include <limits>
-#include <map>
-#include <optional>
 #include <sstream>
 #include <unordered_map>
 #include <utility>
@@ -17,7 +13,6 @@
 #include "util/build_stats.h"
 #include "util/clock.h"
 #include "util/logging.h"
-#include "util/thread_pool.h"
 
 namespace qvt {
 namespace {
@@ -249,263 +244,6 @@ StatusOr<MethodResult> PqMethod::Search(
 
   t.wall_micros = total.ElapsedMicros();
   return result;
-}
-
-StatusOr<std::vector<MethodResult>> PqMethod::SearchShared(
-    std::span<const std::span<const float>> queries, size_t k,
-    const StopRule& stop, size_t num_threads, SharedScanStats* stats,
-    std::span<const DescriptorId> excluded, std::span<const double>) const {
-  if (!prepared_) {
-    return Status::FailedPrecondition("pq used before Prepare()");
-  }
-  QVT_RETURN_IF_ERROR(RequireExactStop(stop, name()));
-  if (k == 0) return Status::InvalidArgument("k must be positive");
-  for (const auto& query : queries) {
-    QVT_RETURN_IF_ERROR(ValidateQuery(query, dim_));
-  }
-  const size_t nq = queries.size();
-  WallClock wall;
-
-  // Private state of one query in the fused scan; nothing is shared
-  // between queries except the read-only codes and chunk fetches.
-  struct PqQueryState {
-    std::vector<double> table;
-    std::vector<double> adc;  ///< kScanBlock kernel-output scratch
-    std::optional<KnnResultSet> filter;
-    MethodResult result;
-    int64_t wall_micros = 0;  ///< fair-share attribution
-  };
-  std::vector<PqQueryState> states(nq);
-  const size_t depth = std::min(std::max(config_.rerank, k), num_rows_);
-
-  // Plan: per-query ADC tables (independent work, measured per query).
-  for (size_t i = 0; i < nq; ++i) {
-    PqQueryState& q = states[i];
-    Stopwatch phase(&wall);
-    q.table.resize(config_.m * config_.ksub);
-    kernels::BuildAdcTable(codebooks_.data(), config_.m, config_.ksub,
-                           sub_dim_, queries[i], q.table.data());
-    q.filter.emplace(depth, excluded);
-    q.adc.resize(kScanBlock);
-    q.result.telemetry.plan.wall_micros = phase.ElapsedMicros();
-    q.wall_micros = q.result.telemetry.plan.wall_micros;
-  }
-  if (stats != nullptr) {
-    stats->enabled = true;
-    stats->queries += nq;
-  }
-
-  // Scan: one fused pass over the packed codes for all queries — each code
-  // block is decoded from memory once and swept for every query, with
-  // per-query thresholds recomputed from each query's own filter between
-  // blocks, exactly the per-query block sequence of Search().
-  {
-    Stopwatch phase(&wall);
-    auto scan_range = [&](size_t qbegin, size_t qend) {
-      const size_t n = qend - qbegin;
-      std::vector<const double*> tables(n);
-      std::vector<double*> outs(n);
-      std::vector<double> thresholds(n);
-      for (size_t j = 0; j < n; ++j) {
-        tables[j] = states[qbegin + j].table.data();
-        outs[j] = states[qbegin + j].adc.data();
-      }
-      for (size_t start = 0; start < num_rows_; start += kScanBlock) {
-        const size_t count = std::min(kScanBlock, num_rows_ - start);
-        for (size_t j = 0; j < n; ++j) {
-          thresholds[j] = states[qbegin + j].filter->KthDistance();
-        }
-        kernels::MultiQueryAdcScanAbandon(
-            codes_.data() + start * config_.m, count, config_.m, config_.ksub,
-            tables.data(), thresholds.data(), n, outs.data());
-        for (size_t j = 0; j < n; ++j) {
-          KnnResultSet& filter = *states[qbegin + j].filter;
-          const double* adc = outs[j];
-          for (size_t i = 0; i < count; ++i) {
-            if (adc[i] == kernels::kAbandoned) continue;
-            filter.Insert(static_cast<DescriptorId>(start + i), adc[i],
-                          ids_[start + i]);
-          }
-        }
-      }
-    };
-    if (num_threads > 1 && nq > 1) {
-      // Contiguous query ranges, disjoint per-query state: results do not
-      // depend on the thread count or task completion order.
-      ThreadPool pool(num_threads);
-      const size_t tasks = std::min(pool.num_threads(), nq);
-      for (size_t t = 0; t < tasks; ++t) {
-        const size_t begin = nq * t / tasks;
-        const size_t end = nq * (t + 1) / tasks;
-        pool.Submit([&scan_range, begin, end] { scan_range(begin, end); });
-      }
-      pool.Wait();
-    } else {
-      scan_range(0, nq);
-    }
-    const int64_t share =
-        nq > 0 ? phase.ElapsedMicros() / static_cast<int64_t>(nq) : 0;
-    for (PqQueryState& q : states) {
-      q.result.telemetry.scan.wall_micros = share;
-      q.wall_micros += share;
-      q.result.telemetry.index_entries_scanned = num_rows_;
-      q.result.telemetry.tombstones_filtered = q.filter->refused();
-    }
-    if (stats != nullptr && nq > 0) {
-      stats->rows_scan_shared +=
-          static_cast<uint64_t>(num_rows_) * (nq - 1);
-      ++stats->coscan_histogram[SharedScanStats::HistogramBucket(nq)];
-    }
-  }
-
-  // Refine: exact rerank. With a chunk index the queries' candidate chunks
-  // are merged into one schedule — each distinct chunk fetched and decoded
-  // once — while every query keeps its own exact result set and as-if-alone
-  // counters. Without an index (or with rerank=0) refinement is per-query
-  // memory work with nothing to coalesce.
-  if (config_.rerank > 0 && index_ != nullptr) {
-    struct QueryDemand {
-      size_t query_index;
-      std::vector<uint32_t> wanted;  ///< sorted ids this query refines here
-    };
-    std::map<uint32_t, std::vector<QueryDemand>> demands;  // ascending chunk
-    std::vector<std::vector<Neighbor>> missing(nq);
-    std::vector<std::optional<KnnResultSet>> exact(nq);
-    for (size_t i = 0; i < nq; ++i) {
-      PqQueryState& q = states[i];
-      Stopwatch phase(&wall);
-      exact[i].emplace(k);
-      const std::vector<Neighbor> candidates = q.filter->Sorted();
-      q.result.telemetry.candidates_examined = candidates.size();
-      std::unordered_map<uint32_t, size_t> slot;
-      std::vector<std::pair<uint32_t, std::vector<uint32_t>>> per_chunk;
-      for (const Neighbor& c : candidates) {
-        const uint32_t id = ids_[c.id];
-        const uint32_t* chunk_id = LookupSorted(id_to_chunk_, id);
-        if (chunk_id == nullptr) {
-          missing[i].push_back(c);
-          continue;
-        }
-        const auto [it, inserted] = slot.try_emplace(*chunk_id,
-                                                     per_chunk.size());
-        if (inserted) per_chunk.emplace_back(*chunk_id, std::vector<uint32_t>());
-        per_chunk[it->second].second.push_back(id);
-      }
-      for (auto& [chunk_id, want] : per_chunk) {
-        std::sort(want.begin(), want.end());
-        demands[chunk_id].push_back({i, std::move(want)});
-      }
-      const int64_t planned = phase.ElapsedMicros();
-      q.result.telemetry.refine.wall_micros += planned;
-      q.wall_micros += planned;
-    }
-
-    std::vector<uint32_t> chunk_order;
-    chunk_order.reserve(demands.size());
-    for (const auto& [chunk_id, atts] : demands) {
-      chunk_order.push_back(chunk_id);
-    }
-    ChunkData local;
-    for (const uint32_t chunk_id : chunk_order) {
-      Stopwatch chunk_watch(&wall);
-      std::shared_ptr<const ChunkData> cache_ref;
-      const ChunkData* chunk = nullptr;
-      bool from_cache = false;
-      QVT_RETURN_IF_ERROR(FetchChunk(*index_, cache_, chunk_id, &local,
-                                     &cache_ref, &chunk, &from_cache));
-
-      const std::vector<QueryDemand>& atts = demands[chunk_id];
-      for (const QueryDemand& att : atts) {
-        QueryTelemetry& t = states[att.query_index].result.telemetry;
-        // Same per-chunk ledger as RerankFromChunks, under the shared
-        // fetch's cache verdict.
-        if (from_cache) {
-          ++t.cache_hits;
-        } else {
-          ++t.cache_misses;
-        }
-        ++t.probes;
-        ++t.chunks_read;
-        t.bytes_read +=
-            static_cast<uint64_t>(index_->location(chunk_id).num_pages) *
-            kPageSize;
-        t.max_probe_rows =
-            std::max(t.max_probe_rows, static_cast<uint64_t>(chunk->size()));
-        KnnResultSet& result_set = *exact[att.query_index];
-        size_t found = 0;
-        for (size_t j = 0; j < chunk->size() && found < att.wanted.size();
-             ++j) {
-          if (!std::binary_search(att.wanted.begin(), att.wanted.end(),
-                                  chunk->ids[j])) {
-            continue;
-          }
-          const double d = std::sqrt(
-              vec::SquaredDistance(chunk->Vector(j), queries[att.query_index]));
-          result_set.Insert(chunk->ids[j], d);
-          ++found;
-          ++t.descriptors_scanned;
-        }
-      }
-      const int64_t wall_share =
-          chunk_watch.ElapsedMicros() / static_cast<int64_t>(atts.size());
-      for (const QueryDemand& att : atts) {
-        states[att.query_index].result.telemetry.refine.wall_micros +=
-            wall_share;
-        states[att.query_index].wall_micros += wall_share;
-      }
-      if (stats != nullptr) {
-        ++stats->chunk_fetches;
-        stats->chunk_attachments += atts.size();
-        stats->rows_fetched += chunk->size();
-        ++stats->coscan_histogram[SharedScanStats::HistogramBucket(
-            atts.size())];
-      }
-    }
-
-    for (size_t i = 0; i < nq; ++i) {
-      PqQueryState& q = states[i];
-      Stopwatch phase(&wall);
-      if (!missing[i].empty()) {
-        QVT_RETURN_IF_ERROR(RerankFromCollection(
-            queries[i], missing[i], &*exact[i], &q.result.telemetry));
-      }
-      q.result.neighbors = exact[i]->Sorted();
-      const int64_t tail = phase.ElapsedMicros();
-      q.result.telemetry.refine.wall_micros += tail;
-      q.wall_micros += tail;
-    }
-  } else {
-    for (size_t i = 0; i < nq; ++i) {
-      PqQueryState& q = states[i];
-      Stopwatch phase(&wall);
-      const std::vector<Neighbor> candidates = q.filter->Sorted();
-      QueryTelemetry& t = q.result.telemetry;
-      t.candidates_examined = candidates.size();
-      if (config_.rerank == 0) {
-        q.result.neighbors.reserve(candidates.size());
-        for (const Neighbor& c : candidates) {
-          q.result.neighbors.push_back({ids_[c.id], std::sqrt(c.distance)});
-        }
-        SortByDistanceThenId(&q.result.neighbors);
-        t.bytes_read += candidates.size() * config_.m;
-      } else {
-        KnnResultSet result_set(k);
-        QVT_RETURN_IF_ERROR(
-            RerankFromCollection(queries[i], candidates, &result_set, &t));
-        q.result.neighbors = result_set.Sorted();
-      }
-      t.refine.wall_micros = phase.ElapsedMicros();
-      q.wall_micros += t.refine.wall_micros;
-    }
-  }
-
-  std::vector<MethodResult> results;
-  results.reserve(nq);
-  for (PqQueryState& q : states) {
-    q.result.telemetry.wall_micros = q.wall_micros;
-    results.push_back(std::move(q.result));
-  }
-  return results;
 }
 
 Status PqMethod::RerankFromChunks(std::span<const float> query,

@@ -43,6 +43,11 @@ struct PqMethodConfig {
 /// per descriptor; this method moves the first pass from 4 * dim bytes
 /// (chunk scan) to m bytes and pays reads only for R candidates.
 ///
+/// Search() is pq's one executor: a batch runs it once per query
+/// (BatchSearcher's query-major path), so each scan keeps one query's
+/// m x ksub ADC table hot. A fused multi-query ADC pass measured slower at
+/// 1, 2 and 4 threads (DESIGN.md "Chunk-major batched execution").
+///
 /// Determinism: training, encoding, the ADC scan, and the rerank are all
 /// bit-identical across SIMD backends, build thread counts, and trained vs
 /// file-backed codes (kernel contract + shard-order parallel reductions +
@@ -61,22 +66,6 @@ class PqMethod final : public SearchMethod {
   StatusOr<MethodResult> Search(
       std::span<const float> query, size_t k, const StopRule& stop,
       std::span<const DescriptorId> excluded = {}) const override;
-
-  bool SupportsSharedScan() const override { return true; }
-
-  /// Chunk-major batched execution: one fused pass over the packed codes
-  /// drives every query's ADC filter (the MultiQueryAdcScanAbandon kernel,
-  /// per-query thresholds), and the rerank fetches the union of the
-  /// queries' candidate chunks once each. Per-query neighbors and counters
-  /// are bit-identical to Search() per query; `stats` accumulates the
-  /// batch's coalescing ledger. `bounds` is ignored (the contract allows
-  /// it): the ADC filter ranks by approximate distances, which a bound on
-  /// exact ones cannot prune.
-  StatusOr<std::vector<MethodResult>> SearchShared(
-      std::span<const std::span<const float>> queries, size_t k,
-      const StopRule& stop, size_t num_threads, SharedScanStats* stats,
-      std::span<const DescriptorId> excluded = {},
-      std::span<const double> bounds = {}) const override;
 
   /// Bytes of RAM the prepared first pass holds resident (codebooks +
   /// packed codes + id sidecar + rerank routing table). For `qvt_tool

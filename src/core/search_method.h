@@ -112,7 +112,7 @@ Status ValidateQuery(std::span<const float> query, size_t dim);
 ///    merging its answer into the caller's k gives the unbounded merge. The
 ///    chunked method prunes its scan and its exact stop test with it
 ///    (answer: the unbounded one filtered to distance <= bounds[q]); a
-///    method may also ignore it (pq and the per-query fallback do). The
+///    method may also ignore it (the per-query fallback does). The
 ///    dynamic layer passes each query's running merged k-th here.
 class SearchMethod {
  public:
@@ -134,9 +134,9 @@ class SearchMethod {
       std::span<const DescriptorId> excluded = {}) const = 0;
 
   /// True when this method implements SearchShared — chunk-major batched
-  /// execution where one pass over each storage unit serves many queries
-  /// (the chunked searcher and the pq ADC scan). BatchSearcher consults
-  /// this to pick the execution mode; methods that return false simply run
+  /// execution where one pass over each chunk serves many queries (the
+  /// chunked searcher and the dynamic layer). BatchSearcher consults this
+  /// to pick the execution mode; methods that return false simply run
   /// query-major.
   virtual bool SupportsSharedScan() const { return false; }
 

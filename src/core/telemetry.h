@@ -46,8 +46,8 @@ struct SharedScanStats {
   /// Rows materialized once by the shared fetches (sum of chunk populations
   /// over chunk_fetches).
   uint64_t rows_fetched = 0;
-  /// Row passes served out of an already-hot shared sweep: each chunk (or
-  /// in-memory code block) scanned for n queries contributes (n - 1) x rows.
+  /// Row passes served out of an already-hot shared sweep: each chunk
+  /// scanned for n queries contributes (n - 1) x rows.
   /// The decode/memory-traffic work the fused kernels amortize.
   uint64_t rows_scan_shared = 0;
   /// coscan_histogram[b] counts chunks scanned for n attached queries with

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -13,6 +14,7 @@
 #include "dynamic/manifest.h"
 #include "util/clock.h"
 #include "util/status.h"
+#include "util/thread_pool.h"
 
 namespace qvt {
 namespace {
@@ -697,6 +699,7 @@ StatusOr<std::vector<MethodResult>> DynamicIndex::SearchShared(
   // for more neighbors than it holds is asked for all of them — and its
   // answer holds only live rows.
   std::vector<DescriptorId> dead;
+  std::optional<ThreadPool> pool;  // per-query shards only, made on demand
   for (const auto& shard : version->shards) {
     dead.clear();
     for (const auto& [id, seq] : tombstones.entries()) {
@@ -716,13 +719,37 @@ StatusOr<std::vector<MethodResult>> DynamicIndex::SearchShared(
                                                   num_threads, stats, dead,
                                                   running_kth));
     } else {
-      subs.reserve(num_queries);
-      for (size_t qi = 0; qi < num_queries; ++qi) {
-        QVT_ASSIGN_OR_RETURN(MethodResult sub,
-                             shard->built.method->Search(queries[qi], shard_k,
-                                                         stop, dead));
-        subs.push_back(std::move(sub));
+      // Query by query (pq, exact-scan, ...), split into contiguous ranges
+      // over the batch's threads. Per-query state is private, so answers do
+      // not depend on the split; each range stops at its first error, so
+      // the lowest-index failure is the one returned, as in a serial loop.
+      subs.resize(num_queries);
+      std::vector<Status> failed(num_queries);
+      const SearchMethod& method = *shard->built.method;
+      auto search_range = [&](size_t begin, size_t end) {
+        for (size_t qi = begin; qi < end; ++qi) {
+          auto sub = method.Search(queries[qi], shard_k, stop, dead);
+          if (!sub.ok()) {
+            failed[qi] = sub.status();
+            return;
+          }
+          subs[qi] = std::move(sub).value();
+        }
+      };
+      if (num_threads > 1 && num_queries > 1) {
+        if (!pool.has_value()) pool.emplace(num_threads);
+        const size_t tasks = std::min(pool->num_threads(), num_queries);
+        for (size_t t = 0; t < tasks; ++t) {
+          const size_t begin = num_queries * t / tasks;
+          const size_t end = num_queries * (t + 1) / tasks;
+          pool->Submit(
+              [&search_range, begin, end] { search_range(begin, end); });
+        }
+        pool->Wait();
+      } else {
+        search_range(0, num_queries);
       }
+      for (const Status& status : failed) QVT_RETURN_IF_ERROR(status);
     }
     for (size_t qi = 0; qi < num_queries; ++qi) {
       for (const Neighbor& neighbor : subs[qi].neighbors) {

@@ -644,11 +644,11 @@ void AdcScanAbandon(const uint8_t* codes, size_t count, size_t m,
 namespace {
 
 /// Rows per fused block: 128 rows x 24 dims x 4 B = 12 KiB of descriptor
-/// data (or 128 x m bytes of codes) — comfortably L1-resident, so every
-/// query after the first sweeps a hot block. A multiple of every backend's
-/// lane-group size (2 rows for SSE2/NEON pairs, 4 for the AVX2/ADC groups),
-/// so splitting a caller's range at block boundaries never re-pairs rows
-/// and per-query results are bit-identical to one unsplit call.
+/// data — comfortably L1-resident, so every query after the first sweeps a
+/// hot block. A multiple of every backend's lane-group size (2 rows for
+/// SSE2/NEON pairs, 4 for AVX2), so splitting a caller's range at block
+/// boundaries never re-pairs rows and per-query results are bit-identical
+/// to one unsplit call.
 constexpr size_t kFusedRowBlock = 128;
 
 }  // namespace
@@ -665,20 +665,6 @@ void MultiQueryBatchSquaredDistanceAbandon(const float* base, size_t count,
     for (size_t q = 0; q < num_queries; ++q) {
       ops.contig(base + b * dim, bn, dim, queries[q], thresholds[q],
                  outs[q] + b);
-    }
-  }
-}
-
-void MultiQueryAdcScanAbandon(const uint8_t* codes, size_t count, size_t m,
-                              size_t ksub, const double* const* tables,
-                              const double* thresholds, size_t num_queries,
-                              double* const* outs) {
-  const KernelOps& ops = OpsFor(ActiveBackend());
-  for (size_t b = 0; b < count; b += kFusedRowBlock) {
-    const size_t bn = std::min(kFusedRowBlock, count - b);
-    for (size_t q = 0; q < num_queries; ++q) {
-      ops.adc(codes + b * m, bn, m, ksub, tables[q], thresholds[q],
-              outs[q] + b);
     }
   }
 }

@@ -128,22 +128,22 @@ void AdcScanAbandon(const uint8_t* codes, size_t count, size_t m,
                     size_t ksub, const double* table, double threshold,
                     double* out);
 
-// --- Fused multi-query kernels (chunk-major batched execution) ------------
+// --- Fused multi-query kernel (chunk-major batched execution) -------------
 //
-// The shared-scan executor inverts the batch loop: one chunk (or code
-// block) is swept once for many queries. These kernels fuse that sweep with
-// query-blocked x row-blocked loops: rows are walked in blocks sized to
-// stay resident in L1, and each block is swept for every query before the
-// next block is touched, so Q queries pay one trip through memory instead
-// of Q. Each per-query sweep dispatches to the *same* per-backend routine
-// the single-query kernels use, over the same rows in the same order with
-// that query's own threshold — so for every backend, completed values are
+// The shared-scan executor inverts the batch loop: one chunk is swept once
+// for many queries. This kernel fuses that sweep with query-blocked x
+// row-blocked loops: rows are walked in blocks sized to stay resident in
+// L1, and each block is swept for every query before the next block is
+// touched, so Q queries pay one trip through memory instead of Q. Each
+// per-query sweep dispatches to the *same* per-backend routine the
+// single-query kernels use, over the same rows in the same order with that
+// query's own threshold — so for every backend, completed values are
 // bit-identical to Q separate single-query calls, by construction. Abandon
 // patterns remain backend-specific exactly as for the single-query kernels.
 //
-// `queries`/`tables`/`outs` are arrays of `num_queries` pointers;
-// `thresholds` holds one abandon bound per query (squared space, +inf
-// disables pruning for that query).
+// `queries`/`outs` are arrays of `num_queries` pointers; `thresholds` holds
+// one abandon bound per query (squared space, +inf disables pruning for
+// that query).
 
 /// Fused multi-query form of BatchSquaredDistanceAbandon with a per-query
 /// threshold (queries[q] holds dim doubles, pre-widened); pruned rows of
@@ -154,13 +154,6 @@ void MultiQueryBatchSquaredDistanceAbandon(const float* base, size_t count,
                                            const double* thresholds,
                                            size_t num_queries,
                                            double* const* outs);
-
-/// Fused multi-query form of AdcScanAbandon: tables[q] is query q's m x
-/// ksub ADC table, thresholds[q] its exact (margin-free) pruning bound.
-void MultiQueryAdcScanAbandon(const uint8_t* codes, size_t count, size_t m,
-                              size_t ksub, const double* const* tables,
-                              const double* thresholds, size_t num_queries,
-                              double* const* outs);
 
 /// Conservative squared-space abandon threshold for a bound expressed as a
 /// (post-sqrt) distance: slightly inflated so that `running > threshold`

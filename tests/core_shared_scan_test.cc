@@ -2,12 +2,14 @@
 // sweep of the acceptance bar — batched-vs-per-query results must be
 // byte-identical for every registered method, stop rule, SIMD backend, and
 // thread count — plus detach semantics, duplicate-query dedup, the
-// constructor switch, the fused multi-query kernels against their
-// single-query references, and the coalescing ledger.
+// constructor switch, the fused multi-query kernel against its
+// single-query reference, pq's query-major batches under threads, and the
+// coalescing ledger.
 
 #include <cstring>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -312,9 +314,11 @@ TEST(SharedScanTest, AllRegisteredMethodsMatchQueryMajorBatches) {
   }
 }
 
-// pq's shared path covers all three refine shapes: chunk-file rerank
-// (merged schedule), collection gather (no index), and ADC-only.
-TEST(SharedScanTest, PqSharedMatchesPerQueryAcrossRerankModes) {
+// pq has one executor, Search, which BatchSearcher runs query-major at
+// every thread count. Its three refine shapes — chunk-file rerank,
+// collection gather (no index) and ADC-only — each keep per-thread scratch,
+// so 1 and 3 threads must answer byte-identically to a serial Search loop.
+TEST(SharedScanTest, PqBatchesMatchSerialSearchAcrossRefineShapes) {
   SharedScanFixture fx(/*num_queries=*/24);
   const struct {
     const char* label;
@@ -331,27 +335,28 @@ TEST(SharedScanTest, PqSharedMatchesPerQueryAcrossRerankModes) {
     auto method = MethodRegistry::Global().Create("pq", context, c.params);
     ASSERT_TRUE(method.ok()) << c.label;
     ASSERT_TRUE((*method)->Prepare().ok()) << c.label;
-    ASSERT_TRUE((*method)->SupportsSharedScan()) << c.label;
+    EXPECT_FALSE((*method)->SupportsSharedScan()) << c.label;
 
-    BatchSearcher query_major(method->get(), 1, /*shared_scan=*/false);
-    auto reference =
-        query_major.SearchAll(fx.workload, 10, StopRule::Exact());
-    ASSERT_TRUE(reference.ok()) << c.label;
+    std::vector<MethodResult> serial;
+    for (size_t q = 0; q < fx.workload.num_queries(); ++q) {
+      auto r = (*method)->Search(fx.workload.Query(q), 10, StopRule::Exact());
+      ASSERT_TRUE(r.ok()) << c.label << " query " << q;
+      serial.push_back(std::move(r).value());
+    }
 
     for (const size_t threads : {size_t{1}, size_t{3}}) {
-      BatchSearcher chunk_major(method->get(), threads);
-      auto batch = chunk_major.SearchAll(fx.workload, 10, StopRule::Exact());
-      ASSERT_TRUE(batch.ok()) << c.label;
-      EXPECT_TRUE(batch->shared.enabled) << c.label;
-      EXPECT_GT(batch->shared.rows_scan_shared, 0u) << c.label;
-      ExpectByteIdentical(batch->results, reference->results,
-                          std::string(c.label) + "/t" +
-                              std::to_string(threads));
+      const std::string label =
+          std::string(c.label) + "/t" + std::to_string(threads);
+      BatchSearcher batcher(method->get(), threads);
+      auto batch = batcher.SearchAll(fx.workload, 10, StopRule::Exact());
+      ASSERT_TRUE(batch.ok()) << label;
+      EXPECT_FALSE(batch->shared.enabled) << label;
+      ExpectByteIdentical(batch->results, serial, label);
     }
   }
 }
 
-// --- Fused multi-query kernels vs their single-query references -----------
+// --- The fused multi-query kernel vs its single-query reference ----------
 
 TEST(SharedScanTest, FusedKernelsMatchSingleQueryKernelsPerBackend) {
   Rng rng(77);
@@ -405,49 +410,6 @@ TEST(SharedScanTest, FusedKernelsMatchSingleQueryKernelsPerBackend) {
         EXPECT_EQ(std::memcmp(&fused[q][i], &single[q][i], sizeof(double)), 0)
             << kernels::BackendName(backend) << " abandon q" << q << " row "
             << i;
-      }
-    }
-  }
-}
-
-TEST(SharedScanTest, FusedAdcKernelMatchesSingleQueryAdc) {
-  Rng rng(91);
-  const size_t m = 8;
-  const size_t ksub = 16;
-  const size_t count = 300;
-  const size_t nq = 4;
-  std::vector<uint8_t> codes(count * m);
-  for (uint8_t& c : codes) c = static_cast<uint8_t>(rng.Uniform(ksub));
-  std::vector<std::vector<double>> tables(nq);
-  std::vector<const double*> table_ptrs(nq);
-  std::vector<double> thresholds(nq);
-  for (size_t q = 0; q < nq; ++q) {
-    tables[q].resize(m * ksub);
-    for (double& v : tables[q]) v = rng.UniformDouble(0.0, 1.0);
-    table_ptrs[q] = tables[q].data();
-    thresholds[q] = q == 0 ? std::numeric_limits<double>::infinity()
-                           : 2.0 + 0.5 * static_cast<double>(q);
-  }
-
-  BackendGuard guard;
-  for (const kernels::Backend backend : SupportedBackends()) {
-    kernels::SetBackendForTesting(backend);
-    std::vector<std::vector<double>> fused(nq);
-    std::vector<double*> outs(nq);
-    for (size_t q = 0; q < nq; ++q) {
-      fused[q].resize(count);
-      outs[q] = fused[q].data();
-    }
-    kernels::MultiQueryAdcScanAbandon(codes.data(), count, m, ksub,
-                                      table_ptrs.data(), thresholds.data(),
-                                      nq, outs.data());
-    for (size_t q = 0; q < nq; ++q) {
-      std::vector<double> single(count);
-      kernels::AdcScanAbandon(codes.data(), count, m, ksub, tables[q].data(),
-                              thresholds[q], single.data());
-      for (size_t i = 0; i < count; ++i) {
-        EXPECT_EQ(std::memcmp(&fused[q][i], &single[i], sizeof(double)), 0)
-            << kernels::BackendName(backend) << " q" << q << " row " << i;
       }
     }
   }

@@ -595,12 +595,17 @@ TEST(DynamicIndexTest, SearchSharedMatchesPerQuerySearch) {
   Collection data = SmallCollection(240);
   const auto query_vectors = SmallQueries(data, 7);
   const size_t k = 9;
-  // chunked exercises the wrapped shared-scan executor; lsh the per-query
-  // fallback inside SearchShared.
-  for (const char* method : {"chunked", "lsh"}) {
+  // chunked exercises the wrapped shared-scan executor; lsh and pq the
+  // per-query fallback inside SearchShared, serial and split over threads.
+  const MethodCase cases[] = {
+      {"chunked", ""},
+      {"lsh", ""},
+      {"pq", "m=4,ksub=16,rerank=32"},
+  };
+  for (const MethodCase& c : cases) {
     MemEnv env;
     auto created = DynamicIndex::Create(
-        &env, "dyn", SmallOptions(method, "", /*buffer=*/50));
+        &env, "dyn", SmallOptions(c.method, c.params, /*buffer=*/50));
     ASSERT_TRUE(created.ok());
     DynamicIndex& index = **created;
     for (size_t i = 0; i < data.size(); ++i) {
@@ -613,18 +618,21 @@ TEST(DynamicIndexTest, SearchSharedMatchesPerQuerySearch) {
 
     std::vector<std::span<const float>> spans;
     for (const auto& q : query_vectors) spans.emplace_back(q);
-    SharedScanStats stats;
-    auto shared = index.SearchShared(spans, k, StopRule::Exact(),
-                                     /*num_threads=*/1, &stats);
-    ASSERT_TRUE(shared.ok()) << method << ": " << shared.status().ToString();
-    ASSERT_EQ(shared->size(), query_vectors.size());
-    for (size_t qi = 0; qi < query_vectors.size(); ++qi) {
-      auto single = index.Search(query_vectors[qi], k, StopRule::Exact());
-      ASSERT_TRUE(single.ok());
-      ExpectSameNeighbors((*shared)[qi].neighbors, single->neighbors,
-                          std::string(method) + " query " +
-                              std::to_string(qi));
-      EXPECT_EQ((*shared)[qi].telemetry.exact, single->telemetry.exact);
+    for (const size_t threads : {size_t{1}, size_t{3}}) {
+      const std::string label =
+          std::string(c.method) + " @" + std::to_string(threads);
+      SharedScanStats stats;
+      auto shared =
+          index.SearchShared(spans, k, StopRule::Exact(), threads, &stats);
+      ASSERT_TRUE(shared.ok()) << label << ": " << shared.status().ToString();
+      ASSERT_EQ(shared->size(), query_vectors.size());
+      for (size_t qi = 0; qi < query_vectors.size(); ++qi) {
+        auto single = index.Search(query_vectors[qi], k, StopRule::Exact());
+        ASSERT_TRUE(single.ok());
+        ExpectSameNeighbors((*shared)[qi].neighbors, single->neighbors,
+                            label + " query " + std::to_string(qi));
+        EXPECT_EQ((*shared)[qi].telemetry.exact, single->telemetry.exact);
+      }
     }
   }
 }

@@ -63,9 +63,10 @@
 // "overlapped" time is the cost model's account of I/O-CPU overlap.
 //
 // batch --shared-scan on (the default) runs methods that support it
-// (chunked, pq) chunk-major: the queries' chunk schedules are merged, each
-// chunk is fetched and decoded once for all the queries that want it, and
-// identical query vectors share one plan and scan. Results are
+// (chunked, dynamic) chunk-major: the queries' chunk schedules are merged,
+// each chunk is fetched and decoded once for all the queries that want
+// it, and identical query vectors share one plan and scan. Every other
+// method, pq included, runs query-major either way. Results are
 // bit-identical to --shared-scan off; the report adds the coalescing
 // ledger.
 //

@@ -2,7 +2,8 @@
 // the 24-d Euclidean distance, a full chunk scan with result-set updates,
 // centroid ranking over a chunk index, and k-NN heap insertion — plus the
 // batched scan kernels of geometry/kernels.h per backend, with and without
-// early abandon.
+// early abandon, and the fused multi-query kernel in its two roles: a
+// chunk swept for its co-scanning queries and the batched plan pass.
 
 #include <benchmark/benchmark.h>
 
@@ -205,6 +206,85 @@ BENCHMARK(BM_ChunkScanBatch)
                     static_cast<int>(kernels::Backend::kAvx2),
                     static_cast<int>(kernels::Backend::kNeon)},
                    {0, 1}});
+
+/// Random 24-d rows and widened float queries for the fused kernel rows.
+struct FusedInputs {
+  std::vector<float> rows;
+  std::vector<std::vector<double>> queries;
+  std::vector<std::vector<double>> outs;
+  std::vector<const double*> query_ptrs;
+  std::vector<double*> out_ptrs;
+  std::vector<double> thresholds;
+
+  FusedInputs(size_t count, size_t num_queries, uint64_t seed)
+      : rows(count * kDescriptorDim),
+        queries(num_queries, std::vector<double>(kDescriptorDim)),
+        outs(num_queries, std::vector<double>(count)),
+        thresholds(num_queries, std::numeric_limits<double>::infinity()) {
+    Rng rng(seed);
+    for (auto& x : rows) x = static_cast<float>(rng.UniformDouble(0, 100));
+    for (size_t q = 0; q < num_queries; ++q) {
+      for (auto& x : queries[q]) {
+        x = static_cast<float>(rng.UniformDouble(0, 100));
+      }
+      query_ptrs.push_back(queries[q].data());
+      out_ptrs.push_back(outs[q].data());
+    }
+  }
+
+  void Run(size_t count) {
+    kernels::MultiQueryBatchSquaredDistanceAbandon(
+        rows.data(), count, kDescriptorDim, query_ptrs.data(),
+        thresholds.data(), query_ptrs.size(), out_ptrs.data());
+  }
+};
+
+/// One chunk of the canonical index (250 rows) swept for Q co-scanning
+/// queries, no pruning: Arg 0 = backend, Arg 1 = Q. items_per_second counts
+/// rows per query (rows x Q), so Q = 1 is the single-query kernel's rate
+/// and a larger Q shows what sharing the widen and transpose buys.
+/// image_approx requests coalesce about 9.45 queries per fetched chunk.
+void BM_FusedChunkSweep(benchmark::State& state) {
+  if (!PinBackend(state)) return;
+  const size_t count = 250;
+  const size_t num_queries = static_cast<size_t>(state.range(1));
+  FusedInputs in(count, num_queries, 8);
+  for (auto _ : state) {
+    in.Run(count);
+    benchmark::DoNotOptimize(in.outs.front().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * count * num_queries);
+  kernels::ResetBackendForTesting();
+}
+BENCHMARK(BM_FusedChunkSweep)
+    ->ArgsProduct({{static_cast<int>(kernels::Backend::kScalar),
+                    static_cast<int>(kernels::Backend::kSse2),
+                    static_cast<int>(kernels::Backend::kAvx2),
+                    static_cast<int>(kernels::Backend::kNeon)},
+                   {1, 4, 9}});
+
+/// The batched plan pass of one image request: 598 x 24 centroids (the
+/// canonical index) against Q = 75 queries in one fused call, per backend.
+/// items_per_second counts rows per query (598 x 75).
+void BM_FusedPlanPass(benchmark::State& state) {
+  if (!PinBackend(state)) return;
+  const size_t count = 598;
+  const size_t num_queries = 75;
+  FusedInputs in(count, num_queries, 9);
+  for (auto _ : state) {
+    in.Run(count);
+    benchmark::DoNotOptimize(in.outs.front().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * count * num_queries);
+  kernels::ResetBackendForTesting();
+}
+BENCHMARK(BM_FusedPlanPass)
+    ->Arg(static_cast<int>(kernels::Backend::kScalar))
+    ->Arg(static_cast<int>(kernels::Backend::kSse2))
+    ->Arg(static_cast<int>(kernels::Backend::kAvx2))
+    ->Arg(static_cast<int>(kernels::Backend::kNeon));
 
 }  // namespace
 }  // namespace qvt

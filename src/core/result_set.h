@@ -98,7 +98,10 @@ class KnnResultSet {
 /// distance exceeds AbandonThreshold of the current limit (the set's k-th,
 /// which its bound caps) is skipped before its sqrt; for the rest
 /// `offer(i, distance)` inserts and returns true iff the set changed, and
-/// only then is the limit re-derived. The threshold's inflation means no row
+/// only then is the limit re-derived. kernels::FirstNotAbove finds the
+/// next row that passes, so a group of rows that all exceed the limit costs
+/// one vector compare; survivors are offered in row order with the plain
+/// `!(squared[i] > threshold)` test. The threshold's inflation means no row
 /// that could enter the set, ties included, is ever skipped, so the set ends
 /// bit-identical to offering every row; kAbandoned rows are skipped because
 /// the limit never rises within a block.
@@ -106,11 +109,13 @@ template <typename Offer>
 void AdmitRows(const double* squared, size_t count, const KnnResultSet& set,
                Offer&& offer) {
   double threshold = kernels::AbandonThreshold(set.KthDistance());
-  for (size_t i = 0; i < count; ++i) {
-    if (squared[i] > threshold) continue;
+  size_t i = 0;
+  while ((i += kernels::FirstNotAbove(squared + i, count - i, threshold)) <
+         count) {
     if (offer(i, std::sqrt(squared[i]))) {
       threshold = kernels::AbandonThreshold(set.KthDistance());
     }
+    ++i;
   }
 }
 

@@ -1,8 +1,8 @@
 #include "core/searcher.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
+#include <numeric>
 #include <optional>
 #include <string>
 #include <utility>
@@ -88,64 +88,123 @@ Searcher::Searcher(const ChunkIndex* index, const DiskCostModel& cost_model,
   QVT_CHECK(index != nullptr);
 }
 
+namespace {
+
+/// Writes the m chunk ids closest under (distance, id) to order[0..m),
+/// ascending, and the other n - m ids to order[m..n) in no particular
+/// order; 0 < m < n. The first m ids are sorted into `best`; every later id
+/// is one compare against the m-th distance and, only when strictly closer,
+/// an insertion that pushes the m-th out to the tail. Ids arrive in
+/// ascending order, so a later id never wins a distance tie: it enters
+/// behind every equal distance, which keeps `best` in (distance, id) order.
+/// Insertions number about m * ln(n / m) on shuffled distances, so the pass
+/// costs O(n + m^2 log(n / m)) beyond the first sort.
+void SelectClosest(const double* distance, size_t n, size_t m,
+                   uint32_t* order,
+                   std::vector<std::pair<double, uint32_t>>& best) {
+  best.resize(m);
+  for (uint32_t i = 0; i < m; ++i) best[i] = {distance[i], i};
+  std::sort(best.begin(), best.end());
+  double worst = best[m - 1].first;
+  uint32_t* tail = order + m;
+  for (uint32_t i = static_cast<uint32_t>(m); i < n; ++i) {
+    const double d = distance[i];
+    if (!(d < worst)) {
+      *tail++ = i;
+      continue;
+    }
+    *tail++ = best[m - 1].second;
+    size_t slot = m - 1;
+    for (; slot > 0 && d < best[slot - 1].first; --slot) {
+      best[slot] = best[slot - 1];
+    }
+    best[slot] = {d, i};
+    worst = best[m - 1].first;
+  }
+  for (size_t r = 0; r < m; ++r) order[r] = best[r].second;
+}
+
+}  // namespace
+
 int64_t Searcher::RankChunks(std::span<const float> query,
                              SearchScratch& scratch,
                              const StopRule& stop) const {
-  const size_t num_chunks = index_->num_chunks();
-  scratch.rank_order.resize(num_chunks);
-  scratch.centroid_distance.resize(num_chunks);
-  // One batched kernel call over the contiguous centroid matrix replaces
-  // the old per-centroid vec::Distance loop. sqrt of the kernel's squared
-  // distance is bit-identical to vec::Distance (same ascending-d reduction,
-  // same single sqrt), so the ranking — ties broken by chunk id — is too.
-  kernels::BatchSquaredDistance(index_->centroid_matrix().data(), num_chunks,
-                                index_->dim(), query,
-                                scratch.centroid_distance.data());
-  for (size_t i = 0; i < num_chunks; ++i) {
-    scratch.rank_order[i] = static_cast<uint32_t>(i);
-    scratch.centroid_distance[i] = std::sqrt(scratch.centroid_distance[i]);
-  }
-  // (distance, chunk id) is a strict total order, so the first m ranks of
-  // a partial sort are exactly the first m ranks of the full sort.
-  const auto closer = [&](uint32_t a, uint32_t b) {
-    if (scratch.centroid_distance[a] != scratch.centroid_distance[b]) {
-      return scratch.centroid_distance[a] < scratch.centroid_distance[b];
-    }
-    return a < b;
-  };
-  if (stop.kind == StopRule::Kind::kMaxChunks &&
-      stop.max_chunks < num_chunks) {
-    // Only the first max_chunks ranks are ever read.
-    std::partial_sort(scratch.rank_order.begin(),
-                      scratch.rank_order.begin() + stop.max_chunks,
-                      scratch.rank_order.end(), closer);
-  } else {
-    std::sort(scratch.rank_order.begin(), scratch.rank_order.end(), closer);
-  }
-  if (stop.kind != StopRule::Kind::kExact) {
-    // Only the exact (and epsilon) rule reads the suffix bound; clearing it
-    // leaves no stale bound from an earlier query in a reused scratch.
-    scratch.suffix_min_bound.clear();
-    return cost_model_.IndexScanMicros(num_chunks);
-  }
+  SearchScratch* const scratches[] = {&scratch};
+  return RankChunksBatch({&query, 1}, scratches, stop);
+}
 
-  // Suffix minimum of the chunk lower bounds (centroid distance - radius)
-  // over the ranked order. suffix_min_bound[r] is the closest any
-  // descriptor in chunks ranked >= r can be to the query; the exact stop
-  // rule fires when it exceeds the k-th distance. (The paper phrases the
-  // rule as "minimum distance to the next chunk"; taking the minimum over
-  // all remaining chunks is what makes the guarantee airtight, since
-  // centroid order is not lower-bound order.)
-  scratch.suffix_min_bound.resize(num_chunks + 1);
-  scratch.suffix_min_bound[num_chunks] =
-      std::numeric_limits<double>::infinity();
-  for (size_t r = num_chunks; r-- > 0;) {
-    const uint32_t chunk_id = scratch.rank_order[r];
-    const double lower_bound =
-        std::max(0.0, scratch.centroid_distance[chunk_id] -
-                          index_->radius(chunk_id));
-    scratch.suffix_min_bound[r] =
-        std::min(scratch.suffix_min_bound[r + 1], lower_bound);
+int64_t Searcher::RankChunksBatch(
+    std::span<const std::span<const float>> queries,
+    std::span<SearchScratch* const> scratches, const StopRule& stop) const {
+  QVT_CHECK(queries.size() == scratches.size());
+  const size_t num_chunks = index_->num_chunks();
+  const size_t nq = queries.size();
+  // One fused kernel call over the contiguous centroid matrix for the whole
+  // batch. Its completed values are the single-query kernel's, and sqrt of
+  // the kernel's squared distance is bit-identical to vec::Distance (same
+  // ascending-d reduction, same correctly rounded sqrt), so the ranking —
+  // ties broken by chunk id — is too.
+  std::vector<const double*> wide(nq);
+  std::vector<double*> outs(nq);
+  const std::vector<double> no_abandon(
+      nq, std::numeric_limits<double>::infinity());
+  for (size_t i = 0; i < nq; ++i) {
+    SearchScratch& s = *scratches[i];
+    s.wide_query.assign(queries[i].begin(), queries[i].end());
+    s.centroid_distance.resize(num_chunks);
+    wide[i] = s.wide_query.data();
+    outs[i] = s.centroid_distance.data();
+  }
+  kernels::MultiQueryBatchSquaredDistanceAbandon(
+      index_->centroid_matrix().data(), num_chunks, index_->dim(),
+      wide.data(), no_abandon.data(), nq, outs.data());
+
+  for (SearchScratch* const scratch : scratches) {
+    SearchScratch& s = *scratch;
+    kernels::SqrtInPlace(s.centroid_distance.data(), num_chunks);
+    const double* distance = s.centroid_distance.data();
+    s.rank_order.resize(num_chunks);
+    // Under kMaxChunks only the first max_chunks ranks are ever read; with
+    // none, the order stays the identity.
+    const bool select = stop.kind == StopRule::Kind::kMaxChunks &&
+                        stop.max_chunks < num_chunks;
+    if (select && stop.max_chunks > 0) {
+      SelectClosest(distance, num_chunks, stop.max_chunks,
+                    s.rank_order.data(), s.closest);
+    } else {
+      std::iota(s.rank_order.begin(), s.rank_order.end(), 0u);
+      if (!select) {
+        std::sort(s.rank_order.begin(), s.rank_order.end(),
+                  [distance](uint32_t a, uint32_t b) {
+                    if (distance[a] != distance[b]) {
+                      return distance[a] < distance[b];
+                    }
+                    return a < b;
+                  });
+      }
+    }
+    if (stop.kind != StopRule::Kind::kExact) {
+      // Only the exact (and epsilon) rule reads the suffix bound; clearing
+      // it leaves no stale bound from an earlier query in a reused scratch.
+      s.suffix_min_bound.clear();
+      continue;
+    }
+
+    // Suffix minimum of the chunk lower bounds (centroid distance - radius)
+    // over the ranked order. suffix_min_bound[r] is the closest any
+    // descriptor in chunks ranked >= r can be to the query; the exact stop
+    // rule fires when it exceeds the k-th distance. (The paper phrases the
+    // rule as "minimum distance to the next chunk"; taking the minimum over
+    // all remaining chunks is what makes the guarantee airtight, since
+    // centroid order is not lower-bound order.)
+    s.suffix_min_bound.resize(num_chunks + 1);
+    s.suffix_min_bound[num_chunks] = std::numeric_limits<double>::infinity();
+    for (size_t r = num_chunks; r-- > 0;) {
+      const uint32_t chunk_id = s.rank_order[r];
+      const double lower_bound =
+          std::max(0.0, distance[chunk_id] - index_->radius(chunk_id));
+      s.suffix_min_bound[r] = std::min(s.suffix_min_bound[r + 1], lower_bound);
+    }
   }
   return cost_model_.IndexScanMicros(num_chunks);
 }
@@ -200,13 +259,17 @@ struct ChunkAttachment {
   size_t rank;
 };
 
-/// Reusable pointer arrays for one sweep worker. Hoisted out of the
-/// per-chunk sweep: the executor visits thousands of chunks per batch and
-/// three heap allocations per chunk would rival the scan itself.
+/// Reusable arrays for one sweep worker. Hoisted out of the per-chunk
+/// sweep: the executor visits thousands of chunks per batch and heap
+/// allocations per chunk would rival the scan itself. `distances` holds
+/// the kernel output of the chunk's queries, one kScanBlock row each; it
+/// is reused for every chunk, so the kernel writes to cache-hot memory
+/// rather than to a per-query buffer last touched chunks ago.
 struct SweepScratch {
   std::vector<const double*> queries;
   std::vector<double*> outs;
   std::vector<double> thresholds;
+  std::vector<double> distances;
 };
 
 /// Sweeps one fetched chunk for all attached queries through the fused
@@ -227,13 +290,13 @@ void SweepChunkForQueries(const ChunkData& data,
   sweep.queries.resize(nq);
   sweep.outs.resize(nq);
   sweep.thresholds.resize(nq);
+  sweep.distances.resize(nq * kScanBlock);
   const double** queries = sweep.queries.data();
   double** outs = sweep.outs.data();
   double* thresholds = sweep.thresholds.data();
   for (size_t j = 0; j < nq; ++j) {
-    SearchScratch& s = *atts[j].state->scratch;
-    queries[j] = s.wide_query.data();
-    outs[j] = s.distances.data();
+    queries[j] = atts[j].state->scratch->wide_query.data();
+    outs[j] = sweep.distances.data() + j * kScanBlock;
   }
   for (size_t b = 0; b < data.size(); b += kScanBlock) {
     const size_t bn = std::min(kScanBlock, data.size() - b);
@@ -282,24 +345,32 @@ StatusOr<std::vector<MethodResult>> Searcher::Execute(
   Stopwatch call_watch(&wall);
 
   // --- Plan: rank what each query's stop rule can read (§4.3 step 1). ----
+  // One batched pass for every query; each query is charged an even share
+  // of its wall time and the full modeled index scan.
   std::vector<SearchScratch> owned_scratch(
       scratch != nullptr && nq == 1 ? 0 : nq);
   std::vector<QueryState> states(nq);
+  std::vector<SearchScratch*> plan_scratches(nq);
+  for (size_t i = 0; i < nq; ++i) {
+    states[i].scratch = owned_scratch.empty() ? scratch : &owned_scratch[i];
+    plan_scratches[i] = states[i].scratch;
+  }
+  Stopwatch plan_watch(&wall);
+  const int64_t plan_model_micros =
+      RankChunksBatch(queries, plan_scratches, stop);
+  const int64_t plan_wall_share =
+      nq > 0 ? plan_watch.ElapsedMicros() / static_cast<int64_t>(nq) : 0;
   for (size_t i = 0; i < nq; ++i) {
     QueryState& q = states[i];
-    q.scratch = owned_scratch.empty() ? scratch : &owned_scratch[i];
     SearchScratch& s = *q.scratch;
-    Stopwatch plan_watch(&wall);
-    q.model_micros = RankChunks(queries[i], s, stop);
+    q.model_micros = plan_model_micros;
     QueryTelemetry& t = q.result.telemetry;
-    t.plan.model_micros = q.model_micros;
-    t.plan.wall_micros = plan_watch.ElapsedMicros();
-    q.wall_micros = t.plan.wall_micros;
+    t.plan.model_micros = plan_model_micros;
+    t.plan.wall_micros = plan_wall_share;
+    q.wall_micros = plan_wall_share;
     const double bound =
         bounds.empty() ? std::numeric_limits<double>::infinity() : bounds[i];
     q.result_set.emplace(k, excluded, bound);
-    s.distances.resize(kScanBlock);  // sweep output, reserved once
-    s.wide_query.assign(queries[i].begin(), queries[i].end());
     s.charges.clear();
   }
   if (shared != nullptr) {
@@ -441,39 +512,42 @@ StatusOr<std::vector<MethodResult>> Searcher::Execute(
   // its private rank order would, keeping the pruning power of a lone
   // scan. A lone query's schedule is therefore its rank order.
   // Deterministic: the key is derived from the (deterministic) plans,
-  // never from timing.
+  // never from timing. Only the distinct chunks are sorted; attachments
+  // are then placed by a counting pass, so each chunk keeps its queries in
+  // submission order.
   constexpr size_t kUnranked = static_cast<size_t>(-1);
   std::vector<size_t> best_rank(num_chunks, kUnranked);  // per chunk id
+  std::vector<size_t> slot(num_chunks);  // per chunk id: count, then cursor
   std::vector<uint32_t> order;
   std::vector<size_t> range_end;
   std::vector<ChunkAttachment> atts;
   using Demand = std::pair<uint32_t, ChunkAttachment>;  // (chunk id, query)
-  auto run_schedule = [&](std::vector<Demand>& demands) -> Status {
-    for (const auto& [chunk_id, att] : demands) {
-      best_rank[chunk_id] = std::min(best_rank[chunk_id], att.rank);
-    }
-    // Stable: attachments of one chunk keep query-submission order.
-    if (demands.size() > 1) {
-      std::stable_sort(demands.begin(), demands.end(),
-                       [&](const auto& a, const auto& b) {
-                         if (best_rank[a.first] != best_rank[b.first]) {
-                           return best_rank[a.first] < best_rank[b.first];
-                         }
-                         return a.first < b.first;
-                       });
-    }
+  auto run_schedule = [&](std::span<const Demand> demands) -> Status {
     order.clear();
-    range_end.clear();
-    atts.clear();
     for (const auto& [chunk_id, att] : demands) {
-      if (order.empty() || order.back() != chunk_id) {
+      if (best_rank[chunk_id] == kUnranked) {
         order.push_back(chunk_id);
-        range_end.push_back(atts.size());
+        slot[chunk_id] = 0;
       }
-      atts.push_back(att);
-      range_end.back() = atts.size();
+      best_rank[chunk_id] = std::min(best_rank[chunk_id], att.rank);
+      ++slot[chunk_id];
+    }
+    std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+      if (best_rank[a] != best_rank[b]) return best_rank[a] < best_rank[b];
+      return a < b;
+    });
+    range_end.resize(order.size());
+    size_t end = 0;
+    for (size_t ci = 0; ci < order.size(); ++ci) {
+      const uint32_t chunk_id = order[ci];
+      const size_t count = slot[chunk_id];
+      slot[chunk_id] = end;
+      end += count;
+      range_end[ci] = end;
       best_rank[chunk_id] = kUnranked;  // reset only what this round touched
     }
+    atts.resize(demands.size());
+    for (const auto& [chunk_id, att] : demands) atts[slot[chunk_id]++] = att;
     return process(order, range_end, atts);
   };
 

@@ -81,8 +81,9 @@ using SearchObserver = std::function<void(const SearchProgress&)>;
 struct SearchScratch {
   std::vector<uint32_t> rank_order;
   std::vector<double> centroid_distance;
+  /// The kMaxChunks plan's m closest (distance, chunk id) pairs, sorted.
+  std::vector<std::pair<double, uint32_t>> closest;
   std::vector<double> suffix_min_bound;
-  std::vector<double> distances;    ///< per-block kernel output
   std::vector<double> wide_query;   ///< the query widened for the kernels
   /// (io, cpu) model charge of the chunk read at each rank position,
   /// replayed in rank order into the overlapped timeline.
@@ -145,7 +146,7 @@ class Searcher {
 
   /// The k-NN executor of §4.3 over a batch of `queries` (all for the k
   /// nearest neighbors under `stop`): every query's chunks are ranked up
-  /// front as far as `stop` can read (RankChunks), demands are grouped
+  /// front as far as `stop` can read (RankChunksBatch), demands are grouped
   /// into a chunk -> pending-queries schedule, and each scheduled chunk is
   /// fetched and decoded once, then swept once for all attached queries
   /// through the fused multi-query kernels. Each query keeps its own result set, scratch, stop-rule
@@ -166,8 +167,8 @@ class Searcher {
   /// a thread pool (per-query state is disjoint, so results do not depend
   /// on the thread count). `shared`, when non-null, accumulates the batch's
   /// coalescing ledger. Per-query wall times are fair-share attributions
-  /// (plan measured per query; each chunk's fetch+scan wall split evenly
-  /// across its attached queries; a lone query owns the whole call).
+  /// (the batched plan and each chunk's fetch+scan wall split evenly
+  /// across the queries it served; a lone query owns the whole call).
   /// `excluded` (ids sorted ascending) is every query's dead-id filter.
   /// `bounds`, when non-empty, holds one entry per query: the caller
   /// already holds k neighbors no farther than bounds[q] (+inf: none), so
@@ -185,21 +186,33 @@ class Searcher {
       std::span<const DescriptorId> excluded = {},
       std::span<const double> bounds = {}) const;
 
-  /// Step 1 of §4.3 into `scratch`, ranking only what `stop` can read.
-  /// Every rule gets all centroid distances (one batched kernel call over
-  /// the index's contiguous centroid matrix) and `rank_order` as a
-  /// permutation of every chunk id, ordered by (distance, chunk id):
-  ///  - kExact (and epsilon): fully sorted, plus the suffix-minimum lower
-  ///    bounds the stop rule reads;
-  ///  - kMaxChunks(m): only `rank_order[0..m)` is sorted (the rest is in
-  ///    no particular order) and `suffix_min_bound` is empty;
-  ///  - kTimeBudget: fully sorted, `suffix_min_bound` empty.
-  /// The sorted ranks equal the full sort's, since the order is strict.
-  /// Returns the modeled index-scan charge, the same under every rule.
-  /// Public so tests can pin the ranking bit-identical to the scalar
-  /// per-centroid reference.
+  /// Step 1 of §4.3 into `scratch`, ranking only what `stop` can read:
+  /// RankChunksBatch over the one-query batch {query}.
   int64_t RankChunks(std::span<const float> query, SearchScratch& scratch,
                      const StopRule& stop = StopRule::Exact()) const;
+
+  /// Step 1 of §4.3 for a batch, the plan of every executor call: query i
+  /// is ranked into *scratches[i] (sizes must match). One fused kernel call
+  /// over the index's contiguous centroid matrix computes every query's
+  /// squared centroid distances (the centroid groups are widened and
+  /// transposed once for the whole batch); each query then takes their
+  /// sqrt and ranks from them. Every rule gets all centroid distances, the
+  /// query widened in `wide_query`, and `rank_order` as a permutation of
+  /// every chunk id, ordered by (distance, chunk id):
+  ///  - kExact (and epsilon): fully sorted, plus the suffix-minimum lower
+  ///    bounds the stop rule reads;
+  ///  - kMaxChunks(m): one selection pass puts the m closest, sorted, in
+  ///    `rank_order[0..m)` (the rest is in no particular order) and
+  ///    `suffix_min_bound` is empty;
+  ///  - kTimeBudget: fully sorted, `suffix_min_bound` empty.
+  /// The selected ranks equal the full sort's, since the order is strict,
+  /// and nothing depends on which queries share the batch. Returns the
+  /// modeled index-scan charge of one query, the same under every rule.
+  /// Public so tests can pin the ranking bit-identical to the scalar
+  /// per-centroid reference, alone and in batches.
+  int64_t RankChunksBatch(std::span<const std::span<const float>> queries,
+                          std::span<SearchScratch* const> scratches,
+                          const StopRule& stop) const;
 
   /// The chunk index this searcher scans (borrowed).
   const ChunkIndex* index() const { return index_; }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <string>
@@ -127,6 +128,18 @@ void AdcScalar(const uint8_t* codes, size_t count, size_t m, size_t ksub,
     }
     out[i] = abandoned ? kAbandoned : acc;
   }
+}
+
+void SqrtScalar(double* values, size_t count) {
+  for (size_t i = 0; i < count; ++i) values[i] = std::sqrt(values[i]);
+}
+
+size_t FirstNotAboveScalar(const double* values, size_t count,
+                           double threshold) {
+  for (size_t i = 0; i < count; ++i) {
+    if (!(values[i] > threshold)) return i;
+  }
+  return count;
 }
 
 #if defined(__x86_64__) || defined(_M_X64)
@@ -277,6 +290,26 @@ void AdcSse2(const uint8_t* codes, size_t count, size_t m, size_t ksub,
   }
 }
 
+void SqrtSse2(double* values, size_t count) {
+  size_t i = 0;
+  for (; i + 2 <= count; i += 2) {
+    _mm_storeu_pd(values + i, _mm_sqrt_pd(_mm_loadu_pd(values + i)));
+  }
+  SqrtScalar(values + i, count - i);
+}
+
+size_t FirstNotAboveSse2(const double* values, size_t count,
+                         double threshold) {
+  const __m128d thr = _mm_set1_pd(threshold);
+  size_t i = 0;
+  for (; i + 2 <= count; i += 2) {
+    const int over =
+        _mm_movemask_pd(_mm_cmpgt_pd(_mm_loadu_pd(values + i), thr));
+    if (over != 0x3) return (over & 1) != 0 ? i + 1 : i;
+  }
+  return i + FirstNotAboveScalar(values + i, count - i, threshold);
+}
+
 #endif  // x86-64
 
 #if defined(__aarch64__)
@@ -420,6 +453,26 @@ void AdcNeon(const uint8_t* codes, size_t count, size_t m, size_t ksub,
   }
 }
 
+void SqrtNeon(double* values, size_t count) {
+  size_t i = 0;
+  for (; i + 2 <= count; i += 2) {
+    vst1q_f64(values + i, vsqrtq_f64(vld1q_f64(values + i)));
+  }
+  SqrtScalar(values + i, count - i);
+}
+
+size_t FirstNotAboveNeon(const double* values, size_t count,
+                         double threshold) {
+  const float64x2_t thr = vdupq_n_f64(threshold);
+  size_t i = 0;
+  for (; i + 2 <= count; i += 2) {
+    const uint64x2_t over = vcgtq_f64(vld1q_f64(values + i), thr);
+    if (vgetq_lane_u64(over, 0) == 0) return i;
+    if (vgetq_lane_u64(over, 1) == 0) return i + 1;
+  }
+  return i + FirstNotAboveScalar(values + i, count - i, threshold);
+}
+
 #endif  // aarch64
 
 }  // namespace internal
@@ -438,19 +491,25 @@ struct KernelOps {
                  const double*, double*);
   void (*adc)(const uint8_t*, size_t, size_t, size_t, const double*, double,
               double*);
+  void (*sqrt)(double*, size_t);
+  size_t (*first_not_above)(const double*, size_t, double);
 };
 
 constexpr KernelOps kScalarOps = {&ContigScalar, &GatherScalar,
-                                  &internal::AdcScalar};
+                                  &internal::AdcScalar, &internal::SqrtScalar,
+                                  &internal::FirstNotAboveScalar};
 #if defined(__x86_64__) || defined(_M_X64)
 constexpr KernelOps kSse2Ops = {&internal::ContigSse2, &internal::GatherSse2,
-                                &internal::AdcSse2};
+                                &internal::AdcSse2, &internal::SqrtSse2,
+                                &internal::FirstNotAboveSse2};
 constexpr KernelOps kAvx2Ops = {&internal::ContigAvx2, &internal::GatherAvx2,
-                                &internal::AdcAvx2};
+                                &internal::AdcAvx2, &internal::SqrtAvx2,
+                                &internal::FirstNotAboveAvx2};
 #endif
 #if defined(__aarch64__)
 constexpr KernelOps kNeonOps = {&internal::ContigNeon, &internal::GatherNeon,
-                                &internal::AdcNeon};
+                                &internal::AdcNeon, &internal::SqrtNeon,
+                                &internal::FirstNotAboveNeon};
 #endif
 
 const KernelOps& OpsFor(Backend backend) {
@@ -643,12 +702,12 @@ void AdcScanAbandon(const uint8_t* codes, size_t count, size_t m,
 
 namespace {
 
-/// Rows per fused block: 128 rows x 24 dims x 4 B = 12 KiB of descriptor
-/// data — comfortably L1-resident, so every query after the first sweeps a
-/// hot block. A multiple of every backend's lane-group size (2 rows for
-/// SSE2/NEON pairs, 4 for AVX2), so splitting a caller's range at block
-/// boundaries never re-pairs rows and per-query results are bit-identical
-/// to one unsplit call.
+/// Rows per fused block on the per-query path: 128 rows x 24 dims x 4 B =
+/// 12 KiB of descriptor data — comfortably L1-resident, so every query
+/// after the first sweeps a hot block. A multiple of every backend's
+/// lane-group size (2 rows for SSE2/NEON pairs, 4 for AVX2), so splitting a
+/// caller's range at block boundaries never re-pairs rows and per-query
+/// results are bit-identical to one unsplit call.
 constexpr size_t kFusedRowBlock = 128;
 
 }  // namespace
@@ -659,7 +718,17 @@ void MultiQueryBatchSquaredDistanceAbandon(const float* base, size_t count,
                                            const double* thresholds,
                                            size_t num_queries,
                                            double* const* outs) {
-  const KernelOps& ops = OpsFor(ActiveBackend());
+  const Backend backend = ActiveBackend();
+#if defined(__x86_64__) || defined(_M_X64)
+  // A lone query has no transpose to share: the single-query kernel's
+  // per-group loop below is its faster form.
+  if (backend == Backend::kAvx2 && dim == 24 && num_queries > 1) {
+    internal::MultiContig24Avx2(base, count, queries, thresholds, num_queries,
+                                outs);
+    return;
+  }
+#endif
+  const KernelOps& ops = OpsFor(backend);
   for (size_t b = 0; b < count; b += kFusedRowBlock) {
     const size_t bn = std::min(kFusedRowBlock, count - b);
     for (size_t q = 0; q < num_queries; ++q) {
@@ -667,6 +736,14 @@ void MultiQueryBatchSquaredDistanceAbandon(const float* base, size_t count,
                  outs[q] + b);
     }
   }
+}
+
+void SqrtInPlace(double* values, size_t count) {
+  OpsFor(ActiveBackend()).sqrt(values, count);
+}
+
+size_t FirstNotAbove(const double* values, size_t count, double threshold) {
+  return OpsFor(ActiveBackend()).first_not_above(values, count, threshold);
 }
 
 double AbandonThreshold(double distance) {

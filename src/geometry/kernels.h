@@ -130,16 +130,23 @@ void AdcScanAbandon(const uint8_t* codes, size_t count, size_t m,
 
 // --- Fused multi-query kernel (chunk-major batched execution) -------------
 //
-// The shared-scan executor inverts the batch loop: one chunk is swept once
-// for many queries. This kernel fuses that sweep with query-blocked x
-// row-blocked loops: rows are walked in blocks sized to stay resident in
-// L1, and each block is swept for every query before the next block is
-// touched, so Q queries pay one trip through memory instead of Q. Each
-// per-query sweep dispatches to the *same* per-backend routine the
-// single-query kernels use, over the same rows in the same order with that
-// query's own threshold — so for every backend, completed values are
-// bit-identical to Q separate single-query calls, by construction. Abandon
-// patterns remain backend-specific exactly as for the single-query kernels.
+// The shared-scan executor inverts the batch loop: one set of rows (a
+// chunk, or the centroid matrix at plan time) is swept once for many
+// queries. On AVX2 at dim 24 — the paper's descriptors, which every chunk
+// and centroid scan sees — and two or more queries, each 4-row group is
+// widened and transposed once and then swept for the queries four at a
+// time in lockstep: every query
+// keeps its own accumulator, its own threshold and the same dim-8 and
+// dim-16 abandon checks, and the lockstep only stops early once all four
+// have abandoned. The transpose is shared and the four independent
+// accumulator chains hide the add latency a lone query waits on; the
+// arithmetic of each (query, row) is the single-query kernel's, step for
+// step. Every other backend and dimension dispatches, per query, to the
+// same per-backend routine the single-query kernels use over L1-sized row
+// blocks. Either way completed values and abandon patterns are
+// bit-identical to Q separate BatchSquaredDistanceAbandon calls on the same
+// backend, by construction (the 4-row groups start at the same rows, and
+// each group's verdict depends only on that query's own lanes).
 //
 // `queries`/`outs` are arrays of `num_queries` pointers; `thresholds` holds
 // one abandon bound per query (squared space, +inf disables pruning for
@@ -154,6 +161,19 @@ void MultiQueryBatchSquaredDistanceAbandon(const float* base, size_t count,
                                            const double* thresholds,
                                            size_t num_queries,
                                            double* const* outs);
+
+// --- Helpers of the planning and admission steps ---------------------------
+
+/// values[i] = sqrt(values[i]) for every i, vectorized across values. IEEE
+/// sqrt is correctly rounded, so every backend matches std::sqrt bit for
+/// bit.
+void SqrtInPlace(double* values, size_t count);
+
+/// Index of the first i in [0, count) with !(values[i] > threshold), or
+/// `count` when every value exceeds it: the admission prefilter, which
+/// passes over a group of rows (one vector lane per row) with one compare.
+/// NaN counts as not above, like the plain `values[i] > threshold` test.
+size_t FirstNotAbove(const double* values, size_t count, double threshold);
 
 /// Conservative squared-space abandon threshold for a bound expressed as a
 /// (post-sqrt) distance: slightly inflated so that `running > threshold`

@@ -6,7 +6,9 @@
 // (row[d] - q[d])^2 in ascending-d order — the same fixed reduction the
 // scalar reference performs — so results are bit-identical to ContigScalar.
 // Dimension values are brought lane-wise via a 4x4 double transpose of four
-// row segments (fast path) or a scalar gather (tails / scattered rows).
+// row segments (fast path) or a scalar gather (tails / scattered rows). The
+// fused multi-query kernel transposes a 4-row group once and sweeps it for
+// four queries at a time, each lane still running the same reduction.
 
 #include "geometry/kernels_internal.h"
 
@@ -105,6 +107,60 @@ QVT_TARGET_AVX2 inline bool Block24(const float* r0, const float* r1,
   return true;
 }
 
+/// Four rows' 24 dims widened and transposed: t[d] holds dim d of the four
+/// rows, one lane per row (the values Block24 steps through).
+QVT_TARGET_AVX2 inline void Transpose24(const float* r0, const float* r1,
+                                        const float* r2, const float* r3,
+                                        __m256d* t) {
+  for (size_t d = 0; d < 24; d += 4) {
+    Transpose4(CvtRow4(r0 + d), CvtRow4(r1 + d), CvtRow4(r2 + d),
+               CvtRow4(r3 + d), &t[d], &t[d + 1], &t[d + 2], &t[d + 3]);
+  }
+}
+
+/// Advances N queries' accumulators through dims [begin, begin + 8) of a
+/// transposed group, each by Block24's own Step sequence.
+template <size_t N>
+QVT_TARGET_AVX2 inline void LockstepSteps(__m256d* acc, const __m256d* t,
+                                          const double* const* queries,
+                                          size_t begin) {
+#pragma GCC unroll 8
+  for (size_t d = begin; d < begin + kAbandonStride; ++d) {
+#pragma GCC unroll 4
+    for (size_t j = 0; j < N; ++j) acc[j] = Step(acc[j], t[d], queries[j][d]);
+  }
+}
+
+/// Block24 for N queries in lockstep over one transposed group at row `i`.
+/// Each query checks its own threshold after dims 8 and 16, as Block24
+/// does; an abandoned query's lanes are still advanced while another query
+/// of the group lives, but never stored. The group stops early only when
+/// all N have abandoned.
+template <size_t N>
+QVT_TARGET_AVX2 inline void Lockstep24(const __m256d* t,
+                                       const double* const* queries,
+                                       const double* thresholds,
+                                       double* const* outs, size_t i) {
+  __m256d acc[N];
+  for (size_t j = 0; j < N; ++j) acc[j] = _mm256_setzero_pd();
+  unsigned live = (1u << N) - 1;  // bit j: query j not abandoned
+  for (size_t d = 0; d < 24; d += kAbandonStride) {
+    LockstepSteps<N>(acc, t, queries, d);
+    if (d + kAbandonStride == 24) break;
+    for (size_t j = 0; j < N; ++j) {
+      if (AllOver(acc[j], _mm256_set1_pd(thresholds[j]))) live &= ~(1u << j);
+    }
+    if (live == 0) break;
+  }
+  for (size_t j = 0; j < N; ++j) {
+    if ((live >> j & 1u) != 0) {
+      _mm256_storeu_pd(outs[j] + i, acc[j]);
+    } else {
+      _mm256_storeu_pd(outs[j] + i, _mm256_set1_pd(kAbandonedValue));
+    }
+  }
+}
+
 /// General-dim block with abandon checks every kAbandonStride dims.
 QVT_TARGET_AVX2 inline bool BlockN(const float* r0, const float* r1,
                                    const float* r2, const float* r3,
@@ -155,6 +211,64 @@ QVT_TARGET_AVX2 void ContigAvx2(const float* base, size_t count, size_t dim,
   if (i < count) {
     ContigScalar(base + i * dim, count - i, dim, query, threshold, out + i);
   }
+}
+
+QVT_TARGET_AVX2 void MultiContig24Avx2(const float* base, size_t count,
+                                       const double* const* queries,
+                                       const double* thresholds,
+                                       size_t num_queries,
+                                       double* const* outs) {
+  constexpr size_t kDim = 24;
+  __m256d t[kDim];
+  size_t i = 0;
+  for (; i + 4 <= count; i += 4) {
+    const float* r0 = base + i * kDim;
+    Transpose24(r0, r0 + kDim, r0 + 2 * kDim, r0 + 3 * kDim, t);
+    size_t q = 0;
+    for (; q + 4 <= num_queries; q += 4) {
+      Lockstep24<4>(t, queries + q, thresholds + q, outs + q, i);
+    }
+    switch (num_queries - q) {
+      case 3:
+        Lockstep24<3>(t, queries + q, thresholds + q, outs + q, i);
+        break;
+      case 2:
+        Lockstep24<2>(t, queries + q, thresholds + q, outs + q, i);
+        break;
+      case 1:
+        Lockstep24<1>(t, queries + q, thresholds + q, outs + q, i);
+        break;
+      default:
+        break;
+    }
+  }
+  if (i < count) {
+    // The rows after the last full group, exactly as ContigAvx2 ends.
+    for (size_t q = 0; q < num_queries; ++q) {
+      ContigScalar(base + i * kDim, count - i, kDim, queries[q], thresholds[q],
+                   outs[q] + i);
+    }
+  }
+}
+
+QVT_TARGET_AVX2 void SqrtAvx2(double* values, size_t count) {
+  size_t i = 0;
+  for (; i + 4 <= count; i += 4) {
+    _mm256_storeu_pd(values + i, _mm256_sqrt_pd(_mm256_loadu_pd(values + i)));
+  }
+  SqrtScalar(values + i, count - i);
+}
+
+QVT_TARGET_AVX2 size_t FirstNotAboveAvx2(const double* values, size_t count,
+                                         double threshold) {
+  const __m256d thr = _mm256_set1_pd(threshold);
+  size_t i = 0;
+  for (; i + 4 <= count; i += 4) {
+    const unsigned over = static_cast<unsigned>(_mm256_movemask_pd(
+        _mm256_cmp_pd(_mm256_loadu_pd(values + i), thr, _CMP_GT_OQ)));
+    if (over != 0xFu) return i + static_cast<size_t>(__builtin_ctz(~over));
+  }
+  return i + FirstNotAboveScalar(values + i, count - i, threshold);
 }
 
 QVT_TARGET_AVX2 void GatherAvx2(const float* base, size_t dim,

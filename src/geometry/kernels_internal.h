@@ -29,6 +29,9 @@ void GatherScalar(const float* base, size_t dim, const uint32_t* positions,
                   size_t count, const double* query, double* out);
 void AdcScalar(const uint8_t* codes, size_t count, size_t m, size_t ksub,
                const double* table, double threshold, double* out);
+void SqrtScalar(double* values, size_t count);
+size_t FirstNotAboveScalar(const double* values, size_t count,
+                           double threshold);
 
 // --- SSE2 (x86-64 baseline), defined in kernels.cc ------------------------
 #if defined(__x86_64__) || defined(_M_X64)
@@ -38,6 +41,9 @@ void GatherSse2(const float* base, size_t dim, const uint32_t* positions,
                 size_t count, const double* query, double* out);
 void AdcSse2(const uint8_t* codes, size_t count, size_t m, size_t ksub,
              const double* table, double threshold, double* out);
+void SqrtSse2(double* values, size_t count);
+size_t FirstNotAboveSse2(const double* values, size_t count,
+                         double threshold);
 
 // --- AVX2 (runtime-detected), defined in kernels_avx2.cc ------------------
 void ContigAvx2(const float* base, size_t count, size_t dim,
@@ -46,6 +52,14 @@ void GatherAvx2(const float* base, size_t dim, const uint32_t* positions,
                 size_t count, const double* query, double* out);
 void AdcAvx2(const uint8_t* codes, size_t count, size_t m, size_t ksub,
              const double* table, double threshold, double* out);
+void SqrtAvx2(double* values, size_t count);
+size_t FirstNotAboveAvx2(const double* values, size_t count,
+                         double threshold);
+/// The fused multi-query kernel at dim 24: one widen-and-transpose per
+/// 4-row group, queries swept four at a time in lockstep.
+void MultiContig24Avx2(const float* base, size_t count,
+                       const double* const* queries, const double* thresholds,
+                       size_t num_queries, double* const* outs);
 #endif  // x86-64
 
 // --- NEON (aarch64 baseline), defined in kernels.cc -----------------------
@@ -56,6 +70,9 @@ void GatherNeon(const float* base, size_t dim, const uint32_t* positions,
                 size_t count, const double* query, double* out);
 void AdcNeon(const uint8_t* codes, size_t count, size_t m, size_t ksub,
              const double* table, double threshold, double* out);
+void SqrtNeon(double* values, size_t count);
+size_t FirstNotAboveNeon(const double* values, size_t count,
+                         double threshold);
 #endif  // aarch64
 
 }  // namespace internal

@@ -1,10 +1,15 @@
 #include "core/result_set.h"
 
 #include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "geometry/kernels.h"
 #include "util/random.h"
 
 namespace qvt {
@@ -193,6 +198,87 @@ TEST_P(ResultSetPropertyTest, ExcludedEqualsFilterThenInsert) {
     }
     EXPECT_EQ(empty_span.refused(), 0u);
   }
+}
+
+// AdmitRows passes over a group of rows that all exceed the limit with one
+// compare; the set it leaves must be the one offering every row in order
+// leaves — ids, distance bits and refusals — with and without an excluded
+// list and a bound, on every backend. Blocks mix kAbandoned rows (only
+// while the limit is finite, as the kernels produce them), rows exactly at
+// AbandonThreshold of the limit, rows just under it, rows close enough to
+// enter and lower the limit in the middle of a group, and counts that are
+// not a multiple of any group size.
+TEST(AdmitRowsTest, EqualsOfferingEveryRowInOrder) {
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const kernels::Backend backend :
+       {kernels::Backend::kScalar, kernels::Backend::kSse2,
+        kernels::Backend::kAvx2, kernels::Backend::kNeon}) {
+    if (!kernels::BackendSupported(backend)) continue;
+    kernels::SetBackendForTesting(backend);
+    Rng rng(13);
+    for (int trial = 0; trial < 400; ++trial) {
+      const std::string label = std::string(kernels::BackendName(backend)) +
+                                " trial " + std::to_string(trial);
+      const size_t k = 1 + rng.Uniform(6);
+      std::vector<DescriptorId> excluded;
+      if (trial % 2 == 1) {
+        for (DescriptorId id = 0; id < 40; ++id) {
+          if (rng.Uniform(3) == 0) excluded.push_back(id);
+        }
+      }
+      const double bound = trial % 3 == 0 ? rng.UniformDouble(3.0, 6.0) : inf;
+      KnnResultSet set(k, excluded, bound);
+      const size_t prefill = rng.Uniform(k + 2);
+      for (size_t j = 0; j < prefill; ++j) {
+        set.Insert(static_cast<DescriptorId>(1000 + j),
+                   rng.UniformDouble(2.0, 8.0));
+      }
+      KnnResultSet reference = set;
+
+      const size_t count = 1 + rng.Uniform(23);
+      const double threshold = kernels::AbandonThreshold(set.KthDistance());
+      const bool finite = threshold < inf;
+      std::vector<double> squared(count);
+      for (double& x : squared) {
+        switch (rng.Uniform(6)) {
+          case 0:
+            x = finite ? kernels::kAbandoned : rng.UniformDouble(0.0, 100.0);
+            break;
+          case 1:
+            x = finite ? threshold : rng.UniformDouble(0.0, 100.0);
+            break;
+          case 2:
+            x = finite ? threshold * (1.0 - 1e-9) : rng.UniformDouble(0, 9);
+            break;
+          case 3:
+            x = rng.UniformDouble(0.0, 9.0);
+            break;
+          default:
+            x = rng.UniformDouble(0.0, 100.0);
+            break;
+        }
+      }
+      AdmitRows(squared.data(), count, set, [&](size_t i, double distance) {
+        return set.Insert(static_cast<DescriptorId>(i), distance);
+      });
+      for (size_t i = 0; i < count; ++i) {
+        reference.Insert(static_cast<DescriptorId>(i), std::sqrt(squared[i]));
+      }
+
+      const auto got = set.Sorted();
+      const auto want = reference.Sorted();
+      ASSERT_EQ(got.size(), want.size()) << label;
+      for (size_t r = 0; r < got.size(); ++r) {
+        EXPECT_EQ(got[r].id, want[r].id) << label << " rank " << r;
+        EXPECT_EQ(std::memcmp(&got[r].distance, &want[r].distance,
+                              sizeof(double)),
+                  0)
+            << label << " rank " << r;
+      }
+      EXPECT_EQ(set.refused(), reference.refused()) << label;
+    }
+  }
+  kernels::ResetBackendForTesting();
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ResultSetPropertyTest,

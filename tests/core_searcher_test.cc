@@ -585,6 +585,125 @@ TEST(SearcherTest, MaxChunksRankingIsPrefixOfFullRanking) {
   }
 }
 
+// One MaxChunks(m) plan against the full ranking of the same query (a lone
+// RankChunks into a fresh scratch): the first m ranks are the full sort's,
+// rank_order names every chunk exactly once, every centroid distance is
+// bit-equal, and no suffix bound is left behind.
+void ExpectSelectionPlan(const SearchScratch& plan, const SearchScratch& full,
+                         size_t m, const std::string& label) {
+  const size_t n = full.rank_order.size();
+  ASSERT_EQ(plan.rank_order.size(), n) << label;
+  ASSERT_EQ(plan.centroid_distance.size(), n) << label;
+  EXPECT_TRUE(plan.suffix_min_bound.empty()) << label;
+  for (size_t r = 0; r < std::min(m, n); ++r) {
+    EXPECT_EQ(plan.rank_order[r], full.rank_order[r]) << label << " rank " << r;
+  }
+  std::vector<uint32_t> ids = plan.rank_order;
+  std::sort(ids.begin(), ids.end());
+  for (size_t i = 0; i < n; ++i) {
+    ASSERT_EQ(ids[i], i) << label << ": rank_order is not a permutation";
+  }
+  for (size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(std::memcmp(&plan.centroid_distance[i],
+                          &full.centroid_distance[i], sizeof(double)),
+              0)
+        << label << " chunk " << i;
+  }
+}
+
+// The MaxChunks selection writes the whole rank order itself, so nothing a
+// scratch held before may show through: ranked into a fresh scratch, or
+// into one last ranked for a different query (under the exact rule or the
+// same budget), the plan must hold the full sort's first m ranks and a
+// permutation of every chunk. The same holds for every query of a batched
+// plan (the plan SearchShared runs) of 1, 3, 4, 5 and 9 queries, whose
+// answers must equal the lone searches'. Every centroid is duplicated, so
+// ties are broken by chunk id throughout.
+TEST(SearcherTest, MaxChunksSelectionFillsFreshAndForeignScratch) {
+  DuplicatedCentroidFixture fx;
+  Searcher searcher(&*fx.index, DiskCostModel());
+  const size_t n = fx.index->num_chunks();
+  ASSERT_GE(n, 10u);
+
+  Rng rng(31);
+  std::vector<std::vector<float>> queries;
+  for (int trial = 0; trial < 6; ++trial) {
+    std::vector<float> query(kDescriptorDim);
+    for (auto& x : query) x = static_cast<float>(rng.UniformDouble(20, 80));
+    queries.push_back(std::move(query));
+  }
+  for (size_t pos : {0u, 333u, 1500u}) {
+    const auto v = fx.collection.Vector(pos);
+    queries.emplace_back(v.begin(), v.end());
+  }
+  const size_t nq = queries.size();
+  std::vector<std::span<const float>> spans(queries.begin(), queries.end());
+  std::vector<SearchScratch> full(nq);
+  std::vector<int64_t> full_micros(nq);
+  for (size_t q = 0; q < nq; ++q) {
+    full_micros[q] = searcher.RankChunks(queries[q], full[q]);
+  }
+
+  for (const size_t m : {size_t{0}, size_t{1}, size_t{8}, n - 1, n, n + 3}) {
+    const StopRule rule = StopRule::MaxChunks(m);
+    const std::string at_m = "m " + std::to_string(m);
+    for (size_t q = 0; q < nq; ++q) {
+      const std::string label = at_m + " query " + std::to_string(q);
+      SearchScratch fresh;
+      EXPECT_EQ(searcher.RankChunks(queries[q], fresh, rule), full_micros[q])
+          << label;
+      ExpectSelectionPlan(fresh, full[q], m, label + " (fresh)");
+      for (const StopRule& previous : {StopRule::Exact(), rule}) {
+        SearchScratch foreign;
+        searcher.RankChunks(queries[(q + 1) % nq], foreign, previous);
+        searcher.RankChunks(queries[q], foreign, rule);
+        ExpectSelectionPlan(foreign, full[q], m, label + " (foreign)");
+      }
+    }
+    for (const size_t batch : {1u, 3u, 4u, 5u, 9u}) {
+      const std::string label = at_m + " batch " + std::to_string(batch);
+      const auto batch_spans = std::span(spans).first(batch);
+      std::vector<SearchScratch> fresh(batch);
+      std::vector<SearchScratch> foreign(batch);
+      std::vector<SearchScratch*> fresh_ptrs;
+      std::vector<SearchScratch*> foreign_ptrs;
+      for (size_t q = 0; q < batch; ++q) {
+        searcher.RankChunks(queries[(q + 1) % nq], foreign[q]);
+        fresh_ptrs.push_back(&fresh[q]);
+        foreign_ptrs.push_back(&foreign[q]);
+      }
+      EXPECT_EQ(searcher.RankChunksBatch(batch_spans, fresh_ptrs, rule),
+                full_micros[0])
+          << label;
+      searcher.RankChunksBatch(batch_spans, foreign_ptrs, rule);
+      for (size_t q = 0; q < batch; ++q) {
+        const std::string query = " query " + std::to_string(q);
+        ExpectSelectionPlan(fresh[q], full[q], m, label + query + " (fresh)");
+        ExpectSelectionPlan(foreign[q], full[q], m,
+                            label + query + " (foreign)");
+      }
+      auto shared = searcher.SearchShared(batch_spans, 10, rule);
+      ASSERT_TRUE(shared.ok()) << label;
+      for (size_t q = 0; q < batch; ++q) {
+        const std::string query = label + " query " + std::to_string(q);
+        auto alone = searcher.Search(queries[q], 10, rule);
+        ASSERT_TRUE(alone.ok()) << query;
+        const MethodResult& got = (*shared)[q];
+        EXPECT_EQ(got.telemetry.chunks_read, alone->telemetry.chunks_read)
+            << query;
+        ASSERT_EQ(got.neighbors.size(), alone->neighbors.size()) << query;
+        for (size_t r = 0; r < got.neighbors.size(); ++r) {
+          EXPECT_EQ(got.neighbors[r].id, alone->neighbors[r].id) << query;
+          EXPECT_EQ(std::memcmp(&got.neighbors[r].distance,
+                                &alone->neighbors[r].distance, sizeof(double)),
+                    0)
+              << query << " rank " << r;
+        }
+      }
+    }
+  }
+}
+
 // The executor under MaxChunks plans with the partial ranking; the
 // rank-order reference plans with the full one. For every budget, thread
 // count and batch mode the answers, chunks read, model clock and exact

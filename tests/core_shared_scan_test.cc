@@ -6,6 +6,7 @@
 // single-query reference, pq's query-major batches under threads, and the
 // coalescing ledger.
 
+#include <algorithm>
 #include <cstring>
 #include <optional>
 #include <string>
@@ -413,6 +414,86 @@ TEST(SharedScanTest, FusedKernelsMatchSingleQueryKernelsPerBackend) {
       }
     }
   }
+}
+
+// The fused kernel over a matrix of shapes, per backend: 1-9 queries (so
+// every lockstep remainder of the AVX2 dim-24 path occurs, next to full
+// quads), row counts around the 4-row group and the 128-row block, dim 24
+// and a dim that takes the per-query fallback, and thresholds of +inf, 0,
+// exactly a row's completed value, and a mix across the lockstep queries.
+// Completed values and the abandon pattern must equal single-query calls
+// byte for byte.
+TEST(SharedScanTest, FusedKernelMatrixMatchesSingleQueryKernelsPerBackend) {
+  const double inf = std::numeric_limits<double>::infinity();
+  BackendGuard guard;
+  size_t abandoned = 0;
+  for (const size_t dim : {size_t{24}, size_t{10}}) {
+    Rng rng(91 + dim);
+    const size_t max_rows = 598;
+    std::vector<float> base(max_rows * dim);
+    for (float& v : base) v = static_cast<float>(rng.UniformDouble(-1.0, 1.0));
+    std::vector<std::vector<float>> float_queries(9, std::vector<float>(dim));
+    std::vector<std::vector<double>> queries(9);
+    std::vector<const double*> query_ptrs;
+    for (size_t q = 0; q < 9; ++q) {
+      for (float& v : float_queries[q]) {
+        v = static_cast<float>(rng.UniformDouble(-1.0, 1.0));
+      }
+      queries[q].assign(float_queries[q].begin(), float_queries[q].end());
+      query_ptrs.push_back(queries[q].data());
+    }
+    for (const kernels::Backend backend : SupportedBackends()) {
+      kernels::SetBackendForTesting(backend);
+      for (const size_t count : {1u, 3u, 4u, 5u, 127u, 128u, 129u, 301u,
+                                 598u}) {
+        // Each query's smallest completed value: a threshold exactly equal
+        // to a row's value, which most other rows' partial sums exceed.
+        std::vector<double> row_value(9);
+        for (size_t q = 0; q < 9; ++q) {
+          std::vector<double> full(count);
+          kernels::BatchSquaredDistance(base.data(), count, dim,
+                                        std::span<const float>(float_queries[q]),
+                                        full.data());
+          row_value[q] = *std::min_element(full.begin(), full.end());
+        }
+        for (int scheme = 0; scheme < 4; ++scheme) {
+          std::vector<double> thresholds(9);
+          for (size_t q = 0; q < 9; ++q) {
+            const int pick = scheme < 3 ? scheme : static_cast<int>(q % 3);
+            thresholds[q] = pick == 0 ? inf : pick == 1 ? 0.0 : row_value[q];
+          }
+          for (size_t nq = 1; nq <= 9; ++nq) {
+            const std::string label =
+                std::string(kernels::BackendName(backend)) + " dim " +
+                std::to_string(dim) + " rows " + std::to_string(count) +
+                " scheme " + std::to_string(scheme) + " queries " +
+                std::to_string(nq);
+            std::vector<std::vector<double>> fused(nq,
+                                                   std::vector<double>(count));
+            std::vector<double*> outs;
+            for (auto& out : fused) outs.push_back(out.data());
+            kernels::MultiQueryBatchSquaredDistanceAbandon(
+                base.data(), count, dim, query_ptrs.data(), thresholds.data(),
+                nq, outs.data());
+            for (size_t q = 0; q < nq; ++q) {
+              std::vector<double> single(count);
+              kernels::BatchSquaredDistanceAbandon(
+                  base.data(), count, dim,
+                  std::span<const float>(float_queries[q]), thresholds[q],
+                  single.data());
+              ASSERT_EQ(std::memcmp(fused[q].data(), single.data(),
+                                    count * sizeof(double)),
+                        0)
+                  << label << " query " << q;
+              abandoned += static_cast<size_t>(
+                  std::count(single.begin(), single.end(), kernels::kAbandoned));
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(abandoned, 0u);
 }
 
 // Direct Searcher::SearchShared argument validation.

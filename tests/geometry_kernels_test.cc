@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <vector>
 
 #include "geometry/vec.h"
@@ -237,6 +239,74 @@ TEST(KernelsTest, AbandonThresholdIsConservative) {
     EXPECT_GT(t, d * d);
     // ...but within a sliver of it, so pruning power is not lost.
     EXPECT_LT(t, d * d * (1.0 + 1e-9));
+  }
+}
+
+// SqrtInPlace is the correctly rounded sqrt on every backend, so it must
+// equal std::sqrt bit for bit, at every count (vector bodies and tails).
+TEST(KernelsTest, SqrtInPlaceMatchesStdSqrtBitwise) {
+  Rng rng(61);
+  std::vector<double> values(37);
+  for (double& v : values) v = rng.UniformDouble(0.0, 1e4);
+  values[3] = 0.0;
+  values[4] = std::numeric_limits<double>::infinity();
+  values[5] = 2.0;
+  for (Backend backend : SupportedBackends()) {
+    BackendGuard guard(backend);
+    for (size_t count = 0; count <= values.size(); ++count) {
+      std::vector<double> got(values.begin(), values.begin() + count);
+      kernels::SqrtInPlace(got.data(), count);
+      for (size_t i = 0; i < count; ++i) {
+        const double want = std::sqrt(values[i]);
+        EXPECT_EQ(std::memcmp(&got[i], &want, sizeof(double)), 0)
+            << kernels::BackendName(backend) << " count " << count << " i "
+            << i;
+      }
+    }
+  }
+}
+
+// FirstNotAbove is the plain `!(values[i] > threshold)` search: ties and
+// NaN stop it, +inf values pass over, and the answer is `count` when every
+// value exceeds the threshold — at every start offset and count.
+TEST(KernelsTest, FirstNotAboveMatchesPlainLoop) {
+  Rng rng(67);
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> values(41);
+  for (double& v : values) {
+    switch (rng.Uniform(5)) {
+      case 0:
+        v = 5.0;  // a tie at the threshold below
+        break;
+      case 1:
+        v = inf;
+        break;
+      default:
+        v = rng.UniformDouble(5.0, 9.0);
+        break;
+    }
+  }
+  values[17] = std::numeric_limits<double>::quiet_NaN();
+  for (Backend backend : SupportedBackends()) {
+    BackendGuard guard(backend);
+    for (const double threshold : {5.0, 4.0, 9.0, inf}) {
+      for (size_t begin = 0; begin <= values.size(); ++begin) {
+        for (size_t count = 0; begin + count <= values.size(); ++count) {
+          size_t want = count;
+          for (size_t i = 0; i < count; ++i) {
+            if (!(values[begin + i] > threshold)) {
+              want = i;
+              break;
+            }
+          }
+          ASSERT_EQ(kernels::FirstNotAbove(values.data() + begin, count,
+                                           threshold),
+                    want)
+              << kernels::BackendName(backend) << " threshold " << threshold
+              << " begin " << begin << " count " << count;
+        }
+      }
+    }
   }
 }
 

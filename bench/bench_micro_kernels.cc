@@ -2,13 +2,18 @@
 // the 24-d Euclidean distance, a full chunk scan with result-set updates,
 // centroid ranking over a chunk index, and k-NN heap insertion — plus the
 // batched scan kernels of geometry/kernels.h per backend, with and without
-// early abandon, and the fused multi-query kernel in its two roles: a
-// chunk swept for its co-scanning queries and the batched plan pass.
+// early abandon, the fused multi-query kernel in its two roles (a chunk
+// swept for its co-scanning queries and the batched plan pass), and the
+// float bound filter's sweep under a finite limit against the fused kernel
+// it replaces there.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
+#include <vector>
 
 #include "core/result_set.h"
 #include "descriptor/generator.h"
@@ -263,6 +268,93 @@ BENCHMARK(BM_FusedChunkSweep)
                     static_cast<int>(kernels::Backend::kAvx2),
                     static_cast<int>(kernels::Backend::kNeon)},
                    {1, 4, 9}});
+
+/// One 250-row chunk swept for Q queries under finite limits taken from a
+/// real k-th. The chunk is the 250 rows of a generated collection nearest
+/// an anchor row (a tight leaf, as the SR chunker forms), the queries are
+/// the rows ranked just past it, so the chunk is one they would read, and
+/// each limit is kernels::AbandonThreshold of the query's true 10th nearest
+/// distance over the collection. Arg 0 = backend, Arg 1 = Q, Arg 2 = path:
+///  - 0, the sweep under a finite limit: the float bound filter, then the
+///    exact kernel over its survivors (counter `survivors` per query);
+///  - 1, the fused double kernel under the same limits, the path the
+///    filter replaces.
+/// items_per_second counts rows per query (250 x Q), as BM_FusedChunkSweep.
+void BM_FilteredChunkSweep(benchmark::State& state) {
+  if (!PinBackend(state)) return;
+  constexpr size_t kCount = 250;
+  constexpr size_t kDim = kDescriptorDim;
+  const size_t num_queries = static_cast<size_t>(state.range(1));
+  const bool filtered = state.range(2) == 0;
+  const Collection c = BenchCollection(20);
+  std::vector<double> all(c.size());
+  kernels::BatchSquaredDistance(c.Vector(0).data(), c.size(), kDim,
+                                c.Vector(1000), all.data());
+  std::vector<size_t> by_distance(c.size());
+  std::iota(by_distance.begin(), by_distance.end(), size_t{0});
+  std::sort(by_distance.begin(), by_distance.end(),
+            [&](size_t a, size_t b) { return all[a] < all[b]; });
+  std::vector<float> rows;
+  for (size_t r = 0; r < kCount; ++r) {
+    const auto v = c.Vector(by_distance[r]);
+    rows.insert(rows.end(), v.begin(), v.end());
+  }
+  std::vector<std::vector<float>> queries;
+  std::vector<std::vector<double>> wide;
+  std::vector<double> thresholds;
+  for (size_t q = 0; q < num_queries; ++q) {
+    const auto v = c.Vector(by_distance[kCount + 3 * q]);
+    queries.emplace_back(v.begin(), v.end());
+    wide.emplace_back(v.begin(), v.end());
+    kernels::BatchSquaredDistance(c.Vector(0).data(), c.size(), kDim, v,
+                                  all.data());
+    std::nth_element(all.begin(), all.begin() + 10, all.end());
+    thresholds.push_back(kernels::AbandonThreshold(std::sqrt(all[10])));
+  }
+  std::vector<const double*> query_ptrs;
+  std::vector<std::vector<double>> outs(num_queries,
+                                        std::vector<double>(kCount));
+  std::vector<double*> out_ptrs;
+  for (size_t q = 0; q < num_queries; ++q) {
+    query_ptrs.push_back(wide[q].data());
+    out_ptrs.push_back(outs[q].data());
+  }
+  std::vector<uint32_t> survivors(kCount);
+  size_t kept_total = 0;
+  for (auto _ : state) {
+    if (filtered) {
+      for (size_t q = 0; q < num_queries; ++q) {
+        const size_t kept = kernels::FloatBoundFilter(
+            rows.data(), kCount, kDim, queries[q], thresholds[q],
+            survivors.data());
+        kernels::GatherSquaredDistance(rows.data(), kDim,
+                                       {survivors.data(), kept}, wide[q],
+                                       outs[q].data());
+        kept_total += kept;
+      }
+    } else {
+      kernels::MultiQueryBatchSquaredDistanceAbandon(
+          rows.data(), kCount, kDim, query_ptrs.data(), thresholds.data(),
+          num_queries, out_ptrs.data());
+    }
+    benchmark::DoNotOptimize(outs.front().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * kCount * num_queries);
+  if (filtered) {
+    state.counters["survivors"] = static_cast<double>(kept_total) /
+                                  static_cast<double>(state.iterations() *
+                                                      num_queries);
+  }
+  kernels::ResetBackendForTesting();
+}
+BENCHMARK(BM_FilteredChunkSweep)
+    ->ArgsProduct({{static_cast<int>(kernels::Backend::kScalar),
+                    static_cast<int>(kernels::Backend::kSse2),
+                    static_cast<int>(kernels::Backend::kAvx2),
+                    static_cast<int>(kernels::Backend::kNeon)},
+                   {1, 4, 8, 9, 16},
+                   {0, 1}});
 
 /// The batched plan pass of one image request: 598 x 24 centroids (the
 /// canonical index) against Q = 75 queries in one fused call, per backend.

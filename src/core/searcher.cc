@@ -29,34 +29,18 @@ constexpr size_t kScanBlock = 256;
 /// magnitude to spare; see DESIGN.md "Chunk-level abandon".
 constexpr double kSphereSlack = 1e-9;
 
-/// True when no row of chunk `chunk_id` can get past AdmitRows for a query
-/// whose result set's limit (k-th distance, capped by its bound) is
+/// True when the sphere bound (centroid distance - radius, from the plan)
+/// shows that no row of chunk `chunk_id` can get past AdmitRows for a
+/// query whose result set's limit (k-th distance, capped by its bound) is
 /// `limit`: every row's kernel squared distance provably exceeds
 /// kernels::AbandonThreshold(limit), so sweeping the chunk would leave the
-/// set untouched. Tests the sphere bound (centroid distance - radius, from
-/// the plan) first, then the rectangle bound sum_d gap_d^2 with gap_d =
-/// max(0, lo_d - q_d, q_d - hi_d). The rectangle sum needs no slack: each
-/// gap is a rounded difference no larger than the row's rounded difference
-/// (rounding is monotone and lo_d <= row_d <= hi_d), and it is squared and
-/// summed in the kernel's ascending-d order, so it never exceeds any row's
-/// kernel value.
-bool ChunkRuledOut(const ChunkIndex& index, uint32_t chunk_id,
-                   const SearchScratch& s, double limit) {
-  if (!(limit < std::numeric_limits<double>::infinity())) return false;
+/// set untouched. A finite limit the sphere does not settle goes on to the
+/// rectangle bound (Execute).
+bool SphereRulesOut(const ChunkIndex& index, uint32_t chunk_id,
+                    const SearchScratch& s, double limit) {
   const double cd = s.centroid_distance[chunk_id];
   const double r = index.radius(chunk_id);
-  if (cd - r - kSphereSlack * (cd + r) > limit) return true;
-  const std::span<const float> lo = index.rect_lo(chunk_id);
-  const std::span<const float> hi = index.rect_hi(chunk_id);
-  const double* q = s.wide_query.data();
-  double sum = 0.0;
-  for (size_t d = 0; d < lo.size(); ++d) {
-    const double below = static_cast<double>(lo[d]) - q[d];
-    const double above = q[d] - static_cast<double>(hi[d]);
-    const double gap = std::max(std::max(below, above), 0.0);
-    sum += gap * gap;
-  }
-  return sum > kernels::AbandonThreshold(limit);
+  return cd - r - kSphereSlack * (cd + r) > limit;
 }
 
 }  // namespace
@@ -244,6 +228,10 @@ namespace {
 /// during the scan — result set, stop-rule inputs, accounting — is
 /// per-query, so queries co-scanning one chunk never share mutable state.
 struct QueryState {
+  /// The caller's query, alive for the call. The float bound filter reads
+  /// it; scratch->wide_query is its exact widening, so the filter and the
+  /// exact kernel see the same values.
+  std::span<const float> query;
   SearchScratch* scratch = nullptr;
   std::optional<KnnResultSet> result_set;
   MethodResult result;
@@ -262,56 +250,83 @@ struct ChunkAttachment {
 /// Reusable arrays for one sweep worker. Hoisted out of the per-chunk
 /// sweep: the executor visits thousands of chunks per batch and heap
 /// allocations per chunk would rival the scan itself. `distances` holds
-/// the kernel output of the chunk's queries, one kScanBlock row each; it
-/// is reused for every chunk, so the kernel writes to cache-hot memory
-/// rather than to a per-query buffer last touched chunks ago.
+/// the exact kernel output of the chunk's queries, one kScanBlock row
+/// each; it is reused for every chunk, so the kernels write to cache-hot
+/// memory rather than to a per-query buffer last touched chunks ago.
 struct SweepScratch {
+  std::vector<size_t> fused;  ///< attachments whose limit is +inf
   std::vector<const double*> queries;
   std::vector<double*> outs;
   std::vector<double> thresholds;
   std::vector<double> distances;
+  std::vector<uint32_t> survivors;
 };
 
-/// Sweeps one fetched chunk for all attached queries through the fused
-/// multi-query kernel: kScanBlock row blocks, per-query abandon thresholds
-/// recomputed from each query's own result set (k-th capped by its bound)
-/// between blocks, so each query's (threshold, completed rows) sequence is
-/// the one it would see scanning the chunk alone. Rows whose partial sum
-/// provably exceeds that limit are abandoned mid-row, and AdmitRows skips
-/// the completed ones beyond it before their sqrt; AbandonThreshold()'s
-/// margin guarantees no row that could enter the result set (ties
-/// included) is ever pruned, so results are bit-identical to the plain
-/// per-row scan.
+/// Sweeps one fetched chunk for all attached queries, kScanBlock rows at a
+/// time, each query under its own result set's limit (k-th capped by its
+/// bound) re-read at every block, so each query's (limit, admitted rows)
+/// sequence is the one it would see scanning the chunk alone.
+///  - Limit +inf (a set not yet full): the fused multi-query kernel
+///    computes every row exactly.
+///  - Finite limit: the float bound filter rejects the rows whose exact
+///    value provably exceeds kernels::AbandonThreshold(limit); only the
+///    survivors are recomputed by the exact kernel, whose values are
+///    bit-identical to the contiguous kernel's.
+/// Either way AdmitRows offers, in row order, exactly the rows with
+/// !(exact > AbandonThreshold(current limit)); a rejected row exceeds the
+/// block-start limit, and the limit only falls within a sweep, so it could
+/// never have entered the set. Results are bit-identical to the plain
+/// per-row scan (see DESIGN.md "Float bound filter").
 void SweepChunkForQueries(const ChunkData& data,
                           std::span<const ChunkAttachment> atts,
                           SweepScratch& sweep) {
   const size_t dim = data.dim;
   const size_t nq = atts.size();
-  sweep.queries.resize(nq);
-  sweep.outs.resize(nq);
-  sweep.thresholds.resize(nq);
   sweep.distances.resize(nq * kScanBlock);
-  const double** queries = sweep.queries.data();
-  double** outs = sweep.outs.data();
-  double* thresholds = sweep.thresholds.data();
-  for (size_t j = 0; j < nq; ++j) {
-    queries[j] = atts[j].state->scratch->wide_query.data();
-    outs[j] = sweep.distances.data() + j * kScanBlock;
-  }
+  sweep.survivors.resize(kScanBlock);
+  uint32_t* survivors = sweep.survivors.data();
   for (size_t b = 0; b < data.size(); b += kScanBlock) {
     const size_t bn = std::min(kScanBlock, data.size() - b);
+    const float* rows = data.values.data() + b * dim;
+    sweep.fused.clear();
     for (size_t j = 0; j < nq; ++j) {
-      thresholds[j] = kernels::AbandonThreshold(
-          atts[j].state->result_set->KthDistance());
+      QueryState& q = *atts[j].state;
+      KnnResultSet& result_set = *q.result_set;
+      const double limit = result_set.KthDistance();
+      if (!(limit < std::numeric_limits<double>::infinity())) {
+        sweep.fused.push_back(j);
+        continue;
+      }
+      const size_t kept =
+          kernels::FloatBoundFilter(rows, bn, dim, q.query,
+                                    kernels::AbandonThreshold(limit),
+                                    survivors);
+      double* out = sweep.distances.data() + j * kScanBlock;
+      kernels::GatherSquaredDistance(rows, dim, {survivors, kept},
+                                     q.scratch->wide_query, out);
+      AdmitRows(out, kept, result_set, [&](size_t i, double distance) {
+        return result_set.Insert(data.ids[b + survivors[i]], distance);
+      });
+    }
+    const size_t nf = sweep.fused.size();
+    if (nf == 0) continue;
+    sweep.queries.resize(nf);
+    sweep.outs.resize(nf);
+    sweep.thresholds.assign(nf, std::numeric_limits<double>::infinity());
+    for (size_t f = 0; f < nf; ++f) {
+      const size_t j = sweep.fused[f];
+      sweep.queries[f] = atts[j].state->scratch->wide_query.data();
+      sweep.outs[f] = sweep.distances.data() + j * kScanBlock;
     }
     kernels::MultiQueryBatchSquaredDistanceAbandon(
-        data.values.data() + b * dim, bn, dim, queries, thresholds, nq,
-        outs);
-    for (size_t j = 0; j < nq; ++j) {
-      KnnResultSet& result_set = *atts[j].state->result_set;
-      AdmitRows(outs[j], bn, result_set, [&](size_t i, double distance) {
-        return result_set.Insert(data.ids[b + i], distance);
-      });
+        rows, bn, dim, sweep.queries.data(), sweep.thresholds.data(), nf,
+        sweep.outs.data());
+    for (size_t f = 0; f < nf; ++f) {
+      KnnResultSet& result_set = *atts[sweep.fused[f]].state->result_set;
+      AdmitRows(sweep.outs[f], bn, result_set,
+                [&](size_t i, double distance) {
+                  return result_set.Insert(data.ids[b + i], distance);
+                });
     }
   }
 }
@@ -352,6 +367,7 @@ StatusOr<std::vector<MethodResult>> Searcher::Execute(
   std::vector<QueryState> states(nq);
   std::vector<SearchScratch*> plan_scratches(nq);
   for (size_t i = 0; i < nq; ++i) {
+    states[i].query = queries[i];
     states[i].scratch = owned_scratch.empty() ? scratch : &owned_scratch[i];
     plan_scratches[i] = states[i].scratch;
   }
@@ -387,6 +403,11 @@ StatusOr<std::vector<MethodResult>> Searcher::Execute(
   std::vector<SweepScratch> sweeps(pool.has_value() ? pool->num_threads()
                                                     : 1);
   std::vector<ChunkAttachment> swept;  // a chunk's attachments not skipped
+  // Attachments the sphere test left to the rectangle test: their wide
+  // queries and, from the kernel, their rectangle gap sums.
+  std::vector<QueryState*> rect_pending;
+  std::vector<const double*> rect_queries;
+  std::vector<double> rect_sums;
 
   // Fetches and sweeps one schedule: chunk order[ci] is swept once for its
   // attached queries atts[range_end[ci-1] .. range_end[ci]). Accounting is
@@ -415,12 +436,42 @@ StatusOr<std::vector<MethodResult>> Searcher::Execute(
       // rules out would admit none of its rows, so only the others sweep.
       // The chunk was still fetched and every attachment is still charged
       // below, so answers, counters and the model clock do not change.
-      swept.clear();
+      // The sphere test settles most attachments with a finite limit; the
+      // rest take the rectangle test in one kernel call, one lane per
+      // query.
+      rect_pending.clear();
+      rect_queries.clear();
       for (const ChunkAttachment& att : atts) {
         QueryState& q = *att.state;
-        q.skipped = ChunkRuledOut(*index_, chunk_id, *q.scratch,
-                                  q.result_set->KthDistance());
-        if (!q.skipped) swept.push_back(att);
+        const double limit = q.result_set->KthDistance();
+        q.skipped = false;
+        if (!(limit < std::numeric_limits<double>::infinity())) continue;
+        q.skipped = SphereRulesOut(*index_, chunk_id, *q.scratch, limit);
+        if (!q.skipped) {
+          rect_pending.push_back(&q);
+          rect_queries.push_back(q.scratch->wide_query.data());
+        }
+      }
+      if (!rect_pending.empty()) {
+        rect_sums.resize(rect_pending.size());
+        kernels::RectangleGapSums(
+            index_->rect_lo(chunk_id).data(), index_->rect_hi(chunk_id).data(),
+            index_->dim(), rect_queries.data(), rect_queries.size(),
+            rect_sums.data());
+        // No slack beyond the abandon threshold: each gap is a rounded
+        // difference no larger than the row's rounded difference (rounding
+        // is monotone and lo_d <= row_d <= hi_d), squared and summed in the
+        // kernel's ascending-d order, so the sum never exceeds any row's
+        // kernel value.
+        for (size_t j = 0; j < rect_pending.size(); ++j) {
+          QueryState& q = *rect_pending[j];
+          q.skipped = rect_sums[j] >
+                      kernels::AbandonThreshold(q.result_set->KthDistance());
+        }
+      }
+      swept.clear();
+      for (const ChunkAttachment& att : atts) {
+        if (!att.state->skipped) swept.push_back(att);
       }
       if (pool.has_value() && swept.size() > 1) {
         // Per-query state is disjoint, so splitting the attachment list

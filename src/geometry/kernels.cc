@@ -142,6 +142,62 @@ size_t FirstNotAboveScalar(const double* values, size_t count,
   return count;
 }
 
+namespace {
+
+/// The float bound filter's reject test: the bound exceeds the limit and
+/// is finite, so an overflowed (+inf) or NaN bound never rejects.
+inline bool FloatBoundRejects(float bound, float limit) {
+  return bound > limit && bound <= std::numeric_limits<float>::max();
+}
+
+/// One row's fp32 bound sum_d (row[d] - query[d])^2 from dimension `from`
+/// on, added to `acc`.
+inline float FloatRowBound(const float* row, const float* query, size_t from,
+                           size_t dim, float acc) {
+  for (size_t d = from; d < dim; ++d) {
+    const float x = row[d] - query[d];
+    acc += x * x;
+  }
+  return acc;
+}
+
+/// FilterScalar over rows [begin, count), appending to survivors[kept..):
+/// the row tail of every SIMD filter.
+inline size_t FilterTail(const float* base, size_t begin, size_t count,
+                         size_t dim, const float* query, float limit,
+                         uint32_t* survivors, size_t kept) {
+  for (size_t i = begin; i < count; ++i) {
+    const float bound = FloatRowBound(base + i * dim, query, 0, dim, 0.0f);
+    if (!FloatBoundRejects(bound, limit)) {
+      survivors[kept++] = static_cast<uint32_t>(i);
+    }
+  }
+  return kept;
+}
+
+}  // namespace
+
+size_t FilterScalar(const float* base, size_t count, size_t dim,
+                    const float* query, float limit, uint32_t* survivors) {
+  return FilterTail(base, 0, count, dim, query, limit, survivors, 0);
+}
+
+void RectGapScalar(const float* lo, const float* hi, size_t dim,
+                   const double* const* queries, size_t num_queries,
+                   double* out) {
+  for (size_t j = 0; j < num_queries; ++j) {
+    const double* q = queries[j];
+    double sum = 0.0;
+    for (size_t d = 0; d < dim; ++d) {
+      const double below = static_cast<double>(lo[d]) - q[d];
+      const double above = q[d] - static_cast<double>(hi[d]);
+      const double gap = std::max(std::max(below, above), 0.0);
+      sum += gap * gap;
+    }
+    out[j] = sum;
+  }
+}
+
 #if defined(__x86_64__) || defined(_M_X64)
 
 namespace {
@@ -310,6 +366,72 @@ size_t FirstNotAboveSse2(const double* values, size_t count,
   return i + FirstNotAboveScalar(values + i, count - i, threshold);
 }
 
+size_t FilterSse2(const float* base, size_t count, size_t dim,
+                  const float* query, float limit, uint32_t* survivors) {
+  const __m128 lim = _mm_set1_ps(limit);
+  const __m128 finite = _mm_set1_ps(std::numeric_limits<float>::max());
+  const size_t d4 = dim & ~size_t{3};
+  size_t kept = 0;
+  size_t i = 0;
+  // Four rows per group: each row's dims accumulate four lanes wide, then a
+  // 4x4 transpose and three adds leave one bound per lane.
+  for (; i + 4 <= count; i += 4) {
+    __m128 acc[4];
+    for (size_t r = 0; r < 4; ++r) {
+      const float* row = base + (i + r) * dim;
+      __m128 a = _mm_setzero_ps();
+      for (size_t d = 0; d < d4; d += 4) {
+        const __m128 x =
+            _mm_sub_ps(_mm_loadu_ps(row + d), _mm_loadu_ps(query + d));
+        a = _mm_add_ps(a, _mm_mul_ps(x, x));
+      }
+      const float rest = FloatRowBound(row, query, d4, dim, 0.0f);
+      acc[r] = _mm_add_ss(a, _mm_set_ss(rest));
+    }
+    _MM_TRANSPOSE4_PS(acc[0], acc[1], acc[2], acc[3]);
+    const __m128 bound =
+        _mm_add_ps(_mm_add_ps(acc[0], acc[1]), _mm_add_ps(acc[2], acc[3]));
+    const unsigned reject = static_cast<unsigned>(_mm_movemask_ps(
+        _mm_and_ps(_mm_cmpgt_ps(bound, lim), _mm_cmple_ps(bound, finite))));
+    for (unsigned keep = ~reject & 0xFu; keep != 0; keep &= keep - 1) {
+      survivors[kept++] =
+          static_cast<uint32_t>(i + static_cast<size_t>(__builtin_ctz(keep)));
+    }
+  }
+  return FilterTail(base, i, count, dim, query, limit, survivors, kept);
+}
+
+void RectGapSse2(const float* lo, const float* hi, size_t dim,
+                 const double* const* queries, size_t num_queries,
+                 double* out) {
+  const __m128d zero = _mm_setzero_pd();
+  // gap = std::max(std::max(below, above), 0.0) lane-wise: maxpd(a, b) is
+  // (a > b) ? a : b, and std::max(x, y) is (x < y) ? y : x, so
+  // std::max(x, y) == maxpd(y, x) bit for bit, signed zeros and NaN alike.
+  const auto step = [&](__m128d acc, __m128d q, size_t d) {
+    const __m128d below = _mm_sub_pd(_mm_set1_pd(lo[d]), q);
+    const __m128d above = _mm_sub_pd(q, _mm_set1_pd(hi[d]));
+    const __m128d gap = _mm_max_pd(zero, _mm_max_pd(above, below));
+    return _mm_add_pd(acc, _mm_mul_pd(gap, gap));
+  };
+  size_t j = 0;
+  for (; j + 2 <= num_queries; j += 2) {
+    const double* q0 = queries[j];
+    const double* q1 = queries[j + 1];
+    __m128d acc = zero;
+    size_t d = 0;
+    for (; d + 2 <= dim; d += 2) {
+      const __m128d v0 = _mm_loadu_pd(q0 + d);
+      const __m128d v1 = _mm_loadu_pd(q1 + d);
+      acc = step(acc, _mm_unpacklo_pd(v0, v1), d);
+      acc = step(acc, _mm_unpackhi_pd(v0, v1), d + 1);
+    }
+    for (; d < dim; ++d) acc = step(acc, _mm_set_pd(q1[d], q0[d]), d);
+    _mm_storeu_pd(out + j, acc);
+  }
+  RectGapScalar(lo, hi, dim, queries + j, num_queries - j, out + j);
+}
+
 #endif  // x86-64
 
 #if defined(__aarch64__)
@@ -473,6 +595,62 @@ size_t FirstNotAboveNeon(const double* values, size_t count,
   return i + FirstNotAboveScalar(values + i, count - i, threshold);
 }
 
+size_t FilterNeon(const float* base, size_t count, size_t dim,
+                  const float* query, float limit, uint32_t* survivors) {
+  const size_t d4 = dim & ~size_t{3};
+  size_t kept = 0;
+  for (size_t i = 0; i < count; ++i) {
+    const float* row = base + i * dim;
+    float32x4_t acc = vdupq_n_f32(0.0f);
+    for (size_t d = 0; d < d4; d += 4) {
+      const float32x4_t x = vsubq_f32(vld1q_f32(row + d), vld1q_f32(query + d));
+      acc = vfmaq_f32(acc, x, x);  // the filter alone may contract
+    }
+    const float bound = FloatRowBound(row, query, d4, dim, vaddvq_f32(acc));
+    if (!FloatBoundRejects(bound, limit)) {
+      survivors[kept++] = static_cast<uint32_t>(i);
+    }
+  }
+  return kept;
+}
+
+void RectGapNeon(const float* lo, const float* hi, size_t dim,
+                 const double* const* queries, size_t num_queries,
+                 double* out) {
+  const float64x2_t zero = vdupq_n_f64(0.0);
+  // std::max(x, y) is (x < y) ? y : x; a compare and select reproduces it
+  // bit for bit (vmaxq_f64 would not: it orders -0.0 below +0.0).
+  const auto max = [](float64x2_t x, float64x2_t y) {
+    return vbslq_f64(vcltq_f64(x, y), y, x);
+  };
+  const auto step = [&](float64x2_t acc, float64x2_t q, size_t d) {
+    const float64x2_t below = vsubq_f64(vdupq_n_f64(lo[d]), q);
+    const float64x2_t above = vsubq_f64(q, vdupq_n_f64(hi[d]));
+    const float64x2_t gap = max(max(below, above), zero);
+    return vaddq_f64(acc, vmulq_f64(gap, gap));
+  };
+  size_t j = 0;
+  for (; j + 2 <= num_queries; j += 2) {
+    const double* q0 = queries[j];
+    const double* q1 = queries[j + 1];
+    float64x2_t acc = zero;
+    size_t d = 0;
+    for (; d + 2 <= dim; d += 2) {
+      const float64x2_t v0 = vld1q_f64(q0 + d);
+      const float64x2_t v1 = vld1q_f64(q1 + d);
+      acc = step(acc, vzip1q_f64(v0, v1), d);
+      acc = step(acc, vzip2q_f64(v0, v1), d + 1);
+    }
+    for (; d < dim; ++d) {
+      float64x2_t v = vdupq_n_f64(q0[d]);
+      v = vsetq_lane_f64(q1[d], v, 1);
+      acc = step(acc, v, d);
+    }
+    vst1q_f64(out + j, acc);
+  }
+  RectGapScalar(lo, hi, dim, queries + j, num_queries - j, out + j);
+}
+
 #endif  // aarch64
 
 }  // namespace internal
@@ -493,23 +671,32 @@ struct KernelOps {
               double*);
   void (*sqrt)(double*, size_t);
   size_t (*first_not_above)(const double*, size_t, double);
+  size_t (*filter)(const float*, size_t, size_t, const float*, float,
+                   uint32_t*);
+  void (*rect_gap)(const float*, const float*, size_t, const double* const*,
+                   size_t, double*);
 };
 
 constexpr KernelOps kScalarOps = {&ContigScalar, &GatherScalar,
                                   &internal::AdcScalar, &internal::SqrtScalar,
-                                  &internal::FirstNotAboveScalar};
+                                  &internal::FirstNotAboveScalar,
+                                  &internal::FilterScalar,
+                                  &internal::RectGapScalar};
 #if defined(__x86_64__) || defined(_M_X64)
 constexpr KernelOps kSse2Ops = {&internal::ContigSse2, &internal::GatherSse2,
                                 &internal::AdcSse2, &internal::SqrtSse2,
-                                &internal::FirstNotAboveSse2};
+                                &internal::FirstNotAboveSse2,
+                                &internal::FilterSse2, &internal::RectGapSse2};
 constexpr KernelOps kAvx2Ops = {&internal::ContigAvx2, &internal::GatherAvx2,
                                 &internal::AdcAvx2, &internal::SqrtAvx2,
-                                &internal::FirstNotAboveAvx2};
+                                &internal::FirstNotAboveAvx2,
+                                &internal::FilterAvx2, &internal::RectGapAvx2};
 #endif
 #if defined(__aarch64__)
 constexpr KernelOps kNeonOps = {&internal::ContigNeon, &internal::GatherNeon,
                                 &internal::AdcNeon, &internal::SqrtNeon,
-                                &internal::FirstNotAboveNeon};
+                                &internal::FirstNotAboveNeon,
+                                &internal::FilterNeon, &internal::RectGapNeon};
 #endif
 
 const KernelOps& OpsFor(Backend backend) {
@@ -595,7 +782,8 @@ bool BackendSupported(Backend backend) {
 #endif
     case Backend::kAvx2:
 #if defined(__x86_64__) || defined(_M_X64)
-      return __builtin_cpu_supports("avx2") != 0;
+      return __builtin_cpu_supports("avx2") != 0 &&
+             __builtin_cpu_supports("fma") != 0;
 #else
       return false;
 #endif
@@ -744,6 +932,39 @@ void SqrtInPlace(double* values, size_t count) {
 
 size_t FirstNotAbove(const double* values, size_t count, double threshold) {
   return OpsFor(ActiveBackend()).first_not_above(values, count, threshold);
+}
+
+float FloatFilterLimit(double threshold, size_t dim) {
+  constexpr double kFloor = 0x1p-100;
+  // gamma bounds the fp32 bound's relative error, and 6u is spare
+  // (DESIGN.md "Float bound filter"); dim + 2 < 2^23 keeps nu below 1/2.
+  const double nu = static_cast<double>(dim + 2) * 0x1p-24;
+  const double slack = nu / (1.0 - nu) + 6 * 0x1p-24;
+  const double wanted = std::max(threshold + threshold * slack, kFloor);
+  if (!(wanted <= std::numeric_limits<float>::max())) {
+    return std::numeric_limits<float>::infinity();
+  }
+  // Rounded up, never to nearest: the margin proof needs limit >= wanted.
+  float limit = static_cast<float>(wanted);
+  if (static_cast<double>(limit) < wanted) {
+    limit = std::nextafter(limit, std::numeric_limits<float>::infinity());
+  }
+  return limit;
+}
+
+size_t FloatBoundFilter(const float* base, size_t count, size_t dim,
+                        std::span<const float> query, double threshold,
+                        uint32_t* survivors) {
+  QVT_DCHECK(query.size() == dim);
+  return OpsFor(ActiveBackend())
+      .filter(base, count, dim, query.data(),
+              FloatFilterLimit(threshold, dim), survivors);
+}
+
+void RectangleGapSums(const float* lo, const float* hi, size_t dim,
+                      const double* const* queries, size_t num_queries,
+                      double* out) {
+  OpsFor(ActiveBackend()).rect_gap(lo, hi, dim, queries, num_queries, out);
 }
 
 double AbandonThreshold(double distance) {

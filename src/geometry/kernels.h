@@ -13,7 +13,8 @@ namespace qvt {
 ///
 /// ## Determinism contract
 ///
-/// Every kernel computes, for each row i,
+/// Every kernel (except the float bound filter, which reports nothing; see
+/// its section below) computes, for each row i,
 ///
 ///     out[i] = sum_d ((double)row_i[d] - query[d])^2
 ///
@@ -31,9 +32,10 @@ namespace qvt {
 ///
 /// ## Backend dispatch
 ///
-/// The backend is chosen once at runtime: AVX2 when the CPU supports it,
-/// else SSE2 on x86-64 / NEON on aarch64, else portable scalar. The
-/// `QVT_SIMD` environment variable overrides the choice:
+/// The backend is chosen once at runtime: AVX2 when the CPU supports it
+/// (with FMA, which only the float bound filter uses), else SSE2 on x86-64 /
+/// NEON on aarch64, else portable scalar. The `QVT_SIMD` environment
+/// variable overrides the choice:
 ///
 ///     QVT_SIMD=off|scalar|0   force the scalar reference
 ///     QVT_SIMD=sse2|avx2|neon force a specific SIMD backend (falls back to
@@ -83,7 +85,8 @@ void BatchSquaredDistanceAbandon(const float* base, size_t count, size_t dim,
 
 /// Squared distances from `query` to the rows at `positions` of the flat
 /// row-major array `base` (gathered scan — BAG's exact-radius loop over a
-/// cluster's scattered members).
+/// cluster's scattered members, the exact pass over a chunk's float-filter
+/// survivors).
 void GatherSquaredDistance(const float* base, size_t dim,
                            std::span<const uint32_t> positions,
                            std::span<const double> query, double* out);
@@ -161,6 +164,45 @@ void MultiQueryBatchSquaredDistanceAbandon(const float* base, size_t count,
                                            const double* thresholds,
                                            size_t num_queries,
                                            double* const* outs);
+
+// --- Float bound filter (the chunk sweep under a finite limit) -------------
+//
+// Outside the determinism contract above. The filter's fp32 values are
+// never reported: they only decide which rows reach the exact double
+// kernel, so here alone FMA contraction and any summation order are
+// allowed, and backends may disagree on a value. What every backend keeps
+// is the margin: a row is rejected only when its exact kernel value
+// provably exceeds the threshold, so no row that admission would offer is
+// ever rejected (proof in DESIGN.md "Float bound filter").
+
+/// The float limit of the filter for squared-space `threshold` at `dim`:
+/// the smallest float no less than max(threshold + threshold * slack,
+/// 2^-100), computed in double, with slack = gamma + 6u, u = 2^-24, gamma =
+/// nu / (1 - nu), nu = (dim + 2) * u: gamma bounds the fp32 bound's
+/// relative error. +inf (no rejection) for threshold = +inf or beyond float
+/// range.
+float FloatFilterLimit(double threshold, size_t dim);
+
+/// Writes to `survivors`, ascending, every row index i in [0, count) that
+/// the float bound cannot rule out, and returns how many. Row i's bound is
+/// D = sum_d (row_i[d] - query[d])^2 in fp32; the row is rejected only when
+/// FloatFilterLimit(threshold, dim) < D <= FLT_MAX, so an overflowed
+/// (+inf) or NaN value never rejects. Every rejected row's exact kernel
+/// value exceeds `threshold`: `!(exact > threshold)` rows always survive.
+size_t FloatBoundFilter(const float* base, size_t count, size_t dim,
+                        std::span<const float> query, double threshold,
+                        uint32_t* survivors);
+
+// --- Chunk rectangle bound (chunk-level abandon) ----------------------------
+
+/// out[j] = sum_d gap_d^2 for query j, gap_d = std::max(std::max(lo[d] -
+/// q_j[d], q_j[d] - hi[d]), 0.0) in double, accumulated in ascending-d
+/// order: the rectangle lower bound of a chunk for each query. One lane
+/// per query, each running the scalar loop's operations, so every backend
+/// is bit-identical to it (gaps of 0 and -0.0 included).
+void RectangleGapSums(const float* lo, const float* hi, size_t dim,
+                      const double* const* queries, size_t num_queries,
+                      double* out);
 
 // --- Helpers of the planning and admission steps ---------------------------
 

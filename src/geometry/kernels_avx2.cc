@@ -20,6 +20,9 @@
 #include <limits>
 
 #define QVT_TARGET_AVX2 __attribute__((target("avx2")))
+// The float bound filter alone may contract (kernels.h "Float bound
+// filter"); BackendSupported(kAvx2) also checks the CPU's fma bit.
+#define QVT_TARGET_AVX2_FMA __attribute__((target("avx2,fma")))
 
 namespace qvt {
 namespace kernels {
@@ -184,7 +187,145 @@ QVT_TARGET_AVX2 inline bool BlockN(const float* r0, const float* r1,
   return true;
 }
 
+/// Sums the eight lanes of each of acc[0..8): lane r of the result holds
+/// row r's total (a horizontal-add tree, then the two 128-bit halves).
+QVT_TARGET_AVX2 inline __m256 ReduceRows8(const __m256* acc) {
+  const __m256 h01 = _mm256_hadd_ps(acc[0], acc[1]);
+  const __m256 h23 = _mm256_hadd_ps(acc[2], acc[3]);
+  const __m256 h45 = _mm256_hadd_ps(acc[4], acc[5]);
+  const __m256 h67 = _mm256_hadd_ps(acc[6], acc[7]);
+  const __m256 h0123 = _mm256_hadd_ps(h01, h23);
+  const __m256 h4567 = _mm256_hadd_ps(h45, h67);
+  return _mm256_add_ps(_mm256_permute2f128_ps(h0123, h4567, 0x20),
+                       _mm256_permute2f128_ps(h0123, h4567, 0x31));
+}
+
+/// The filter over 8-row groups: each row's dims run eight lanes wide
+/// (sub, then fma), a masked load covering the last dim % 8, and one
+/// ReduceRows8 turns eight rows' lanes into one bound per lane. kDim fixes
+/// the dimension at compile time (0: use `dim`). Returns the index of the
+/// first row not in a full group; survivors so far are in *kept.
+template <size_t kDim>
+QVT_TARGET_AVX2_FMA inline size_t FilterGroups8(const float* base,
+                                                size_t count, size_t dim,
+                                                const float* query,
+                                                float limit,
+                                                uint32_t* survivors,
+                                                size_t* kept) {
+  if constexpr (kDim != 0) dim = kDim;
+  const size_t d8 = dim & ~size_t{7};
+  const size_t rest = dim - d8;
+  const __m256i rest_mask =
+      _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(rest)),
+                         _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+  const __m256 q_rest =
+      rest != 0 ? _mm256_maskload_ps(query + d8, rest_mask)
+                : _mm256_setzero_ps();
+  const __m256 lim = _mm256_set1_ps(limit);
+  const __m256 finite = _mm256_set1_ps(std::numeric_limits<float>::max());
+  size_t i = 0;
+  for (; i + 8 <= count; i += 8) {
+    const float* group = base + i * dim;
+    // Dims outer, rows inner: eight independent accumulator chains, started
+    // by the first eight dims (the masked rest when dim < 8).
+    __m256 acc[8];
+    const __m256 q0 = d8 != 0 ? _mm256_loadu_ps(query) : q_rest;
+#pragma GCC unroll 8
+    for (size_t r = 0; r < 8; ++r) {
+      const float* row = group + r * dim;
+      const __m256 x = _mm256_sub_ps(
+          d8 != 0 ? _mm256_loadu_ps(row) : _mm256_maskload_ps(row, rest_mask),
+          q0);
+      acc[r] = _mm256_mul_ps(x, x);
+    }
+#pragma GCC unroll 4
+    for (size_t d = 8; d < d8; d += 8) {
+      const __m256 q = _mm256_loadu_ps(query + d);
+#pragma GCC unroll 8
+      for (size_t r = 0; r < 8; ++r) {
+        const __m256 x = _mm256_sub_ps(_mm256_loadu_ps(group + r * dim + d), q);
+        acc[r] = _mm256_fmadd_ps(x, x, acc[r]);
+      }
+    }
+    if (d8 != 0 && rest != 0) {
+      for (size_t r = 0; r < 8; ++r) {
+        const __m256 x = _mm256_sub_ps(
+            _mm256_maskload_ps(group + r * dim + d8, rest_mask), q_rest);
+        acc[r] = _mm256_fmadd_ps(x, x, acc[r]);
+      }
+    }
+    const __m256 bound = ReduceRows8(acc);
+    const __m256 reject =
+        _mm256_and_ps(_mm256_cmp_ps(bound, lim, _CMP_GT_OQ),
+                      _mm256_cmp_ps(bound, finite, _CMP_LE_OQ));
+    unsigned keep = ~static_cast<unsigned>(_mm256_movemask_ps(reject)) & 0xFFu;
+    for (; keep != 0; keep &= keep - 1) {
+      survivors[(*kept)++] =
+          static_cast<uint32_t>(i + static_cast<size_t>(__builtin_ctz(keep)));
+    }
+  }
+  return i;
+}
+
+/// One rectangle-gap step for four queries (one per lane) at dimension d,
+/// in RectGapScalar's order. maxpd(a, b) is (a > b) ? a : b and std::max(x,
+/// y) is (x < y) ? y : x, so std::max(x, y) == max_pd(y, x) bit for bit,
+/// signed zeros and NaN alike.
+QVT_TARGET_AVX2 inline __m256d GapStep(__m256d acc, __m256d q, float lo,
+                                       float hi) {
+  const __m256d below = _mm256_sub_pd(_mm256_set1_pd(lo), q);
+  const __m256d above = _mm256_sub_pd(q, _mm256_set1_pd(hi));
+  const __m256d gap = _mm256_max_pd(_mm256_setzero_pd(),
+                                    _mm256_max_pd(above, below));
+  return _mm256_add_pd(acc, _mm256_mul_pd(gap, gap));
+}
+
 }  // namespace
+
+QVT_TARGET_AVX2_FMA size_t FilterAvx2(const float* base, size_t count,
+                                      size_t dim, const float* query,
+                                      float limit, uint32_t* survivors) {
+  size_t kept = 0;
+  const size_t done =
+      dim == 24
+          ? FilterGroups8<24>(base, count, dim, query, limit, survivors, &kept)
+          : FilterGroups8<0>(base, count, dim, query, limit, survivors, &kept);
+  uint32_t* tail = survivors + kept;
+  const size_t tail_kept = FilterScalar(base + done * dim, count - done, dim,
+                                        query, limit, tail);
+  for (size_t t = 0; t < tail_kept; ++t) tail[t] += static_cast<uint32_t>(done);
+  return kept + tail_kept;
+}
+
+QVT_TARGET_AVX2 void RectGapAvx2(const float* lo, const float* hi, size_t dim,
+                                 const double* const* queries,
+                                 size_t num_queries, double* out) {
+  size_t j = 0;
+  for (; j + 4 <= num_queries; j += 4) {
+    const double* q0 = queries[j];
+    const double* q1 = queries[j + 1];
+    const double* q2 = queries[j + 2];
+    const double* q3 = queries[j + 3];
+    __m256d acc = _mm256_setzero_pd();
+    size_t d = 0;
+    for (; d + 4 <= dim; d += 4) {
+      __m256d t0, t1, t2, t3;
+      Transpose4(_mm256_loadu_pd(q0 + d), _mm256_loadu_pd(q1 + d),
+                 _mm256_loadu_pd(q2 + d), _mm256_loadu_pd(q3 + d), &t0, &t1,
+                 &t2, &t3);
+      acc = GapStep(acc, t0, lo[d], hi[d]);
+      acc = GapStep(acc, t1, lo[d + 1], hi[d + 1]);
+      acc = GapStep(acc, t2, lo[d + 2], hi[d + 2]);
+      acc = GapStep(acc, t3, lo[d + 3], hi[d + 3]);
+    }
+    for (; d < dim; ++d) {
+      acc = GapStep(acc, _mm256_set_pd(q3[d], q2[d], q1[d], q0[d]), lo[d],
+                    hi[d]);
+    }
+    _mm256_storeu_pd(out + j, acc);
+  }
+  RectGapScalar(lo, hi, dim, queries + j, num_queries - j, out + j);
+}
 
 QVT_TARGET_AVX2 void ContigAvx2(const float* base, size_t count, size_t dim,
                                 const double* query, double threshold,
@@ -274,20 +415,24 @@ QVT_TARGET_AVX2 size_t FirstNotAboveAvx2(const double* values, size_t count,
 QVT_TARGET_AVX2 void GatherAvx2(const float* base, size_t dim,
                                 const uint32_t* positions, size_t count,
                                 const double* query, double* out) {
-  size_t i = 0;
-  for (; i + 4 <= count; i += 4) {
-    const float* r0 = base + static_cast<size_t>(positions[i]) * dim;
-    const float* r1 = base + static_cast<size_t>(positions[i + 1]) * dim;
-    const float* r2 = base + static_cast<size_t>(positions[i + 2]) * dim;
-    const float* r3 = base + static_cast<size_t>(positions[i + 3]) * dim;
-    if (dim == 24) {
-      Block24(r0, r1, r2, r3, query, kInf, false, out + i);
-    } else {
-      BlockN(r0, r1, r2, r3, dim, query, kInf, false, out + i);
+  // A short tail runs as one more 4-row group with its last row repeated
+  // (lanes are independent, so each row's value is the same in any
+  // group): the float bound filter's survivors are often fewer than four.
+  for (size_t i = 0; i < count; i += 4) {
+    const size_t n = std::min<size_t>(4, count - i);
+    const float* r[4];
+    for (size_t j = 0; j < 4; ++j) {
+      r[j] = base + static_cast<size_t>(positions[i + std::min(j, n - 1)]) *
+                        dim;
     }
-  }
-  if (i < count) {
-    GatherScalar(base, dim, positions + i, count - i, query, out + i);
+    double group[4];
+    double* dst = n == 4 ? out + i : group;
+    if (dim == 24) {
+      Block24(r[0], r[1], r[2], r[3], query, kInf, false, dst);
+    } else {
+      BlockN(r[0], r[1], r[2], r[3], dim, query, kInf, false, dst);
+    }
+    if (n < 4) std::copy(group, group + n, out + i);
   }
 }
 

@@ -6,7 +6,9 @@
 
 // Per-backend entry points behind the dispatch in kernels.cc. Every
 // implementation obeys the determinism contract of kernels.h: one lane per
-// row, terms accumulated in ascending-d order, no FMA contraction.
+// row, terms accumulated in ascending-d order, no FMA contraction. The one
+// exception is Filter*, the float bound filter, which reports no value and
+// may reorder and contract (kernels.h "Float bound filter").
 
 namespace qvt {
 namespace kernels {
@@ -32,6 +34,11 @@ void AdcScalar(const uint8_t* codes, size_t count, size_t m, size_t ksub,
 void SqrtScalar(double* values, size_t count);
 size_t FirstNotAboveScalar(const double* values, size_t count,
                            double threshold);
+size_t FilterScalar(const float* base, size_t count, size_t dim,
+                    const float* query, float limit, uint32_t* survivors);
+void RectGapScalar(const float* lo, const float* hi, size_t dim,
+                   const double* const* queries, size_t num_queries,
+                   double* out);
 
 // --- SSE2 (x86-64 baseline), defined in kernels.cc ------------------------
 #if defined(__x86_64__) || defined(_M_X64)
@@ -44,6 +51,11 @@ void AdcSse2(const uint8_t* codes, size_t count, size_t m, size_t ksub,
 void SqrtSse2(double* values, size_t count);
 size_t FirstNotAboveSse2(const double* values, size_t count,
                          double threshold);
+size_t FilterSse2(const float* base, size_t count, size_t dim,
+                  const float* query, float limit, uint32_t* survivors);
+void RectGapSse2(const float* lo, const float* hi, size_t dim,
+                 const double* const* queries, size_t num_queries,
+                 double* out);
 
 // --- AVX2 (runtime-detected), defined in kernels_avx2.cc ------------------
 void ContigAvx2(const float* base, size_t count, size_t dim,
@@ -55,6 +67,11 @@ void AdcAvx2(const uint8_t* codes, size_t count, size_t m, size_t ksub,
 void SqrtAvx2(double* values, size_t count);
 size_t FirstNotAboveAvx2(const double* values, size_t count,
                          double threshold);
+size_t FilterAvx2(const float* base, size_t count, size_t dim,
+                  const float* query, float limit, uint32_t* survivors);
+void RectGapAvx2(const float* lo, const float* hi, size_t dim,
+                 const double* const* queries, size_t num_queries,
+                 double* out);
 /// The fused multi-query kernel at dim 24: one widen-and-transpose per
 /// 4-row group, queries swept four at a time in lockstep.
 void MultiContig24Avx2(const float* base, size_t count,
@@ -73,6 +90,11 @@ void AdcNeon(const uint8_t* codes, size_t count, size_t m, size_t ksub,
 void SqrtNeon(double* values, size_t count);
 size_t FirstNotAboveNeon(const double* values, size_t count,
                          double threshold);
+size_t FilterNeon(const float* base, size_t count, size_t dim,
+                  const float* query, float limit, uint32_t* survivors);
+void RectGapNeon(const float* lo, const float* hi, size_t dim,
+                 const double* const* queries, size_t num_queries,
+                 double* out);
 #endif  // aarch64
 
 }  // namespace internal

@@ -110,10 +110,13 @@ Status ChunkFileReader::ReadChunk(const ChunkLocation& location,
                               std::to_string(location.first_page) + ")");
   }
   // Per-thread so concurrent readers never share the decode buffer, while
-  // serial search loops still reuse one allocation across chunks.
+  // serial search loops still reuse one allocation across chunks. Only the
+  // records are read: the extent's zero padding past them is never decoded.
   static thread_local std::vector<uint8_t> scratch;
-  scratch.resize(bytes);
-  QVT_RETURN_IF_ERROR(file_->Read(offset, bytes, scratch.data()));
+  scratch.resize(payload);
+  if (payload > 0) {
+    QVT_RETURN_IF_ERROR(file_->Read(offset, payload, scratch.data()));
+  }
 
   out->dim = dim_;
   out->ids.resize(location.num_descriptors);

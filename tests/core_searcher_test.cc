@@ -1034,5 +1034,101 @@ TEST(SearcherTest, ApproximateIsSubsetQualityOfExact) {
             exact->neighbors.back().distance - 1e-9);
 }
 
+// The float bound filter's hardest collection: every row and query shifted
+// by one large common vector (||x||^2 ~1e9 times the squared distances that
+// decide the answers) and every fifth row stored twice under a fresh id
+// (exact ties). Chunked answers — ids and distance bits — must still be
+// ExactScan's under the exact rule and when MaxChunks reads every chunk,
+// and the rank-order reference's (which never filters) under a small
+// MaxChunks, chunk- and query-major, at 1 and 4 threads, on every backend.
+TEST(SearcherTest, FilteredSweepMatchesExactScanOnOffsetCollection) {
+  const Collection plain = TestCollection(29);
+  Collection collection(plain.dim());
+  Rng rng(31);
+  std::vector<double> shift(plain.dim());
+  for (auto& v : shift) v = rng.UniformDouble(1e4, 1e5);
+  DescriptorId next_id = 0;
+  for (size_t pos = 0; pos < plain.size(); ++pos) {
+    next_id = std::max(next_id, plain.Id(pos) + 1);
+  }
+  std::vector<float> row(plain.dim());
+  for (size_t pos = 0; pos < plain.size(); ++pos) {
+    const auto v = plain.Vector(pos);
+    for (size_t d = 0; d < row.size(); ++d) {
+      row[d] = static_cast<float>(shift[d] + v[d]);
+    }
+    collection.Append(plain.Id(pos), row);
+    if (pos % 5 == 0) collection.Append(next_id++, row);
+  }
+  MemEnv env;
+  SrTreeChunker chunker(60);
+  auto chunking = chunker.FormChunks(collection);
+  ASSERT_TRUE(chunking.ok());
+  auto built = ChunkIndex::Build(collection, *chunking, &env,
+                                 ChunkIndexPaths::ForBase("offset"));
+  ASSERT_TRUE(built.ok());
+  const ChunkIndex& index = *built;
+  const DiskCostModel model;
+  Searcher searcher(&index, model);
+  const auto method = MakeChunkedMethod(&index);
+  const Workload workload = MakeDatasetQueries(collection, 24, &rng);
+
+  const struct {
+    const char* name;
+    StopRule rule;
+    bool exact_scan;  ///< false: the rank-order reference is the oracle
+  } rules[] = {
+      {"exact", StopRule::Exact(), true},
+      {"max-chunks-all", StopRule::MaxChunks(index.num_chunks()), true},
+      {"max-chunks-3", StopRule::MaxChunks(3), false},
+  };
+  for (const kernels::Backend backend :
+       {kernels::Backend::kScalar, kernels::Backend::kSse2,
+        kernels::Backend::kAvx2, kernels::Backend::kNeon}) {
+    if (!kernels::BackendSupported(backend)) continue;
+    kernels::SetBackendForTesting(backend);
+    for (const auto& r : rules) {
+      std::vector<MethodResult> expected;
+      for (size_t q = 0; q < workload.num_queries(); ++q) {
+        MethodResult want;
+        if (r.exact_scan) {
+          want.neighbors = ExactScan(collection, workload.Query(q), 10);
+        } else {
+          want = RankOrderReference(searcher, model, workload.Query(q), 10,
+                                    r.rule);
+        }
+        expected.push_back(std::move(want));
+      }
+      for (const bool shared : {false, true}) {
+        for (const size_t threads : {size_t{1}, size_t{4}}) {
+          BatchSearcher batch(method.get(), threads, shared);
+          auto got = batch.SearchAll(workload, 10, r.rule);
+          ASSERT_TRUE(got.ok());
+          for (size_t q = 0; q < workload.num_queries(); ++q) {
+            const std::string label =
+                std::string(kernels::BackendName(backend)) + "/" + r.name +
+                (shared ? "/chunk-major" : "/query-major") + "/t" +
+                std::to_string(threads) + " query " + std::to_string(q);
+            const MethodResult& a = got->results[q];
+            const MethodResult& b = expected[q];
+            if (r.rule.kind == StopRule::Kind::kExact) {
+              EXPECT_TRUE(a.telemetry.exact) << label;
+            }
+            ASSERT_EQ(a.neighbors.size(), b.neighbors.size()) << label;
+            for (size_t i = 0; i < a.neighbors.size(); ++i) {
+              EXPECT_EQ(a.neighbors[i].id, b.neighbors[i].id) << label;
+              EXPECT_EQ(std::memcmp(&a.neighbors[i].distance,
+                                    &b.neighbors[i].distance, sizeof(double)),
+                        0)
+                  << label << " rank " << i;
+            }
+          }
+        }
+      }
+    }
+  }
+  kernels::ResetBackendForTesting();
+}
+
 }  // namespace
 }  // namespace qvt

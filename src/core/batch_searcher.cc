@@ -1,8 +1,8 @@
 #include "core/batch_searcher.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <mutex>
 #include <string_view>
 #include <unordered_map>
 #include <utility>
@@ -51,72 +51,93 @@ StatusOr<BatchSearchResult> BatchSearcher::SearchAll(
   const size_t n = queries.num_queries();
   BatchSearchResult batch;
   batch.num_threads = num_threads_;
-  batch.results.resize(n);
 
   WallClock wall;
   Stopwatch stopwatch(&wall);
 
-  if (shared_scan_ && n > 1 && method_->SupportsSharedScan()) {
-    // Chunk-major execution: dedup identical query vectors (byte-wise, so
-    // only true replays coalesce), run the distinct ones through the
-    // method's shared executor, fan duplicate answers back out in input
-    // order. Followers copy the leader's MethodResult verbatim — same
-    // neighbors, same as-if-alone telemetry.
-    std::vector<std::span<const float>> unique;
-    std::vector<size_t> owner(n);
-    std::unordered_map<std::string_view, size_t> seen;
-    unique.reserve(n);
-    seen.reserve(n);
-    for (size_t q = 0; q < n; ++q) {
-      const std::span<const float> query = queries.Query(q);
-      const std::string_view key(
-          reinterpret_cast<const char*>(query.data()),
-          query.size() * sizeof(float));
-      const auto [it, inserted] = seen.try_emplace(key, unique.size());
-      if (inserted) {
-        unique.push_back(query);
-      } else {
+  // Chunk-major batches dedup identical query vectors (byte-wise, so only
+  // true replays coalesce): the distinct ones are planned and scanned once,
+  // and each duplicate copies its leader's MethodResult verbatim (same
+  // neighbors, same as-if-alone telemetry).
+  const bool chunk_major =
+      shared_scan_ && n > 1 && method_->SupportsSharedScan();
+  std::vector<std::span<const float>> distinct;
+  std::vector<size_t> owner(n);
+  std::unordered_map<std::string_view, size_t> seen;
+  distinct.reserve(n);
+  for (size_t q = 0; q < n; ++q) {
+    const std::span<const float> query = queries.Query(q);
+    owner[q] = distinct.size();
+    if (chunk_major) {
+      const std::string_view key(reinterpret_cast<const char*>(query.data()),
+                                 query.size() * sizeof(float));
+      const auto [it, inserted] = seen.try_emplace(key, distinct.size());
+      if (!inserted) {
+        owner[q] = it->second;
         ++batch.shared.dedup_hits;
+        continue;
       }
-      owner[q] = it->second;
     }
-    auto shared_results =
-        method_->SearchShared(unique, k, stop, num_threads_, &batch.shared);
-    if (!shared_results.ok()) return shared_results.status();
-    for (size_t q = 0; q < n; ++q) {
-      batch.results[q] = (*shared_results)[owner[q]];
-    }
-  } else if (num_threads_ == 1 || n <= 1) {
-    // Serial fast path: same loop a caller would write around Search(),
-    // preserving the paper's single-stream methodology exactly.
-    for (size_t q = 0; q < n; ++q) {
-      auto result = method_->Search(queries.Query(q), k, stop);
-      if (!result.ok()) return result.status();
-      batch.results[q] = std::move(result).value();
-    }
-  } else {
-    std::atomic<size_t> next_query{0};
-    std::mutex error_mu;
-    Status first_error = Status::OK();
+    distinct.push_back(query);
+  }
 
-    ThreadPool pool(num_threads_);
-    for (size_t t = 0; t < num_threads_; ++t) {
-      pool.Submit([&] {
-        for (;;) {
-          const size_t q = next_query.fetch_add(1, std::memory_order_relaxed);
-          if (q >= n) return;
-          auto result = method_->Search(queries.Query(q), k, stop);
-          if (!result.ok()) {
-            std::lock_guard<std::mutex> lock(error_mu);
-            if (first_error.ok()) first_error = result.status();
-            return;
-          }
-          batch.results[q] = std::move(result).value();
-        }
-      });
+  // One loop over contiguous slices of the distinct queries, which workers
+  // take from an atomic cursor. Chunk-major: one slice per worker, each run
+  // through the method's single-threaded shared executor. Query-major: one
+  // query per slice, so the cursor balances per-query cost skew (the
+  // paper's giant BAG chunks make it severe, Fig. 1).
+  const size_t d = distinct.size();
+  const size_t slice_size =
+      chunk_major ? (d + num_threads_ - 1) / num_threads_ : 1;
+  const size_t num_slices = d == 0 ? 0 : (d + slice_size - 1) / slice_size;
+  std::vector<MethodResult> answers(d);
+  std::vector<SharedScanStats> slice_stats(chunk_major ? num_slices : 0);
+  std::vector<Status> failed(num_slices);
+  std::atomic<size_t> next_slice{0};
+  std::atomic<bool> stop_taking{false};
+  auto run_slices = [&] {
+    // A failure stops every worker from taking more slices. The cursor
+    // hands slices out in index order, so every slice below a failing one
+    // was already taken and still completes: the lowest-index failure is
+    // known once the workers return, whatever the schedule.
+    while (!stop_taking.load()) {
+      const size_t s = next_slice.fetch_add(1, std::memory_order_relaxed);
+      if (s >= num_slices) return;
+      const size_t begin = s * slice_size;
+      const size_t count = std::min(d, begin + slice_size) - begin;
+      Status status;
+      if (chunk_major) {
+        const auto slice = std::span(distinct).subspan(begin, count);
+        auto got = method_->SearchShared(slice, k, stop, &slice_stats[s]);
+        status = got.status();
+        if (got.ok()) std::move(got->begin(), got->end(), &answers[begin]);
+      } else {
+        auto got = method_->Search(distinct[begin], k, stop);
+        status = got.status();
+        if (got.ok()) answers[begin] = std::move(got).value();
+      }
+      if (!status.ok()) {
+        failed[s] = std::move(status);
+        stop_taking.store(true);
+      }
     }
+  };
+  const size_t workers = std::min(num_threads_, num_slices);
+  if (workers <= 1) {
+    run_slices();
+  } else {
+    ThreadPool pool(workers);
+    for (size_t t = 0; t < workers; ++t) pool.Submit(run_slices);
     pool.Wait();
-    if (!first_error.ok()) return first_error;
+  }
+  for (const Status& status : failed) QVT_RETURN_IF_ERROR(status);
+  for (const SharedScanStats& stats : slice_stats) batch.shared += stats;
+
+  if (d == n) {
+    batch.results = std::move(answers);
+  } else {
+    batch.results.resize(n);
+    for (size_t q = 0; q < n; ++q) batch.results[q] = answers[owner[q]];
   }
 
   batch.batch_wall_micros = stopwatch.ElapsedMicros();

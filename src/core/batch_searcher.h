@@ -55,42 +55,46 @@ struct BatchSearchResult {
   /// Sum of the per-query QueryTelemetry records (timers and counters; the
   /// unified schema every method emits).
   QueryTelemetry totals;
-  /// Coalescing ledger of the chunk-major shared-scan executor; all zero
-  /// (enabled = false) when the batch ran query-major.
+  /// Coalescing ledger of the chunk-major shared-scan executor, summed over
+  /// the batch's slices; all zero (enabled = false) when the batch ran
+  /// query-major.
   SharedScanStats shared;
   /// Queries whose answer the method proved exact.
   size_t exact_queries = 0;
   size_t num_threads = 1;
 };
 
-/// Fans a query workload out across a fixed-size thread pool. Every worker
-/// pulls query indices from a shared atomic cursor, so the division of labor
-/// adapts to per-query cost skew (the paper's giant BAG chunks make that
-/// skew severe, Fig. 1).
+/// Runs a query workload as one loop over contiguous slices of its
+/// queries, on up to `num_threads` workers that take slices from a shared
+/// atomic cursor. It is the one place on the search path that starts
+/// threads: every SearchMethod call runs on the thread that makes it.
 ///
 /// Drives any SearchMethod: the chunked searcher, the exact scan, or any of
 /// the related-work indexes, all constructed by name through MethodRegistry.
 /// The method must be Prepare()d and is then called concurrently (the
-/// SearchMethod contract requires const thread-safe Search).
+/// SearchMethod contract requires const thread-safe Search and
+/// SearchShared).
 ///
-/// With num_threads == 1 no pool is created and queries run in submission
-/// order on the calling thread — bit-identical to looping over the method's
-/// Search, which keeps the paper's figure benchmarks reproducible. With
-/// more threads, per-query neighbors and telemetry counters are still
-/// deterministic (all per-query state is private; ties are broken by
-/// descriptor id); only wall-clock figures vary run to run.
 /// Execution mode: when the method supports shared scans (chunked and
 /// dynamic; pq and the other methods always run query-major) and the batch
-/// has more than one query, SearchAll runs chunk-major by default — all
-/// queries' chunk schedules are merged so every chunk is fetched,
-/// decoded, and swept once for all the queries that want it, through the
-/// fused multi-query kernels. Identical query vectors are deduplicated
-/// first (one plan and scan, results fanned back out). Per-query results
-/// are bit-identical to the query-major path; only wall-clock attribution
-/// and (with a shared ChunkCache) cache verdicts differ, exactly as they
-/// already do between thread counts. Pass `shared_scan = false` to force
-/// query-major execution (the faster mode on several threads when queries
-/// share few chunks).
+/// has more than one query, SearchAll runs chunk-major by default.
+/// Identical query vectors are deduplicated first (one plan and scan,
+/// results fanned back out). The distinct queries are cut into
+/// ceil(distinct / num_threads) contiguous slices, and each worker runs
+/// the method's single-threaded SearchShared on its slice: every chunk a
+/// slice demands is fetched, decoded and swept once for all of its queries
+/// that want it. Query-major (`shared_scan = false`, the reference loop
+/// `--verify` and the tests compare against) makes every query its own
+/// slice, run through Search, so the cursor balances per-query cost skew
+/// (the paper's giant BAG chunks make that skew severe, Fig. 1). At most
+/// one worker per slice is started; with one, the calling thread runs the
+/// loop and no pool is made.
+///
+/// Per-query results are bit-identical across modes and thread counts:
+/// neighbors, counters, exact verdicts and (cache-less) model clocks, since
+/// all per-query state is private and ties are broken by descriptor id.
+/// Only wall-clock figures, the coalescing ledger (each slice fetches its
+/// own chunks) and, with a shared ChunkCache, cache verdicts differ.
 class BatchSearcher {
  public:
   /// `method` is borrowed and must outlive the batch searcher.
@@ -98,7 +102,8 @@ class BatchSearcher {
                 bool shared_scan = true);
 
   /// Runs every query of `queries` for its k nearest neighbors under `stop`.
-  /// Fails with the first per-query error, if any.
+  /// Fails with the error of the lowest-index failing slice, whatever the
+  /// thread count and schedule.
   StatusOr<BatchSearchResult> SearchAll(const Workload& queries, size_t k,
                                         const StopRule& stop) const;
 

@@ -130,7 +130,7 @@ Status ValidateQuery(std::span<const float> query, size_t dim) {
 }
 
 StatusOr<std::vector<MethodResult>> SearchMethod::SearchShared(
-    std::span<const std::span<const float>>, size_t, const StopRule&, size_t,
+    std::span<const std::span<const float>>, size_t, const StopRule&,
     SharedScanStats*, std::span<const DescriptorId>,
     std::span<const double>) const {
   return Status::Unimplemented(std::string(name()) +
@@ -191,12 +191,11 @@ class ChunkedMethod final : public SearchMethod {
 
   StatusOr<std::vector<MethodResult>> SearchShared(
       std::span<const std::span<const float>> queries, size_t k,
-      const StopRule& stop, size_t num_threads, SharedScanStats* stats,
+      const StopRule& stop, SharedScanStats* stats,
       std::span<const DescriptorId> excluded,
       std::span<const double> bounds) const override {
     QVT_RETURN_IF_ERROR(RequirePrepared(prepared_, name()));
-    return searcher_.SearchShared(queries, k, stop, num_threads, stats,
-                                  excluded, bounds);
+    return searcher_.SearchShared(queries, k, stop, stats, excluded, bounds);
   }
 
   size_t ResidentBytes() const override {

@@ -93,8 +93,10 @@ Status ValidateQuery(std::span<const float> query, size_t dim);
 /// Contract:
 ///  * Prepare() does the expensive build (hash tables, sorted projections,
 ///    sphere assignment); construction through the registry is cheap.
-///  * Search() is const and thread-safe after Prepare() — BatchSearcher
-///    calls it from many threads concurrently.
+///  * Search() and SearchShared() are const and thread-safe after
+///    Prepare() — BatchSearcher calls them from many threads concurrently.
+///    Neither starts threads of its own: BatchSearcher is the one place on
+///    the search path that does (DESIGN.md "Threading model").
 ///  * Neighbors come back ascending by (distance, id), bit-identical to the
 ///    underlying method's direct call (tested).
 ///  * Methods without stop-rule support fail InvalidArgument on any stop
@@ -145,10 +147,11 @@ class SearchMethod {
   /// Search() per query — same neighbors, same exact verdicts, same
   /// as-if-alone counters and model clocks (see DESIGN.md "Chunk-major
   /// batched execution"); `stats`, when non-null, accumulates the batch's
-  /// coalescing ledger. Default: Unimplemented (check SupportsSharedScan).
+  /// coalescing ledger. Runs on the calling thread. Default: Unimplemented
+  /// (check SupportsSharedScan).
   virtual StatusOr<std::vector<MethodResult>> SearchShared(
       std::span<const std::span<const float>> queries, size_t k,
-      const StopRule& stop, size_t num_threads, SharedScanStats* stats,
+      const StopRule& stop, SharedScanStats* stats,
       std::span<const DescriptorId> excluded = {},
       std::span<const double> bounds = {}) const;
 

@@ -11,7 +11,6 @@
 #include "geometry/kernels.h"
 #include "storage/page.h"
 #include "util/logging.h"
-#include "util/thread_pool.h"
 
 namespace qvt {
 
@@ -208,18 +207,17 @@ StatusOr<MethodResult> Searcher::Search(
   SearchScratch local_scratch;
   QVT_ASSIGN_OR_RETURN(
       std::vector<MethodResult> results,
-      Execute({&query, 1}, k, stop, /*num_threads=*/1, nullptr, observer,
+      Execute({&query, 1}, k, stop, nullptr, observer,
               scratch != nullptr ? scratch : &local_scratch, excluded, {}));
   return std::move(results.front());
 }
 
 StatusOr<std::vector<MethodResult>> Searcher::SearchShared(
     std::span<const std::span<const float>> queries, size_t k,
-    const StopRule& stop, size_t num_threads, SharedScanStats* shared,
+    const StopRule& stop, SharedScanStats* shared,
     std::span<const DescriptorId> excluded,
     std::span<const double> bounds) const {
-  return Execute(queries, k, stop, num_threads, shared, nullptr, nullptr,
-                 excluded, bounds);
+  return Execute(queries, k, stop, shared, nullptr, nullptr, excluded, bounds);
 }
 
 namespace {
@@ -247,7 +245,7 @@ struct ChunkAttachment {
   size_t rank;
 };
 
-/// Reusable arrays for one sweep worker. Hoisted out of the per-chunk
+/// Reusable arrays of the chunk sweep. Hoisted out of the per-chunk
 /// sweep: the executor visits thousands of chunks per batch and heap
 /// allocations per chunk would rival the scan itself. `distances` holds
 /// the exact kernel output of the chunk's queries, one kScanBlock row
@@ -335,7 +333,7 @@ void SweepChunkForQueries(const ChunkData& data,
 
 StatusOr<std::vector<MethodResult>> Searcher::Execute(
     std::span<const std::span<const float>> queries, size_t k,
-    const StopRule& stop, size_t num_threads, SharedScanStats* shared,
+    const StopRule& stop, SharedScanStats* shared,
     const SearchObserver& observer, SearchScratch* scratch,
     std::span<const DescriptorId> excluded,
     std::span<const double> bounds) const {
@@ -394,14 +392,10 @@ StatusOr<std::vector<MethodResult>> Searcher::Execute(
     shared->queries += nq;
   }
 
-  std::optional<ThreadPool> pool;
-  if (num_threads > 1 && nq > 1) pool.emplace(num_threads);
   // Cache-less fetches land in the first query's chunk buffer (no other
   // query's buffer is ever used).
   ChunkData* fetch_buffer = nq > 0 ? &states.front().scratch->chunk : nullptr;
-  // One sweep scratch per worker, reused across every chunk and schedule.
-  std::vector<SweepScratch> sweeps(pool.has_value() ? pool->num_threads()
-                                                    : 1);
+  SweepScratch sweep;  // reused across every chunk and schedule
   std::vector<ChunkAttachment> swept;  // a chunk's attachments not skipped
   // Attachments the sphere test left to the rectangle test: their wide
   // queries and, from the kernel, their rectangle gap sums.
@@ -473,24 +467,7 @@ StatusOr<std::vector<MethodResult>> Searcher::Execute(
       for (const ChunkAttachment& att : atts) {
         if (!att.state->skipped) swept.push_back(att);
       }
-      if (pool.has_value() && swept.size() > 1) {
-        // Per-query state is disjoint, so splitting the attachment list
-        // into contiguous ranges is safe and results are independent of
-        // the thread count and of task completion order.
-        const std::span<const ChunkAttachment> work = swept;
-        const size_t tasks = std::min(pool->num_threads(), work.size());
-        for (size_t t = 0; t < tasks; ++t) {
-          const size_t begin = work.size() * t / tasks;
-          const size_t end = work.size() * (t + 1) / tasks;
-          pool->Submit([&sweeps, work, data, begin, end, t] {
-            SweepChunkForQueries(*data, work.subspan(begin, end - begin),
-                                 sweeps[t]);
-          });
-        }
-        pool->Wait();
-      } else if (!swept.empty()) {
-        SweepChunkForQueries(*data, swept, sweeps.front());
-      }
+      if (!swept.empty()) SweepChunkForQueries(*data, swept, sweep);
 
       const int64_t io_micros = cost_model_.ChunkIoMicros(loc.num_pages);
       const int64_t cpu_micros =

@@ -163,9 +163,9 @@ class Searcher {
   /// schedule is a single pass over the distinct demanded chunks; the other
   /// stop rules re-plan round-by-round (every live query demands its next
   /// ranked chunk, demands are coalesced, stop rules are re-checked between
-  /// rounds). `num_threads` > 1 splits each chunk's attached queries across
-  /// a thread pool (per-query state is disjoint, so results do not depend
-  /// on the thread count). `shared`, when non-null, accumulates the batch's
+  /// rounds). The call runs on the calling thread and starts none; a
+  /// caller wanting threads runs disjoint query slices concurrently, as
+  /// BatchSearcher does. `shared`, when non-null, accumulates the batch's
   /// coalescing ledger. Per-query wall times are fair-share attributions
   /// (the batched plan and each chunk's fetch+scan wall split evenly
   /// across the queries it served; a lone query owns the whole call).
@@ -181,8 +181,7 @@ class Searcher {
   /// the query count or an entry is negative or NaN.
   StatusOr<std::vector<MethodResult>> SearchShared(
       std::span<const std::span<const float>> queries, size_t k,
-      const StopRule& stop, size_t num_threads = 1,
-      SharedScanStats* shared = nullptr,
+      const StopRule& stop, SharedScanStats* shared = nullptr,
       std::span<const DescriptorId> excluded = {},
       std::span<const double> bounds = {}) const;
 
@@ -223,7 +222,7 @@ class Searcher {
   /// serves a lone query (otherwise each query gets its own).
   StatusOr<std::vector<MethodResult>> Execute(
       std::span<const std::span<const float>> queries, size_t k,
-      const StopRule& stop, size_t num_threads, SharedScanStats* shared,
+      const StopRule& stop, SharedScanStats* shared,
       const SearchObserver& observer, SearchScratch* scratch,
       std::span<const DescriptorId> excluded,
       std::span<const double> bounds) const;

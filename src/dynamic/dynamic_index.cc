@@ -6,7 +6,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <map>
-#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -14,7 +13,6 @@
 #include "dynamic/manifest.h"
 #include "util/clock.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 
 namespace qvt {
 namespace {
@@ -644,8 +642,8 @@ StatusOr<MethodResult> DynamicIndex::Search(
     std::span<const float> query, size_t k, const StopRule& stop,
     std::span<const DescriptorId> excluded) const {
   QVT_ASSIGN_OR_RETURN(std::vector<MethodResult> results,
-                       SearchShared({&query, 1}, k, stop, /*num_threads=*/1,
-                                    /*stats=*/nullptr, excluded));
+                       SearchShared({&query, 1}, k, stop, /*stats=*/nullptr,
+                                    excluded));
   return std::move(results.front());
 }
 
@@ -653,7 +651,7 @@ bool DynamicIndex::SupportsSharedScan() const { return true; }
 
 StatusOr<std::vector<MethodResult>> DynamicIndex::SearchShared(
     std::span<const std::span<const float>> queries, size_t k,
-    const StopRule& stop, size_t num_threads, SharedScanStats* stats,
+    const StopRule& stop, SharedScanStats* stats,
     std::span<const DescriptorId> excluded,
     std::span<const double> bounds) const {
   if (k == 0) return Status::InvalidArgument("k must be positive");
@@ -699,7 +697,6 @@ StatusOr<std::vector<MethodResult>> DynamicIndex::SearchShared(
   // for more neighbors than it holds is asked for all of them — and its
   // answer holds only live rows.
   std::vector<DescriptorId> dead;
-  std::optional<ThreadPool> pool;  // per-query shards only, made on demand
   for (const auto& shard : version->shards) {
     dead.clear();
     for (const auto& [id, seq] : tombstones.entries()) {
@@ -715,41 +712,18 @@ StatusOr<std::vector<MethodResult>> DynamicIndex::SearchShared(
       // contract, and a bound only drops rows the merged set would refuse,
       // so the merged dynamic answer is the per-query one too.
       QVT_ASSIGN_OR_RETURN(
-          subs, shard->built.method->SearchShared(queries, shard_k, stop,
-                                                  num_threads, stats, dead,
-                                                  running_kth));
+          subs, shard->built.method->SearchShared(queries, shard_k, stop, stats,
+                                                  dead, running_kth));
     } else {
-      // Query by query (pq, exact-scan, ...), split into contiguous ranges
-      // over the batch's threads. Per-query state is private, so answers do
-      // not depend on the split; each range stops at its first error, so
-      // the lowest-index failure is the one returned, as in a serial loop.
-      subs.resize(num_queries);
-      std::vector<Status> failed(num_queries);
+      // Query by query (pq, exact-scan, ...); a batch's threads come from
+      // BatchSearcher, which runs disjoint query slices concurrently.
       const SearchMethod& method = *shard->built.method;
-      auto search_range = [&](size_t begin, size_t end) {
-        for (size_t qi = begin; qi < end; ++qi) {
-          auto sub = method.Search(queries[qi], shard_k, stop, dead);
-          if (!sub.ok()) {
-            failed[qi] = sub.status();
-            return;
-          }
-          subs[qi] = std::move(sub).value();
-        }
-      };
-      if (num_threads > 1 && num_queries > 1) {
-        if (!pool.has_value()) pool.emplace(num_threads);
-        const size_t tasks = std::min(pool->num_threads(), num_queries);
-        for (size_t t = 0; t < tasks; ++t) {
-          const size_t begin = num_queries * t / tasks;
-          const size_t end = num_queries * (t + 1) / tasks;
-          pool->Submit(
-              [&search_range, begin, end] { search_range(begin, end); });
-        }
-        pool->Wait();
-      } else {
-        search_range(0, num_queries);
+      subs.reserve(num_queries);
+      for (const auto& query : queries) {
+        QVT_ASSIGN_OR_RETURN(MethodResult sub,
+                             method.Search(query, shard_k, stop, dead));
+        subs.push_back(std::move(sub));
       }
-      for (const Status& status : failed) QVT_RETURN_IF_ERROR(status);
     }
     for (size_t qi = 0; qi < num_queries; ++qi) {
       for (const Neighbor& neighbor : subs[qi].neighbors) {

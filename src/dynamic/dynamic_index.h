@@ -174,7 +174,7 @@ class DynamicIndex final : public SearchMethod {
   bool SupportsSharedScan() const override;
   StatusOr<std::vector<MethodResult>> SearchShared(
       std::span<const std::span<const float>> queries, size_t k,
-      const StopRule& stop, size_t num_threads, SharedScanStats* stats,
+      const StopRule& stop, SharedScanStats* stats,
       std::span<const DescriptorId> excluded = {},
       std::span<const double> bounds = {}) const override;
   size_t ResidentBytes() const override;

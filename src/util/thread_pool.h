@@ -13,9 +13,9 @@
 namespace qvt {
 
 /// Fixed-size pool of worker threads draining a FIFO task queue. Built for
-/// the batch-query engine (a BatchSearcher submits one closure per query
-/// slice and calls Wait() for the barrier) and for the parallel build
-/// pipeline's shard helpers.
+/// the batch-query engine (a BatchSearcher submits one closure per worker,
+/// each draining query slices, and calls Wait() for the barrier) and for
+/// the parallel build pipeline's shard helpers.
 ///
 /// A task that throws does not kill its worker: the first exception is
 /// captured and rethrown by the next Wait() call, so a failed build shard

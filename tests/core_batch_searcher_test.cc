@@ -1,5 +1,17 @@
 #include "core/batch_searcher.h"
 
+#include <algorithm>
+#include <chrono>
+#include <filesystem>
+#include <limits>
+#include <mutex>
+#include <set>
+#include <string>
+#include <string_view>
+#include <system_error>
+#include <thread>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "bench_util/runner.h"
@@ -272,12 +284,132 @@ TEST(BatchSearcherTest, PercentilesAreOrdered) {
   EXPECT_GE(batch->batch_wall_micros, 0);
 }
 
+/// Threads in this process (Linux /proc), or 0 where that is unreadable.
+size_t ProcessThreads() {
+  std::error_code error;
+  std::filesystem::directory_iterator it("/proc/self/task", error);
+  size_t count = 0;
+  for (; !error && it != std::filesystem::directory_iterator();
+       it.increment(error)) {
+    ++count;
+  }
+  return error ? 0 : count;
+}
+
+/// Forwards to `inner`, recording which threads call it and how many
+/// threads the process has at each call. A call that carries the query at
+/// `slow` (by address) is held back 30 ms first, so its slice finishes
+/// after the others and every worker the batch started exists by then.
+class ProbeMethod final : public SearchMethod {
+ public:
+  ProbeMethod(const SearchMethod* inner, const float* slow)
+      : inner_(inner), slow_(slow) {}
+
+  std::string_view name() const override { return "probe"; }
+  std::string Describe() const override { return std::string(name()); }
+  Status Prepare() override { return Status::OK(); }
+  bool SupportsSharedScan() const override {
+    return inner_->SupportsSharedScan();
+  }
+
+  StatusOr<MethodResult> Search(
+      std::span<const float> query, size_t k, const StopRule& stop,
+      std::span<const DescriptorId> excluded) const override {
+    Probe({&query, 1});
+    return inner_->Search(query, k, stop, excluded);
+  }
+
+  StatusOr<std::vector<MethodResult>> SearchShared(
+      std::span<const std::span<const float>> queries, size_t k,
+      const StopRule& stop, SharedScanStats* stats,
+      std::span<const DescriptorId> excluded,
+      std::span<const double> bounds) const override {
+    Probe(queries);
+    return inner_->SearchShared(queries, k, stop, stats, excluded, bounds);
+  }
+
+  size_t calling_threads() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return threads_.size();
+  }
+  size_t max_process_threads() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return max_process_threads_;
+  }
+
+ private:
+  void Probe(std::span<const std::span<const float>> queries) const {
+    for (const std::span<const float> query : queries) {
+      if (query.data() == slow_) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(30));
+      }
+    }
+    const size_t process_threads = ProcessThreads();
+    std::lock_guard<std::mutex> lock(mu_);
+    threads_.insert(std::this_thread::get_id());
+    max_process_threads_ = std::max(max_process_threads_, process_threads);
+  }
+
+  const SearchMethod* inner_;
+  const float* slow_;
+  mutable std::mutex mu_;
+  mutable std::set<std::thread::id> threads_;
+  mutable size_t max_process_threads_ = 0;
+};
+
 TEST(BatchSearcherTest, PropagatesPerQueryErrors) {
   BatchFixture fx(/*num_queries=*/10);
   const auto method = MakeChunkedMethod(&*fx.index);
   BatchSearcher batch_searcher(method.get(), 4);
   auto bad = batch_searcher.SearchAll(fx.workload, 0, StopRule::Exact());
   EXPECT_TRUE(bad.status().IsInvalidArgument());
+
+  // Two invalid queries whose errors differ: whatever the thread count,
+  // mode and schedule, the batch fails with the serial loop's error (the
+  // lower-index query's). Query 5 is held back, so query 70 fails first in
+  // time whenever another worker reaches it.
+  BatchFixture big(/*num_queries=*/100);
+  big.workload.queries[5 * big.workload.dim + 3] =
+      std::numeric_limits<float>::quiet_NaN();
+  big.workload.queries[70 * big.workload.dim + 17] =
+      std::numeric_limits<float>::infinity();
+  const auto big_method = MakeChunkedMethod(&*big.index);
+  Status serial = Status::OK();
+  for (size_t q = 0; q < big.workload.num_queries() && serial.ok(); ++q) {
+    serial = big_method->Search(big.workload.Query(q), 10).status();
+  }
+  ASSERT_TRUE(serial.IsInvalidArgument());
+  const ProbeMethod slow_five(big_method.get(), big.workload.Query(5).data());
+  for (const size_t threads : {size_t{1}, size_t{3}, size_t{8}}) {
+    for (const bool shared_scan : {true, false}) {
+      BatchSearcher batcher(&slow_five, threads, shared_scan);
+      auto failed = batcher.SearchAll(big.workload, 10, StopRule::Exact());
+      ASSERT_FALSE(failed.ok());
+      EXPECT_EQ(failed.status().ToString(), serial.ToString())
+          << "t" << threads << (shared_scan ? " chunk-major" : "");
+    }
+  }
+}
+
+// A batch starts at most one worker per slice: three queries at eight
+// threads run on at most three threads, in either mode.
+TEST(BatchSearcherTest, StartsNoMoreWorkersThanSlices) {
+  BatchFixture fx(/*num_queries=*/3);
+  const auto chunked = MakeChunkedMethod(&*fx.index);
+  for (const bool shared_scan : {true, false}) {
+    const std::string label = shared_scan ? "chunk-major" : "query-major";
+    const ProbeMethod method(chunked.get(), fx.workload.Query(0).data());
+    const size_t before = ProcessThreads();
+    BatchSearcher batcher(&method, 8, shared_scan);
+    auto batch = batcher.SearchAll(fx.workload, 5, StopRule::Exact());
+    ASSERT_TRUE(batch.ok()) << label;
+    EXPECT_EQ(batch->results.size(), 3u) << label;
+    EXPECT_GE(method.calling_threads(), 1u) << label;
+    EXPECT_LE(method.calling_threads(), 3u) << label;
+    if (before > 0) {
+      EXPECT_LE(method.max_process_threads(), before + 3) << label;
+    }
+  }
 }
 
 TEST(BatchSearcherTest, EmptyWorkloadSucceeds) {

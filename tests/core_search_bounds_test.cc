@@ -15,10 +15,13 @@
 #include <gtest/gtest.h>
 
 #include "cluster/srtree_chunker.h"
+#include "core/batch_searcher.h"
 #include "core/chunk_index.h"
 #include "core/exact_scan.h"
 #include "core/searcher.h"
 #include "descriptor/generator.h"
+#include "descriptor/workload.h"
+#include "search_reference.h"
 #include "util/logging.h"
 
 namespace qvt {
@@ -145,20 +148,27 @@ TEST(SearchBoundsTest, BoundedAnswerIsTheUnboundedOneWithinTheBound) {
   size_t ties = 0;
   size_t fewer_chunks = 0;
   uint64_t skipped = 0;
+  // SearchShared's bounds reach the searcher through BatchSearcher, whose
+  // threads run contiguous query slices.
+  const Workload workload = ToWorkload(queries);
+  const FixedArgsChunkedMethod unbounded_method(&searcher, &workload, {});
   for (const auto& r : rules) {
-    for (const size_t threads : {size_t{1}, size_t{4}}) {
+    for (const size_t threads : {size_t{1}, size_t{2}, size_t{3}, size_t{4}}) {
       const std::string label =
           std::string(r.name) + "/t" + std::to_string(threads);
-      auto unbounded = searcher.SearchShared(queries, kK, r.rule, threads);
+      BatchSearcher unbounded_batcher(&unbounded_method, threads);
+      auto unbounded = unbounded_batcher.SearchAll(workload, kK, r.rule);
       ASSERT_TRUE(unbounded.ok()) << label;
-      const std::vector<double> bounds = BoundsFrom(*unbounded, &ties);
-      auto bounded = searcher.SearchShared(queries, kK, r.rule, threads,
-                                           nullptr, {}, bounds);
+      const std::vector<double> bounds = BoundsFrom(unbounded->results, &ties);
+      const FixedArgsChunkedMethod bounded_method(&searcher, &workload, {},
+                                                  bounds);
+      BatchSearcher bounded_batcher(&bounded_method, threads);
+      auto bounded = bounded_batcher.SearchAll(workload, kK, r.rule);
       ASSERT_TRUE(bounded.ok()) << label;
       for (size_t q = 0; q < queries.size(); ++q) {
         const std::string at = label + " query " + std::to_string(q);
-        const MethodResult& got = (*bounded)[q];
-        const MethodResult& free = (*unbounded)[q];
+        const MethodResult& got = bounded->results[q];
+        const MethodResult& free = unbounded->results[q];
         skipped += got.telemetry.sweeps_skipped;
         switch (r.rule.kind) {
           case StopRule::Kind::kMaxChunks:
@@ -218,8 +228,8 @@ TEST(SearchBoundsTest, ZeroBoundKeepsOnlyExactDuplicates) {
   const std::span<const float> row = fx.collection.Vector(0);
   const std::vector<std::span<const float>> queries = {row};
   const std::vector<double> bounds = {0.0};
-  auto bounded = searcher.SearchShared(queries, kK, StopRule::Exact(), 1,
-                                       nullptr, {}, bounds);
+  auto bounded = searcher.SearchShared(queries, kK, StopRule::Exact(), nullptr,
+                                       {}, bounds);
   ASSERT_TRUE(bounded.ok());
   const MethodResult& got = bounded->front();
   EXPECT_TRUE(got.telemetry.exact);
@@ -234,16 +244,16 @@ TEST(SearchBoundsTest, BadBoundsAreRejected) {
   const std::vector<std::span<const float>> queries = fx.Spans();
   const std::vector<double> short_bounds(queries.size() - 1, 1.0);
   EXPECT_TRUE(searcher
-                  .SearchShared(queries, kK, StopRule::Exact(), 1, nullptr,
-                                {}, short_bounds)
+                  .SearchShared(queries, kK, StopRule::Exact(), nullptr, {},
+                                short_bounds)
                   .status()
                   .IsInvalidArgument());
   for (const double bad : {-1.0, std::nan("")}) {
     std::vector<double> bounds(queries.size(), 1.0);
     bounds[3] = bad;
     EXPECT_TRUE(searcher
-                    .SearchShared(queries, kK, StopRule::Exact(), 1, nullptr,
-                                  {}, bounds)
+                    .SearchShared(queries, kK, StopRule::Exact(), nullptr, {},
+                                  bounds)
                     .status()
                     .IsInvalidArgument())
         << bad;

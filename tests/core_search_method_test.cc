@@ -227,7 +227,7 @@ TEST(SearchMethodTest, EveryMethodConstructibleAndSearchable) {
       if ((*method)->SupportsSharedScan()) {
         const std::vector<std::span<const float>> batch = {good, query};
         EXPECT_TRUE((*method)
-                        ->SearchShared(batch, 5, StopRule::Exact(), 1, nullptr)
+                        ->SearchShared(batch, 5, StopRule::Exact(), nullptr)
                         .status()
                         .IsInvalidArgument())
             << label;

@@ -215,20 +215,35 @@ TEST(SearcherTest, ChunkBoundEqualToKthIsSweptNotSkipped) {
     std::vector<bool> want = {false, false};
     if (!exact) want.push_back(true);
     EXPECT_EQ(skipped, want);
-    for (const size_t threads : {size_t{1}, size_t{4}}) {
-      const std::vector<std::span<const float>> batch = {query, query};
-      auto shared = searcher.SearchShared(batch, 2, rule, threads);
-      ASSERT_TRUE(shared.ok());
-      for (const MethodResult* got : {&*alone, &(*shared)[0], &(*shared)[1]}) {
-        const QueryTelemetry& t = got->telemetry;
-        EXPECT_EQ(t.chunks_read, exact ? 2u : 3u);
-        EXPECT_EQ(t.sweeps_skipped, exact ? 0u : 1u);
-        EXPECT_EQ(t.exact, exact);
-        ASSERT_EQ(got->neighbors.size(), 2u);
-        EXPECT_EQ(got->neighbors[0].id, 1u);
-        EXPECT_EQ(got->neighbors[1].id, 0u);
-        EXPECT_EQ(got->neighbors[1].distance, 1.0);
+    const std::vector<std::span<const float>> batch = {query, query};
+    auto shared = searcher.SearchShared(batch, 2, rule);
+    ASSERT_TRUE(shared.ok());
+    std::vector<const MethodResult*> answers = {&*alone};
+    for (const MethodResult& r : *shared) answers.push_back(&r);
+    // The same pair through BatchSearcher, whose threads run slices.
+    const Workload workload = ToWorkload(batch);
+    const auto method = MakeChunkedMethod(&*index);
+    std::vector<BatchSearchResult> batches;
+    for (const size_t threads : {size_t{1}, size_t{2}, size_t{3}, size_t{4}}) {
+      for (const bool shared_scan : {true, false}) {
+        BatchSearcher batcher(method.get(), threads, shared_scan);
+        auto batched = batcher.SearchAll(workload, 2, rule);
+        ASSERT_TRUE(batched.ok());
+        batches.push_back(std::move(batched).value());
       }
+    }
+    for (const BatchSearchResult& b : batches) {
+      for (const MethodResult& r : b.results) answers.push_back(&r);
+    }
+    for (const MethodResult* got : answers) {
+      const QueryTelemetry& t = got->telemetry;
+      EXPECT_EQ(t.chunks_read, exact ? 2u : 3u);
+      EXPECT_EQ(t.sweeps_skipped, exact ? 0u : 1u);
+      EXPECT_EQ(t.exact, exact);
+      ASSERT_EQ(got->neighbors.size(), 2u);
+      EXPECT_EQ(got->neighbors[0].id, 1u);
+      EXPECT_EQ(got->neighbors[1].id, 0u);
+      EXPECT_EQ(got->neighbors[1].distance, 1.0);
     }
   }
 }
@@ -740,16 +755,16 @@ TEST(SearcherTest, MaxChunksExecutorsMatchFullRankingReference) {
       ASSERT_TRUE(alone.ok()) << label;
       ExpectMatchesReference(*alone, reference[q], label + " (Search)");
     }
-    for (const size_t threads : {size_t{1}, size_t{4}}) {
+    auto shared = searcher.SearchShared(spans, 10, rule);
+    ASSERT_TRUE(shared.ok()) << "m " << m;
+    for (size_t q = 0; q < spans.size(); ++q) {
+      ExpectMatchesReference((*shared)[q], reference[q],
+                             "m " + std::to_string(m) + " query " +
+                                 std::to_string(q) + " (SearchShared)");
+    }
+    for (const size_t threads : {size_t{1}, size_t{2}, size_t{3}, size_t{4}}) {
       const std::string label =
           "m " + std::to_string(m) + " t" + std::to_string(threads);
-      auto shared = searcher.SearchShared(spans, 10, rule, threads);
-      ASSERT_TRUE(shared.ok()) << label;
-      for (size_t q = 0; q < spans.size(); ++q) {
-        ExpectMatchesReference((*shared)[q], reference[q],
-                               label + " query " + std::to_string(q) +
-                                   " (SearchShared)");
-      }
       for (const bool shared_scan : {true, false}) {
         const std::string mode =
             shared_scan ? " (chunk-major)" : " (query-major)";
@@ -908,8 +923,8 @@ std::vector<Neighbor> FilterAndTruncate(
 // Under MaxChunks the chunks read do not depend on k, so filtering dead
 // rows inside the scan at k is bit-identical to over-fetching k + |E| and
 // filtering afterwards: same ids, same distance bits, same chunks read and
-// model clock — through Search and through SearchShared at 1 and 4
-// threads.
+// model clock — through Search, through SearchShared, and through
+// BatchSearcher at 1, 2, 3 and 4 threads.
 TEST(SearcherTest, ExcludedUnderMaxChunksEqualsOverFetchThenFilter) {
   SrTreeChunker chunker(60);
   IndexFixture fx(&chunker);
@@ -955,15 +970,24 @@ TEST(SearcherTest, ExcludedUnderMaxChunksEqualsOverFetchThenFilter) {
       refused += got->telemetry.tombstones_filtered;
       filtered.push_back(std::move(got).value());
     }
-    for (const size_t threads : {size_t{1}, size_t{4}}) {
-      auto shared =
-          searcher.SearchShared(spans, k, rule, threads, nullptr, excluded);
-      ASSERT_TRUE(shared.ok());
+    auto shared = searcher.SearchShared(spans, k, rule, nullptr, excluded);
+    ASSERT_TRUE(shared.ok());
+    std::vector<std::vector<MethodResult>> batches = {std::move(*shared)};
+    // The same filter through BatchSearcher, whose threads run slices.
+    const FixedArgsChunkedMethod method(&searcher, &workload, excluded);
+    for (const size_t threads : {size_t{1}, size_t{2}, size_t{3}, size_t{4}}) {
+      BatchSearcher batcher(&method, threads);
+      auto batch = batcher.SearchAll(workload, k, rule);
+      ASSERT_TRUE(batch.ok());
+      batches.push_back(std::move(batch->results));
+    }
+    for (const std::vector<MethodResult>& got : batches) {
+      ASSERT_EQ(got.size(), spans.size());
       for (size_t q = 0; q < spans.size(); ++q) {
-        ExpectSameAnswer((*shared)[q], filtered[q]);
+        ExpectSameAnswer(got[q], filtered[q]);
         // The refusal count is not compared: it depends on the order rows
         // are offered, and a batch sweeps chunks in its shared schedule.
-        EXPECT_EQ((*shared)[q].telemetry.model_micros,
+        EXPECT_EQ(got[q].telemetry.model_micros,
                   filtered[q].telemetry.model_micros);
       }
     }

@@ -199,30 +199,38 @@ TEST(SharedScanTest, ChunkedBitIdenticalAcrossStopRulesBackendsThreads) {
 // Exact stops fire at different rounds for different queries (mid-scan
 // detach): chunks_read must vary across the batch while results stay
 // identical, and the schedule must actually coalesce fetches.
+// At several threads each worker's slice runs its own schedule; the ledger
+// sums the slices'.
 TEST(SharedScanTest, ExactStopsDetachQueriesMidSchedule) {
   SharedScanFixture fx(/*num_queries=*/60);
   const auto method = MakeChunkedMethod(&*fx.index);
-  BatchSearcher chunk_major(method.get(), 1);
-  auto batch = chunk_major.SearchAll(fx.workload, 5, StopRule::Exact());
-  ASSERT_TRUE(batch.ok());
-  ASSERT_TRUE(batch->shared.enabled);
+  for (const size_t threads : {size_t{1}, size_t{3}, size_t{4}}) {
+    const std::string label = "t" + std::to_string(threads);
+    BatchSearcher chunk_major(method.get(), threads);
+    auto batch = chunk_major.SearchAll(fx.workload, 5, StopRule::Exact());
+    ASSERT_TRUE(batch.ok()) << label;
+    ASSERT_TRUE(batch->shared.enabled) << label;
 
-  uint64_t min_chunks = UINT64_MAX;
-  uint64_t max_chunks = 0;
-  for (const MethodResult& r : batch->results) {
-    min_chunks = std::min(min_chunks, r.telemetry.chunks_read);
-    max_chunks = std::max(max_chunks, r.telemetry.chunks_read);
+    uint64_t min_chunks = UINT64_MAX;
+    uint64_t max_chunks = 0;
+    for (const MethodResult& r : batch->results) {
+      min_chunks = std::min(min_chunks, r.telemetry.chunks_read);
+      max_chunks = std::max(max_chunks, r.telemetry.chunks_read);
+    }
+    EXPECT_LT(min_chunks, max_chunks)
+        << label << ": expected stop-rule detach at different rounds";
+    EXPECT_GT(batch->shared.chunks_coalesced(), 0u) << label;
+    EXPECT_GT(batch->shared.rows_scan_shared, 0u) << label;
+    EXPECT_EQ(batch->shared.queries, fx.workload.num_queries()) << label;
+    EXPECT_EQ(batch->shared.chunk_attachments, batch->totals.chunks_read)
+        << label;
+    // Histogram totals the schedule's chunk passes.
+    uint64_t histogram_total = 0;
+    for (size_t b = 0; b < SharedScanStats::kHistogramBuckets; ++b) {
+      histogram_total += batch->shared.coscan_histogram[b];
+    }
+    EXPECT_EQ(histogram_total, batch->shared.chunk_fetches) << label;
   }
-  EXPECT_LT(min_chunks, max_chunks)
-      << "expected stop-rule detach at different rounds";
-  EXPECT_GT(batch->shared.chunks_coalesced(), 0u);
-  EXPECT_GT(batch->shared.rows_scan_shared, 0u);
-  // Histogram totals the schedule's chunk passes.
-  uint64_t histogram_total = 0;
-  for (size_t b = 0; b < SharedScanStats::kHistogramBuckets; ++b) {
-    histogram_total += batch->shared.coscan_histogram[b];
-  }
-  EXPECT_EQ(histogram_total, batch->shared.chunk_fetches);
 }
 
 // A shared ChunkCache: neighbors and chunks_read stay pinned (only cache
@@ -269,15 +277,32 @@ TEST(SharedScanTest, DuplicateQueriesShareOnePlanAndScan) {
   auto reference = query_major.SearchAll(replay, 10, StopRule::Exact());
   ASSERT_TRUE(reference.ok());
 
-  BatchSearcher chunk_major(method.get(), 1);
-  auto batch = chunk_major.SearchAll(replay, 10, StopRule::Exact());
-  ASSERT_TRUE(batch.ok());
-  ASSERT_TRUE(batch->shared.enabled);
-  EXPECT_EQ(batch->shared.dedup_hits, 2 * fx.workload.num_queries());
-  EXPECT_EQ(batch->shared.queries, fx.workload.num_queries());
-  // Followers copy the leader's record verbatim — results and telemetry
-  // are still per-slot identical to the per-query loop.
-  ExpectByteIdentical(batch->results, reference->results, "dedup");
+  // A duplicate's leader sits in another thread's slice whenever the
+  // distinct queries are cut into more than one slice.
+  for (const size_t threads : {size_t{1}, size_t{3}, size_t{4}}) {
+    const std::string label = "dedup/t" + std::to_string(threads);
+    BatchSearcher chunk_major(method.get(), threads);
+    auto batch = chunk_major.SearchAll(replay, 10, StopRule::Exact());
+    ASSERT_TRUE(batch.ok()) << label;
+    ASSERT_TRUE(batch->shared.enabled) << label;
+    EXPECT_EQ(batch->shared.dedup_hits, 2 * fx.workload.num_queries())
+        << label;
+    EXPECT_EQ(batch->shared.queries, fx.workload.num_queries()) << label;
+    // Followers copy the leader's record verbatim — results and telemetry
+    // are still per-slot identical to the per-query loop.
+    ExpectByteIdentical(batch->results, reference->results, label);
+    // The ledger counts the distinct queries' work: the first copy.
+    uint64_t chunks_read = 0;
+    for (size_t q = 0; q < fx.workload.num_queries(); ++q) {
+      chunks_read += batch->results[q].telemetry.chunks_read;
+    }
+    EXPECT_EQ(batch->shared.chunk_attachments, chunks_read) << label;
+    uint64_t histogram_total = 0;
+    for (const uint64_t count : batch->shared.coscan_histogram) {
+      histogram_total += count;
+    }
+    EXPECT_EQ(histogram_total, batch->shared.chunk_fetches) << label;
+  }
 }
 
 // --- The constructor switch ------------------------------------------------

@@ -20,6 +20,7 @@
 #include "core/exact_scan.h"
 #include "descriptor/generator.h"
 #include "descriptor/workload.h"
+#include "search_reference.h"
 #include "util/logging.h"
 #include "util/parallel_for.h"
 #include "util/random.h"
@@ -180,7 +181,7 @@ TEST(DynamicIndexTest, InsertDeleteLifecycleAndErrors) {
                     .status()
                     .IsInvalidArgument());
     const std::vector<std::span<const float>> batch = {good, query};
-    EXPECT_TRUE(index.SearchShared(batch, 5, StopRule::Exact(), 1, nullptr)
+    EXPECT_TRUE(index.SearchShared(batch, 5, StopRule::Exact(), nullptr)
                     .status()
                     .IsInvalidArgument());
     EXPECT_TRUE(index.Insert(999, query).IsInvalidArgument());
@@ -596,7 +597,8 @@ TEST(DynamicIndexTest, SearchSharedMatchesPerQuerySearch) {
   const auto query_vectors = SmallQueries(data, 7);
   const size_t k = 9;
   // chunked exercises the wrapped shared-scan executor; lsh and pq the
-  // per-query fallback inside SearchShared, serial and split over threads.
+  // per-query fallback inside SearchShared, alone and in BatchSearcher's
+  // concurrent slices.
   const MethodCase cases[] = {
       {"chunked", ""},
       {"lsh", ""},
@@ -618,20 +620,29 @@ TEST(DynamicIndexTest, SearchSharedMatchesPerQuerySearch) {
 
     std::vector<std::span<const float>> spans;
     for (const auto& q : query_vectors) spans.emplace_back(q);
-    for (const size_t threads : {size_t{1}, size_t{3}}) {
+    SharedScanStats stats;
+    auto direct = index.SearchShared(spans, k, StopRule::Exact(), &stats);
+    ASSERT_TRUE(direct.ok()) << c.method << ": " << direct.status().ToString();
+    std::vector<std::pair<std::string, std::vector<MethodResult>>> runs;
+    runs.emplace_back(std::string(c.method) + " SearchShared",
+                      std::move(direct).value());
+    const Workload workload = ToWorkload(spans);
+    for (const size_t threads : {size_t{1}, size_t{2}, size_t{3}, size_t{4}}) {
       const std::string label =
           std::string(c.method) + " @" + std::to_string(threads);
-      SharedScanStats stats;
-      auto shared =
-          index.SearchShared(spans, k, StopRule::Exact(), threads, &stats);
-      ASSERT_TRUE(shared.ok()) << label << ": " << shared.status().ToString();
-      ASSERT_EQ(shared->size(), query_vectors.size());
+      BatchSearcher batcher(&index, threads);
+      auto batch = batcher.SearchAll(workload, k, StopRule::Exact());
+      ASSERT_TRUE(batch.ok()) << label << ": " << batch.status().ToString();
+      runs.emplace_back(label, std::move(batch->results));
+    }
+    for (const auto& [label, shared] : runs) {
+      ASSERT_EQ(shared.size(), query_vectors.size());
       for (size_t qi = 0; qi < query_vectors.size(); ++qi) {
         auto single = index.Search(query_vectors[qi], k, StopRule::Exact());
         ASSERT_TRUE(single.ok());
-        ExpectSameNeighbors((*shared)[qi].neighbors, single->neighbors,
+        ExpectSameNeighbors(shared[qi].neighbors, single->neighbors,
                             label + " query " + std::to_string(qi));
-        EXPECT_EQ((*shared)[qi].telemetry.exact, single->telemetry.exact);
+        EXPECT_EQ(shared[qi].telemetry.exact, single->telemetry.exact);
       }
     }
   }
@@ -706,7 +717,7 @@ struct KnownShardsFixture {
       const std::vector<std::span<const float>> one = {query};
       const std::vector<double> bound = {merged.KthDistance()};
       auto sub = shard.method->SearchShared(
-          one, shard_k, stop, 1, nullptr, deleted,
+          one, shard_k, stop, nullptr, deleted,
           bounded ? std::span<const double>(bound)
                   : std::span<const double>());
       QVT_CHECK_OK(sub.status());
@@ -774,47 +785,51 @@ TEST(DynamicIndexTest, BoundedShardSearchesEqualUnboundedMerge) {
   }
   for (DescriptorId id : fx.deleted) live.erase(id);
 
+  const Workload workload = ToWorkload(spans);
   for (const auto& r : rules) {
-    auto shared = fx.index->SearchShared(spans, k, r.rule, /*num_threads=*/2,
-                                         nullptr);
-    ASSERT_TRUE(shared.ok()) << r.name;
-    for (size_t q = 0; q < spans.size(); ++q) {
-      const std::string label = std::string(r.name) + " query " +
-                                std::to_string(q);
-      const MethodResult& got = (*shared)[q];
-      // The dynamic layer is exactly: shards in order under the running
-      // merged k-th, then the buffer.
-      const MethodResult bounded = fx.Reference(spans[q], k, r.rule, true);
-      ExpectSameBits(got.neighbors, bounded.neighbors, label + " bounded");
-      EXPECT_EQ(got.telemetry.exact, bounded.telemetry.exact) << label;
-      EXPECT_EQ(got.telemetry.chunks_read, bounded.telemetry.chunks_read)
-          << label;
-      if (r.rule.epsilon > 0.0) {
-        // An epsilon stop reads min(k-th, bound), so a bounded shard may
-        // stop earlier than an unbounded one; the (1+epsilon) guarantee on
-        // the k-th distance still holds.
-        const auto truth = BruteForce(live, spans[q], k);
-        ASSERT_EQ(got.neighbors.size(), truth.size()) << label;
-        EXPECT_LE(got.neighbors.back().distance,
-                  (1.0 + epsilon) * truth.back().distance * (1.0 + 1e-12))
+    for (const size_t threads : {size_t{1}, size_t{2}, size_t{3}, size_t{4}}) {
+      BatchSearcher batcher(fx.index.get(), threads);
+      auto shared = batcher.SearchAll(workload, k, r.rule);
+      ASSERT_TRUE(shared.ok()) << r.name;
+      for (size_t q = 0; q < spans.size(); ++q) {
+        const std::string label = std::string(r.name) + "/t" +
+                                  std::to_string(threads) + " query " +
+                                  std::to_string(q);
+        const MethodResult& got = shared->results[q];
+        // The dynamic layer is exactly: shards in order under the running
+        // merged k-th, then the buffer.
+        const MethodResult bounded = fx.Reference(spans[q], k, r.rule, true);
+        ExpectSameBits(got.neighbors, bounded.neighbors, label + " bounded");
+        EXPECT_EQ(got.telemetry.exact, bounded.telemetry.exact) << label;
+        EXPECT_EQ(got.telemetry.chunks_read, bounded.telemetry.chunks_read)
             << label;
-        continue;
-      }
-      const MethodResult unbounded = fx.Reference(spans[q], k, r.rule, false);
-      ExpectSameBits(got.neighbors, unbounded.neighbors, label);
-      EXPECT_EQ(got.telemetry.exact, unbounded.telemetry.exact) << label;
-      if (r.rule.kind == StopRule::Kind::kMaxChunks) {
-        EXPECT_EQ(got.telemetry.chunks_read, unbounded.telemetry.chunks_read)
-            << label;
-        EXPECT_EQ(got.telemetry.model_micros,
-                  unbounded.telemetry.model_micros)
-            << label;
-      } else {
-        EXPECT_TRUE(got.telemetry.exact) << label;
-        EXPECT_LE(got.telemetry.chunks_read, unbounded.telemetry.chunks_read)
-            << label;
-        ExpectLiveOrderedTrueDistances(got.neighbors, live, spans[q], k,
-                                       label);
+        if (r.rule.epsilon > 0.0) {
+          // An epsilon stop reads min(k-th, bound), so a bounded shard may
+          // stop earlier than an unbounded one; the (1+epsilon) guarantee on
+          // the k-th distance still holds.
+          const auto truth = BruteForce(live, spans[q], k);
+          ASSERT_EQ(got.neighbors.size(), truth.size()) << label;
+          EXPECT_LE(got.neighbors.back().distance,
+                    (1.0 + epsilon) * truth.back().distance * (1.0 + 1e-12))
+              << label;
+          continue;
+        }
+        const MethodResult unbounded = fx.Reference(spans[q], k, r.rule, false);
+        ExpectSameBits(got.neighbors, unbounded.neighbors, label);
+        EXPECT_EQ(got.telemetry.exact, unbounded.telemetry.exact) << label;
+        if (r.rule.kind == StopRule::Kind::kMaxChunks) {
+          EXPECT_EQ(got.telemetry.chunks_read, unbounded.telemetry.chunks_read)
+              << label;
+          EXPECT_EQ(got.telemetry.model_micros,
+                    unbounded.telemetry.model_micros)
+              << label;
+        } else {
+          EXPECT_TRUE(got.telemetry.exact) << label;
+          EXPECT_LE(got.telemetry.chunks_read, unbounded.telemetry.chunks_read)
+              << label;
+          ExpectLiveOrderedTrueDistances(got.neighbors, live, spans[q], k,
+                                         label);
+        }
       }
     }
   }
@@ -831,16 +846,17 @@ TEST(DynamicIndexTest, SharedScanLedgerCountsEachQueryOnce) {
                                             query_vectors.end());
   const StopRule stop = StopRule::MaxChunks(3);
   SharedScanStats stats;
-  ASSERT_TRUE(fx.index->SearchShared(spans, k, stop, 1, &stats).ok());
+  ASSERT_TRUE(fx.index->SearchShared(spans, k, stop, &stats).ok());
   EXPECT_TRUE(stats.enabled);
   EXPECT_EQ(stats.queries, spans.size());
+  const SharedScanStats one_call = stats;
 
   SharedScanStats summed;
   for (const MethodShard& shard : fx.shards) {
     SharedScanStats one;
     ASSERT_TRUE(shard.method
-                    ->SearchShared(spans, std::min(k, shard.data->size()),
-                                   stop, 1, &one, fx.deleted)
+                    ->SearchShared(spans, std::min(k, shard.data->size()), stop,
+                                   &one, fx.deleted)
                     .ok());
     summed += one;
   }
@@ -850,8 +866,40 @@ TEST(DynamicIndexTest, SharedScanLedgerCountsEachQueryOnce) {
   EXPECT_EQ(stats.rows_scan_shared, summed.rows_scan_shared);
 
   // The ledger accumulates across calls: a second call adds n again.
-  ASSERT_TRUE(fx.index->SearchShared(spans, k, stop, 1, &stats).ok());
+  ASSERT_TRUE(fx.index->SearchShared(spans, k, stop, &stats).ok());
   EXPECT_EQ(stats.queries, 2 * spans.size());
+
+  // Through BatchSearcher, with the first four queries replayed after the
+  // last: whatever slices the threads cut, a distinct query counts once, a
+  // replay is a dedup hit, every fetch is in the histogram, and every
+  // (chunk, query) pair read is one attachment. Each slice fetches its own
+  // chunks, so only one slice (one thread) reproduces the direct call.
+  std::vector<std::span<const float>> replay = spans;
+  replay.insert(replay.end(), spans.begin(), spans.begin() + 4);
+  const Workload workload = ToWorkload(replay);
+  for (const size_t threads : {size_t{1}, size_t{3}, size_t{4}}) {
+    const std::string label = "t" + std::to_string(threads);
+    BatchSearcher batcher(fx.index.get(), threads);
+    auto batch = batcher.SearchAll(workload, k, stop);
+    ASSERT_TRUE(batch.ok()) << label;
+    const SharedScanStats& ledger = batch->shared;
+    EXPECT_TRUE(ledger.enabled) << label;
+    EXPECT_EQ(ledger.queries, spans.size()) << label;
+    EXPECT_EQ(ledger.dedup_hits, 4u) << label;
+    uint64_t histogram = 0;
+    for (const uint64_t count : ledger.coscan_histogram) histogram += count;
+    EXPECT_EQ(histogram, ledger.chunk_fetches) << label;
+    uint64_t chunks_read = 0;
+    for (size_t q = 0; q < spans.size(); ++q) {
+      chunks_read += batch->results[q].telemetry.chunks_read;
+    }
+    EXPECT_EQ(ledger.chunk_attachments, chunks_read) << label;
+    EXPECT_EQ(ledger.chunk_attachments, one_call.chunk_attachments) << label;
+    if (threads == 1) {
+      EXPECT_EQ(ledger.chunk_fetches, one_call.chunk_fetches);
+      EXPECT_EQ(ledger.rows_scan_shared, one_call.rows_scan_shared);
+    }
+  }
 }
 
 TEST(DynamicIndexTest, SearchSharedRejectsCallerBounds) {
@@ -861,7 +909,7 @@ TEST(DynamicIndexTest, SearchSharedRejectsCallerBounds) {
                                             query_vectors.end());
   const std::vector<double> bounds(spans.size(), 1.0);
   EXPECT_TRUE(fx.index
-                  ->SearchShared(spans, 5, StopRule::Exact(), 1, nullptr, {},
+                  ->SearchShared(spans, 5, StopRule::Exact(), nullptr, {},
                                  bounds)
                   .status()
                   .IsInvalidArgument());

@@ -11,6 +11,8 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -19,6 +21,7 @@
 #include "core/result_set.h"
 #include "core/search_method.h"
 #include "core/searcher.h"
+#include "descriptor/workload.h"
 #include "geometry/kernels.h"
 #include "storage/chunk_cache.h"
 #include "storage/disk_cost_model.h"
@@ -39,6 +42,67 @@ inline std::unique_ptr<SearchMethod> MakeChunkedMethod(
   QVT_CHECK_OK((*method)->Prepare());
   return std::move(method).value();
 }
+
+/// The queries of `spans` as a Workload, in order.
+inline Workload ToWorkload(std::span<const std::span<const float>> spans) {
+  Workload workload;
+  if (!spans.empty()) workload.dim = spans.front().size();
+  for (const std::span<const float> query : spans) {
+    workload.queries.insert(workload.queries.end(), query.begin(), query.end());
+  }
+  return workload;
+}
+
+/// The chunked method over `searcher`, with SearchShared's `excluded` and
+/// `bounds` fixed up front so tests can drive them through BatchSearcher's
+/// slices and threads: every call carries `excluded`, and query i of
+/// `workload` gets bounds[i] when `bounds` is non-empty. BatchSearcher hands
+/// a method spans into the workload's storage, so a query's address names
+/// its position. Search is SearchShared over the one query.
+class FixedArgsChunkedMethod final : public SearchMethod {
+ public:
+  FixedArgsChunkedMethod(const Searcher* searcher, const Workload* workload,
+                         std::vector<DescriptorId> excluded,
+                         std::vector<double> bounds = {})
+      : searcher_(searcher),
+        workload_(workload),
+        excluded_(std::move(excluded)),
+        bounds_(std::move(bounds)) {}
+
+  std::string_view name() const override { return "chunked-fixed-args"; }
+  std::string Describe() const override { return std::string(name()); }
+  Status Prepare() override { return Status::OK(); }
+  bool SupportsSharedScan() const override { return true; }
+
+  StatusOr<MethodResult> Search(
+      std::span<const float> query, size_t k, const StopRule& stop,
+      std::span<const DescriptorId> /*excluded*/) const override {
+    QVT_ASSIGN_OR_RETURN(std::vector<MethodResult> results,
+                         SearchShared({&query, 1}, k, stop, nullptr, {}, {}));
+    return std::move(results.front());
+  }
+
+  StatusOr<std::vector<MethodResult>> SearchShared(
+      std::span<const std::span<const float>> queries, size_t k,
+      const StopRule& stop, SharedScanStats* stats,
+      std::span<const DescriptorId> /*excluded*/,
+      std::span<const double> /*bounds*/) const override {
+    std::vector<double> bounds;
+    if (!bounds_.empty()) {
+      for (const std::span<const float> query : queries) {
+        const auto offset = query.data() - workload_->queries.data();
+        bounds.push_back(bounds_[static_cast<size_t>(offset) / workload_->dim]);
+      }
+    }
+    return searcher_->SearchShared(queries, k, stop, stats, excluded_, bounds);
+  }
+
+ private:
+  const Searcher* searcher_;
+  const Workload* workload_;
+  std::vector<DescriptorId> excluded_;
+  std::vector<double> bounds_;
+};
 
 /// The §4.3 search written out as the paper states it, one public layer
 /// call at a time and one query at a time: RankChunks, then ReadChunk of

@@ -62,13 +62,17 @@
 // chunk cache with --cache-pages); there is no read-ahead. search's
 // "overlapped" time is the cost model's account of I/O-CPU overlap.
 //
-// batch --shared-scan on (the default) runs methods that support it
-// (chunked, dynamic) chunk-major: the queries' chunk schedules are merged,
-// each chunk is fetched and decoded once for all the queries that want
-// it, and identical query vectors share one plan and scan. Every other
-// method, pq included, runs query-major either way. Results are
-// bit-identical to --shared-scan off; the report adds the coalescing
-// ledger.
+// batch --threads N runs the batch as contiguous query slices on up to N
+// worker threads (never more than one per slice). --shared-scan on (the
+// default) runs methods that support it (chunked, dynamic) chunk-major:
+// identical query vectors share one plan and scan, the distinct ones are
+// cut into N slices, and each slice's chunk schedules are merged so each
+// chunk is fetched and decoded once for all of the slice's queries that
+// want it. Every other method, pq included, runs query-major either way:
+// one query per slice, which is what --shared-scan off asks for too.
+// Results are bit-identical across modes and thread counts; the report
+// adds the coalescing ledger, summed over slices (at N > 1 each slice
+// fetches its own chunks, so fetches rise with N).
 //
 // ingest/delete/compact drive a dynamic (Bentley-Saxe) index at path
 // prefix --dyn: ingest creates the index on first use (--method picks the

@@ -2,7 +2,9 @@
 #define QVT_BENCH_BENCH_COMMON_H_
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
@@ -22,6 +24,24 @@
 namespace qvt {
 namespace bench {
 
+/// The value of `--build-threads`: a non-negative integer, 0 meaning the
+/// hardware default. Anything else is a usage error naming the flag
+/// ("error: --build-threads: must be a non-negative integer: abc"), exit 2,
+/// as in qvt_tool.
+inline size_t ParseBuildThreads(const char* text) {
+  const char* end = text + std::strlen(text);
+  size_t value = 0;
+  const auto [stop, error] = std::from_chars(text, end, value);
+  if (error != std::errc() || stop != end) {
+    std::fprintf(stderr,
+                 "error: --build-threads: must be a non-negative integer: "
+                 "%s\n",
+                 text);
+    std::exit(2);
+  }
+  return value;
+}
+
 /// Shared configuration for the paper-reproduction benches.
 ///
 /// Defaults to the full scaled experiment (~200k descriptors; the first run
@@ -31,18 +51,13 @@ inline ExperimentConfig ParseConfig(int argc, char** argv) {
   bool tiny = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--tiny") == 0) tiny = true;
-  }
-  ExperimentConfig config =
-      tiny ? ExperimentConfig::Tiny() : ExperimentConfig::Default();
-  for (int i = 1; i + 1 < argc; ++i) {
     if (std::strcmp(argv[i], "--build-threads") == 0) {
       // Artifacts are bit-identical at every thread count (see
       // util/parallel_for.h), so this only changes build wall time.
-      SetBuildThreads(static_cast<size_t>(
-          std::max(0L, std::strtol(argv[i + 1], nullptr, 10))));
+      SetBuildThreads(ParseBuildThreads(i + 1 < argc ? argv[i + 1] : ""));
     }
   }
-  return config;
+  return tiny ? ExperimentConfig::Tiny() : ExperimentConfig::Default();
 }
 
 /// Loads (building if necessary) the experiment suite, aborting on failure.

@@ -168,7 +168,7 @@ int Main(int argc, char** argv) {
     BuildStats::Global().Reset();
     runs.push_back(RunBuild(gen_config));
   }
-  SetBuildThreads(0);  // back to the environment/hardware default
+  SetBuildThreads(0);  // back to the hardware default
 
   // Bit-identity across thread counts: the determinism contract.
   bool identical = true;

@@ -18,8 +18,8 @@ namespace qvt {
 /// Determinism: training runs one independent k-means per subspace, seeded
 /// from its own Rng stream (`Rng::Stream(seed, s)`), with the same
 /// shard-order parallel discipline as KMeansChunker — codebooks and codes
-/// are byte-identical at any QVT_BUILD_THREADS setting and across SIMD
-/// backends (the kernels are bit-identical by contract).
+/// are byte-identical at any build thread count and across SIMD backends
+/// (the kernels are bit-identical by contract).
 struct PqConfig {
   /// Subspace count; must divide the collection dimensionality.
   size_t m = 8;

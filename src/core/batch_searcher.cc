@@ -50,7 +50,6 @@ StatusOr<BatchSearchResult> BatchSearcher::SearchAll(
     const Workload& queries, size_t k, const StopRule& stop) const {
   const size_t n = queries.num_queries();
   BatchSearchResult batch;
-  batch.num_threads = num_threads_;
 
   WallClock wall;
   Stopwatch stopwatch(&wall);
@@ -122,8 +121,10 @@ StatusOr<BatchSearchResult> BatchSearcher::SearchAll(
       }
     }
   };
-  const size_t workers = std::min(num_threads_, num_slices);
-  if (workers <= 1) {
+  const size_t workers =
+      std::min(num_threads_, std::max<size_t>(1, num_slices));
+  batch.num_threads = workers;
+  if (workers == 1) {
     run_slices();
   } else {
     ThreadPool pool(workers);

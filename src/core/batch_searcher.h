@@ -61,6 +61,8 @@ struct BatchSearchResult {
   SharedScanStats shared;
   /// Queries whose answer the method proved exact.
   size_t exact_queries = 0;
+  /// Workers the batch started: min(num_threads, slices), and 1 when the
+  /// calling thread ran the loop alone.
   size_t num_threads = 1;
 };
 

@@ -475,7 +475,7 @@ Status RequireCollection(const MethodContext& context,
 /// reintroduce the giant-chunk tail pathology), write the chunk + index
 /// files under context.artifact_base, and open the searcher over them. On
 /// reuse the files are opened as-is (ChunkIndex::Open). Deterministic at
-/// any QVT_BUILD_THREADS — the chunker and ChunkIndex::Build both are.
+/// any build thread count — the chunker and ChunkIndex::Build both are.
 StatusOr<MethodShard> BuildChunkedShard(const ShardBuildContext& context,
                                         MethodOptions& options) {
   if (context.env == nullptr || context.artifact_base.empty()) {

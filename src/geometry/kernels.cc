@@ -2,11 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cctype>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
-#include <string>
 #include <vector>
 
 #include "geometry/kernels_internal.h"
@@ -727,37 +724,6 @@ Backend BestSupportedBackend() {
 #endif
 }
 
-Backend BackendFromEnv() {
-  const char* raw = std::getenv("QVT_SIMD");
-  if (raw == nullptr) return BestSupportedBackend();
-  std::string value(raw);
-  for (char& c : value) c = static_cast<char>(std::tolower(c));
-  if (value == "off" || value == "0" || value == "scalar") {
-    return Backend::kScalar;
-  }
-  if (value == "" || value == "on" || value == "auto" || value == "1") {
-    return BestSupportedBackend();
-  }
-  Backend requested = BestSupportedBackend();
-  if (value == "sse2") {
-    requested = Backend::kSse2;
-  } else if (value == "avx2") {
-    requested = Backend::kAvx2;
-  } else if (value == "neon") {
-    requested = Backend::kNeon;
-  } else {
-    QVT_LOG(Warning) << "unknown QVT_SIMD value '" << value
-                     << "'; using auto-detection";
-    return BestSupportedBackend();
-  }
-  if (!BackendSupported(requested)) {
-    QVT_LOG(Warning) << "QVT_SIMD=" << value
-                     << " unsupported on this CPU; using scalar kernels";
-    return Backend::kScalar;
-  }
-  return requested;
-}
-
 /// -1 = no test override; otherwise a Backend value.
 std::atomic<int> g_forced_backend{-1};
 
@@ -766,8 +732,8 @@ std::atomic<int> g_forced_backend{-1};
 Backend ActiveBackend() {
   const int forced = g_forced_backend.load(std::memory_order_acquire);
   if (forced >= 0) return static_cast<Backend>(forced);
-  static const Backend env_backend = BackendFromEnv();
-  return env_backend;
+  static const Backend best = BestSupportedBackend();
+  return best;
 }
 
 bool BackendSupported(Backend backend) {

@@ -24,7 +24,7 @@ namespace qvt {
 /// row, each lane performing the same sequential reduction the scalar loop
 /// performs — so scalar, SSE2, AVX2 and NEON all produce bit-identical
 /// doubles. Search results therefore do not depend on the selected backend,
-/// and the bench suite-cache fingerprint is unaffected by SIMD on/off.
+/// and the bench suite-cache fingerprint does not depend on it either.
 /// (The fixed per-lane reduction tree is what makes this hold; a classic
 /// within-vector horizontal reduction would reorder the additions. The
 /// build also pins `-ffp-contract=off` globally so no scalar path is
@@ -34,13 +34,9 @@ namespace qvt {
 ///
 /// The backend is chosen once at runtime: AVX2 when the CPU supports it
 /// (with FMA, which only the float bound filter uses), else SSE2 on x86-64 /
-/// NEON on aarch64, else portable scalar. The `QVT_SIMD` environment
-/// variable overrides the choice:
-///
-///     QVT_SIMD=off|scalar|0   force the scalar reference
-///     QVT_SIMD=sse2|avx2|neon force a specific SIMD backend (falls back to
-///                             scalar if unsupported on this CPU)
-///     QVT_SIMD=on|auto        default auto-detection
+/// NEON on aarch64, else portable scalar. Only SetBackendForTesting
+/// overrides the choice; tests/backend_matrix_test.cc holds every backend
+/// to the scalar reference through every search method.
 namespace kernels {
 
 enum class Backend { kScalar = 0, kSse2 = 1, kAvx2 = 2, kNeon = 3 };

@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <condition_variable>
-#include <cstdlib>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -16,16 +15,6 @@ namespace {
 size_t HardwareDefault() {
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<size_t>(hw);
-}
-
-size_t EnvOrHardwareThreads() {
-  const char* raw = std::getenv("QVT_BUILD_THREADS");
-  if (raw != nullptr && *raw != '\0') {
-    char* end = nullptr;
-    const long parsed = std::strtol(raw, &end, 10);
-    if (end != raw && parsed > 0) return static_cast<size_t>(parsed);
-  }
-  return HardwareDefault();
 }
 
 std::mutex g_threads_mu;
@@ -91,7 +80,7 @@ size_t BuildThreads() {
     std::lock_guard<std::mutex> lock(g_threads_mu);
     if (g_override_threads > 0) return g_override_threads;
   }
-  return EnvOrHardwareThreads();
+  return HardwareDefault();
 }
 
 void SetBuildThreads(size_t n) {
@@ -105,10 +94,10 @@ void RunShards(size_t num_shards, const std::function<void(size_t)>& shard) {
   if (num_shards == 0) return;
   const size_t threads = BuildThreads();
   if (threads == 1 || num_shards == 1) {
-    // Inline serial path: same shards, same order, no pool. This is what
-    // QVT_BUILD_THREADS=1 CI runs — bit-identical by construction. The
-    // failure contract also matches the parallel path: every shard is
-    // attempted, then the lowest-index failure is rethrown.
+    // Inline serial path: same shards, same order, no pool — what
+    // SetBuildThreads(1) runs, bit-identical by construction. The failure
+    // contract also matches the parallel path: every shard is attempted,
+    // then the lowest-index failure is rethrown.
     std::exception_ptr first;
     for (size_t i = 0; i < num_shards; ++i) {
       try {

@@ -19,8 +19,8 @@ namespace qvt {
 /// whose boundaries depend only on (n, grain) — never on the thread count —
 /// and every reduction merges per-shard partials in **shard-index order**,
 /// never completion order. A computation expressed through these helpers
-/// therefore produces bit-identical results at every QVT_BUILD_THREADS
-/// value, including 1: the serial build *is* the parallel build run on one
+/// therefore produces bit-identical results at every SetBuildThreads()
+/// count, including 1: the serial build *is* the parallel build run on one
 /// thread. (Floating-point addition is not associative, so the shard
 /// decomposition is part of the algorithm's definition; fixing it is what
 /// makes suite-cache artifacts and golden tests thread-count-invariant.)
@@ -41,12 +41,11 @@ namespace qvt {
 /// shard is rethrown on the calling thread (deterministic choice).
 /// ParallelForStatus does the same for Status returns.
 
-/// Number of threads the build pipeline uses. Resolution order: the last
-/// SetBuildThreads() override, else the QVT_BUILD_THREADS environment
-/// variable, else std::thread::hardware_concurrency(). Always >= 1.
+/// Number of threads the build pipeline uses: the last SetBuildThreads()
+/// override, else std::thread::hardware_concurrency(). Always >= 1.
 size_t BuildThreads();
 
-/// Overrides BuildThreads(). 0 resets to the environment/hardware default.
+/// Overrides BuildThreads(). 0 resets to the hardware default.
 /// Call from a single thread before starting parallel builds (the shared
 /// pool is re-created lazily on the next helper call).
 void SetBuildThreads(size_t n);

@@ -11,6 +11,7 @@
 #include "cluster/pq.h"
 #include "descriptor/generator.h"
 #include "geometry/kernels.h"
+#include "kernel_backends.h"
 #include "util/parallel_for.h"
 #include "util/random.h"
 
@@ -20,13 +21,6 @@ namespace {
 struct BuildThreadsGuard {
   explicit BuildThreadsGuard(size_t n) { SetBuildThreads(n); }
   ~BuildThreadsGuard() { SetBuildThreads(0); }
-};
-
-struct BackendGuard {
-  explicit BackendGuard(kernels::Backend b) {
-    kernels::SetBackendForTesting(b);
-  }
-  ~BackendGuard() { kernels::ResetBackendForTesting(); }
 };
 
 Collection MakeCollection(size_t images, uint64_t seed) {

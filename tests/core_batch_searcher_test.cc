@@ -412,6 +412,21 @@ TEST(BatchSearcherTest, StartsNoMoreWorkersThanSlices) {
   }
 }
 
+// num_threads reports the workers that ran, not the ones asked for: a
+// batch starts at most one worker per slice.
+TEST(BatchSearcherTest, ReportsTheWorkersItStarted) {
+  BatchFixture fx(/*num_queries=*/2);
+  const auto method = MakeChunkedMethod(&*fx.index);
+  for (const bool shared_scan : {true, false}) {
+    const std::string label = shared_scan ? "chunk-major" : "query-major";
+    BatchSearcher batcher(method.get(), 16, shared_scan);
+    auto batch = batcher.SearchAll(fx.workload, 5, StopRule::MaxChunks(8));
+    ASSERT_TRUE(batch.ok()) << label;
+    EXPECT_EQ(batch->shared.enabled, shared_scan) << label;
+    EXPECT_EQ(batch->num_threads, 2u) << label;
+  }
+}
+
 TEST(BatchSearcherTest, EmptyWorkloadSucceeds) {
   BatchFixture fx(/*num_queries=*/5);
   const auto method = MakeChunkedMethod(&*fx.index);
@@ -421,6 +436,8 @@ TEST(BatchSearcherTest, EmptyWorkloadSucceeds) {
   auto batch = batch_searcher.SearchAll(empty, 5, StopRule::Exact());
   ASSERT_TRUE(batch.ok());
   EXPECT_TRUE(batch->results.empty());
+  // The calling thread ran the (empty) loop alone.
+  EXPECT_EQ(batch->num_threads, 1u);
   // Regression: aggregating a zero-query batch must not abort in the
   // percentile path (SampleStats used to QVT_CHECK on empty input); the
   // latency summary degrades to all-zero defaults instead.

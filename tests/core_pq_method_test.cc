@@ -19,6 +19,7 @@
 #include "core/search_method.h"
 #include "descriptor/generator.h"
 #include "geometry/kernels.h"
+#include "kernel_backends.h"
 #include "storage/pq_file.h"
 #include "util/logging.h"
 #include "util/parallel_for.h"
@@ -90,23 +91,9 @@ void ExpectBitIdentical(const std::vector<Neighbor>& a,
   }
 }
 
-struct BackendGuard {
-  ~BackendGuard() { kernels::ResetBackendForTesting(); }
-};
-
 struct BuildThreadsGuard {
   ~BuildThreadsGuard() { SetBuildThreads(0); }
 };
-
-std::vector<kernels::Backend> SupportedBackends() {
-  std::vector<kernels::Backend> backends;
-  for (const kernels::Backend b :
-       {kernels::Backend::kScalar, kernels::Backend::kSse2,
-        kernels::Backend::kAvx2, kernels::Backend::kNeon}) {
-    if (kernels::BackendSupported(b)) backends.push_back(b);
-  }
-  return backends;
-}
 
 TEST(PqMethodTest, BitIdenticalAcrossSimdBackends) {
   const PqFixture fx;

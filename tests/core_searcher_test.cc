@@ -355,7 +355,7 @@ TEST(SearcherTest, SearchAndSharedMatchRankOrderReference) {
 // The kernel layer's determinism contract at the API that matters: the same
 // queries through the forced-scalar path and through the best SIMD backend
 // must return bit-identical results (ids, distances, chunks read,
-// modeled time), so QVT_SIMD=off is purely a speed knob.
+// modeled time), so the backend is purely a speed choice.
 TEST(SearcherTest, SimdAndScalarBackendsReturnIdenticalResults) {
   SrTreeChunker chunker(60);
   IndexFixture fx(&chunker);

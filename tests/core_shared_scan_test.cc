@@ -23,6 +23,7 @@
 #include "descriptor/generator.h"
 #include "descriptor/workload.h"
 #include "geometry/kernels.h"
+#include "kernel_backends.h"
 #include "search_reference.h"
 #include "storage/chunk_cache.h"
 #include "util/logging.h"
@@ -102,20 +103,6 @@ void ExpectByteIdentical(const std::vector<MethodResult>& shared,
           << label << " query " << q << " rank " << i;
     }
   }
-}
-
-struct BackendGuard {
-  ~BackendGuard() { kernels::ResetBackendForTesting(); }
-};
-
-std::vector<kernels::Backend> SupportedBackends() {
-  std::vector<kernels::Backend> backends;
-  for (const kernels::Backend b :
-       {kernels::Backend::kScalar, kernels::Backend::kSse2,
-        kernels::Backend::kAvx2, kernels::Backend::kNeon}) {
-    if (kernels::BackendSupported(b)) backends.push_back(b);
-  }
-  return backends;
 }
 
 // --- The acceptance-bar sweep: chunked, every stop rule x backend x -------

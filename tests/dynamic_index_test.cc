@@ -20,6 +20,7 @@
 #include "core/exact_scan.h"
 #include "descriptor/generator.h"
 #include "descriptor/workload.h"
+#include "dynamic/manifest.h"
 #include "search_reference.h"
 #include "util/logging.h"
 #include "util/parallel_for.h"
@@ -263,15 +264,38 @@ TEST(DynamicIndexTest, TombstoneFilteringAcrossMergeBoundaries) {
   }
 }
 
+/// Saves `index` and returns the bytes of everything it persists: the
+/// manifest, then every live shard's artifact files in manifest order.
+std::vector<uint8_t> SavedBytes(DynamicIndex& index, MemEnv& env) {
+  QVT_CHECK_OK(index.Save());
+  auto manifest = LoadDynamicManifest(&env, index.base());
+  QVT_CHECK_OK(manifest.status());
+  std::vector<std::string> paths = {DynamicManifestPath(index.base())};
+  for (const ManifestShardRecord& shard : manifest->shards) {
+    for (const char* suffix : {".desc", ".desc.img", ".chunks", ".index"}) {
+      paths.push_back(ShardArtifactBase(index.base(), shard.id) + suffix);
+    }
+  }
+  std::vector<uint8_t> all;
+  for (const std::string& path : paths) {
+    if (!env.FileExists(path)) continue;
+    auto bytes = ReadFileBytes(&env, path);
+    QVT_CHECK_OK(bytes.status());
+    all.insert(all.end(), bytes->begin(), bytes->end());
+  }
+  return all;
+}
+
 struct MethodCase {
   const char* method;
   const char* params;
 };
 
-// The acceptance bar of this PR: for EVERY registered method, a statically
-// built index over collection C answers bit-identically to a dynamic index
-// that reached C through an insert stream with interleaved deletes and a
-// final compaction — at any build-thread count.
+// For EVERY registered method, a statically built index over collection C
+// answers bit-identically to a dynamic index that reached C through an
+// insert stream with interleaved deletes and a final compaction — at any
+// build-thread count, where every flush, merge and compaction also writes
+// the same bytes as the serial build does.
 TEST(DynamicIndexTest, CompactedStreamEqualsStaticBuildForEveryMethod) {
   const MethodCase cases[] = {
       {"exact-scan", ""},
@@ -290,6 +314,10 @@ TEST(DynamicIndexTest, CompactedStreamEqualsStaticBuildForEveryMethod) {
     ~BuildThreadsGuard() { SetBuildThreads(0); }
   } guard;
 
+  // The serial build's persisted bytes per method: after the stream's
+  // flushes and merges, and after the compaction.
+  std::map<std::string, std::vector<uint8_t>> serial_leveled;
+  std::map<std::string, std::vector<uint8_t>> serial_compacted;
   for (const int threads : {1, 3}) {
     SetBuildThreads(threads);
     for (const MethodCase& c : cases) {
@@ -320,9 +348,22 @@ TEST(DynamicIndexTest, CompactedStreamEqualsStaticBuildForEveryMethod) {
           }
         }
       }
+      ASSERT_GT(index.Stats().merges, 0u) << label;
+      std::vector<uint8_t> leveled = SavedBytes(index, env);
       ASSERT_TRUE(index.Compact().ok()) << label;
       ASSERT_EQ(index.num_tombstones(), 0u) << label;
       ASSERT_EQ(index.live_rows(), stream.size()) << label;
+      std::vector<uint8_t> compacted = SavedBytes(index, env);
+      if (threads == 1) {
+        serial_leveled[c.method] = std::move(leveled);
+        serial_compacted[c.method] = std::move(compacted);
+      } else {
+        EXPECT_TRUE(leveled == serial_leveled[c.method])
+            << label << ": flushed and merged shards differ from the serial "
+            << "build";
+        EXPECT_TRUE(compacted == serial_compacted[c.method])
+            << label << ": the compacted shard differs from the serial build";
+      }
 
       // Static reference: the same survivors in the same order, built
       // through the same shard entry point.

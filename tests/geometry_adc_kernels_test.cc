@@ -12,26 +12,13 @@
 
 #include "geometry/kernels.h"
 #include "geometry/vec.h"
+#include "kernel_backends.h"
 #include "util/random.h"
 
 namespace qvt {
 namespace {
 
 using kernels::Backend;
-
-std::vector<Backend> SupportedBackends() {
-  std::vector<Backend> backends;
-  for (Backend b : {Backend::kScalar, Backend::kSse2, Backend::kAvx2,
-                    Backend::kNeon}) {
-    if (kernels::BackendSupported(b)) backends.push_back(b);
-  }
-  return backends;
-}
-
-struct BackendGuard {
-  explicit BackendGuard(Backend b) { kernels::SetBackendForTesting(b); }
-  ~BackendGuard() { kernels::ResetBackendForTesting(); }
-};
 
 std::vector<float> RandomFloats(Rng& rng, size_t n, double lo = -50.0,
                                 double hi = 100.0) {

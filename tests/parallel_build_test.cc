@@ -1,7 +1,8 @@
 // End-to-end determinism tests for the parallel build pipeline: every build
-// artifact must be byte-identical no matter what QVT_BUILD_THREADS /
-// SetBuildThreads() says. See the determinism contract in
-// util/parallel_for.h and the "Parallel build pipeline" section of DESIGN.md.
+// artifact must be byte-identical at every SetBuildThreads() count and, for
+// the chunkers, on every SIMD backend. See the determinism contracts in
+// util/parallel_for.h and geometry/kernels.h, and the "Parallel build
+// pipeline" section of DESIGN.md.
 
 #include <unistd.h>
 
@@ -18,11 +19,14 @@
 
 #include "bench_util/index_suite.h"
 #include "cluster/bag.h"
+#include "cluster/balanced_kmeans.h"
 #include "cluster/kmeans.h"
 #include "cluster/round_robin.h"
 #include "cluster/srtree_chunker.h"
 #include "core/chunk_index.h"
 #include "descriptor/generator.h"
+#include "geometry/kernels.h"
+#include "kernel_backends.h"
 #include "util/env.h"
 #include "util/logging.h"
 #include "util/parallel_for.h"
@@ -30,7 +34,7 @@
 namespace qvt {
 namespace {
 
-/// Restores the environment/hardware default thread count on scope exit.
+/// Restores the hardware default thread count on scope exit.
 struct BuildThreadsGuard {
   ~BuildThreadsGuard() { SetBuildThreads(0); }
 };
@@ -45,6 +49,9 @@ std::vector<size_t> TestThreadCounts() {
   return counts;
 }
 
+/// ~800 rows: below every row-loop grain, so only task-level parallelism
+/// (SR-tree slices, BAG's per-cluster work) splits. BAG, superlinear in the
+/// row count, is checked at this size.
 GeneratorConfig TestGeneratorConfig() {
   GeneratorConfig config;
   config.num_images = 40;
@@ -54,11 +61,24 @@ GeneratorConfig TestGeneratorConfig() {
   return config;
 }
 
-/// Builds a chunk index with `chunker` at the given thread count and returns
-/// the concatenated bytes of both output files (chunk file + index file).
-std::vector<uint8_t> IndexFileBytes(const Collection& collection,
-                                    Chunker& chunker, size_t threads) {
+/// ~10k rows over 400 images: past the generator's 64-image grain and the
+/// 4096- and 8192-row grains of the k-means, pq and SR-tree scans, so every
+/// row loop splits into several shards, the last one ragged.
+GeneratorConfig LargeGeneratorConfig() {
+  GeneratorConfig config = TestGeneratorConfig();
+  config.num_images = 400;
+  config.descriptors_per_image = 25;
+  return config;
+}
+
+/// Builds a chunk index with `chunker` at the given thread count and kernel
+/// backend and returns the concatenated bytes of both output files (chunk
+/// file + index file).
+std::vector<uint8_t> IndexFileBytes(
+    const Collection& collection, Chunker& chunker, size_t threads,
+    kernels::Backend backend) {
   SetBuildThreads(threads);
+  kernels::SetBackendForTesting(backend);
   auto chunking = chunker.FormChunks(collection);
   QVT_CHECK_OK(chunking.status()) << chunker.name();
   MemEnv env;
@@ -75,39 +95,45 @@ std::vector<uint8_t> IndexFileBytes(const Collection& collection,
 }
 
 /// Asserts the chunker produces byte-identical index files at every tested
-/// thread count (the collection itself is generated serially once, so any
-/// divergence is the chunker's).
+/// (thread count, supported backend) pair, against the serial scalar build
+/// (the collection itself is generated serially once, so any divergence is
+/// the chunker's).
 void ExpectChunkerThreadCountInvariant(
-    const std::function<std::unique_ptr<Chunker>()>& make_chunker) {
-  BuildThreadsGuard guard;
+    const std::function<std::unique_ptr<Chunker>()>& make_chunker,
+    const GeneratorConfig& config = LargeGeneratorConfig()) {
+  BuildThreadsGuard threads_guard;
+  BackendGuard backend_guard;
   SetBuildThreads(1);
-  const Collection collection = GenerateCollection(TestGeneratorConfig());
+  const Collection collection = GenerateCollection(config);
   auto chunker = make_chunker();
   const std::vector<uint8_t> serial =
-      IndexFileBytes(collection, *chunker, 1);
+      IndexFileBytes(collection, *chunker, 1, kernels::Backend::kScalar);
   ASSERT_FALSE(serial.empty());
-  for (size_t threads : TestThreadCounts()) {
-    if (threads == 1) continue;
-    auto parallel_chunker = make_chunker();
-    const std::vector<uint8_t> parallel =
-        IndexFileBytes(collection, *parallel_chunker, threads);
-    ASSERT_EQ(parallel.size(), serial.size())
-        << chunker->name() << " at " << threads << " threads";
-    EXPECT_EQ(std::memcmp(parallel.data(), serial.data(), serial.size()), 0)
-        << chunker->name() << " index files differ at " << threads
-        << " threads";
+  for (const kernels::Backend backend : SupportedBackends()) {
+    for (size_t threads : TestThreadCounts()) {
+      if (threads == 1 && backend == kernels::Backend::kScalar) continue;
+      auto other_chunker = make_chunker();
+      const std::vector<uint8_t> other =
+          IndexFileBytes(collection, *other_chunker, threads, backend);
+      ASSERT_EQ(other.size(), serial.size())
+          << chunker->name() << " at " << threads << " threads on "
+          << kernels::BackendName(backend);
+      EXPECT_EQ(std::memcmp(other.data(), serial.data(), serial.size()), 0)
+          << chunker->name() << " index files differ at " << threads
+          << " threads on " << kernels::BackendName(backend);
+    }
   }
 }
 
 TEST(ParallelBuildTest, GeneratorIsThreadCountInvariant) {
   BuildThreadsGuard guard;
   SetBuildThreads(1);
-  const Collection serial = GenerateCollection(TestGeneratorConfig());
+  const Collection serial = GenerateCollection(LargeGeneratorConfig());
   const auto serial_raw = serial.RawData();
   for (size_t threads : TestThreadCounts()) {
     if (threads == 1) continue;
     SetBuildThreads(threads);
-    const Collection parallel = GenerateCollection(TestGeneratorConfig());
+    const Collection parallel = GenerateCollection(LargeGeneratorConfig());
     const auto parallel_raw = parallel.RawData();
     ASSERT_EQ(parallel.size(), serial.size()) << threads << " threads";
     ASSERT_EQ(parallel_raw.size(), serial_raw.size());
@@ -125,7 +151,8 @@ TEST(ParallelBuildTest, SrTreeChunkerBitIdentical) {
 
 TEST(ParallelBuildTest, BagChunkerBitIdentical) {
   ExpectChunkerThreadCountInvariant(
-      [] { return std::make_unique<BagChunker>(12, BagConfig{}); });
+      [] { return std::make_unique<BagChunker>(12, BagConfig{}); },
+      TestGeneratorConfig());
 }
 
 TEST(ParallelBuildTest, RoundRobinChunkerBitIdentical) {
@@ -142,12 +169,25 @@ TEST(ParallelBuildTest, KMeansChunkerBitIdentical) {
   });
 }
 
+TEST(ParallelBuildTest, BalancedKMeansChunkerBitIdentical) {
+  ExpectChunkerThreadCountInvariant([] {
+    // The default bound (5% over an even share) is tight enough that
+    // points spill past their nearest centroid.
+    BalancedKMeansConfig config;
+    config.base.num_clusters = 8;
+    config.base.max_iterations = 8;
+    return std::make_unique<BalancedKMeansChunker>(config);
+  });
+}
+
 TEST(ParallelBuildTest, SameSeedBuildsAreByteIdentical) {
   // Two builds from the same master seed — in the same process, at a
   // parallel thread count — must produce byte-identical index files: all
   // build-path RNG flows through deterministic stream splitting, never
   // through shared mutable generator state.
-  BuildThreadsGuard guard;
+  BuildThreadsGuard threads_guard;
+  BackendGuard backend_guard;
+  const kernels::Backend backend = kernels::ActiveBackend();
   const size_t threads = TestThreadCounts().back();
   SetBuildThreads(threads);
   const Collection first_collection = GenerateCollection(TestGeneratorConfig());
@@ -158,9 +198,9 @@ TEST(ParallelBuildTest, SameSeedBuildsAreByteIdentical) {
   KMeansChunker first_chunker(config);
   KMeansChunker second_chunker(config);
   const std::vector<uint8_t> first =
-      IndexFileBytes(first_collection, first_chunker, threads);
+      IndexFileBytes(first_collection, first_chunker, threads, backend);
   const std::vector<uint8_t> second =
-      IndexFileBytes(second_collection, second_chunker, threads);
+      IndexFileBytes(second_collection, second_chunker, threads, backend);
   ASSERT_EQ(first.size(), second.size());
   EXPECT_EQ(std::memcmp(first.data(), second.data(), first.size()), 0);
 }

@@ -106,9 +106,8 @@
 // delete checks the whole list before it opens the index.
 //
 // --build-threads sets how many threads generation and index construction
-// use (default: QVT_BUILD_THREADS, else hardware concurrency). Artifacts
-// are bit-identical at every thread count; a per-phase wall-time ledger is
-// printed after the work.
+// use (default: hardware concurrency). Artifacts are bit-identical at every
+// thread count; a per-phase wall-time ledger is printed after the work.
 //
 // The collection file uses the paper's 100-byte record format, so indexes
 // built here interoperate with every library API.

@@ -168,8 +168,7 @@ void BM_ChunkBatch24d_Kernel(benchmark::State& state) {
 BENCHMARK(BM_ChunkBatch24d_Kernel)
     ->Arg(static_cast<int>(kernels::Backend::kScalar))
     ->Arg(static_cast<int>(kernels::Backend::kSse2))
-    ->Arg(static_cast<int>(kernels::Backend::kAvx2))
-    ->Arg(static_cast<int>(kernels::Backend::kNeon));
+    ->Arg(static_cast<int>(kernels::Backend::kAvx2));
 
 /// Full chunk scan through the abandon kernel + result-set updates, the
 /// Searcher::Search inner loop. Arg 1 toggles abandon (threshold from the
@@ -208,8 +207,7 @@ void BM_ChunkScanBatch(benchmark::State& state) {
 BENCHMARK(BM_ChunkScanBatch)
     ->ArgsProduct({{static_cast<int>(kernels::Backend::kScalar),
                     static_cast<int>(kernels::Backend::kSse2),
-                    static_cast<int>(kernels::Backend::kAvx2),
-                    static_cast<int>(kernels::Backend::kNeon)},
+                    static_cast<int>(kernels::Backend::kAvx2)},
                    {0, 1}});
 
 /// Random 24-d rows and widened float queries for the fused kernel rows.
@@ -265,8 +263,7 @@ void BM_FusedChunkSweep(benchmark::State& state) {
 BENCHMARK(BM_FusedChunkSweep)
     ->ArgsProduct({{static_cast<int>(kernels::Backend::kScalar),
                     static_cast<int>(kernels::Backend::kSse2),
-                    static_cast<int>(kernels::Backend::kAvx2),
-                    static_cast<int>(kernels::Backend::kNeon)},
+                    static_cast<int>(kernels::Backend::kAvx2)},
                    {1, 4, 9}});
 
 /// One 250-row chunk swept for Q queries under finite limits taken from a
@@ -351,8 +348,7 @@ void BM_FilteredChunkSweep(benchmark::State& state) {
 BENCHMARK(BM_FilteredChunkSweep)
     ->ArgsProduct({{static_cast<int>(kernels::Backend::kScalar),
                     static_cast<int>(kernels::Backend::kSse2),
-                    static_cast<int>(kernels::Backend::kAvx2),
-                    static_cast<int>(kernels::Backend::kNeon)},
+                    static_cast<int>(kernels::Backend::kAvx2)},
                    {1, 4, 8, 9, 16},
                    {0, 1}});
 
@@ -375,8 +371,7 @@ void BM_FusedPlanPass(benchmark::State& state) {
 BENCHMARK(BM_FusedPlanPass)
     ->Arg(static_cast<int>(kernels::Backend::kScalar))
     ->Arg(static_cast<int>(kernels::Backend::kSse2))
-    ->Arg(static_cast<int>(kernels::Backend::kAvx2))
-    ->Arg(static_cast<int>(kernels::Backend::kNeon));
+    ->Arg(static_cast<int>(kernels::Backend::kAvx2));
 
 }  // namespace
 }  // namespace qvt

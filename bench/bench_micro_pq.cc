@@ -1,6 +1,7 @@
 // Microbench for the PQ compressed first pass: ADC table-build latency,
 // per-backend code-scan throughput against the uncompressed 24-d chunk
-// scan, and recall@10 of the "pq" method vs rerank depth.
+// scan, the per-backend latency of the thresholded ADC first pass that
+// "pq" search runs, and recall@10 of the "pq" method vs rerank depth.
 //
 // The throughput section runs at a scale where the raw float matrix
 // (rows x 24 x 4 bytes) no longer fits in cache while the packed codes
@@ -9,6 +10,15 @@
 // trained values, so that section uses synthetic codebooks and codes;
 // the recall section trains real codebooks over a generated collection
 // and drives the registered "pq" / "chunked" / "exact-scan" methods.
+//
+// The thresholded first pass ("adc search") is PqAdcFilterScan,
+// PqMethod::Search's scan phase, timed per backend at pq's default filter
+// depth (128) for queries near collection rows. Which rows it abandons
+// depends on the trained values, so it runs over codes trained with pq's
+// defaults on a generated collection (1,500 images, ~150k rows; 100 with
+// --tiny). Its cost lies in the abandon checks and the filter inserts,
+// which the plain scan above does not pay. The bench exits 1 when the
+// filters it leaves (ids and distance bits) differ between backends.
 //
 // Acceptance (ISSUE 8): ADC scan >= 5x the uncompressed rows/s on the
 // same backend, and recall@10 >= 0.95 of the chunked searcher at some
@@ -28,8 +38,11 @@
 #include <string>
 #include <vector>
 
+#include "cluster/pq.h"
 #include "cluster/srtree_chunker.h"
 #include "core/chunk_index.h"
+#include "core/pq_method.h"
+#include "core/result_set.h"
 #include "core/search_method.h"
 #include "descriptor/generator.h"
 #include "geometry/kernels.h"
@@ -47,22 +60,16 @@ constexpr size_t kSubDim = kDescriptorDim / kM;
 constexpr size_t kK = 10;
 const size_t kRerankDepths[] = {0, 32, 128, 512};
 
-std::vector<kernels::Backend> SupportedBackends() {
-  std::vector<kernels::Backend> backends;
-  for (const kernels::Backend b :
-       {kernels::Backend::kScalar, kernels::Backend::kSse2,
-        kernels::Backend::kAvx2, kernels::Backend::kNeon}) {
-    if (kernels::BackendSupported(b)) backends.push_back(b);
-  }
-  return backends;
-}
+/// Queries of the thresholded first-pass timing, each with its own table.
+constexpr size_t kSearchQueries = 64;
 
 struct BackendScan {
-  std::string name;
+  kernels::Backend backend = kernels::Backend::kScalar;
   double table_build_ns = 0;
   double adc_mrows_per_s = 0;
   double uncompressed_mrows_per_s = 0;
   double speedup = 0;
+  double adc_search_us_per_query = 0;
 };
 
 /// Times one scan flavor, auto-scaling repetitions to ~0.2 s of work.
@@ -93,10 +100,10 @@ std::vector<BackendScan> RunScanSection(size_t rows) {
   std::vector<double> table(kM * kKsub), out(rows);
 
   std::vector<BackendScan> results;
-  for (const kernels::Backend b : SupportedBackends()) {
+  for (const kernels::Backend b : kernels::SupportedBackends()) {
     kernels::SetBackendForTesting(b);
     BackendScan r;
-    r.name = kernels::BackendName(b);
+    r.backend = b;
     r.table_build_ns =
         MeasureSeconds([&] {
           kernels::BuildAdcTable(codebooks.data(), kM, kKsub, kSubDim, query,
@@ -118,6 +125,89 @@ std::vector<BackendScan> RunScanSection(size_t rows) {
   }
   kernels::ResetBackendForTesting();
   return results;
+}
+
+bool SameNeighbors(const std::vector<Neighbor>& a,
+                   const std::vector<Neighbor>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i].id != b[i].id ||
+        std::memcmp(&a[i].distance, &b[i].distance, sizeof(double)) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Times pq's thresholded first pass per backend and stores it in the
+/// matching entry of `scans`: PqAdcFilterScan, PqMethod::Search's scan
+/// phase, at pq's default filter depth over codes trained and encoded with
+/// pq's defaults on a generated collection of `num_images` images, for
+/// queries that are perturbed collection rows (the per-query table is
+/// built outside the clock, as Search's plan phase builds it). Returns
+/// false, after naming each one, when a backend's filter (ids and
+/// distance bits) differs from scalar's.
+bool RunAdcSearchSection(size_t num_images, std::vector<BackendScan>* scans) {
+  GeneratorConfig config;
+  config.num_images = num_images;
+  config.num_modes = std::max<size_t>(
+      1, num_images * config.descriptors_per_image / 1050);
+  config.seed = 31;
+  const Collection collection = GenerateCollection(config);
+  const PqMethodConfig method;
+  PqConfig pq;
+  pq.m = kM;
+  pq.ksub = kKsub;
+  pq.max_iterations = method.max_iterations;
+  pq.seed = method.seed;
+  auto codebook = TrainPq(collection, pq);
+  QVT_CHECK_OK(codebook.status());
+  auto codes = PqEncode(collection, *codebook);
+  QVT_CHECK_OK(codes.status());
+  std::cout << "adc search: " << collection.size() << " trained code rows, "
+            << kSearchQueries << " queries\n";
+  const std::span<const DescriptorId> ids = collection.Ids();
+  const size_t depth =
+      std::min(std::max(method.rerank, kK), collection.size());
+
+  Rng rng(103);
+  std::vector<double> tables(kSearchQueries * kM * kKsub);
+  for (size_t q = 0; q < kSearchQueries; ++q) {
+    const auto row = collection.Vector(rng.Uniform(collection.size()));
+    std::vector<float> query(row.begin(), row.end());
+    for (float& v : query) {
+      v += static_cast<float>(rng.UniformDouble(-0.5, 0.5));
+    }
+    kernels::BuildAdcTable(codebook->centroids.data(), kM, kKsub, kSubDim,
+                           query, &tables[q * kM * kKsub]);
+  }
+
+  bool filters_match = true;
+  std::vector<std::vector<Neighbor>> scalar_filters;
+  for (BackendScan& r : *scans) {
+    kernels::SetBackendForTesting(r.backend);
+    std::vector<KnnResultSet> filters(kSearchQueries, KnnResultSet(depth));
+    const double seconds = MeasureSeconds([&] {
+      for (size_t q = 0; q < kSearchQueries; ++q) {
+        filters[q].Clear();
+        PqAdcFilterScan(*codes, ids, kM, kKsub, &tables[q * kM * kKsub],
+                        &filters[q]);
+      }
+    });
+    r.adc_search_us_per_query = seconds / kSearchQueries * 1e6;
+    for (size_t q = 0; q < kSearchQueries; ++q) {
+      std::vector<Neighbor> filter = filters[q].Sorted();
+      if (r.backend == kernels::Backend::kScalar) {
+        scalar_filters.push_back(std::move(filter));
+      } else if (!SameNeighbors(filter, scalar_filters[q])) {
+        std::cerr << "error: " << kernels::BackendName(r.backend)
+                  << " ADC filter of query " << q << " differs from scalar\n";
+        filters_match = false;
+      }
+    }
+  }
+  kernels::ResetBackendForTesting();
+  return filters_match;
 }
 
 struct RecallSection {
@@ -208,11 +298,12 @@ RecallSection RunRecallSection(size_t num_images, size_t num_queries) {
 }
 
 int Run(int argc, char** argv) {
-  size_t rows = 4000000, images = 120, queries = 50;
+  size_t rows = 4000000, images = 120, queries = 50, search_images = 1500;
   std::string json_path = "BENCH_pq.json";
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--tiny") == 0) {
       rows = 200000;
+      search_images = 100;
       images = 40;
       queries = 12;
     } else if (std::strcmp(argv[i], "--rows") == 0 && i + 1 < argc) {
@@ -231,13 +322,15 @@ int Run(int argc, char** argv) {
             << " MB raw vs " << rows * kM / 1e6 << " MB codes); m=" << kM
             << " ksub=" << kKsub << "\n";
 
-  const std::vector<BackendScan> scans = RunScanSection(rows);
+  std::vector<BackendScan> scans = RunScanSection(rows);
+  const bool filters_match = RunAdcSearchSection(search_images, &scans);
   {
     TablePrinter table({"backend", "table build (ns)", "adc Mrows/s",
-                        "uncompressed Mrows/s", "speedup"});
+                        "uncompressed Mrows/s", "speedup",
+                        "adc search (us/query)"});
     for (const BackendScan& s : scans) {
       char buffer[64];
-      std::vector<std::string> row{s.name};
+      std::vector<std::string> row{kernels::BackendName(s.backend)};
       std::snprintf(buffer, sizeof(buffer), "%.0f", s.table_build_ns);
       row.push_back(buffer);
       std::snprintf(buffer, sizeof(buffer), "%.1f", s.adc_mrows_per_s);
@@ -246,6 +339,9 @@ int Run(int argc, char** argv) {
                     s.uncompressed_mrows_per_s);
       row.push_back(buffer);
       std::snprintf(buffer, sizeof(buffer), "%.2fx", s.speedup);
+      row.push_back(buffer);
+      std::snprintf(buffer, sizeof(buffer), "%.1f",
+                    s.adc_search_us_per_query);
       row.push_back(buffer);
       table.AddRow(std::move(row));
     }
@@ -296,10 +392,11 @@ int Run(int argc, char** argv) {
     std::fprintf(json,
                  "      \"%s\": {\"table_build_ns\": %.1f, "
                  "\"adc_mrows_per_s\": %.2f, \"uncompressed_mrows_per_s\": "
-                 "%.2f, \"speedup\": %.3f}%s\n",
-                 s.name.c_str(), s.table_build_ns, s.adc_mrows_per_s,
-                 s.uncompressed_mrows_per_s, s.speedup,
-                 i + 1 < scans.size() ? "," : "");
+                 "%.2f, \"speedup\": %.3f, \"adc_search_us_per_query\": "
+                 "%.2f}%s\n",
+                 kernels::BackendName(s.backend), s.table_build_ns,
+                 s.adc_mrows_per_s, s.uncompressed_mrows_per_s, s.speedup,
+                 s.adc_search_us_per_query, i + 1 < scans.size() ? "," : "");
   }
   std::fprintf(json, "    }\n  },\n");
   std::fprintf(json,
@@ -322,6 +419,10 @@ int Run(int argc, char** argv) {
                best_ratio >= 0.95 ? "true" : "false");
   std::fclose(json);
   std::cout << "wrote " << json_path << "\n";
+  if (!filters_match) {
+    std::cerr << "error: ADC filter contents differ between backends\n";
+    return 1;
+  }
   return 0;
 }
 

@@ -161,6 +161,26 @@ size_t PqMethod::ResidentBytes() const {
          id_to_position_.size() * sizeof(id_to_position_[0]);
 }
 
+void PqAdcFilterScan(std::span<const uint8_t> codes,
+                     std::span<const DescriptorId> ids, size_t m, size_t ksub,
+                     const double* table, KnnResultSet* filter) {
+  static thread_local std::vector<double> adc;
+  adc.resize(kScanBlock);
+  const size_t num_rows = ids.size();
+  for (size_t start = 0; start < num_rows; start += kScanBlock) {
+    const size_t count = std::min(kScanBlock, num_rows - start);
+    // ADC table entries are non-negative, so running > KthDistance()
+    // proves the row cannot enter the filter — exactly safe, no margin.
+    kernels::AdcScanAbandon(codes.data() + start * m, count, m, ksub, table,
+                            filter->KthDistance(), adc.data());
+    for (size_t i = 0; i < count; ++i) {
+      if (adc[i] == kernels::kAbandoned) continue;
+      filter->Insert(static_cast<DescriptorId>(start + i), adc[i],
+                     ids[start + i]);
+    }
+  }
+}
+
 StatusOr<MethodResult> PqMethod::Search(
     std::span<const float> query, size_t k, const StopRule& stop,
     std::span<const DescriptorId> excluded) const {
@@ -195,21 +215,8 @@ StatusOr<MethodResult> PqMethod::Search(
   KnnResultSet filter(depth, excluded);
   {
     Stopwatch phase(&wall);
-    static thread_local std::vector<double> adc;
-    adc.resize(kScanBlock);
-    for (size_t start = 0; start < num_rows_; start += kScanBlock) {
-      const size_t count = std::min(kScanBlock, num_rows_ - start);
-      // ADC table entries are non-negative, so running > KthDistance()
-      // proves the row cannot enter the filter — exactly safe, no margin.
-      kernels::AdcScanAbandon(codes_.data() + start * config_.m, count,
-                              config_.m, config_.ksub, table.data(),
-                              filter.KthDistance(), adc.data());
-      for (size_t i = 0; i < count; ++i) {
-        if (adc[i] == kernels::kAbandoned) continue;
-        filter.Insert(static_cast<DescriptorId>(start + i), adc[i],
-                      ids_[start + i]);
-      }
-    }
+    PqAdcFilterScan(codes_, ids_, config_.m, config_.ksub, table.data(),
+                    &filter);
     t.scan.wall_micros = phase.ElapsedMicros();
   }
   t.index_entries_scanned = num_rows_;

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "cluster/pq.h"
+#include "core/result_set.h"
 #include "core/search_method.h"
 #include "storage/pq_file.h"
 
@@ -34,6 +35,16 @@ struct PqMethodConfig {
   /// Requires MethodContext::env.
   std::string file;
 };
+
+/// pq's ADC first pass: early-abandoning ADC (kernels::AdcScanAbandon) over
+/// the packed `codes` (ids.size() rows of m bytes) in blocks of 256 rows, so
+/// the threshold, `filter`'s k-th distance, tightens as the filter fills.
+/// Each row that completes is offered to `filter` keyed by its row, with
+/// ids[row] checked against the excluded list. PqMethod::Search runs it;
+/// bench_micro_pq times it per backend.
+void PqAdcFilterScan(std::span<const uint8_t> codes,
+                     std::span<const DescriptorId> ids, size_t m, size_t ksub,
+                     const double* table, KnnResultSet* filter);
 
 /// The compressed in-memory first pass: descriptors live in RAM as m-byte
 /// product-quantization codes, a query scans them with the SIMD ADC

@@ -12,9 +12,6 @@
 #if defined(__x86_64__) || defined(_M_X64)
 #include <emmintrin.h>  // SSE2
 #endif
-#if defined(__aarch64__)
-#include <arm_neon.h>
-#endif
 
 namespace qvt {
 namespace kernels {
@@ -431,225 +428,6 @@ void RectGapSse2(const float* lo, const float* hi, size_t dim,
 
 #endif  // x86-64
 
-#if defined(__aarch64__)
-
-namespace {
-
-inline float64x2_t NeonStep(float64x2_t acc, float64x2_t v, double q) {
-  const float64x2_t x = vsubq_f64(v, vdupq_n_f64(q));
-  // vmulq + vaddq (not vfmaq): contraction would change the rounding.
-  return vaddq_f64(acc, vmulq_f64(x, x));
-}
-
-inline float64x2_t NeonPair(const float* r0, const float* r1, size_t dim,
-                            const double* query) {
-  float64x2_t acc = vdupq_n_f64(0.0);
-  size_t d = 0;
-  for (; d + 2 <= dim; d += 2) {
-    const float64x2_t v0 = vcvt_f64_f32(vld1_f32(r0 + d));
-    const float64x2_t v1 = vcvt_f64_f32(vld1_f32(r1 + d));
-    acc = NeonStep(acc, vzip1q_f64(v0, v1), query[d]);
-    acc = NeonStep(acc, vzip2q_f64(v0, v1), query[d + 1]);
-  }
-  for (; d < dim; ++d) {
-    float64x2_t v = vdupq_n_f64(static_cast<double>(r0[d]));
-    v = vsetq_lane_f64(static_cast<double>(r1[d]), v, 1);
-    acc = NeonStep(acc, v, query[d]);
-  }
-  return acc;
-}
-
-}  // namespace
-
-void ContigNeon(const float* base, size_t count, size_t dim,
-                const double* query, double threshold, double* out) {
-  const bool abandon = threshold != kInf;
-  const float64x2_t thr = vdupq_n_f64(threshold);
-  size_t i = 0;
-  for (; i + 2 <= count; i += 2) {
-    const float* r0 = base + i * dim;
-    const float* r1 = r0 + dim;
-    if (!abandon) {
-      vst1q_f64(out + i, NeonPair(r0, r1, dim, query));
-      continue;
-    }
-    float64x2_t acc = vdupq_n_f64(0.0);
-    size_t d = 0;
-    bool abandoned = false;
-    while (d < dim) {
-      const size_t stop = std::min(dim, d + kAbandonStride);
-      for (; d + 2 <= stop; d += 2) {
-        const float64x2_t v0 = vcvt_f64_f32(vld1_f32(r0 + d));
-        const float64x2_t v1 = vcvt_f64_f32(vld1_f32(r1 + d));
-        acc = NeonStep(acc, vzip1q_f64(v0, v1), query[d]);
-        acc = NeonStep(acc, vzip2q_f64(v0, v1), query[d + 1]);
-      }
-      for (; d < stop; ++d) {
-        float64x2_t v = vdupq_n_f64(static_cast<double>(r0[d]));
-        v = vsetq_lane_f64(static_cast<double>(r1[d]), v, 1);
-        acc = NeonStep(acc, v, query[d]);
-      }
-      if (d < dim) {
-        const uint64x2_t over = vcgtq_f64(acc, thr);
-        if (vgetq_lane_u64(over, 0) != 0 && vgetq_lane_u64(over, 1) != 0) {
-          abandoned = true;
-          break;
-        }
-      }
-    }
-    if (abandoned) {
-      out[i] = kAbandoned;
-      out[i + 1] = kAbandoned;
-    } else {
-      vst1q_f64(out + i, acc);
-    }
-  }
-  if (i < count) {
-    ContigScalar(base + i * dim, count - i, dim, query, threshold, out + i);
-  }
-}
-
-void GatherNeon(const float* base, size_t dim, const uint32_t* positions,
-                size_t count, const double* query, double* out) {
-  size_t i = 0;
-  for (; i + 2 <= count; i += 2) {
-    const float* r0 = base + static_cast<size_t>(positions[i]) * dim;
-    const float* r1 = base + static_cast<size_t>(positions[i + 1]) * dim;
-    vst1q_f64(out + i, NeonPair(r0, r1, dim, query));
-  }
-  if (i < count) {
-    GatherScalar(base, dim, positions + i, count - i, query, out + i);
-  }
-}
-
-void AdcNeon(const uint8_t* codes, size_t count, size_t m, size_t ksub,
-             const double* table, double threshold, double* out) {
-  const bool abandon = threshold != kInf;
-  const float64x2_t thr = vdupq_n_f64(threshold);
-  size_t i = 0;
-  for (; i + 4 <= count; i += 4) {
-    const uint8_t* c0 = codes + i * m;
-    const uint8_t* c1 = c0 + m;
-    const uint8_t* c2 = c1 + m;
-    const uint8_t* c3 = c2 + m;
-    float64x2_t acc01 = vdupq_n_f64(0.0);
-    float64x2_t acc23 = vdupq_n_f64(0.0);
-    size_t s = 0;
-    bool abandoned = false;
-    while (s < m) {
-      const size_t stop = abandon ? std::min(m, s + kAdcAbandonStride) : m;
-      const double* t = table + s * ksub;
-      for (; s < stop; ++s, t += ksub) {
-        float64x2_t v01 = vdupq_n_f64(t[c0[s]]);
-        v01 = vsetq_lane_f64(t[c1[s]], v01, 1);
-        acc01 = vaddq_f64(acc01, v01);
-        float64x2_t v23 = vdupq_n_f64(t[c2[s]]);
-        v23 = vsetq_lane_f64(t[c3[s]], v23, 1);
-        acc23 = vaddq_f64(acc23, v23);
-      }
-      if (abandon && s < m) {
-        const uint64x2_t o01 = vcgtq_f64(acc01, thr);
-        const uint64x2_t o23 = vcgtq_f64(acc23, thr);
-        if (vgetq_lane_u64(o01, 0) != 0 && vgetq_lane_u64(o01, 1) != 0 &&
-            vgetq_lane_u64(o23, 0) != 0 && vgetq_lane_u64(o23, 1) != 0) {
-          abandoned = true;
-          break;
-        }
-      }
-    }
-    if (abandoned) {
-      out[i] = kAbandoned;
-      out[i + 1] = kAbandoned;
-      out[i + 2] = kAbandoned;
-      out[i + 3] = kAbandoned;
-    } else {
-      vst1q_f64(out + i, acc01);
-      vst1q_f64(out + i + 2, acc23);
-    }
-  }
-  if (i < count) {
-    AdcScalar(codes + i * m, count - i, m, ksub, table, threshold, out + i);
-  }
-}
-
-void SqrtNeon(double* values, size_t count) {
-  size_t i = 0;
-  for (; i + 2 <= count; i += 2) {
-    vst1q_f64(values + i, vsqrtq_f64(vld1q_f64(values + i)));
-  }
-  SqrtScalar(values + i, count - i);
-}
-
-size_t FirstNotAboveNeon(const double* values, size_t count,
-                         double threshold) {
-  const float64x2_t thr = vdupq_n_f64(threshold);
-  size_t i = 0;
-  for (; i + 2 <= count; i += 2) {
-    const uint64x2_t over = vcgtq_f64(vld1q_f64(values + i), thr);
-    if (vgetq_lane_u64(over, 0) == 0) return i;
-    if (vgetq_lane_u64(over, 1) == 0) return i + 1;
-  }
-  return i + FirstNotAboveScalar(values + i, count - i, threshold);
-}
-
-size_t FilterNeon(const float* base, size_t count, size_t dim,
-                  const float* query, float limit, uint32_t* survivors) {
-  const size_t d4 = dim & ~size_t{3};
-  size_t kept = 0;
-  for (size_t i = 0; i < count; ++i) {
-    const float* row = base + i * dim;
-    float32x4_t acc = vdupq_n_f32(0.0f);
-    for (size_t d = 0; d < d4; d += 4) {
-      const float32x4_t x = vsubq_f32(vld1q_f32(row + d), vld1q_f32(query + d));
-      acc = vfmaq_f32(acc, x, x);  // the filter alone may contract
-    }
-    const float bound = FloatRowBound(row, query, d4, dim, vaddvq_f32(acc));
-    if (!FloatBoundRejects(bound, limit)) {
-      survivors[kept++] = static_cast<uint32_t>(i);
-    }
-  }
-  return kept;
-}
-
-void RectGapNeon(const float* lo, const float* hi, size_t dim,
-                 const double* const* queries, size_t num_queries,
-                 double* out) {
-  const float64x2_t zero = vdupq_n_f64(0.0);
-  // std::max(x, y) is (x < y) ? y : x; a compare and select reproduces it
-  // bit for bit (vmaxq_f64 would not: it orders -0.0 below +0.0).
-  const auto max = [](float64x2_t x, float64x2_t y) {
-    return vbslq_f64(vcltq_f64(x, y), y, x);
-  };
-  const auto step = [&](float64x2_t acc, float64x2_t q, size_t d) {
-    const float64x2_t below = vsubq_f64(vdupq_n_f64(lo[d]), q);
-    const float64x2_t above = vsubq_f64(q, vdupq_n_f64(hi[d]));
-    const float64x2_t gap = max(max(below, above), zero);
-    return vaddq_f64(acc, vmulq_f64(gap, gap));
-  };
-  size_t j = 0;
-  for (; j + 2 <= num_queries; j += 2) {
-    const double* q0 = queries[j];
-    const double* q1 = queries[j + 1];
-    float64x2_t acc = zero;
-    size_t d = 0;
-    for (; d + 2 <= dim; d += 2) {
-      const float64x2_t v0 = vld1q_f64(q0 + d);
-      const float64x2_t v1 = vld1q_f64(q1 + d);
-      acc = step(acc, vzip1q_f64(v0, v1), d);
-      acc = step(acc, vzip2q_f64(v0, v1), d + 1);
-    }
-    for (; d < dim; ++d) {
-      float64x2_t v = vdupq_n_f64(q0[d]);
-      v = vsetq_lane_f64(q1[d], v, 1);
-      acc = step(acc, v, d);
-    }
-    vst1q_f64(out + j, acc);
-  }
-  RectGapScalar(lo, hi, dim, queries + j, num_queries - j, out + j);
-}
-
-#endif  // aarch64
-
 }  // namespace internal
 
 namespace {
@@ -689,12 +467,6 @@ constexpr KernelOps kAvx2Ops = {&internal::ContigAvx2, &internal::GatherAvx2,
                                 &internal::FirstNotAboveAvx2,
                                 &internal::FilterAvx2, &internal::RectGapAvx2};
 #endif
-#if defined(__aarch64__)
-constexpr KernelOps kNeonOps = {&internal::ContigNeon, &internal::GatherNeon,
-                                &internal::AdcNeon, &internal::SqrtNeon,
-                                &internal::FirstNotAboveNeon,
-                                &internal::FilterNeon, &internal::RectGapNeon};
-#endif
 
 const KernelOps& OpsFor(Backend backend) {
   switch (backend) {
@@ -703,10 +475,6 @@ const KernelOps& OpsFor(Backend backend) {
       return kSse2Ops;
     case Backend::kAvx2:
       return kAvx2Ops;
-#endif
-#if defined(__aarch64__)
-    case Backend::kNeon:
-      return kNeonOps;
 #endif
     default:
       return kScalarOps;
@@ -717,8 +485,6 @@ Backend BestSupportedBackend() {
 #if defined(__x86_64__) || defined(_M_X64)
   if (BackendSupported(Backend::kAvx2)) return Backend::kAvx2;
   return Backend::kSse2;
-#elif defined(__aarch64__)
-  return Backend::kNeon;
 #else
   return Backend::kScalar;
 #endif
@@ -753,14 +519,16 @@ bool BackendSupported(Backend backend) {
 #else
       return false;
 #endif
-    case Backend::kNeon:
-#if defined(__aarch64__)
-      return true;
-#else
-      return false;
-#endif
   }
   return false;
+}
+
+std::vector<Backend> SupportedBackends() {
+  std::vector<Backend> backends;
+  for (const Backend b : {Backend::kScalar, Backend::kSse2, Backend::kAvx2}) {
+    if (BackendSupported(b)) backends.push_back(b);
+  }
+  return backends;
 }
 
 const char* BackendName(Backend backend) {
@@ -771,8 +539,6 @@ const char* BackendName(Backend backend) {
       return "sse2";
     case Backend::kAvx2:
       return "avx2";
-    case Backend::kNeon:
-      return "neon";
   }
   return "unknown";
 }
@@ -859,7 +625,7 @@ namespace {
 /// Rows per fused block on the per-query path: 128 rows x 24 dims x 4 B =
 /// 12 KiB of descriptor data — comfortably L1-resident, so every query
 /// after the first sweeps a hot block. A multiple of every backend's
-/// lane-group size (2 rows for SSE2/NEON pairs, 4 for AVX2), so splitting a
+/// lane-group size (2 rows for SSE2 pairs, 4 for AVX2), so splitting a
 /// caller's range at block boundaries never re-pairs rows and per-query
 /// results are bit-identical to one unsplit call.
 constexpr size_t kFusedRowBlock = 128;

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <limits>
 #include <span>
+#include <vector>
 
 namespace qvt {
 
@@ -22,9 +23,9 @@ namespace qvt {
 /// rounded exactly as the scalar reference (`vec::SquaredDistance`) rounds
 /// it. The SIMD backends vectorize **across rows** — one vector lane per
 /// row, each lane performing the same sequential reduction the scalar loop
-/// performs — so scalar, SSE2, AVX2 and NEON all produce bit-identical
-/// doubles. Search results therefore do not depend on the selected backend,
-/// and the bench suite-cache fingerprint does not depend on it either.
+/// performs — so scalar, SSE2 and AVX2 all produce bit-identical doubles.
+/// Search results therefore do not depend on the selected backend, and the
+/// bench suite-cache fingerprint does not depend on it either.
 /// (The fixed per-lane reduction tree is what makes this hold; a classic
 /// within-vector horizontal reduction would reorder the additions. The
 /// build also pins `-ffp-contract=off` globally so no scalar path is
@@ -33,13 +34,13 @@ namespace qvt {
 /// ## Backend dispatch
 ///
 /// The backend is chosen once at runtime: AVX2 when the CPU supports it
-/// (with FMA, which only the float bound filter uses), else SSE2 on x86-64 /
-/// NEON on aarch64, else portable scalar. Only SetBackendForTesting
-/// overrides the choice; tests/backend_matrix_test.cc holds every backend
-/// to the scalar reference through every search method.
+/// (with FMA, which only the float bound filter uses), else SSE2 on x86-64,
+/// else portable scalar. Only SetBackendForTesting overrides the choice;
+/// tests/backend_matrix_test.cc holds every backend to the scalar reference
+/// through every search method.
 namespace kernels {
 
-enum class Backend { kScalar = 0, kSse2 = 1, kAvx2 = 2, kNeon = 3 };
+enum class Backend { kScalar = 0, kSse2 = 1, kAvx2 = 2 };
 
 /// Backend every kernel call currently dispatches to.
 Backend ActiveBackend();
@@ -47,7 +48,11 @@ Backend ActiveBackend();
 /// True when `backend` can run on this CPU/build.
 bool BackendSupported(Backend backend);
 
-/// "scalar", "sse2", "avx2", or "neon".
+/// Every backend this CPU runs, scalar first: it is the reference the
+/// others are held to.
+std::vector<Backend> SupportedBackends();
+
+/// "scalar", "sse2" or "avx2".
 const char* BackendName(Backend backend);
 
 /// Pins dispatch to `backend` (scalar substitutes when unsupported) until
@@ -99,7 +104,7 @@ void GatherSquaredDistance(const float* base, size_t dim,
 //
 // with the terms accumulated in ascending-s order, one lane per row — the
 // same fixed-reduction discipline as the float kernels above, so scalar,
-// SSE2, AVX2 and NEON produce bit-identical doubles.
+// SSE2 and AVX2 produce bit-identical doubles.
 
 /// Fills `table` (m * ksub doubles) from `codebooks`, the concatenated
 /// row-major subspace codebooks (m * ksub * sub_dim floats; subspace s's

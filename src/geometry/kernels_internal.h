@@ -79,24 +79,6 @@ void MultiContig24Avx2(const float* base, size_t count,
                        size_t num_queries, double* const* outs);
 #endif  // x86-64
 
-// --- NEON (aarch64 baseline), defined in kernels.cc -----------------------
-#if defined(__aarch64__)
-void ContigNeon(const float* base, size_t count, size_t dim,
-                const double* query, double threshold, double* out);
-void GatherNeon(const float* base, size_t dim, const uint32_t* positions,
-                size_t count, const double* query, double* out);
-void AdcNeon(const uint8_t* codes, size_t count, size_t m, size_t ksub,
-             const double* table, double threshold, double* out);
-void SqrtNeon(double* values, size_t count);
-size_t FirstNotAboveNeon(const double* values, size_t count,
-                         double threshold);
-size_t FilterNeon(const float* base, size_t count, size_t dim,
-                  const float* query, float limit, uint32_t* survivors);
-void RectGapNeon(const float* lo, const float* hi, size_t dim,
-                 const double* const* queries, size_t num_queries,
-                 double* out);
-#endif  // aarch64
-
 }  // namespace internal
 }  // namespace kernels
 }  // namespace qvt

@@ -9,7 +9,7 @@
 namespace qvt {
 
 /// Alignment of buffers fed to the batched distance kernels
-/// (geometry/kernels.h). 32 bytes covers AVX2 loads; NEON/SSE need less.
+/// (geometry/kernels.h). 32 bytes covers AVX2 loads; SSE2 needs less.
 inline constexpr size_t kKernelAlignment = 32;
 
 /// Minimal std::allocator replacement that over-aligns every allocation.

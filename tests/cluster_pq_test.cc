@@ -135,10 +135,7 @@ TEST(PqTest, ByteIdenticalAcrossSimdBackends) {
   std::vector<float> baseline_centroids;
   std::vector<uint8_t> baseline_codes;
   bool first = true;
-  for (kernels::Backend b :
-       {kernels::Backend::kScalar, kernels::Backend::kSse2,
-        kernels::Backend::kAvx2, kernels::Backend::kNeon}) {
-    if (!kernels::BackendSupported(b)) continue;
+  for (kernels::Backend b : kernels::SupportedBackends()) {
     BackendGuard guard(b);
     auto codebook_or = TrainPq(collection, config);
     ASSERT_TRUE(codebook_or.ok()) << codebook_or.status().message();

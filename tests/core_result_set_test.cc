@@ -210,10 +210,7 @@ TEST_P(ResultSetPropertyTest, ExcludedEqualsFilterThenInsert) {
 // not a multiple of any group size.
 TEST(AdmitRowsTest, EqualsOfferingEveryRowInOrder) {
   const double inf = std::numeric_limits<double>::infinity();
-  for (const kernels::Backend backend :
-       {kernels::Backend::kScalar, kernels::Backend::kSse2,
-        kernels::Backend::kAvx2, kernels::Backend::kNeon}) {
-    if (!kernels::BackendSupported(backend)) continue;
+  for (const kernels::Backend backend : kernels::SupportedBackends()) {
     kernels::SetBackendForTesting(backend);
     Rng rng(13);
     for (int trial = 0; trial < 400; ++trial) {

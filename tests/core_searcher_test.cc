@@ -352,45 +352,6 @@ TEST(SearcherTest, SearchAndSharedMatchRankOrderReference) {
   EXPECT_GT(skipped, 0u);
 }
 
-// The kernel layer's determinism contract at the API that matters: the same
-// queries through the forced-scalar path and through the best SIMD backend
-// must return bit-identical results (ids, distances, chunks read,
-// modeled time), so the backend is purely a speed choice.
-TEST(SearcherTest, SimdAndScalarBackendsReturnIdenticalResults) {
-  SrTreeChunker chunker(60);
-  IndexFixture fx(&chunker);
-  Searcher searcher(&*fx.index, DiskCostModel());
-  const kernels::Backend best = kernels::ActiveBackend();
-
-  Rng rng(321);
-  for (int trial = 0; trial < 12; ++trial) {
-    std::vector<float> query(kDescriptorDim);
-    for (auto& x : query) x = static_cast<float>(rng.UniformDouble(20, 80));
-
-    kernels::SetBackendForTesting(kernels::Backend::kScalar);
-    auto knn_scalar = searcher.Search(query, 10, StopRule::Exact());
-    kernels::SetBackendForTesting(best);
-    auto knn_simd = searcher.Search(query, 10, StopRule::Exact());
-    kernels::ResetBackendForTesting();
-
-    ASSERT_TRUE(knn_scalar.ok() && knn_simd.ok());
-    const MethodResult* a = &*knn_scalar;
-    const MethodResult* b = &*knn_simd;
-    EXPECT_EQ(a->telemetry.chunks_read, b->telemetry.chunks_read);
-    EXPECT_EQ(a->telemetry.descriptors_scanned,
-              b->telemetry.descriptors_scanned);
-    EXPECT_EQ(a->telemetry.model_micros, b->telemetry.model_micros);
-    EXPECT_EQ(a->telemetry.exact, b->telemetry.exact);
-    ASSERT_EQ(a->neighbors.size(), b->neighbors.size());
-    for (size_t i = 0; i < a->neighbors.size(); ++i) {
-      EXPECT_EQ(a->neighbors[i].id, b->neighbors[i].id) << "rank " << i;
-      // Bitwise equality, not almost-equal: the kernels promise it.
-      EXPECT_EQ(a->neighbors[i].distance, b->neighbors[i].distance)
-          << "rank " << i;
-    }
-  }
-}
-
 TEST(SearcherTest, ExactAcrossChunkersAgrees) {
   // Whatever the chunking, exact search must return identical distances.
   SrTreeChunker sr(70);
@@ -1106,10 +1067,7 @@ TEST(SearcherTest, FilteredSweepMatchesExactScanOnOffsetCollection) {
       {"max-chunks-all", StopRule::MaxChunks(index.num_chunks()), true},
       {"max-chunks-3", StopRule::MaxChunks(3), false},
   };
-  for (const kernels::Backend backend :
-       {kernels::Backend::kScalar, kernels::Backend::kSse2,
-        kernels::Backend::kAvx2, kernels::Backend::kNeon}) {
-    if (!kernels::BackendSupported(backend)) continue;
+  for (const kernels::Backend backend : kernels::SupportedBackends()) {
     kernels::SetBackendForTesting(backend);
     for (const auto& r : rules) {
       std::vector<MethodResult> expected;

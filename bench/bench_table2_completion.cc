@@ -9,6 +9,8 @@
 // paper's range: 16.7-45.0 seconds; ours scales down with the collection.
 
 #include <iostream>
+#include <string>
+#include <vector>
 
 #include "bench/bench_common.h"
 #include "util/table.h"
@@ -20,30 +22,40 @@ int main(int argc, char** argv) {
 
   const auto dq = bench::RunAllVariants(*suite, "DQ");
   const auto sq = bench::RunAllVariants(*suite, "SQ");
-  // RunAllVariants orders: BAG S/M/L then SR S/M/L.
-  TablePrinter table({"Chunk sizes", "BAG DQ", "BAG SQ", "SR DQ", "SR SQ"});
-  for (size_t c = 0; c < 3; ++c) {
-    table.AddRow({
-        SizeClassName(kAllSizeClasses[c]),
-        Seconds(dq[c].curves.mean_completion_model_seconds),
-        Seconds(sq[c].curves.mean_completion_model_seconds),
-        Seconds(dq[3 + c].curves.mean_completion_model_seconds),
-        Seconds(sq[3 + c].curves.mean_completion_model_seconds),
-    });
-  }
-  table.Print(std::cout);
+  // RunAllVariants orders: BAG S/M/L then SR S/M/L. Each table gives the
+  // paper's rule, which reads every rank it reaches, then the same columns
+  // for what the run actually read (" skip": ranks whose chunk bound rules
+  // them out are passed over unread; DESIGN.md "Skip, don't read").
+  const std::vector<std::string> columns = {"BAG DQ", "BAG SQ", "SR DQ",
+                                            "SR SQ"};
+  const auto print = [&](double QualityCurves::*paper,
+                         double QualityCurves::*skip, auto format) {
+    std::vector<std::string> headers{"Chunk sizes"};
+    headers.insert(headers.end(), columns.begin(), columns.end());
+    for (const std::string& column : columns) {
+      headers.push_back(column + " skip");
+    }
+    TablePrinter table(std::move(headers));
+    for (size_t c = 0; c < 3; ++c) {
+      const QualityCurves* cells[] = {&dq[c].curves, &sq[c].curves,
+                                      &dq[3 + c].curves, &sq[3 + c].curves};
+      std::vector<std::string> row{SizeClassName(kAllSizeClasses[c])};
+      for (const QualityCurves* curves : cells) {
+        row.push_back(format(curves->*paper));
+      }
+      for (const QualityCurves* curves : cells) {
+        row.push_back(format(curves->*skip));
+      }
+      table.AddRow(std::move(row));
+    }
+    table.Print(std::cout);
+  };
+  print(&QualityCurves::mean_completion_model_seconds,
+        &QualityCurves::skip_mean_completion_model_seconds, Seconds);
 
   std::cout << "\nChunks read to completion (supporting metric):\n";
-  TablePrinter chunks({"Chunk sizes", "BAG DQ", "BAG SQ", "SR DQ", "SR SQ"});
-  for (size_t c = 0; c < 3; ++c) {
-    chunks.AddRow({
-        SizeClassName(kAllSizeClasses[c]),
-        TablePrinter::Num(dq[c].curves.mean_chunks_to_completion, 1),
-        TablePrinter::Num(sq[c].curves.mean_chunks_to_completion, 1),
-        TablePrinter::Num(dq[3 + c].curves.mean_chunks_to_completion, 1),
-        TablePrinter::Num(sq[3 + c].curves.mean_chunks_to_completion, 1),
-    });
-  }
-  chunks.Print(std::cout);
+  print(&QualityCurves::mean_chunks_to_completion,
+        &QualityCurves::skip_mean_chunks_to_completion,
+        [](double n) { return TablePrinter::Num(n, 1); });
   return 0;
 }

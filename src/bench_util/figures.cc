@@ -25,33 +25,48 @@ void PrintNeighborsFigure(std::ostream& os, const std::string& title,
       break;
   }
 
+  // The paper's chunk and cost-model axes get a second column per series,
+  // "<label> skip": what the run actually read or spent. The wall clock
+  // only exists for the run itself.
+  const bool skip_columns = metric != EffortMetric::kWallSeconds;
   std::vector<std::string> headers{"neighbors"};
   for (const auto& s : series) headers.push_back(s.label);
+  if (skip_columns) {
+    for (const auto& s : series) headers.push_back(s.label + " skip");
+  }
   TablePrinter table(std::move(headers));
 
+  const int precision = metric == EffortMetric::kChunksRead ? 2 : 3;
   const size_t k = series.empty() ? 0 : series.front().curves.k;
   for (size_t n = 1; n <= k; ++n) {
     std::vector<std::string> row{std::to_string(n)};
+    const auto add_cell = [&](const QualityCurves& c,
+                              const std::vector<double>& values) {
+      row.push_back(n > c.k || c.queries_reaching[n - 1] == 0
+                        ? "-"
+                        : TablePrinter::Num(values[n - 1], precision));
+    };
     for (const auto& s : series) {
       const QualityCurves& c = s.curves;
-      if (n > c.k || c.queries_reaching[n - 1] == 0) {
-        row.push_back("-");
-        continue;
-      }
-      double value = 0.0;
       switch (metric) {
         case EffortMetric::kChunksRead:
-          value = c.mean_chunks_at[n - 1];
+          add_cell(c, c.mean_chunks_at);
           break;
         case EffortMetric::kModelSeconds:
-          value = c.mean_model_seconds_at[n - 1];
+          add_cell(c, c.mean_model_seconds_at);
           break;
         case EffortMetric::kWallSeconds:
-          value = c.mean_wall_seconds_at[n - 1];
+          add_cell(c, c.mean_wall_seconds_at);
           break;
       }
-      row.push_back(TablePrinter::Num(
-          value, metric == EffortMetric::kChunksRead ? 2 : 3));
+    }
+    if (skip_columns) {
+      for (const auto& s : series) {
+        const QualityCurves& c = s.curves;
+        add_cell(c, metric == EffortMetric::kChunksRead
+                        ? c.skip_mean_chunks_at
+                        : c.skip_mean_model_seconds_at);
+      }
     }
     table.AddRow(std::move(row));
   }

@@ -19,26 +19,43 @@ StatusOr<QualityCurves> RunWorkload(const Searcher& searcher,
   curves.mean_chunks_at.assign(k, 0.0);
   curves.mean_model_seconds_at.assign(k, 0.0);
   curves.mean_wall_seconds_at.assign(k, 0.0);
+  curves.skip_mean_chunks_at.assign(k, 0.0);
+  curves.skip_mean_model_seconds_at.assign(k, 0.0);
 
   std::vector<double> sum_chunks(k, 0.0);
   std::vector<double> sum_model(k, 0.0);
   std::vector<double> sum_wall(k, 0.0);
+  std::vector<double> sum_skip_chunks(k, 0.0);
+  std::vector<double> sum_skip_model(k, 0.0);
 
   for (size_t q = 0; q < workload.num_queries(); ++q) {
     const TruthSet truth_set(truth.TruthFor(q));
     size_t found_so_far = 0;
+    // What the paper's rule would have spent on the ranks skipped so far.
+    int64_t skipped_micros = 0;
+    uint64_t skipped_descriptors = 0;
 
     const SearchObserver observer = [&](const SearchProgress& progress) {
+      if (progress.rank_skipped) {
+        skipped_micros += progress.skipped_model_micros;
+        skipped_descriptors += progress.chunk_descriptors;
+        return;
+      }
       // A true top-k neighbor can never be evicted from the k-sized result
-      // set, so this count is monotone; record first-crossing efforts.
+      // set, so this count is monotone; record first-crossing efforts. The
+      // paper's rule reads every rank up to this one.
       const size_t found = truth_set.CountFound(progress.result->Unordered());
       for (size_t n = found_so_far; n < found; ++n) {
         ++curves.queries_reaching[n];
-        sum_chunks[n] += static_cast<double>(progress.chunks_read);
-        sum_model[n] +=
-            static_cast<double>(progress.model_elapsed_micros) * 1e-6;
+        sum_chunks[n] += static_cast<double>(progress.rank + 1);
+        sum_model[n] += static_cast<double>(progress.model_elapsed_micros +
+                                            skipped_micros) *
+                        1e-6;
         sum_wall[n] +=
             static_cast<double>(progress.wall_elapsed_micros) * 1e-6;
+        sum_skip_chunks[n] += static_cast<double>(progress.chunks_read);
+        sum_skip_model[n] +=
+            static_cast<double>(progress.model_elapsed_micros) * 1e-6;
       }
       found_so_far = found;
     };
@@ -48,12 +65,17 @@ StatusOr<QualityCurves> RunWorkload(const Searcher& searcher,
 
     const QueryTelemetry& t = result->telemetry;
     curves.mean_completion_model_seconds +=
-        static_cast<double>(t.model_micros) * 1e-6;
+        static_cast<double>(t.model_micros + skipped_micros) * 1e-6;
     curves.mean_completion_wall_seconds +=
         static_cast<double>(t.wall_micros) * 1e-6;
-    curves.mean_chunks_to_completion += static_cast<double>(t.chunks_read);
+    curves.mean_chunks_to_completion +=
+        static_cast<double>(t.chunks_read + t.chunks_skipped);
     curves.mean_descriptors_to_completion +=
-        static_cast<double>(t.descriptors_scanned);
+        static_cast<double>(t.descriptors_scanned + skipped_descriptors);
+    curves.skip_mean_completion_model_seconds +=
+        static_cast<double>(t.model_micros) * 1e-6;
+    curves.skip_mean_chunks_to_completion +=
+        static_cast<double>(t.chunks_read);
     curves.mean_final_precision +=
         PrecisionAtK(result->neighbors, truth.TruthFor(q), k);
   }
@@ -65,12 +87,16 @@ StatusOr<QualityCurves> RunWorkload(const Searcher& searcher,
       curves.mean_chunks_at[n] = sum_chunks[n] / reached;
       curves.mean_model_seconds_at[n] = sum_model[n] / reached;
       curves.mean_wall_seconds_at[n] = sum_wall[n] / reached;
+      curves.skip_mean_chunks_at[n] = sum_skip_chunks[n] / reached;
+      curves.skip_mean_model_seconds_at[n] = sum_skip_model[n] / reached;
     }
   }
   curves.mean_completion_model_seconds /= num_queries;
   curves.mean_completion_wall_seconds /= num_queries;
   curves.mean_chunks_to_completion /= num_queries;
   curves.mean_descriptors_to_completion /= num_queries;
+  curves.skip_mean_completion_model_seconds /= num_queries;
+  curves.skip_mean_chunks_to_completion /= num_queries;
   curves.mean_final_precision /= num_queries;
   return curves;
 }

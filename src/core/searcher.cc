@@ -34,13 +34,35 @@ constexpr double kSphereSlack = 1e-9;
 /// `limit`: every row's kernel squared distance provably exceeds
 /// kernels::AbandonThreshold(limit), so sweeping the chunk would leave the
 /// set untouched. A finite limit the sphere does not settle goes on to the
-/// rectangle bound (Execute).
+/// rectangle bound (ChunkRuledOut, and the batched sweep-time test).
 bool SphereRulesOut(const ChunkIndex& index, uint32_t chunk_id,
                     const SearchScratch& s, double limit) {
   const double cd = s.centroid_distance[chunk_id];
   const double r = index.radius(chunk_id);
   return cd - r - kSphereSlack * (cd + r) > limit;
 }
+
+/// The chunk-level bound test for one query: the sphere, then the
+/// rectangle gap sum against kernels::AbandonThreshold(limit). No slack
+/// beyond the abandon threshold: each gap is a rounded difference no
+/// larger than the row's rounded difference (rounding is monotone and
+/// lo_d <= row_d <= hi_d), squared and summed in the kernel's ascending-d
+/// order, so the sum never exceeds any row's kernel value. True only when
+/// no row of the chunk can enter a result set whose limit is `limit`.
+bool ChunkRuledOut(const ChunkIndex& index, uint32_t chunk_id,
+                   const SearchScratch& s, double limit) {
+  if (!(limit < std::numeric_limits<double>::infinity())) return false;
+  if (SphereRulesOut(index, chunk_id, s, limit)) return true;
+  const double* query = s.wide_query.data();
+  double sum = 0.0;
+  kernels::RectangleGapSums(index.rect_lo(chunk_id).data(),
+                            index.rect_hi(chunk_id).data(), index.dim(),
+                            &query, 1, &sum);
+  return sum > kernels::AbandonThreshold(limit);
+}
+
+/// SearchScratch::charges entry of a rank passed over unread.
+constexpr std::pair<int64_t, int64_t> kUnreadCharge{-1, -1};
 
 }  // namespace
 
@@ -426,13 +448,13 @@ StatusOr<std::vector<MethodResult>> Searcher::Execute(
       const size_t att_begin = ci == 0 ? 0 : range_end[ci - 1];
       const std::span<const ChunkAttachment> atts =
           flat_atts.subspan(att_begin, range_end[ci] - att_begin);
-      // Chunk-level abandon: a query whose limit the chunk's bound already
-      // rules out would admit none of its rows, so only the others sweep.
-      // The chunk was still fetched and every attachment is still charged
-      // below, so answers, counters and the model clock do not change.
-      // The sphere test settles most attachments with a finite limit; the
-      // rest take the rectangle test in one kernel call, one lane per
-      // query.
+      // Chunk-level abandon: a query whose limit fell, since it demanded
+      // the chunk, far enough for the chunk's bound to rule it out would
+      // admit none of its rows, so only the others sweep. The chunk was
+      // fetched and every attachment is still charged below. This is
+      // ChunkRuledOut for each attachment: the sphere test settles most
+      // with a finite limit, and the rest take the rectangle test in one
+      // kernel call, one lane per query.
       rect_pending.clear();
       rect_queries.clear();
       for (const ChunkAttachment& att : atts) {
@@ -452,11 +474,6 @@ StatusOr<std::vector<MethodResult>> Searcher::Execute(
             index_->rect_lo(chunk_id).data(), index_->rect_hi(chunk_id).data(),
             index_->dim(), rect_queries.data(), rect_queries.size(),
             rect_sums.data());
-        // No slack beyond the abandon threshold: each gap is a rounded
-        // difference no larger than the row's rounded difference (rounding
-        // is monotone and lo_d <= row_d <= hi_d), squared and summed in the
-        // kernel's ascending-d order, so the sum never exceeds any row's
-        // kernel value.
         for (size_t j = 0; j < rect_pending.size(); ++j) {
           QueryState& q = *rect_pending[j];
           q.skipped = rect_sums[j] >
@@ -499,14 +516,15 @@ StatusOr<std::vector<MethodResult>> Searcher::Execute(
                                                  cpu_micros};
         std::vector<std::pair<int64_t, int64_t>>& charges =
             q.scratch->charges;
-        if (charges.size() > att.rank) {
+        if (stop.kind == StopRule::Kind::kMaxChunks) {
           charges[att.rank] = charge;
         } else {
-          charges.push_back(charge);  // round mode pushes in rank order
+          charges.push_back(charge);  // round mode reads in rank order
         }
         q.wall_micros += wall_share;
         if (observer) {
           SearchProgress progress;
+          progress.rank = att.rank;
           progress.chunks_read = t.chunks_read;
           progress.chunk_descriptors = loc.num_descriptors;
           progress.descriptors_processed = t.descriptors_scanned;
@@ -579,22 +597,54 @@ StatusOr<std::vector<MethodResult>> Searcher::Execute(
     return process(order, range_end, atts);
   };
 
+  // Skip, don't read: a rank whose chunk the query's limit already rules
+  // out (ChunkRuledOut) is passed over unfetched and uncharged. Sweeping it
+  // would admit no row, so the answer is the one reading it gives (DESIGN.md
+  // "Skip, don't read"). The observer still hears of it, with the charge
+  // reading it would have cost, so the paper's rule can be rebuilt.
+  auto skip_rank = [&](QueryState& q, size_t rank) {
+    QueryTelemetry& t = q.result.telemetry;
+    ++t.chunks_skipped;
+    if (!observer) return;
+    const ChunkLocation& loc = index_->location(q.scratch->rank_order[rank]);
+    SearchProgress progress;
+    progress.rank = rank;
+    progress.chunks_read = t.chunks_read;
+    progress.chunk_descriptors = loc.num_descriptors;
+    progress.descriptors_processed = t.descriptors_scanned;
+    progress.model_elapsed_micros = q.model_micros;
+    progress.wall_elapsed_micros = q.wall_micros;
+    progress.rank_skipped = true;
+    progress.skipped_model_micros =
+        cost_model_.ChunkTotalMicros(loc.num_pages, loc.num_descriptors);
+    progress.result = &*q.result_set;
+    observer(progress);
+  };
+
   std::vector<Demand> demands;
   if (stop.kind == StopRule::Kind::kMaxChunks) {
-    // The scanned set is statically known: each query reads exactly its
+    // The scanned set is statically known: each query reads at most its
     // first max_chunks ranked chunks, so the whole batch is one schedule
     // over the distinct demanded chunks — each fetched and decoded once no
     // matter how many queries want it. Scanning out of rank order is safe:
     // the result set's (distance, id) ordering makes the final top-k
     // independent of insertion order, and rank-indexed charge replay
-    // restores the modeled timeline (see DESIGN.md).
+    // restores the modeled timeline (see DESIGN.md). A rank is skipped
+    // under the limit the query starts with, its bound: known at plan
+    // time, it is the same whatever the schedule, and the limit only falls
+    // from there, so the sweep-time test would have skipped the rank too.
     const size_t budget = std::min(stop.max_chunks, num_chunks);
     demands.reserve(nq * budget);
     for (QueryState& q : states) {
-      q.scratch->charges.resize(budget);
+      const double limit = q.result_set->KthDistance();
+      q.scratch->charges.assign(budget, kUnreadCharge);
       for (size_t r = 0; r < budget; ++r) {
-        demands.emplace_back(q.scratch->rank_order[r],
-                             ChunkAttachment{&q, r});
+        const uint32_t chunk_id = q.scratch->rank_order[r];
+        if (ChunkRuledOut(*index_, chunk_id, *q.scratch, limit)) {
+          skip_rank(q, r);
+        } else {
+          demands.emplace_back(chunk_id, ChunkAttachment{&q, r});
+        }
       }
     }
     QVT_RETURN_IF_ERROR(run_schedule(demands));
@@ -606,6 +656,29 @@ StatusOr<std::vector<MethodResult>> Searcher::Execute(
     // demands that chunk; one round's demands coalesce into one pass. Each
     // query's chunks are visited in exact rank order across rounds, so its
     // (threshold, chunk, model-clock) sequence is that of a lone scan.
+    //
+    // True when query q's stop rule fires before rank r; sets its exact
+    // verdict.
+    auto stops_before = [&](QueryState& q, size_t r) {
+      if (r == num_chunks) {
+        // Considered every chunk: exact by construction.
+        if (stop.kind == StopRule::Kind::kExact) {
+          q.result.telemetry.exact = true;
+        }
+        return true;
+      }
+      if (stop.kind == StopRule::Kind::kTimeBudget) {
+        return q.model_micros >= stop.budget_micros;
+      }
+      // KthDistance() is the query's bound (+inf without one) until its
+      // own set is full, so a caller's k neighbors can end the scan too.
+      if (q.scratch->suffix_min_bound[r] * (1.0 + stop.epsilon) >
+          q.result_set->KthDistance()) {
+        q.result.telemetry.exact = stop.epsilon == 0.0;
+        return true;
+      }
+      return false;
+    };
     std::vector<QueryState*> live;
     live.reserve(nq);
     for (QueryState& q : states) live.push_back(&q);
@@ -616,26 +689,20 @@ StatusOr<std::vector<MethodResult>> Searcher::Execute(
       for (size_t i = 0; i < live.size(); ++i) {
         QueryState* q = live[i];
         const SearchScratch& s = *q->scratch;
-        const size_t r = q->next_rank;
-        if (r == num_chunks) {
-          // Scanned every chunk: exact by construction.
-          if (stop.kind == StopRule::Kind::kExact) {
-            q->result.telemetry.exact = true;
-          }
-          continue;
+        size_t r = q->next_rank;
+        // A skipped rank leaves the k-th as it was, so the stop rule is
+        // re-checked at the next rank within the round, and fires at the
+        // rank it would fire at had the skipped chunk been read. The time
+        // budget skips nothing: a skipped chunk costs no model time, so
+        // skipping would buy the budget deeper ranks and other answers.
+        bool stopped = stops_before(*q, r);
+        while (!stopped && stop.kind == StopRule::Kind::kExact &&
+               ChunkRuledOut(*index_, s.rank_order[r], s,
+                             q->result_set->KthDistance())) {
+          skip_rank(*q, r);
+          stopped = stops_before(*q, ++r);
         }
-        if (stop.kind == StopRule::Kind::kTimeBudget &&
-            q->model_micros >= stop.budget_micros) {
-          continue;
-        }
-        // KthDistance() is the query's bound (+inf without one) until its
-        // own set is full, so a caller's k neighbors can end the scan too.
-        if (stop.kind == StopRule::Kind::kExact &&
-            s.suffix_min_bound[r] * (1.0 + stop.epsilon) >
-                q->result_set->KthDistance()) {
-          q->result.telemetry.exact = stop.epsilon == 0.0;
-          continue;
-        }
+        if (stopped) continue;
         demands.emplace_back(s.rank_order[r], ChunkAttachment{q, r});
         q->next_rank = r + 1;
         live[kept++] = q;
@@ -653,9 +720,8 @@ StatusOr<std::vector<MethodResult>> Searcher::Execute(
     QueryTelemetry& t = q.result.telemetry;
     OverlappedScanTimeline timeline(kModeledReadAheadDepth,
                                     t.plan.model_micros);
-    for (size_t r = 0; r < t.chunks_read; ++r) {
-      timeline.AddChunk(q.scratch->charges[r].first,
-                        q.scratch->charges[r].second);
+    for (const auto& [io_micros, cpu_micros] : q.scratch->charges) {
+      if (io_micros >= 0) timeline.AddChunk(io_micros, cpu_micros);
     }
     q.result.neighbors = q.result_set->Sorted();
     t.model_micros = q.model_micros;

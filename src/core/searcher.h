@@ -57,18 +57,28 @@ struct StopRule {
   }
 };
 
-/// Per-chunk progress reported to the observer after each chunk is
-/// processed. `result` points at the live result set (valid only during the
-/// callback).
+/// Per-rank progress reported to the observer: one event after each chunk
+/// is read, and one for each rank passed over unread (`rank_skipped`).
+/// A lone query's events arrive in rank order. `result` points at the live
+/// result set (valid only during the callback).
 struct SearchProgress {
-  size_t chunks_read = 0;            ///< chunks processed so far (>= 1)
-  uint32_t chunk_descriptors = 0;    ///< population of the chunk just read
+  size_t rank = 0;                   ///< rank position of the event's chunk
+  size_t chunks_read = 0;            ///< chunks read so far
+  uint32_t chunk_descriptors = 0;    ///< population of the event's chunk
   uint64_t descriptors_processed = 0;
   int64_t model_elapsed_micros = 0;  ///< cost-model time incl. index scan
   int64_t wall_elapsed_micros = 0;   ///< real time on this host
-  /// True when the chunk's bound ruled out every row, so it was read and
-  /// charged but not swept (QueryTelemetry::sweeps_skipped).
+  /// True when the chunk was read and charged, but its bound ruled out
+  /// every row under the query's limit at sweep time, so it was not swept
+  /// (QueryTelemetry::sweeps_skipped).
   bool skipped = false;
+  /// True when the chunk at `rank` was not read at all: its bound ruled out
+  /// every row before the fetch (QueryTelemetry::chunks_skipped). The
+  /// counters and clocks above are unchanged by it; `skipped_model_micros`
+  /// is what reading it uncached would have cost, so a consumer can
+  /// rebuild the paper's rule, which reads every rank (RunWorkload).
+  bool rank_skipped = false;
+  int64_t skipped_model_micros = 0;
   const KnnResultSet* result = nullptr;
 };
 
@@ -85,8 +95,9 @@ struct SearchScratch {
   std::vector<std::pair<double, uint32_t>> closest;
   std::vector<double> suffix_min_bound;
   std::vector<double> wide_query;   ///< the query widened for the kernels
-  /// (io, cpu) model charge of the chunk read at each rank position,
-  /// replayed in rank order into the overlapped timeline.
+  /// (io, cpu) model charge of each chunk read, replayed in rank order
+  /// into the overlapped timeline. Under kMaxChunks it is indexed by rank
+  /// position and holds {-1, -1} at a rank passed over unread.
   std::vector<std::pair<int64_t, int64_t>> charges;
   ChunkData chunk;
 };
@@ -108,6 +119,9 @@ Status FetchChunk(const ChunkIndex& index, ChunkCache* cache,
 ///  2. read chunks in rank order, scanning all descriptors of each chunk
 ///     against the query and updating the running k-NN set;
 ///  3. stop per the StopRule.
+/// A chunk whose bound shows that none of its rows can enter the result
+/// set is passed over unread (DESIGN.md "Skip, don't read"): answers are
+/// the paper rule's bit for bit, and only reads and the model clock fall.
 ///
 /// Elapsed time is tracked twice: on the host wall clock and on the
 /// DiskCostModel (deterministic 2005-hardware timeline used by the
@@ -163,10 +177,16 @@ class Searcher {
   /// schedule is a single pass over the distinct demanded chunks; the other
   /// stop rules re-plan round-by-round (every live query demands its next
   /// ranked chunk, demands are coalesced, stop rules are re-checked between
-  /// rounds). The call runs on the calling thread and starts none; a
-  /// caller wanting threads runs disjoint query slices concurrently, as
-  /// BatchSearcher does. `shared`, when non-null, accumulates the batch's
-  /// coalescing ledger. Per-query wall times are fair-share attributions
+  /// rounds). A query never demands a chunk its limit (k-th distance,
+  /// capped by its bound) already rules out: under the exact and epsilon
+  /// rules it passes over such a rank within the round and re-checks its
+  /// stop rule; under kMaxChunks the limit is the one it starts with, its
+  /// bound; under kTimeBudget it reads every rank. A skipped rank is
+  /// counted in chunks_skipped and charged nothing. The call runs on the
+  /// calling thread and starts none; a caller wanting threads runs
+  /// disjoint query slices concurrently, as BatchSearcher does. `shared`,
+  /// when non-null, accumulates the batch's coalescing ledger. Per-query
+  /// wall times are fair-share attributions
   /// (the batched plan and each chunk's fetch+scan wall split evenly
   /// across the queries it served; a lone query owns the whole call).
   /// `excluded` (ids sorted ascending) is every query's dead-id filter.
@@ -175,10 +195,12 @@ class Searcher {
   /// query q's result set starts with that limit (KnnResultSet's `bound`).
   /// It caps the abandon threshold, the row admission and the exact and
   /// epsilon stop test; the answer is the unbounded one filtered to
-  /// distance <= bounds[q], ties kept. Under kMaxChunks and kTimeBudget
-  /// chunks_read and the model clock do not change; under the exact rule
-  /// fewer chunks may be read. InvalidArgument when the size differs from
-  /// the query count or an entry is negative or NaN.
+  /// distance <= bounds[q], ties kept. Under kTimeBudget chunks_read and
+  /// the model clock do not change; under kMaxChunks the ranks considered
+  /// do not change (chunks_read + chunks_skipped), but fewer of them may be
+  /// read; under the exact rule the scan may stop earlier.
+  /// InvalidArgument when the size differs from the query count or an
+  /// entry is negative or NaN.
   StatusOr<std::vector<MethodResult>> SearchShared(
       std::span<const std::span<const float>> queries, size_t k,
       const StopRule& stop, SharedScanStats* shared = nullptr,
@@ -204,7 +226,9 @@ class Searcher {
   ///    `rank_order[0..m)` (the rest is in no particular order) and
   ///    `suffix_min_bound` is empty;
   ///  - kTimeBudget: fully sorted, `suffix_min_bound` empty.
-  /// The selected ranks equal the full sort's, since the order is strict,
+  /// A rank is a candidate read: the executor still passes over any ranked
+  /// chunk its limit rules out (DESIGN.md "Skip, don't read"). The
+  /// selected ranks equal the full sort's, since the order is strict,
   /// and nothing depends on which queries share the batch. Returns the
   /// modeled index-scan charge of one query, the same under every rule.
   /// Public so tests can pin the ranking bit-identical to the scalar
@@ -218,7 +242,7 @@ class Searcher {
 
  private:
   /// The one k-NN scan loop behind Search and SearchShared. `observer` is
-  /// invoked per (query, chunk) pair processed; `scratch`, when non-null,
+  /// invoked per (query, rank) pair read or skipped; `scratch`, when non-null,
   /// serves a lone query (otherwise each query gets its own).
   StatusOr<std::vector<MethodResult>> Execute(
       std::span<const std::span<const float>> queries, size_t k,

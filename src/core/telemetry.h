@@ -131,7 +131,7 @@ struct ShardAttribution {
 ///                            method, approximation codes plus refined
 ///                            records for the VA-file, 100-byte records per
 ///                            exact distance for the memory-resident methods.
-///  * chunks_read, sweeps_skipped, cache_*
+///  * chunks_read, sweeps_skipped, chunks_skipped, cache_*
 ///                          — chunked-path ledgers (zero elsewhere).
 struct QueryTelemetry {
   // --- timers -------------------------------------------------------------
@@ -157,10 +157,20 @@ struct QueryTelemetry {
   uint64_t bytes_read = 0;
   uint64_t chunks_read = 0;
   /// Chunks read for this query whose sweep was skipped because the chunk's
-  /// sphere or rectangle bound already exceeded the query's k-th distance
-  /// (Searcher's chunk-level abandon). Each is still counted in
-  /// chunks_read, descriptors_scanned, bytes_read and the model clock.
+  /// sphere or rectangle bound exceeded the query's limit by the time the
+  /// chunk was swept (Searcher's chunk-level abandon). Each is still
+  /// counted in chunks_read, descriptors_scanned, bytes_read and the model
+  /// clock. Only a limit that fell after the chunk was demanded leaves
+  /// one: under kMaxChunks the k-th as it evolves, and under kTimeBudget,
+  /// which reads every rank. Under the exact and epsilon rules the chunk
+  /// is skipped unread instead, so this stays 0.
   uint64_t sweeps_skipped = 0;
+  /// Ranks passed over unread because the same bound test ruled the chunk
+  /// out before it was fetched (DESIGN.md "Skip, don't read"). A skipped
+  /// rank is charged nothing. chunks_read + chunks_skipped is what the
+  /// paper's rule reads: the stop rank under the exact and epsilon rules,
+  /// min(m, chunks) under kMaxChunks(m).
+  uint64_t chunks_skipped = 0;
   /// Population of the largest probe this query scanned (rows of the
   /// biggest chunk read, for the chunked method; 0 for methods without
   /// per-probe populations). The per-query exposure to chunk imbalance:
@@ -199,6 +209,7 @@ struct QueryTelemetry {
     bytes_read += other.bytes_read;
     chunks_read += other.chunks_read;
     sweeps_skipped += other.sweeps_skipped;
+    chunks_skipped += other.chunks_skipped;
     max_probe_rows = std::max(max_probe_rows, other.max_probe_rows);
     cache_hits += other.cache_hits;
     cache_misses += other.cache_misses;

@@ -18,6 +18,9 @@ QualityCurves MakeCurves(size_t k, double chunk_step, double second_step,
     curves.mean_model_seconds_at.push_back(reached ? second_step * n : 0.0);
     curves.mean_wall_seconds_at.push_back(reached ? second_step * n / 10
                                                   : 0.0);
+    curves.skip_mean_chunks_at.push_back(reached ? chunk_step * n / 4 : 0.0);
+    curves.skip_mean_model_seconds_at.push_back(
+        reached ? second_step * n / 4 : 0.0);
   }
   return curves;
 }
@@ -55,6 +58,12 @@ TEST(FiguresTest, MetricSelectsColumn) {
   EXPECT_NE(chunks_os.str().find("21.00"), std::string::npos);   // 7*3
   EXPECT_NE(seconds_os.str().find("0.750"), std::string::npos);  // 0.25*3
   EXPECT_NE(wall_os.str().find("0.075"), std::string::npos);
+  // The chunk and cost-model figures carry the skip run beside the paper's
+  // rule; the wall clock has no second column.
+  EXPECT_NE(chunks_os.str().find("s skip"), std::string::npos);
+  EXPECT_NE(chunks_os.str().find("5.25"), std::string::npos);    // 21/4
+  EXPECT_NE(seconds_os.str().find("0.188"), std::string::npos);  // 0.75/4
+  EXPECT_EQ(wall_os.str().find("skip"), std::string::npos);
 }
 
 TEST(FiguresTest, SecondsFormatsMilliseconds) {

@@ -63,6 +63,8 @@ void ExpectIdenticalResults(const std::vector<MethodResult>& a,
   for (size_t q = 0; q < a.size(); ++q) {
     EXPECT_EQ(a[q].telemetry.chunks_read, b[q].telemetry.chunks_read)
         << "query " << q;
+    EXPECT_EQ(a[q].telemetry.chunks_skipped, b[q].telemetry.chunks_skipped)
+        << "query " << q;
     EXPECT_EQ(a[q].telemetry.descriptors_scanned,
               b[q].telemetry.descriptors_scanned)
         << "query " << q;
@@ -101,15 +103,15 @@ TEST(BatchSearcherTest, EightThreadsBitIdenticalToSerial) {
   ASSERT_TRUE(batch.ok());
   EXPECT_EQ(batch->num_threads, 8u);
   ExpectIdenticalResults(batch->results, serial);
-  // Chunk-level abandon fired, so the identity covers skipped sweeps; under
-  // the exact rule each query's sweep sequence is its lone one, so even
-  // the skips agree.
+  // Ranks were skipped unread, so the identity covers skipped ranks; under
+  // the exact rule each query's rank sequence is its lone one, so even the
+  // skips agree, query by query (above) and in total.
   uint64_t serial_skipped = 0;
   for (const MethodResult& r : serial) {
-    serial_skipped += r.telemetry.sweeps_skipped;
+    serial_skipped += r.telemetry.chunks_skipped;
   }
   EXPECT_GT(serial_skipped, 0u);
-  EXPECT_EQ(batch->totals.sweeps_skipped, serial_skipped);
+  EXPECT_EQ(batch->totals.chunks_skipped, serial_skipped);
 }
 
 // Every registered method over one shared index: four worker threads read

@@ -1,9 +1,12 @@
 // The per-query bound of Searcher::SearchShared ("the caller already holds
 // k neighbors no farther than bounds[q]"): the bounded answer is the
-// unbounded one filtered to distance <= bound, ties at the bound kept, with
-// chunks_read and the model clock unchanged under the rules that do not
-// read the k-th distance; the exact rule stays exact and may read fewer
-// chunks. The fixture duplicates rows, so ties at the bound occur.
+// unbounded one filtered to distance <= bound, ties at the bound kept.
+// Under the time budget chunks_read and the model clock are unchanged;
+// under kMaxChunks the ranks considered (read + skipped) are unchanged,
+// but a rank the bound rules out is skipped unread, so reads and the model
+// clock are no larger; the exact rule stays exact and may stop earlier.
+// Every bounded run matches the bounded rank-order reference, skips
+// included. The fixture duplicates rows, so ties at the bound occur.
 
 #include <cmath>
 #include <cstring>
@@ -73,29 +76,6 @@ struct BoundsFixture {
   }
 };
 
-/// `answer` filtered to distance <= bound.
-std::vector<Neighbor> Within(const std::vector<Neighbor>& answer,
-                             double bound) {
-  std::vector<Neighbor> out;
-  for (const Neighbor& n : answer) {
-    if (n.distance <= bound) out.push_back(n);
-  }
-  return out;
-}
-
-void ExpectSameBits(const std::vector<Neighbor>& got,
-                    const std::vector<Neighbor>& want,
-                    const std::string& label) {
-  ASSERT_EQ(got.size(), want.size()) << label;
-  for (size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got[i].id, want[i].id) << label << " rank " << i;
-    EXPECT_EQ(std::memcmp(&got[i].distance, &want[i].distance,
-                          sizeof(double)),
-              0)
-        << label << " rank " << i;
-  }
-}
-
 /// One bound per query, read off its unbounded answer: at a tie between
 /// two neighbors where the answer has one (so a tied row sits exactly on
 /// the bound), else at rank q % k; every fourth query gets +inf.
@@ -147,7 +127,8 @@ TEST(SearchBoundsTest, BoundedAnswerIsTheUnboundedOneWithinTheBound) {
   };
   size_t ties = 0;
   size_t fewer_chunks = 0;
-  uint64_t skipped = 0;
+  uint64_t static_skipped = 0;
+  uint64_t exact_skipped = 0;
   // SearchShared's bounds reach the searcher through BatchSearcher, whose
   // threads run contiguous query slices.
   const Workload workload = ToWorkload(queries);
@@ -169,20 +150,39 @@ TEST(SearchBoundsTest, BoundedAnswerIsTheUnboundedOneWithinTheBound) {
         const std::string at = label + " query " + std::to_string(q);
         const MethodResult& got = bounded->results[q];
         const MethodResult& free = unbounded->results[q];
-        skipped += got.telemetry.sweeps_skipped;
+        ExpectMatchesReference(
+            got,
+            RankOrderReference(searcher, model, queries[q], kK, r.rule,
+                               {.bound = bounds[q]}),
+            at + " vs reference");
         switch (r.rule.kind) {
           case StopRule::Kind::kMaxChunks:
+            // The ranks considered do not depend on the k-th distance; the
+            // ones the bound rules out are not read.
+            ExpectSameBits(got.neighbors, Within(free.neighbors, bounds[q]),
+                           at);
+            EXPECT_EQ(free.telemetry.chunks_skipped, 0u) << at;
+            EXPECT_EQ(got.telemetry.chunks_read + got.telemetry.chunks_skipped,
+                      free.telemetry.chunks_read)
+                << at;
+            EXPECT_LE(got.telemetry.model_micros,
+                      free.telemetry.model_micros)
+                << at;
+            static_skipped += got.telemetry.chunks_skipped;
+            break;
           case StopRule::Kind::kTimeBudget:
             // The scanned set does not depend on the k-th distance.
             ExpectSameBits(got.neighbors, Within(free.neighbors, bounds[q]),
                            at);
             EXPECT_EQ(got.telemetry.chunks_read, free.telemetry.chunks_read)
                 << at;
+            EXPECT_EQ(got.telemetry.chunks_skipped, 0u) << at;
             EXPECT_EQ(got.telemetry.model_micros,
                       free.telemetry.model_micros)
                 << at;
             break;
           case StopRule::Kind::kExact:
+            exact_skipped += got.telemetry.chunks_skipped;
             EXPECT_LE(got.telemetry.chunks_read, free.telemetry.chunks_read)
                 << at;
             fewer_chunks +=
@@ -197,12 +197,13 @@ TEST(SearchBoundsTest, BoundedAnswerIsTheUnboundedOneWithinTheBound) {
                   at + " vs ExactScan");
             } else {
               // The epsilon rule may stop earlier under a bound (its test
-              // reads min(k-th, bound)); what it read is a rank-order
-              // prefix, answered exactly as an unbounded scan of that
-              // prefix filtered to the bound.
+              // reads min(k-th, bound)); what it read or skipped is a
+              // rank-order prefix, answered exactly as an unbounded scan of
+              // that prefix filtered to the bound.
               auto prefix = searcher.Search(
                   queries[q], kK,
-                  StopRule::MaxChunks(got.telemetry.chunks_read));
+                  StopRule::MaxChunks(got.telemetry.chunks_read +
+                                      got.telemetry.chunks_skipped));
               ASSERT_TRUE(prefix.ok()) << at;
               ExpectSameBits(got.neighbors,
                              Within(prefix->neighbors, bounds[q]), at);
@@ -216,9 +217,10 @@ TEST(SearchBoundsTest, BoundedAnswerIsTheUnboundedOneWithinTheBound) {
   // really stops earlier for some query.
   EXPECT_GT(ties, 0u);
   EXPECT_GT(fewer_chunks, 0u);
-  // Chunk-level abandon fired on bounded queries, so the identities above
-  // cover skipped sweeps.
-  EXPECT_GT(skipped, 0u);
+  // Bounded queries skipped ranks unread under both schedules, so the
+  // identities above cover skipped ranks.
+  EXPECT_GT(static_skipped, 0u);
+  EXPECT_GT(exact_skipped, 0u);
 }
 
 TEST(SearchBoundsTest, ZeroBoundKeepsOnlyExactDuplicates) {

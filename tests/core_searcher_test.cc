@@ -330,7 +330,8 @@ TEST(SearcherTest, SearchAndSharedMatchRankOrderReference) {
       {"time-budget-half",
        StopRule::TimeBudget(probe->telemetry.model_micros / 2)},
   };
-  uint64_t skipped = 0;
+  uint64_t sweeps_skipped = 0;
+  uint64_t chunks_skipped = 0;
   for (const auto& r : rules) {
     auto shared = searcher.SearchShared(spans, 10, r.rule);
     ASSERT_TRUE(shared.ok()) << r.name;
@@ -338,18 +339,32 @@ TEST(SearcherTest, SearchAndSharedMatchRankOrderReference) {
     for (size_t q = 0; q < spans.size(); ++q) {
       const MethodResult reference =
           RankOrderReference(searcher, model, spans[q], 10, r.rule);
+      const MethodResult paper = RankOrderReference(
+          searcher, model, spans[q], 10, r.rule, {.skip = false});
       auto alone = searcher.Search(spans[q], 10, r.rule);
       ASSERT_TRUE(alone.ok()) << r.name;
       const std::string label =
           std::string(r.name) + " query " + std::to_string(q);
       ExpectMatchesReference(*alone, reference, label + " (Search)");
       ExpectMatchesReference((*shared)[q], reference, label + " (shared)");
-      skipped += alone->telemetry.sweeps_skipped +
-                 (*shared)[q].telemetry.sweeps_skipped;
+      // Skipping changes no answer and no stop rank: the paper's rule
+      // reads exactly the ranks read or skipped.
+      ExpectSameBits(reference.neighbors, paper.neighbors, label);
+      EXPECT_EQ(reference.telemetry.exact, paper.telemetry.exact) << label;
+      EXPECT_EQ(alone->telemetry.chunks_read + alone->telemetry.chunks_skipped,
+                paper.telemetry.chunks_read)
+          << label;
+      sweeps_skipped += alone->telemetry.sweeps_skipped +
+                        (*shared)[q].telemetry.sweeps_skipped;
+      chunks_skipped += alone->telemetry.chunks_skipped +
+                        (*shared)[q].telemetry.chunks_skipped;
     }
   }
-  // Chunk-level abandon fired, so the identity above covers skipped sweeps.
-  EXPECT_GT(skipped, 0u);
+  // Both chunk-level tests fired: ranks skipped unread (exact, epsilon) and
+  // sweeps skipped after the read (max-chunks, time budget), so the
+  // identities above cover both.
+  EXPECT_GT(sweeps_skipped, 0u);
+  EXPECT_GT(chunks_skipped, 0u);
 }
 
 TEST(SearcherTest, ExactAcrossChunkersAgrees) {

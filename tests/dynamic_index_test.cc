@@ -766,6 +766,7 @@ struct KnownShardsFixture {
       for (const Neighbor& n : r.neighbors) merged.Insert(n.id, n.distance);
       out.telemetry.exact = out.telemetry.exact && r.telemetry.exact;
       out.telemetry.chunks_read += r.telemetry.chunks_read;
+      out.telemetry.chunks_skipped += r.telemetry.chunks_skipped;
       out.telemetry.model_micros += r.telemetry.model_micros;
     }
     for (const Neighbor& n : ExactScan(buffer_rows, query, k, deleted)) {
@@ -775,19 +776,6 @@ struct KnownShardsFixture {
     return out;
   }
 };
-
-void ExpectSameBits(const std::vector<Neighbor>& got,
-                    const std::vector<Neighbor>& want,
-                    const std::string& label) {
-  ASSERT_EQ(got.size(), want.size()) << label;
-  for (size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got[i].id, want[i].id) << label << " rank " << i;
-    EXPECT_EQ(std::memcmp(&got[i].distance, &want[i].distance,
-                          sizeof(double)),
-              0)
-        << label << " rank " << i;
-  }
-}
 
 // The running merged k-th each shard is searched under, and the buffer
 // scanned last into the merged set, change nothing a query returns: the
@@ -827,6 +815,7 @@ TEST(DynamicIndexTest, BoundedShardSearchesEqualUnboundedMerge) {
   for (DescriptorId id : fx.deleted) live.erase(id);
 
   const Workload workload = ToWorkload(spans);
+  uint64_t static_skipped = 0;
   for (const auto& r : rules) {
     for (const size_t threads : {size_t{1}, size_t{2}, size_t{3}, size_t{4}}) {
       BatchSearcher batcher(fx.index.get(), threads);
@@ -844,6 +833,9 @@ TEST(DynamicIndexTest, BoundedShardSearchesEqualUnboundedMerge) {
         EXPECT_EQ(got.telemetry.exact, bounded.telemetry.exact) << label;
         EXPECT_EQ(got.telemetry.chunks_read, bounded.telemetry.chunks_read)
             << label;
+        EXPECT_EQ(got.telemetry.chunks_skipped,
+                  bounded.telemetry.chunks_skipped)
+            << label;
         if (r.rule.epsilon > 0.0) {
           // An epsilon stop reads min(k-th, bound), so a bounded shard may
           // stop earlier than an unbounded one; the (1+epsilon) guarantee on
@@ -859,11 +851,16 @@ TEST(DynamicIndexTest, BoundedShardSearchesEqualUnboundedMerge) {
         ExpectSameBits(got.neighbors, unbounded.neighbors, label);
         EXPECT_EQ(got.telemetry.exact, unbounded.telemetry.exact) << label;
         if (r.rule.kind == StopRule::Kind::kMaxChunks) {
-          EXPECT_EQ(got.telemetry.chunks_read, unbounded.telemetry.chunks_read)
+          // Each shard considers the same ranks; the ones its running
+          // bound rules out are skipped unread.
+          EXPECT_EQ(unbounded.telemetry.chunks_skipped, 0u) << label;
+          EXPECT_EQ(got.telemetry.chunks_read + got.telemetry.chunks_skipped,
+                    unbounded.telemetry.chunks_read)
               << label;
-          EXPECT_EQ(got.telemetry.model_micros,
+          EXPECT_LE(got.telemetry.model_micros,
                     unbounded.telemetry.model_micros)
               << label;
+          static_skipped += got.telemetry.chunks_skipped;
         } else {
           EXPECT_TRUE(got.telemetry.exact) << label;
           EXPECT_LE(got.telemetry.chunks_read, unbounded.telemetry.chunks_read)
@@ -874,6 +871,9 @@ TEST(DynamicIndexTest, BoundedShardSearchesEqualUnboundedMerge) {
       }
     }
   }
+  // Running bounds skipped shard ranks unread, so the identities above
+  // cover skipped ranks.
+  EXPECT_GT(static_skipped, 0u);
 }
 
 // A dynamic query is one query to the shared-scan ledger, however many
@@ -892,19 +892,42 @@ TEST(DynamicIndexTest, SharedScanLedgerCountsEachQueryOnce) {
   EXPECT_EQ(stats.queries, spans.size());
   const SharedScanStats one_call = stats;
 
+  // The shards searched one call each, every query under its running
+  // merged k-th as the dynamic layer searches them, and once unbounded.
   SharedScanStats summed;
+  SharedScanStats unbounded;
+  std::vector<KnnResultSet> merged;
+  for (size_t q = 0; q < spans.size(); ++q) merged.emplace_back(k);
+  uint64_t skipped = 0;
   for (const MethodShard& shard : fx.shards) {
+    const size_t shard_k = std::min(k, shard.data->size());
+    std::vector<double> running;
+    for (const KnnResultSet& set : merged) running.push_back(set.KthDistance());
     SharedScanStats one;
-    ASSERT_TRUE(shard.method
-                    ->SearchShared(spans, std::min(k, shard.data->size()), stop,
-                                   &one, fx.deleted)
-                    .ok());
+    auto subs = shard.method->SearchShared(spans, shard_k, stop, &one,
+                                           fx.deleted, running);
+    ASSERT_TRUE(subs.ok());
     summed += one;
+    for (size_t q = 0; q < spans.size(); ++q) {
+      for (const Neighbor& n : (*subs)[q].neighbors) {
+        merged[q].Insert(n.id, n.distance);
+      }
+      skipped += (*subs)[q].telemetry.chunks_skipped;
+    }
+    SharedScanStats free;
+    ASSERT_TRUE(
+        shard.method->SearchShared(spans, shard_k, stop, &free, fx.deleted)
+            .ok());
+    unbounded += free;
   }
   EXPECT_EQ(stats.chunk_fetches, summed.chunk_fetches);
   EXPECT_EQ(stats.chunk_attachments, summed.chunk_attachments);
   EXPECT_EQ(stats.rows_fetched, summed.rows_fetched);
   EXPECT_EQ(stats.rows_scan_shared, summed.rows_scan_shared);
+  // A rank a running bound rules out is never attached: the attachments
+  // and the skipped ranks make up the unbounded attachments.
+  EXPECT_GT(skipped, 0u);
+  EXPECT_EQ(stats.chunk_attachments + skipped, unbounded.chunk_attachments);
 
   // The ledger accumulates across calls: a second call adds n again.
   ASSERT_TRUE(fx.index->SearchShared(spans, k, stop, &stats).ok());

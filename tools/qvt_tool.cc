@@ -100,7 +100,8 @@
 //
 // A numeric flag that does not parse as a number is a usage error
 // ("error: --images: not a number: abc"), exit 2 like every other; so is a
-// negative count or size ("error: --images: must be >= 0: -1"). The
+// negative count, size or seed ("error: --images: must be >= 0: -1"), and
+// a --check-recall outside [0, 1]. The
 // --ids and --budgets lists check every item the same way, and an id must
 // also fit a descriptor id ("error: --ids: must be <= 4294967294: ...");
 // delete checks the whole list before it opens the index.
@@ -195,6 +196,15 @@ class Flags {
   double GetDouble(const std::string& name, double fallback) const {
     return GetNumber<double>(name, fallback);
   }
+  /// A fraction: like GetDouble, but a value outside [0, 1] is a usage
+  /// error ("error: --name: must be in [0, 1]: 1.5", exit 2).
+  double GetFraction(const std::string& name, double fallback) const {
+    const double value = GetDouble(name, fallback);
+    if (!(value >= 0.0 && value <= 1.0)) {
+      UsageError(name, "must be in [0, 1]", Get(name, ""));
+    }
+    return value;
+  }
   bool Has(const std::string& name) const { return values_.count(name) != 0; }
 
  private:
@@ -271,7 +281,7 @@ int CmdGenerate(const Flags& flags) {
   config.num_images = flags.GetCount("images", 200);
   config.descriptors_per_image = flags.GetCount("descriptors", 100);
   config.num_modes = flags.GetCount("modes", 20);
-  config.seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
+  config.seed = flags.GetCount("seed", 42);
   config.heavy_mode_weight = flags.GetDouble("heavy-mode-weight", 0.0);
   if (config.heavy_mode_weight < 0.0 || config.heavy_mode_weight >= 1.0) {
     std::fprintf(stderr, "--heavy-mode-weight must be in [0, 1)\n");
@@ -804,10 +814,11 @@ void PrintTelemetry(const QueryTelemetry& t, const char* prefix) {
               static_cast<unsigned long long>(t.index_entries_scanned),
               static_cast<unsigned long long>(t.candidates_examined),
               static_cast<unsigned long long>(t.descriptors_scanned));
-  std::printf("%sbytes read %llu, chunks read %llu (%llu sweeps skipped "
-              "by bound), cache %llu hit / %llu miss\n",
+  std::printf("%sbytes read %llu, chunks read %llu (%llu ranks skipped, "
+              "%llu sweeps skipped by bound), cache %llu hit / %llu miss\n",
               prefix, static_cast<unsigned long long>(t.bytes_read),
               static_cast<unsigned long long>(t.chunks_read),
+              static_cast<unsigned long long>(t.chunks_skipped),
               static_cast<unsigned long long>(t.sweeps_skipped),
               static_cast<unsigned long long>(t.cache_hits),
               static_cast<unsigned long long>(t.cache_misses));
@@ -901,8 +912,9 @@ int CmdBatch(const Flags& flags) {
   const size_t threads = flags.GetCount("threads", 1);
   const size_t max_chunks = flags.GetCount("max-chunks", 0);
   const uint64_t cache_pages = flags.GetCount("cache-pages", 0);
+  const double recall_threshold = flags.GetFraction("check-recall", 0.0);
 
-  Rng rng(static_cast<uint64_t>(flags.GetInt("seed", 7)));
+  Rng rng(flags.GetCount("seed", 7));
   const Workload workload = MakeDatasetQueries(*collection, num_queries, &rng);
   const StopRule stop =
       max_chunks > 0 ? StopRule::MaxChunks(max_chunks) : StopRule::Exact();
@@ -1019,6 +1031,7 @@ int CmdBatch(const Flags& flags) {
       // queries interleave, so model time is compared only without one.
       bool same =
           a.telemetry.chunks_read == b.telemetry.chunks_read &&
+          a.telemetry.chunks_skipped == b.telemetry.chunks_skipped &&
           a.telemetry.exact == b.telemetry.exact &&
           (cache != nullptr ||
            a.telemetry.model_micros == b.telemetry.model_micros) &&
@@ -1043,7 +1056,6 @@ int CmdBatch(const Flags& flags) {
   }
 
   if (flags.Has("check-recall")) {
-    const double threshold = flags.GetDouble("check-recall", 0.0);
     const GroundTruth truth = GroundTruth::Compute(*collection, workload, k);
     double recall = 0.0;
     for (size_t q = 0; q < workload.num_queries(); ++q) {
@@ -1053,9 +1065,9 @@ int CmdBatch(const Flags& flags) {
     if (workload.num_queries() > 0) {
       recall /= static_cast<double>(workload.num_queries());
     }
-    const bool pass = recall >= threshold;
+    const bool pass = recall >= recall_threshold;
     std::printf("recall@%zu vs exact scan: %.4f (threshold %.4f) %s\n", k,
-                recall, threshold, pass ? "PASS" : "FAIL");
+                recall, recall_threshold, pass ? "PASS" : "FAIL");
     if (!pass) return 1;
   }
   return 0;
@@ -1099,7 +1111,7 @@ int CmdTail(const Flags& flags) {
     return 2;
   }
 
-  Rng rng(static_cast<uint64_t>(flags.GetInt("seed", 7)));
+  Rng rng(flags.GetCount("seed", 7));
   const Workload workload = MakeDatasetQueries(*collection, num_queries, &rng);
   const GroundTruth truth = GroundTruth::Compute(*collection, workload, k);
 

@@ -3,9 +3,9 @@
 // centroid ranking over a chunk index, and k-NN heap insertion — plus the
 // batched scan kernels of geometry/kernels.h per backend, with and without
 // early abandon, the fused multi-query kernel in its two roles (a chunk
-// swept for its co-scanning queries and the batched plan pass), and the
+// swept for its co-scanning queries and the batched plan pass), the
 // float bound filter's sweep under a finite limit against the fused kernel
-// it replaces there.
+// it replaces there, and the float-first MaxChunks plan of an image request.
 
 #include <benchmark/benchmark.h>
 
@@ -13,12 +13,19 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <optional>
+#include <span>
 #include <vector>
 
+#include "cluster/srtree_chunker.h"
+#include "core/chunk_index.h"
 #include "core/result_set.h"
+#include "core/searcher.h"
 #include "descriptor/generator.h"
 #include "geometry/kernels.h"
 #include "geometry/vec.h"
+#include "util/env.h"
+#include "util/logging.h"
 #include "util/random.h"
 
 namespace qvt {
@@ -369,6 +376,66 @@ void BM_FusedPlanPass(benchmark::State& state) {
   kernels::ResetBackendForTesting();
 }
 BENCHMARK(BM_FusedPlanPass)
+    ->Arg(static_cast<int>(kernels::Backend::kScalar))
+    ->Arg(static_cast<int>(kernels::Backend::kSse2))
+    ->Arg(static_cast<int>(kernels::Backend::kAvx2));
+
+/// A MaxChunks plan's inputs as an image request meets them: a generated
+/// collection (200 images x 75 descriptors), chunked by the SR-tree into
+/// about as many chunks as the canonical index holds (598), and the 75
+/// descriptors of image 0 as the queries.
+struct PlanInputs {
+  MemEnv env;
+  Collection collection;
+  std::optional<ChunkIndex> index;
+  std::vector<std::span<const float>> queries;
+
+  PlanInputs() {
+    GeneratorConfig config;
+    config.num_images = 200;
+    config.descriptors_per_image = 75;
+    config.num_modes = 20;
+    config.seed = 11;
+    collection = GenerateCollection(config);
+    auto chunking = SrTreeChunker(25).FormChunks(collection);
+    QVT_CHECK_OK(chunking.status());
+    auto built = ChunkIndex::Build(collection, *chunking, &env,
+                                   ChunkIndexPaths::ForBase("plan"));
+    QVT_CHECK_OK(built.status());
+    index.emplace(std::move(built).value());
+    for (size_t p = 0; p < collection.size() && queries.size() < 75; ++p) {
+      if (collection.Image(p) == collection.Image(0)) {
+        queries.push_back(collection.Vector(p));
+      }
+    }
+  }
+};
+
+/// The whole MaxChunks(8) plan of one image request, per backend: the
+/// float-first pass Searcher::RankChunksBatch runs (fp32 bounds of every
+/// centroid, exact distances for the chunks it can select, the top 8 and
+/// the rank order around them) for the request's queries. Set against
+/// BM_FusedPlanPass, the double pass alone that the plan ran before.
+/// items_per_second counts centroids per query.
+void BM_FloatFirstPlan(benchmark::State& state) {
+  if (!PinBackend(state)) return;
+  static const PlanInputs* const in = new PlanInputs();
+  const Searcher searcher(&*in->index, DiskCostModel());
+  const size_t nq = in->queries.size();
+  std::vector<SearchScratch> scratches(nq);
+  std::vector<SearchScratch*> ptrs;
+  for (SearchScratch& s : scratches) ptrs.push_back(&s);
+  for (auto _ : state) {
+    searcher.RankChunksBatch(in->queries, ptrs, StopRule::MaxChunks(8));
+    benchmark::DoNotOptimize(scratches.front().rank_order.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * in->index->num_chunks() * nq);
+  state.counters["chunks"] = static_cast<double>(in->index->num_chunks());
+  state.counters["queries"] = static_cast<double>(nq);
+  kernels::ResetBackendForTesting();
+}
+BENCHMARK(BM_FloatFirstPlan)
     ->Arg(static_cast<int>(kernels::Backend::kScalar))
     ->Arg(static_cast<int>(kernels::Backend::kSse2))
     ->Arg(static_cast<int>(kernels::Backend::kAvx2));

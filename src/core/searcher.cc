@@ -28,16 +28,16 @@ constexpr size_t kScanBlock = 256;
 /// magnitude to spare; see DESIGN.md "Chunk-level abandon".
 constexpr double kSphereSlack = 1e-9;
 
-/// True when the sphere bound (centroid distance - radius, from the plan)
-/// shows that no row of chunk `chunk_id` can get past AdmitRows for a
-/// query whose result set's limit (k-th distance, capped by its bound) is
-/// `limit`: every row's kernel squared distance provably exceeds
-/// kernels::AbandonThreshold(limit), so sweeping the chunk would leave the
-/// set untouched. A finite limit the sphere does not settle goes on to the
-/// rectangle bound (ChunkRuledOut, and the batched sweep-time test).
-bool SphereRulesOut(const ChunkIndex& index, uint32_t chunk_id,
-                    const SearchScratch& s, double limit) {
-  const double cd = s.centroid_distance[chunk_id];
+/// True when the sphere bound (`cd`, the chunk's centroid distance from the
+/// plan, less its radius) shows that no row of chunk `chunk_id` can get
+/// past AdmitRows for a query whose result set's limit (k-th distance,
+/// capped by its bound) is `limit`: every row's kernel squared distance
+/// provably exceeds kernels::AbandonThreshold(limit), so sweeping the chunk
+/// would leave the set untouched. A finite limit the sphere does not settle
+/// goes on to the rectangle bound (ChunkRuledOut, and the batched
+/// sweep-time test).
+bool SphereRulesOut(const ChunkIndex& index, uint32_t chunk_id, double cd,
+                    double limit) {
   const double r = index.radius(chunk_id);
   return cd - r - kSphereSlack * (cd + r) > limit;
 }
@@ -49,10 +49,10 @@ bool SphereRulesOut(const ChunkIndex& index, uint32_t chunk_id,
 /// lo_d <= row_d <= hi_d), squared and summed in the kernel's ascending-d
 /// order, so the sum never exceeds any row's kernel value. True only when
 /// no row of the chunk can enter a result set whose limit is `limit`.
-bool ChunkRuledOut(const ChunkIndex& index, uint32_t chunk_id,
+bool ChunkRuledOut(const ChunkIndex& index, uint32_t chunk_id, double cd,
                    const SearchScratch& s, double limit) {
   if (!(limit < std::numeric_limits<double>::infinity())) return false;
-  if (SphereRulesOut(index, chunk_id, s, limit)) return true;
+  if (SphereRulesOut(index, chunk_id, cd, limit)) return true;
   const double* query = s.wide_query.data();
   double sum = 0.0;
   kernels::RectangleGapSums(index.rect_lo(chunk_id).data(),
@@ -95,38 +95,163 @@ Searcher::Searcher(const ChunkIndex* index, const DiskCostModel& cost_model,
 
 namespace {
 
-/// Writes the m chunk ids closest under (distance, id) to order[0..m),
-/// ascending, and the other n - m ids to order[m..n) in no particular
-/// order; 0 < m < n. The first m ids are sorted into `best`; every later id
-/// is one compare against the m-th distance and, only when strictly closer,
-/// an insertion that pushes the m-th out to the tail. Ids arrive in
-/// ascending order, so a later id never wins a distance tie: it enters
-/// behind every equal distance, which keeps `best` in (distance, id) order.
-/// Insertions number about m * ln(n / m) on shuffled distances, so the pass
-/// costs O(n + m^2 log(n / m)) beyond the first sort.
-void SelectClosest(const double* distance, size_t n, size_t m,
-                   uint32_t* order,
-                   std::vector<std::pair<double, uint32_t>>& best) {
-  best.resize(m);
-  for (uint32_t i = 0; i < m; ++i) best[i] = {distance[i], i};
-  std::sort(best.begin(), best.end());
-  double worst = best[m - 1].first;
-  uint32_t* tail = order + m;
-  for (uint32_t i = static_cast<uint32_t>(m); i < n; ++i) {
-    const double d = distance[i];
-    if (!(d < worst)) {
-      *tail++ = i;
-      continue;
+/// The most chunks per group of the float-first plan's threshold.
+constexpr size_t kPlanGroup = 8;
+
+/// Working arrays of the float-first plan, reused by every query a thread
+/// ranks (the plan of one query needs them only while it runs).
+struct FloatPlanBuffers {
+  std::vector<float> bound;      ///< per chunk: its fp32 squared bound
+  std::vector<float> group_min;  ///< per group of chunks: its least bound
+  std::vector<float> smallest;   ///< MthSmallest's working copy
+  std::vector<float> candidate_bound;  ///< bounds of the chunks searched
+                                       ///< for X
+  std::vector<uint32_t> ids;     ///< chunks to compute exactly, then spare
+  std::vector<double> exact;     ///< their kernel distances
+};
+
+/// Appends (distance, id) for every chunk in `ids` to `closest`: the
+/// kernel's squared centroid distance, then its sqrt, bit-identical to the
+/// full pass's value (same ascending-d reduction, same rounded sqrt).
+void AppendExactDistances(const ChunkIndex& index,
+                          std::span<const uint32_t> ids,
+                          std::span<const double> wide_query,
+                          std::vector<double>& exact,
+                          std::vector<std::pair<double, uint32_t>>& closest) {
+  exact.resize(ids.size());
+  kernels::GatherSquaredDistance(index.centroid_matrix().data(), index.dim(),
+                                 ids, wide_query, exact.data());
+  kernels::SqrtInPlace(exact.data(), ids.size());
+  for (size_t i = 0; i < ids.size(); ++i) closest.emplace_back(exact[i], ids[i]);
+}
+
+/// The m-th smallest of values[0..count), 0 < m <= count, selected in a
+/// copy held by `scratch`.
+float MthSmallest(const float* values, size_t count, size_t m,
+                  std::vector<float>& scratch) {
+  scratch.assign(values, values + count);
+  std::nth_element(scratch.begin(), scratch.begin() + (m - 1), scratch.end());
+  return scratch[m - 1];
+}
+
+/// The kMaxChunks(m) selection of one query, m < n (DESIGN.md
+/// "Float-first plan"): s.closest gets the m chunks closest under
+/// (distance, id), ascending, each with the full ranking's distance. Exact
+/// double distances are computed only for the chunks a fp32 bound cannot
+/// put behind the m-th:
+///  1. b_j, the fp32 bound of every centroid (kernels::FloatSquaredBounds);
+///  2. X, the m-th smallest bound, so at least m chunks have b_j <= X;
+///     those are computed exactly. X is looked for only among the chunks at
+///     most the m-th smallest least bound of about 4m groups of up to
+///     kPlanGroup chunks, which is at least X;
+///  3. d_m, the m-th closest of them;
+///  4. every other chunk the float filter's margin does not reject, under
+///     L = FloatFilterLimit(AbandonThreshold(d_m)), is computed too;
+///  5. the m closest of all computed.
+/// A chunk left out has an exact distance strictly above d_m (the float
+/// bound filter's margin proof, applied to centroid rows), so it can
+/// neither be among the m closest nor tie the m-th. A bound that is not
+/// finite (an overflowed or NaN sum) is never rejected, so when there is
+/// one every chunk is computed.
+void SelectClosestFloatFirst(const ChunkIndex& index,
+                             std::span<const float> query, size_t m,
+                             SearchScratch& s) {
+  static thread_local FloatPlanBuffers buf;
+  std::vector<std::pair<double, uint32_t>>& closest = s.closest;
+  closest.clear();
+  if (m == 0) return;
+  const size_t n = index.num_chunks();
+  buf.bound.resize(n);
+  const float* bound = buf.bound.data();
+  buf.ids.clear();
+  if (!kernels::FloatSquaredBounds(index.centroid_matrix().data(), n,
+                                   index.dim(), query, buf.bound.data())) {
+    for (uint32_t j = 0; j < n; ++j) buf.ids.push_back(j);
+    AppendExactDistances(index, buf.ids, s.wide_query, buf.exact, closest);
+  } else {
+    // About 4m groups: enough that the m-th smallest group minimum stays
+    // near X, few enough to select from cheaply.
+    const size_t group = std::clamp<size_t>(n / (4 * m), 1, kPlanGroup);
+    const size_t num_groups = (n + group - 1) / group;
+    // A group of one chunk is least at its own bound.
+    const float* group_min = bound;
+    if (group > 1) {
+      buf.group_min.resize(num_groups);
+      for (size_t g = 0; g < num_groups; ++g) {
+        const float* b = bound + g * group;
+        const size_t size = std::min(group, n - g * group);
+        static_assert(kPlanGroup == 8, "the min tree spans eight bounds");
+        buf.group_min[g] =
+            size == 8
+                ? std::min(
+                      std::min(std::min(b[0], b[1]), std::min(b[2], b[3])),
+                      std::min(std::min(b[4], b[5]), std::min(b[6], b[7])))
+                : *std::min_element(b, b + size);
+      }
+      group_min = buf.group_min.data();
     }
-    *tail++ = best[m - 1].second;
-    size_t slot = m - 1;
-    for (; slot > 0 && d < best[slot - 1].first; --slot) {
-      best[slot] = best[slot - 1];
-    }
-    best[slot] = {d, i};
-    worst = best[m - 1].first;
+    // Appends every chunk whose bound is in (above, at_most], visiting only
+    // the groups whose least bound is at most `at_most`.
+    const auto collect = [&](float above, float at_most) {
+      for (size_t g = 0; g < num_groups; ++g) {
+        if (group_min[g] > at_most) continue;
+        for (size_t j = g * group; j < std::min(n, (g + 1) * group); ++j) {
+          if (bound[j] > above && bound[j] <= at_most) {
+            buf.ids.push_back(static_cast<uint32_t>(j));
+          }
+        }
+      }
+    };
+    // X is looked for only among the chunks at most the m-th smallest group
+    // minimum, which is at least X.
+    collect(-std::numeric_limits<float>::infinity(),
+            MthSmallest(group_min, num_groups, m, buf.smallest));
+    QVT_DCHECK(buf.ids.size() >= m);
+    buf.candidate_bound.clear();
+    for (const uint32_t j : buf.ids) buf.candidate_bound.push_back(bound[j]);
+    const float x = MthSmallest(buf.candidate_bound.data(), buf.ids.size(), m,
+                                buf.smallest);
+    std::erase_if(buf.ids, [&](uint32_t j) { return bound[j] > x; });
+    AppendExactDistances(index, buf.ids, s.wide_query, buf.exact, closest);
+    std::nth_element(closest.begin(), closest.begin() + (m - 1),
+                     closest.end());
+    const float limit = kernels::FloatFilterLimit(
+        kernels::AbandonThreshold(closest[m - 1].first), index.dim());
+    buf.ids.clear();
+    collect(x, limit);
+    AppendExactDistances(index, buf.ids, s.wide_query, buf.exact, closest);
   }
-  for (size_t r = 0; r < m; ++r) order[r] = best[r].second;
+  std::nth_element(closest.begin(), closest.begin() + (m - 1), closest.end());
+  closest.resize(m);
+  std::sort(closest.begin(), closest.end());
+}
+
+/// Writes a kMaxChunks(m) plan's selection (s.closest, m < n entries) out
+/// as RankChunksBatch's contract has it: rank_order[0..m) the selected
+/// ids, rank_order[m..n) the others ascending, the selected chunks'
+/// distances in centroid_distance and NaN in every other entry.
+void WriteSelection(size_t n, SearchScratch& s) {
+  static thread_local std::vector<uint32_t> selected;
+  const size_t m = s.closest.size();
+  s.centroid_distance.assign(n, std::numeric_limits<double>::quiet_NaN());
+  s.rank_order.resize(n);
+  uint32_t* order = s.rank_order.data();
+  selected.clear();
+  for (size_t r = 0; r < m; ++r) {
+    const auto [distance, chunk_id] = s.closest[r];
+    order[r] = chunk_id;
+    s.centroid_distance[chunk_id] = distance;
+    selected.push_back(chunk_id);
+  }
+  std::sort(selected.begin(), selected.end());
+  selected.push_back(static_cast<uint32_t>(n));
+  uint32_t* tail = order + m;
+  uint32_t next = 0;
+  for (const uint32_t chunk_id : selected) {
+    std::iota(tail, tail + (chunk_id - next), next);
+    tail += chunk_id - next;
+    next = chunk_id + 1;
+  }
 }
 
 }  // namespace
@@ -141,9 +266,38 @@ int64_t Searcher::RankChunks(std::span<const float> query,
 int64_t Searcher::RankChunksBatch(
     std::span<const std::span<const float>> queries,
     std::span<SearchScratch* const> scratches, const StopRule& stop) const {
+  const int64_t micros = Plan(queries, scratches, stop);
+  const size_t num_chunks = index_->num_chunks();
+  if (stop.kind == StopRule::Kind::kMaxChunks &&
+      stop.max_chunks < num_chunks) {
+    for (SearchScratch* const s : scratches) WriteSelection(num_chunks, *s);
+  }
+  return micros;
+}
+
+int64_t Searcher::Plan(std::span<const std::span<const float>> queries,
+                       std::span<SearchScratch* const> scratches,
+                       const StopRule& stop) const {
   QVT_CHECK(queries.size() == scratches.size());
   const size_t num_chunks = index_->num_chunks();
   const size_t nq = queries.size();
+  for (size_t i = 0; i < nq; ++i) {
+    SearchScratch& s = *scratches[i];
+    s.wide_query.assign(queries[i].begin(), queries[i].end());
+    // Only the exact (and epsilon) rule reads the suffix bound; clearing it
+    // leaves no stale bound from an earlier query in a reused scratch.
+    s.suffix_min_bound.clear();
+  }
+  // Under kMaxChunks only the first max_chunks ranks are ever read.
+  if (stop.kind == StopRule::Kind::kMaxChunks &&
+      stop.max_chunks < num_chunks) {
+    for (size_t i = 0; i < nq; ++i) {
+      SelectClosestFloatFirst(*index_, queries[i], stop.max_chunks,
+                              *scratches[i]);
+    }
+    return cost_model_.IndexScanMicros(num_chunks);
+  }
+
   // One fused kernel call over the contiguous centroid matrix for the whole
   // batch. Its completed values are the single-query kernel's, and sqrt of
   // the kernel's squared distance is bit-identical to vec::Distance (same
@@ -155,7 +309,6 @@ int64_t Searcher::RankChunksBatch(
       nq, std::numeric_limits<double>::infinity());
   for (size_t i = 0; i < nq; ++i) {
     SearchScratch& s = *scratches[i];
-    s.wide_query.assign(queries[i].begin(), queries[i].end());
     s.centroid_distance.resize(num_chunks);
     wide[i] = s.wide_query.data();
     outs[i] = s.centroid_distance.data();
@@ -169,31 +322,21 @@ int64_t Searcher::RankChunksBatch(
     kernels::SqrtInPlace(s.centroid_distance.data(), num_chunks);
     const double* distance = s.centroid_distance.data();
     s.rank_order.resize(num_chunks);
-    // Under kMaxChunks only the first max_chunks ranks are ever read; with
-    // none, the order stays the identity.
-    const bool select = stop.kind == StopRule::Kind::kMaxChunks &&
-                        stop.max_chunks < num_chunks;
-    if (select && stop.max_chunks > 0) {
-      SelectClosest(distance, num_chunks, stop.max_chunks,
-                    s.rank_order.data(), s.closest);
-    } else {
-      std::iota(s.rank_order.begin(), s.rank_order.end(), 0u);
-      if (!select) {
-        std::sort(s.rank_order.begin(), s.rank_order.end(),
-                  [distance](uint32_t a, uint32_t b) {
-                    if (distance[a] != distance[b]) {
-                      return distance[a] < distance[b];
-                    }
-                    return a < b;
-                  });
+    std::iota(s.rank_order.begin(), s.rank_order.end(), 0u);
+    std::sort(s.rank_order.begin(), s.rank_order.end(),
+              [distance](uint32_t a, uint32_t b) {
+                if (distance[a] != distance[b]) {
+                  return distance[a] < distance[b];
+                }
+                return a < b;
+              });
+    if (stop.kind == StopRule::Kind::kMaxChunks) {
+      s.closest.clear();
+      for (const uint32_t chunk_id : s.rank_order) {
+        s.closest.emplace_back(distance[chunk_id], chunk_id);
       }
     }
-    if (stop.kind != StopRule::Kind::kExact) {
-      // Only the exact (and epsilon) rule reads the suffix bound; clearing
-      // it leaves no stale bound from an earlier query in a reused scratch.
-      s.suffix_min_bound.clear();
-      continue;
-    }
+    if (stop.kind != StopRule::Kind::kExact) continue;
 
     // Suffix minimum of the chunk lower bounds (centroid distance - radius)
     // over the ranked order. suffix_min_bound[r] is the closest any
@@ -201,13 +344,18 @@ int64_t Searcher::RankChunksBatch(
     // rule fires when it exceeds the k-th distance. (The paper phrases the
     // rule as "minimum distance to the next chunk"; taking the minimum over
     // all remaining chunks is what makes the guarantee airtight, since
-    // centroid order is not lower-bound order.)
+    // centroid order is not lower-bound order.) Each bound carries the
+    // sphere test's rounding slack (SphereRulesOut): a computed cd - r can
+    // round above a row's computed distance, and the rule must not stop
+    // before a chunk holding a row tied with the k-th.
     s.suffix_min_bound.resize(num_chunks + 1);
     s.suffix_min_bound[num_chunks] = std::numeric_limits<double>::infinity();
     for (size_t r = num_chunks; r-- > 0;) {
       const uint32_t chunk_id = s.rank_order[r];
+      const double cd = distance[chunk_id];
+      const double radius = index_->radius(chunk_id);
       const double lower_bound =
-          std::max(0.0, distance[chunk_id] - index_->radius(chunk_id));
+          std::max(0.0, cd - radius - kSphereSlack * (cd + radius));
       s.suffix_min_bound[r] = std::min(s.suffix_min_bound[r + 1], lower_bound);
     }
   }
@@ -381,19 +529,24 @@ StatusOr<std::vector<MethodResult>> Searcher::Execute(
 
   // --- Plan: rank what each query's stop rule can read (§4.3 step 1). ----
   // One batched pass for every query; each query is charged an even share
-  // of its wall time and the full modeled index scan.
-  std::vector<SearchScratch> owned_scratch(
-      scratch != nullptr && nq == 1 ? 0 : nq);
+  // of its wall time and the full modeled index scan. Unless the caller
+  // passed a lone query's scratch, the queries use this thread's pooled
+  // scratches, so a call reuses the allocations of the calls before it
+  // (the pool keeps as many as the largest batch the thread has run). No
+  // call that uses the pool runs an observer, so none can re-enter it.
+  static thread_local std::vector<SearchScratch> pooled_scratch;
+  const bool pooled = scratch == nullptr || nq != 1;
+  QVT_DCHECK(!pooled || !observer);
+  if (pooled && pooled_scratch.size() < nq) pooled_scratch.resize(nq);
   std::vector<QueryState> states(nq);
   std::vector<SearchScratch*> plan_scratches(nq);
   for (size_t i = 0; i < nq; ++i) {
     states[i].query = queries[i];
-    states[i].scratch = owned_scratch.empty() ? scratch : &owned_scratch[i];
+    states[i].scratch = pooled ? &pooled_scratch[i] : scratch;
     plan_scratches[i] = states[i].scratch;
   }
   Stopwatch plan_watch(&wall);
-  const int64_t plan_model_micros =
-      RankChunksBatch(queries, plan_scratches, stop);
+  const int64_t plan_model_micros = Plan(queries, plan_scratches, stop);
   const int64_t plan_wall_share =
       nq > 0 ? plan_watch.ElapsedMicros() / static_cast<int64_t>(nq) : 0;
   for (size_t i = 0; i < nq; ++i) {
@@ -413,6 +566,14 @@ StatusOr<std::vector<MethodResult>> Searcher::Execute(
     shared->enabled = true;
     shared->queries += nq;
   }
+
+  // (distance, chunk id) at rank r of a query's plan: under kMaxChunks the
+  // plan's selection, otherwise its full ranking.
+  const auto ranked = [&](const SearchScratch& s, size_t r) {
+    if (stop.kind == StopRule::Kind::kMaxChunks) return s.closest[r];
+    const uint32_t chunk_id = s.rank_order[r];
+    return std::pair{s.centroid_distance[chunk_id], chunk_id};
+  };
 
   // Cache-less fetches land in the first query's chunk buffer (no other
   // query's buffer is ever used).
@@ -462,7 +623,8 @@ StatusOr<std::vector<MethodResult>> Searcher::Execute(
         const double limit = q.result_set->KthDistance();
         q.skipped = false;
         if (!(limit < std::numeric_limits<double>::infinity())) continue;
-        q.skipped = SphereRulesOut(*index_, chunk_id, *q.scratch, limit);
+        q.skipped = SphereRulesOut(*index_, chunk_id,
+                                   ranked(*q.scratch, att.rank).first, limit);
         if (!q.skipped) {
           rect_pending.push_back(&q);
           rect_queries.push_back(q.scratch->wide_query.data());
@@ -606,7 +768,8 @@ StatusOr<std::vector<MethodResult>> Searcher::Execute(
     QueryTelemetry& t = q.result.telemetry;
     ++t.chunks_skipped;
     if (!observer) return;
-    const ChunkLocation& loc = index_->location(q.scratch->rank_order[rank]);
+    const ChunkLocation& loc =
+        index_->location(ranked(*q.scratch, rank).second);
     SearchProgress progress;
     progress.rank = rank;
     progress.chunks_read = t.chunks_read;
@@ -639,8 +802,8 @@ StatusOr<std::vector<MethodResult>> Searcher::Execute(
       const double limit = q.result_set->KthDistance();
       q.scratch->charges.assign(budget, kUnreadCharge);
       for (size_t r = 0; r < budget; ++r) {
-        const uint32_t chunk_id = q.scratch->rank_order[r];
-        if (ChunkRuledOut(*index_, chunk_id, *q.scratch, limit)) {
+        const auto [distance, chunk_id] = q.scratch->closest[r];
+        if (ChunkRuledOut(*index_, chunk_id, distance, *q.scratch, limit)) {
           skip_rank(q, r);
         } else {
           demands.emplace_back(chunk_id, ChunkAttachment{&q, r});
@@ -697,7 +860,7 @@ StatusOr<std::vector<MethodResult>> Searcher::Execute(
         // skipping would buy the budget deeper ranks and other answers.
         bool stopped = stops_before(*q, r);
         while (!stopped && stop.kind == StopRule::Kind::kExact &&
-               ChunkRuledOut(*index_, s.rank_order[r], s,
+               ChunkRuledOut(*index_, s.rank_order[r], ranked(s, r).first, s,
                              q->result_set->KthDistance())) {
           skip_rank(*q, r);
           stopped = stops_before(*q, ++r);

@@ -87,11 +87,14 @@ using SearchObserver = std::function<void(const SearchProgress&)>;
 /// Per-call working memory of one search. A Searcher holds no mutable state
 /// of its own; callers that issue many queries from one thread pass the same
 /// scratch back in to reuse its allocations, and concurrent callers simply
-/// use one scratch per thread.
+/// use one scratch per thread. What a scratch holds after a search is
+/// unspecified; RankChunksBatch's contract is what it holds after a plan.
 struct SearchScratch {
   std::vector<uint32_t> rank_order;
   std::vector<double> centroid_distance;
-  /// The kMaxChunks plan's m closest (distance, chunk id) pairs, sorted.
+  /// Under kMaxChunks(m), the plan's first min(m, n) ranks as (centroid
+  /// distance, chunk id) pairs, ascending: all the executor reads of that
+  /// plan.
   std::vector<std::pair<double, uint32_t>> closest;
   std::vector<double> suffix_min_bound;
   std::vector<double> wide_query;   ///< the query widened for the kernels
@@ -213,26 +216,32 @@ class Searcher {
                      const StopRule& stop = StopRule::Exact()) const;
 
   /// Step 1 of §4.3 for a batch, the plan of every executor call: query i
-  /// is ranked into *scratches[i] (sizes must match). One fused kernel call
-  /// over the index's contiguous centroid matrix computes every query's
-  /// squared centroid distances (the centroid groups are widened and
-  /// transposed once for the whole batch); each query then takes their
-  /// sqrt and ranks from them. Every rule gets all centroid distances, the
-  /// query widened in `wide_query`, and `rank_order` as a permutation of
-  /// every chunk id, ordered by (distance, chunk id):
-  ///  - kExact (and epsilon): fully sorted, plus the suffix-minimum lower
+  /// is ranked into *scratches[i] (sizes must match). Every rule gets the
+  /// query widened in `wide_query` and `rank_order` as a permutation of
+  /// every chunk id, ordered by (centroid distance, chunk id):
+  ///  - kExact (and epsilon): one fused kernel call over the index's
+  ///    contiguous centroid matrix computes every query's squared centroid
+  ///    distances (the centroid groups are widened and transposed once for
+  ///    the whole batch); each query takes their sqrt into
+  ///    `centroid_distance`, sorts fully, and gets the suffix-minimum lower
   ///    bounds the stop rule reads;
-  ///  - kMaxChunks(m): one selection pass puts the m closest, sorted, in
-  ///    `rank_order[0..m)` (the rest is in no particular order) and
-  ///    `suffix_min_bound` is empty;
-  ///  - kTimeBudget: fully sorted, `suffix_min_bound` empty.
+  ///  - kTimeBudget, and kMaxChunks(m) with m >= n: the same pass and full
+  ///    sort, `suffix_min_bound` empty;
+  ///  - kMaxChunks(m) with m < n: the float-first plan (DESIGN.md
+  ///    "Float-first plan") computes exact distances only for the chunks a
+  ///    fp32 bound cannot put behind the m-th. `rank_order[0..m)` holds the
+  ///    m closest, sorted, and `centroid_distance` their distances, bit for
+  ///    bit the full ranking's; `rank_order[m..n)` holds the other ids
+  ///    ascending, every other `centroid_distance` entry is NaN, and
+  ///    `suffix_min_bound` is empty.
   /// A rank is a candidate read: the executor still passes over any ranked
   /// chunk its limit rules out (DESIGN.md "Skip, don't read"). The
   /// selected ranks equal the full sort's, since the order is strict,
-  /// and nothing depends on which queries share the batch. Returns the
-  /// modeled index-scan charge of one query, the same under every rule.
-  /// Public so tests can pin the ranking bit-identical to the scalar
-  /// per-centroid reference, alone and in batches.
+  /// and nothing depends on which queries share the batch or on the
+  /// backend. Returns the modeled index-scan charge of one query, the same
+  /// under every rule. Public so tests and `qvt_tool batch --verify` can
+  /// pin the ranking bit-identical to the scalar per-centroid reference,
+  /// alone and in batches.
   int64_t RankChunksBatch(std::span<const std::span<const float>> queries,
                           std::span<SearchScratch* const> scratches,
                           const StopRule& stop) const;
@@ -250,6 +259,14 @@ class Searcher {
       const SearchObserver& observer, SearchScratch* scratch,
       std::span<const DescriptorId> excluded,
       std::span<const double> bounds) const;
+
+  /// RankChunksBatch's plan as the executor reads it. Under kMaxChunks(m)
+  /// it leaves only `closest` (and the widened query): O(m) per query,
+  /// where RankChunksBatch also writes the n-entry rank_order and
+  /// centroid_distance. Every other rule gets the full ranking.
+  int64_t Plan(std::span<const std::span<const float>> queries,
+               std::span<SearchScratch* const> scratches,
+               const StopRule& stop) const;
 
   /// Fills the chunked-path telemetry that follows from the per-chunk
   /// counters: plan/scan split, probes, candidates, index entries.

@@ -1,6 +1,7 @@
 #include "dynamic/mutable_buffer.h"
 
 #include <algorithm>
+#include <limits>
 #include <vector>
 
 #include "descriptor/types.h"
@@ -41,20 +42,45 @@ uint64_t MutableBuffer::Scan(std::span<const float> query, size_t rows,
   QVT_CHECK(rows <= capacity_ && tombstone_seqs.size() >= rows);
   uint64_t filtered = 0;
   constexpr size_t kBlock = 256;
-  std::vector<double> distances(std::min(rows, kBlock));
+  const size_t block = std::min(rows, kBlock);
+  std::vector<double> distances(block);
+  std::vector<uint32_t> survivors(block);
+  const std::vector<double> wide_query(query.begin(), query.end());
+  // Offers row `row` at its exact distance: a dead row is refused and
+  // counted.
+  const auto offer = [&](size_t row, double distance) {
+    if (tombstone_seqs[row] > seqs_[row]) {
+      ++filtered;
+      return false;
+    }
+    return result->Insert(ids_[row], distance);
+  };
   for (size_t b = 0; b < rows; b += kBlock) {
     const size_t bn = std::min(kBlock, rows - b);
-    kernels::BatchSquaredDistanceAbandon(
-        data_.get() + b * dim_, bn, dim_, query,
-        kernels::AbandonThreshold(result->KthDistance()), distances.data());
-    AdmitRows(distances.data(), bn, *result, [&](size_t i, double distance) {
-      const size_t row = b + i;
-      if (tombstone_seqs[row] > seqs_[row]) {
-        ++filtered;
-        return false;
-      }
-      return result->Insert(ids_[row], distance);
-    });
+    const float* block_rows = data_.get() + b * dim_;
+    const double limit = result->KthDistance();
+    if (!(limit < std::numeric_limits<double>::infinity())) {
+      kernels::BatchSquaredDistance(block_rows, bn, dim_, wide_query,
+                                    distances.data());
+      AdmitRows(distances.data(), bn, *result, [&](size_t i, double distance) {
+        return offer(b + i, distance);
+      });
+      continue;
+    }
+    // Under a finite limit the float bound filter drops the rows whose
+    // exact value provably exceeds the block-start threshold, which
+    // admission would never have offered (the limit only falls), and the
+    // survivors get their exact values: the rows offered, and so the dead
+    // rows refused, are the plain scan's (DESIGN.md "Float bound filter").
+    const size_t kept = kernels::FloatBoundFilter(
+        block_rows, bn, dim_, query, kernels::AbandonThreshold(limit),
+        survivors.data());
+    kernels::GatherSquaredDistance(block_rows, dim_, {survivors.data(), kept},
+                                   wide_query, distances.data());
+    AdmitRows(distances.data(), kept, *result,
+              [&](size_t i, double distance) {
+                return offer(b + survivors[i], distance);
+              });
   }
   if (telemetry != nullptr) {
     uint64_t dead = 0;

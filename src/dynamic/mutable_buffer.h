@@ -59,9 +59,11 @@ class MutableBuffer {
   /// `tombstone_seqs[i]` is the tombstone seq of row i's id (0 for none); a
   /// row is skipped as deleted iff its tombstone seq is greater than the
   /// row's own seq, so a re-inserted id's fresh row survives its older
-  /// tombstone. Mirrors the blocked early-abandon kernel scan of ExactScan
-  /// (the same AdmitRows step), so buffer hits are bit-identical to what a
-  /// flushed shard would return for the same rows. Returns the number of
+  /// tombstone. Scans 256-row blocks as a chunk sweep does: the exact
+  /// kernel over every row while the result's limit is +inf, else the float
+  /// bound filter and the exact kernel over its survivors, then the same
+  /// AdmitRows step, so buffer hits are bit-identical to what a flushed
+  /// shard would return for the same rows. Returns the number of
   /// deleted rows that passed admission and were refused — a dead row
   /// beyond the result's k-th is not counted; `telemetry`, when non-null,
   /// accrues the scan counters (descriptors_scanned and bytes_read count

@@ -145,14 +145,23 @@ inline bool FloatBoundRejects(float bound, float limit) {
 }
 
 /// One row's fp32 bound sum_d (row[d] - query[d])^2 from dimension `from`
-/// on, added to `acc`.
+/// on, added to `acc`: four independent chains over consecutive dims, so
+/// the adds do not wait on one another (any order is allowed here).
 inline float FloatRowBound(const float* row, const float* query, size_t from,
                            size_t dim, float acc) {
-  for (size_t d = from; d < dim; ++d) {
-    const float x = row[d] - query[d];
-    acc += x * x;
+  float chain[4] = {acc, 0.0f, 0.0f, 0.0f};
+  size_t d = from;
+  for (; d + 4 <= dim; d += 4) {
+    for (size_t k = 0; k < 4; ++k) {
+      const float x = row[d + k] - query[d + k];
+      chain[k] += x * x;
+    }
   }
-  return acc;
+  for (; d < dim; ++d) {
+    const float x = row[d] - query[d];
+    chain[0] += x * x;
+  }
+  return (chain[0] + chain[1]) + (chain[2] + chain[3]);
 }
 
 /// FilterScalar over rows [begin, count), appending to survivors[kept..):
@@ -174,6 +183,16 @@ inline size_t FilterTail(const float* base, size_t begin, size_t count,
 size_t FilterScalar(const float* base, size_t count, size_t dim,
                     const float* query, float limit, uint32_t* survivors) {
   return FilterTail(base, 0, count, dim, query, limit, survivors, 0);
+}
+
+bool BoundsScalar(const float* base, size_t count, size_t dim,
+                  const float* query, float* out) {
+  bool finite = true;
+  for (size_t i = 0; i < count; ++i) {
+    out[i] = FloatRowBound(base + i * dim, query, 0, dim, 0.0f);
+    finite &= out[i] <= std::numeric_limits<float>::max();
+  }
+  return finite;
 }
 
 void RectGapScalar(const float* lo, const float* hi, size_t dim,
@@ -360,31 +379,39 @@ size_t FirstNotAboveSse2(const double* values, size_t count,
   return i + FirstNotAboveScalar(values + i, count - i, threshold);
 }
 
+namespace {
+
+/// The fp32 bounds of the four rows at `rows`, one per lane: each row's
+/// dims accumulate four lanes wide, then a 4x4 transpose and three adds.
+inline __m128 Sse2GroupBound4(const float* rows, size_t dim,
+                              const float* query) {
+  const size_t d4 = dim & ~size_t{3};
+  __m128 acc[4];
+  for (size_t r = 0; r < 4; ++r) {
+    const float* row = rows + r * dim;
+    __m128 a = _mm_setzero_ps();
+    for (size_t d = 0; d < d4; d += 4) {
+      const __m128 x =
+          _mm_sub_ps(_mm_loadu_ps(row + d), _mm_loadu_ps(query + d));
+      a = _mm_add_ps(a, _mm_mul_ps(x, x));
+    }
+    const float rest = FloatRowBound(row, query, d4, dim, 0.0f);
+    acc[r] = _mm_add_ss(a, _mm_set_ss(rest));
+  }
+  _MM_TRANSPOSE4_PS(acc[0], acc[1], acc[2], acc[3]);
+  return _mm_add_ps(_mm_add_ps(acc[0], acc[1]), _mm_add_ps(acc[2], acc[3]));
+}
+
+}  // namespace
+
 size_t FilterSse2(const float* base, size_t count, size_t dim,
                   const float* query, float limit, uint32_t* survivors) {
   const __m128 lim = _mm_set1_ps(limit);
   const __m128 finite = _mm_set1_ps(std::numeric_limits<float>::max());
-  const size_t d4 = dim & ~size_t{3};
   size_t kept = 0;
   size_t i = 0;
-  // Four rows per group: each row's dims accumulate four lanes wide, then a
-  // 4x4 transpose and three adds leave one bound per lane.
   for (; i + 4 <= count; i += 4) {
-    __m128 acc[4];
-    for (size_t r = 0; r < 4; ++r) {
-      const float* row = base + (i + r) * dim;
-      __m128 a = _mm_setzero_ps();
-      for (size_t d = 0; d < d4; d += 4) {
-        const __m128 x =
-            _mm_sub_ps(_mm_loadu_ps(row + d), _mm_loadu_ps(query + d));
-        a = _mm_add_ps(a, _mm_mul_ps(x, x));
-      }
-      const float rest = FloatRowBound(row, query, d4, dim, 0.0f);
-      acc[r] = _mm_add_ss(a, _mm_set_ss(rest));
-    }
-    _MM_TRANSPOSE4_PS(acc[0], acc[1], acc[2], acc[3]);
-    const __m128 bound =
-        _mm_add_ps(_mm_add_ps(acc[0], acc[1]), _mm_add_ps(acc[2], acc[3]));
+    const __m128 bound = Sse2GroupBound4(base + i * dim, dim, query);
     const unsigned reject = static_cast<unsigned>(_mm_movemask_ps(
         _mm_and_ps(_mm_cmpgt_ps(bound, lim), _mm_cmple_ps(bound, finite))));
     for (unsigned keep = ~reject & 0xFu; keep != 0; keep &= keep - 1) {
@@ -393,6 +420,21 @@ size_t FilterSse2(const float* base, size_t count, size_t dim,
     }
   }
   return FilterTail(base, i, count, dim, query, limit, survivors, kept);
+}
+
+bool BoundsSse2(const float* base, size_t count, size_t dim,
+                const float* query, float* out) {
+  const __m128 finite = _mm_set1_ps(std::numeric_limits<float>::max());
+  __m128 not_finite = _mm_setzero_ps();
+  size_t i = 0;
+  for (; i + 4 <= count; i += 4) {
+    const __m128 bound = Sse2GroupBound4(base + i * dim, dim, query);
+    _mm_storeu_ps(out + i, bound);
+    not_finite = _mm_or_ps(not_finite, _mm_cmpnle_ps(bound, finite));
+  }
+  const bool tail_finite =
+      BoundsScalar(base + i * dim, count - i, dim, query, out + i);
+  return _mm_movemask_ps(not_finite) == 0 && tail_finite;
 }
 
 void RectGapSse2(const float* lo, const float* hi, size_t dim,
@@ -448,6 +490,7 @@ struct KernelOps {
   size_t (*first_not_above)(const double*, size_t, double);
   size_t (*filter)(const float*, size_t, size_t, const float*, float,
                    uint32_t*);
+  bool (*bounds)(const float*, size_t, size_t, const float*, float*);
   void (*rect_gap)(const float*, const float*, size_t, const double* const*,
                    size_t, double*);
 };
@@ -456,16 +499,19 @@ constexpr KernelOps kScalarOps = {&ContigScalar, &GatherScalar,
                                   &internal::AdcScalar, &internal::SqrtScalar,
                                   &internal::FirstNotAboveScalar,
                                   &internal::FilterScalar,
+                                  &internal::BoundsScalar,
                                   &internal::RectGapScalar};
 #if defined(__x86_64__) || defined(_M_X64)
 constexpr KernelOps kSse2Ops = {&internal::ContigSse2, &internal::GatherSse2,
                                 &internal::AdcSse2, &internal::SqrtSse2,
                                 &internal::FirstNotAboveSse2,
-                                &internal::FilterSse2, &internal::RectGapSse2};
+                                &internal::FilterSse2, &internal::BoundsSse2,
+                                &internal::RectGapSse2};
 constexpr KernelOps kAvx2Ops = {&internal::ContigAvx2, &internal::GatherAvx2,
                                 &internal::AdcAvx2, &internal::SqrtAvx2,
                                 &internal::FirstNotAboveAvx2,
-                                &internal::FilterAvx2, &internal::RectGapAvx2};
+                                &internal::FilterAvx2, &internal::BoundsAvx2,
+                                &internal::RectGapAvx2};
 #endif
 
 const KernelOps& OpsFor(Backend backend) {
@@ -691,6 +737,12 @@ size_t FloatBoundFilter(const float* base, size_t count, size_t dim,
   return OpsFor(ActiveBackend())
       .filter(base, count, dim, query.data(),
               FloatFilterLimit(threshold, dim), survivors);
+}
+
+bool FloatSquaredBounds(const float* base, size_t count, size_t dim,
+                        std::span<const float> query, float* out) {
+  QVT_DCHECK(query.size() == dim);
+  return OpsFor(ActiveBackend()).bounds(base, count, dim, query.data(), out);
 }
 
 void RectangleGapSums(const float* lo, const float* hi, size_t dim,

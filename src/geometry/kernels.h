@@ -194,6 +194,16 @@ size_t FloatBoundFilter(const float* base, size_t count, size_t dim,
                         std::span<const float> query, double threshold,
                         uint32_t* survivors);
 
+/// out[i] = row i's fp32 bound D, the value FloatBoundFilter tests, for
+/// every i in [0, count): the MaxChunks plan's first pass over the centroid
+/// matrix (DESIGN.md "Float-first plan"). A row whose exact kernel value is
+/// not above `threshold` never has FloatFilterLimit(threshold, dim) < D <=
+/// FLT_MAX, by the filter's margin proof; the values themselves are
+/// backend-specific. Returns false when some D is not finite (an
+/// overflowed or NaN sum).
+bool FloatSquaredBounds(const float* base, size_t count, size_t dim,
+                        std::span<const float> query, float* out);
+
 // --- Chunk rectangle bound (chunk-level abandon) ----------------------------
 
 /// out[j] = sum_d gap_d^2 for query j, gap_d = std::max(std::max(lo[d] -

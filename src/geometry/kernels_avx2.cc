@@ -200,11 +200,69 @@ QVT_TARGET_AVX2 inline __m256 ReduceRows8(const __m256* acc) {
                        _mm256_permute2f128_ps(h0123, h4567, 0x31));
 }
 
-/// The filter over 8-row groups: each row's dims run eight lanes wide
-/// (sub, then fma), a masked load covering the last dim % 8, and one
-/// ReduceRows8 turns eight rows' lanes into one bound per lane. kDim fixes
-/// the dimension at compile time (0: use `dim`). Returns the index of the
-/// first row not in a full group; survivors so far are in *kept.
+/// The query as the 8-row group bound reads it: the lanes past dim % 8 of
+/// its last 8-dim block masked off.
+struct FloatQuery8 {
+  const float* query;
+  __m256i rest_mask;
+  __m256 rest;  ///< query[dim & ~7 ..), zero beyond
+};
+
+QVT_TARGET_AVX2_FMA inline FloatQuery8 MakeFloatQuery8(const float* query,
+                                                       size_t dim) {
+  const size_t d8 = dim & ~size_t{7};
+  const __m256i rest_mask = _mm256_cmpgt_epi32(
+      _mm256_set1_epi32(static_cast<int>(dim - d8)),
+      _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+  return {query, rest_mask,
+          d8 != dim ? _mm256_maskload_ps(query + d8, rest_mask)
+                    : _mm256_setzero_ps()};
+}
+
+/// The fp32 bounds of the eight rows at `group`, one per lane: each row's
+/// dims run eight lanes wide (sub, then fma), a masked load covering the
+/// last dim % 8, and one ReduceRows8 turns eight rows' lanes into one bound
+/// per lane. kDim fixes the dimension at compile time (0: use `dim`).
+template <size_t kDim>
+QVT_TARGET_AVX2_FMA inline __m256 GroupBound8(const float* group, size_t dim,
+                                              const FloatQuery8& q8) {
+  if constexpr (kDim != 0) dim = kDim;
+  const size_t d8 = dim & ~size_t{7};
+  const bool rest = d8 != dim;
+  const float* query = q8.query;
+  // Dims outer, rows inner: eight independent accumulator chains, started
+  // by the first eight dims (the masked rest when dim < 8).
+  __m256 acc[8];
+  const __m256 q0 = d8 != 0 ? _mm256_loadu_ps(query) : q8.rest;
+#pragma GCC unroll 8
+  for (size_t r = 0; r < 8; ++r) {
+    const float* row = group + r * dim;
+    const __m256 x = _mm256_sub_ps(
+        d8 != 0 ? _mm256_loadu_ps(row) : _mm256_maskload_ps(row, q8.rest_mask),
+        q0);
+    acc[r] = _mm256_mul_ps(x, x);
+  }
+#pragma GCC unroll 4
+  for (size_t d = 8; d < d8; d += 8) {
+    const __m256 q = _mm256_loadu_ps(query + d);
+#pragma GCC unroll 8
+    for (size_t r = 0; r < 8; ++r) {
+      const __m256 x = _mm256_sub_ps(_mm256_loadu_ps(group + r * dim + d), q);
+      acc[r] = _mm256_fmadd_ps(x, x, acc[r]);
+    }
+  }
+  if (d8 != 0 && rest) {
+    for (size_t r = 0; r < 8; ++r) {
+      const __m256 x = _mm256_sub_ps(
+          _mm256_maskload_ps(group + r * dim + d8, q8.rest_mask), q8.rest);
+      acc[r] = _mm256_fmadd_ps(x, x, acc[r]);
+    }
+  }
+  return ReduceRows8(acc);
+}
+
+/// The filter over 8-row groups. Returns the index of the first row not in
+/// a full group; survivors so far are in *kept.
 template <size_t kDim>
 QVT_TARGET_AVX2_FMA inline size_t FilterGroups8(const float* base,
                                                 size_t count, size_t dim,
@@ -212,49 +270,12 @@ QVT_TARGET_AVX2_FMA inline size_t FilterGroups8(const float* base,
                                                 float limit,
                                                 uint32_t* survivors,
                                                 size_t* kept) {
-  if constexpr (kDim != 0) dim = kDim;
-  const size_t d8 = dim & ~size_t{7};
-  const size_t rest = dim - d8;
-  const __m256i rest_mask =
-      _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(rest)),
-                         _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
-  const __m256 q_rest =
-      rest != 0 ? _mm256_maskload_ps(query + d8, rest_mask)
-                : _mm256_setzero_ps();
+  const FloatQuery8 q8 = MakeFloatQuery8(query, dim);
   const __m256 lim = _mm256_set1_ps(limit);
   const __m256 finite = _mm256_set1_ps(std::numeric_limits<float>::max());
   size_t i = 0;
   for (; i + 8 <= count; i += 8) {
-    const float* group = base + i * dim;
-    // Dims outer, rows inner: eight independent accumulator chains, started
-    // by the first eight dims (the masked rest when dim < 8).
-    __m256 acc[8];
-    const __m256 q0 = d8 != 0 ? _mm256_loadu_ps(query) : q_rest;
-#pragma GCC unroll 8
-    for (size_t r = 0; r < 8; ++r) {
-      const float* row = group + r * dim;
-      const __m256 x = _mm256_sub_ps(
-          d8 != 0 ? _mm256_loadu_ps(row) : _mm256_maskload_ps(row, rest_mask),
-          q0);
-      acc[r] = _mm256_mul_ps(x, x);
-    }
-#pragma GCC unroll 4
-    for (size_t d = 8; d < d8; d += 8) {
-      const __m256 q = _mm256_loadu_ps(query + d);
-#pragma GCC unroll 8
-      for (size_t r = 0; r < 8; ++r) {
-        const __m256 x = _mm256_sub_ps(_mm256_loadu_ps(group + r * dim + d), q);
-        acc[r] = _mm256_fmadd_ps(x, x, acc[r]);
-      }
-    }
-    if (d8 != 0 && rest != 0) {
-      for (size_t r = 0; r < 8; ++r) {
-        const __m256 x = _mm256_sub_ps(
-            _mm256_maskload_ps(group + r * dim + d8, rest_mask), q_rest);
-        acc[r] = _mm256_fmadd_ps(x, x, acc[r]);
-      }
-    }
-    const __m256 bound = ReduceRows8(acc);
+    const __m256 bound = GroupBound8<kDim>(base + i * dim, dim, q8);
     const __m256 reject =
         _mm256_and_ps(_mm256_cmp_ps(bound, lim, _CMP_GT_OQ),
                       _mm256_cmp_ps(bound, finite, _CMP_LE_OQ));
@@ -264,6 +285,27 @@ QVT_TARGET_AVX2_FMA inline size_t FilterGroups8(const float* base,
           static_cast<uint32_t>(i + static_cast<size_t>(__builtin_ctz(keep)));
     }
   }
+  return i;
+}
+
+/// The bound pass over 8-row groups. Returns the index of the first row
+/// not in a full group; *finite is false when some bound so far is not.
+template <size_t kDim>
+QVT_TARGET_AVX2_FMA inline size_t BoundGroups8(const float* base,
+                                               size_t count, size_t dim,
+                                               const float* query, float* out,
+                                               bool* finite) {
+  const FloatQuery8 q8 = MakeFloatQuery8(query, dim);
+  const __m256 max = _mm256_set1_ps(std::numeric_limits<float>::max());
+  __m256 not_finite = _mm256_setzero_ps();
+  size_t i = 0;
+  for (; i + 8 <= count; i += 8) {
+    const __m256 bound = GroupBound8<kDim>(base + i * dim, dim, q8);
+    _mm256_storeu_ps(out + i, bound);
+    not_finite =
+        _mm256_or_ps(not_finite, _mm256_cmp_ps(bound, max, _CMP_NLE_UQ));
+  }
+  *finite = _mm256_movemask_ps(not_finite) == 0;
   return i;
 }
 
@@ -295,6 +337,18 @@ QVT_TARGET_AVX2_FMA size_t FilterAvx2(const float* base, size_t count,
                                         query, limit, tail);
   for (size_t t = 0; t < tail_kept; ++t) tail[t] += static_cast<uint32_t>(done);
   return kept + tail_kept;
+}
+
+QVT_TARGET_AVX2_FMA bool BoundsAvx2(const float* base, size_t count,
+                                    size_t dim, const float* query,
+                                    float* out) {
+  bool finite = true;
+  const size_t done =
+      dim == 24 ? BoundGroups8<24>(base, count, dim, query, out, &finite)
+                : BoundGroups8<0>(base, count, dim, query, out, &finite);
+  const bool tail_finite =
+      BoundsScalar(base + done * dim, count - done, dim, query, out + done);
+  return finite && tail_finite;
 }
 
 QVT_TARGET_AVX2 void RectGapAvx2(const float* lo, const float* hi, size_t dim,

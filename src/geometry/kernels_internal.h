@@ -6,9 +6,10 @@
 
 // Per-backend entry points behind the dispatch in kernels.cc. Every
 // implementation obeys the determinism contract of kernels.h: one lane per
-// row, terms accumulated in ascending-d order, no FMA contraction. The one
-// exception is Filter*, the float bound filter, which reports no value and
-// may reorder and contract (kernels.h "Float bound filter").
+// row, terms accumulated in ascending-d order, no FMA contraction. The
+// exceptions are Filter* and Bounds*, the float bound filter and its fp32
+// bound pass, which report no exact value and may reorder and contract
+// (kernels.h "Float bound filter").
 
 namespace qvt {
 namespace kernels {
@@ -36,6 +37,8 @@ size_t FirstNotAboveScalar(const double* values, size_t count,
                            double threshold);
 size_t FilterScalar(const float* base, size_t count, size_t dim,
                     const float* query, float limit, uint32_t* survivors);
+bool BoundsScalar(const float* base, size_t count, size_t dim,
+                  const float* query, float* out);
 void RectGapScalar(const float* lo, const float* hi, size_t dim,
                    const double* const* queries, size_t num_queries,
                    double* out);
@@ -53,6 +56,8 @@ size_t FirstNotAboveSse2(const double* values, size_t count,
                          double threshold);
 size_t FilterSse2(const float* base, size_t count, size_t dim,
                   const float* query, float limit, uint32_t* survivors);
+bool BoundsSse2(const float* base, size_t count, size_t dim,
+                const float* query, float* out);
 void RectGapSse2(const float* lo, const float* hi, size_t dim,
                  const double* const* queries, size_t num_queries,
                  double* out);
@@ -69,6 +74,8 @@ size_t FirstNotAboveAvx2(const double* values, size_t count,
                          double threshold);
 size_t FilterAvx2(const float* base, size_t count, size_t dim,
                   const float* query, float limit, uint32_t* survivors);
+bool BoundsAvx2(const float* base, size_t count, size_t dim,
+                const float* query, float* out);
 void RectGapAvx2(const float* lo, const float* hi, size_t dim,
                  const double* const* queries, size_t num_queries,
                  double* out);

@@ -7,7 +7,9 @@
 // paper's figures are drawn from those counters and clocks, so this is what
 // makes them independent of the machine they are computed on. Building
 // under the pinned backend covers the build-side kernel calls too (k-means,
-// balanced k-means, BAG, pq training, P-Sphere assignment).
+// balanced k-means, BAG, pq training, P-Sphere assignment). The chunked
+// method's MaxChunks plan, whose fp32 first pass may round differently on
+// each backend, is also held to the full ranking on every backend.
 
 #include <cstring>
 #include <functional>
@@ -33,6 +35,7 @@
 #include "dynamic/dynamic_index.h"
 #include "geometry/kernels.h"
 #include "kernel_backends.h"
+#include "search_reference.h"
 #include "util/logging.h"
 #include "util/random.h"
 
@@ -341,6 +344,28 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return name;
     });
+
+// The MaxChunks plan ranks from fp32 bounds, which round differently on
+// each backend. On the matrix data, where those bounds round, every
+// backend's plan must still give the full ranking's first m ranks and
+// their distance bits (m in {1, 2, 8, n - 1}, batches of 1 to 9 queries).
+TEST(BackendMatrixPlanTest, FloatFirstPlanEqualsFullRanking) {
+  const Collection collection = MatrixCollection();
+  const Workload workload = MatrixWorkload(collection);
+  MemEnv env;
+  auto chunking = SrTreeChunker(20).FormChunks(collection);
+  ASSERT_TRUE(chunking.ok());
+  auto index = ChunkIndex::Build(collection, *chunking, &env,
+                                 ChunkIndexPaths::ForBase("plan"));
+  ASSERT_TRUE(index.ok());
+  ASSERT_GT(index->num_chunks(), 16u);
+  const Searcher searcher(&*index, DiskCostModel());
+  std::vector<std::span<const float>> spans;
+  for (size_t q = 0; q < workload.num_queries(); ++q) {
+    spans.push_back(workload.Query(q));
+  }
+  ExpectFloatFirstPlansEqualFullRanking(searcher, spans, "matrix");
+}
 
 // The matrix is only as strong as the backends it compares: every x86-64
 // CPU has at least one SIMD backend next to scalar. Other architectures run

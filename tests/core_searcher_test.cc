@@ -18,6 +18,7 @@
 #include "descriptor/workload.h"
 #include "geometry/kernels.h"
 #include "geometry/vec.h"
+#include "kernel_backends.h"
 #include "search_reference.h"
 #include "util/logging.h"
 #include "util/random.h"
@@ -510,10 +511,11 @@ struct DuplicatedCentroidFixture {
   }
 };
 
-// Under MaxChunks(m) RankChunks sorts only the first m ranks. Those ranks
-// and every centroid distance must equal the full ranking's, with ties
-// (every centroid is duplicated) broken by chunk id; no suffix bound from
-// an earlier exact ranking may survive in the reused scratch.
+// Under MaxChunks(m) RankChunks ranks only the first m ranks. Those ranks
+// and their centroid distances must equal the full ranking's, with ties
+// (every centroid is duplicated) broken by chunk id, and every other
+// distance must be NaN (ExpectSelectionPlan); no suffix bound from an
+// earlier exact ranking may survive in the reused scratch.
 TEST(SearcherTest, MaxChunksRankingIsPrefixOfFullRanking) {
   DuplicatedCentroidFixture fx;
   Searcher searcher(&*fx.index, DiskCostModel());
@@ -553,52 +555,8 @@ TEST(SearcherTest, MaxChunksRankingIsPrefixOfFullRanking) {
                                     StopRule::MaxChunks(m)),
                 full_micros)
           << label;
-      EXPECT_TRUE(partial.suffix_min_bound.empty()) << label;
-      ASSERT_EQ(partial.rank_order.size(), n) << label;
-      ASSERT_EQ(partial.centroid_distance.size(), n) << label;
-      for (size_t r = 0; r < std::min(m, n); ++r) {
-        EXPECT_EQ(partial.rank_order[r], full.rank_order[r])
-            << label << " rank " << r;
-      }
-      for (size_t i = 0; i < n; ++i) {
-        EXPECT_EQ(std::memcmp(&partial.centroid_distance[i],
-                              &full.centroid_distance[i], sizeof(double)),
-                  0)
-            << label << " chunk " << i;
-      }
-      // The unsorted tail still names every chunk exactly once.
-      std::vector<uint32_t> ids = partial.rank_order;
-      std::sort(ids.begin(), ids.end());
-      for (size_t i = 0; i < n; ++i) {
-        ASSERT_EQ(ids[i], i) << label;
-      }
+      ExpectSelectionPlan(partial, full, m, label);
     }
-  }
-}
-
-// One MaxChunks(m) plan against the full ranking of the same query (a lone
-// RankChunks into a fresh scratch): the first m ranks are the full sort's,
-// rank_order names every chunk exactly once, every centroid distance is
-// bit-equal, and no suffix bound is left behind.
-void ExpectSelectionPlan(const SearchScratch& plan, const SearchScratch& full,
-                         size_t m, const std::string& label) {
-  const size_t n = full.rank_order.size();
-  ASSERT_EQ(plan.rank_order.size(), n) << label;
-  ASSERT_EQ(plan.centroid_distance.size(), n) << label;
-  EXPECT_TRUE(plan.suffix_min_bound.empty()) << label;
-  for (size_t r = 0; r < std::min(m, n); ++r) {
-    EXPECT_EQ(plan.rank_order[r], full.rank_order[r]) << label << " rank " << r;
-  }
-  std::vector<uint32_t> ids = plan.rank_order;
-  std::sort(ids.begin(), ids.end());
-  for (size_t i = 0; i < n; ++i) {
-    ASSERT_EQ(ids[i], i) << label << ": rank_order is not a permutation";
-  }
-  for (size_t i = 0; i < n; ++i) {
-    EXPECT_EQ(std::memcmp(&plan.centroid_distance[i],
-                          &full.centroid_distance[i], sizeof(double)),
-              0)
-        << label << " chunk " << i;
   }
 }
 
@@ -693,6 +651,194 @@ TEST(SearcherTest, MaxChunksSelectionFillsFreshAndForeignScratch) {
       }
     }
   }
+}
+
+/// TestCollection(29) moved far from the origin: dimension d shifted by a
+/// draw from [1e4, 1e5) of `rng`, every fifth row duplicated under a fresh
+/// id, chunked by SrTreeChunker(60). Rows and centroids sit where a float
+/// difference rounds and every bound has to carry its margin.
+struct OffsetFixture {
+  MemEnv env;
+  Collection collection;
+  std::optional<ChunkIndex> index;
+
+  explicit OffsetFixture(Rng* rng) : collection(kDescriptorDim) {
+    const Collection plain = TestCollection(29);
+    std::vector<double> shift(plain.dim());
+    for (auto& v : shift) v = rng->UniformDouble(1e4, 1e5);
+    DescriptorId next_id = 0;
+    for (size_t pos = 0; pos < plain.size(); ++pos) {
+      next_id = std::max(next_id, plain.Id(pos) + 1);
+    }
+    std::vector<float> row(plain.dim());
+    for (size_t pos = 0; pos < plain.size(); ++pos) {
+      const auto v = plain.Vector(pos);
+      for (size_t d = 0; d < row.size(); ++d) {
+        row[d] = static_cast<float>(shift[d] + v[d]);
+      }
+      collection.Append(plain.Id(pos), row);
+      if (pos % 5 == 0) collection.Append(next_id++, row);
+    }
+    SrTreeChunker chunker(60);
+    auto chunking = chunker.FormChunks(collection);
+    QVT_CHECK_OK(chunking.status());
+    auto built = ChunkIndex::Build(collection, *chunking, &env,
+                                   ChunkIndexPaths::ForBase("offset"));
+    QVT_CHECK_OK(built.status());
+    index.emplace(std::move(built).value());
+  }
+};
+
+/// An index whose chunk i holds row i alone, so centroid i is row i.
+struct SingleRowChunks {
+  MemEnv env;
+  std::optional<ChunkIndex> index;
+
+  explicit SingleRowChunks(const std::vector<std::vector<float>>& rows) {
+    Collection collection;
+    ChunkingResult chunking;
+    for (size_t i = 0; i < rows.size(); ++i) {
+      collection.Append(static_cast<DescriptorId>(i), rows[i], 0);
+      chunking.chunks.push_back({i});
+    }
+    auto built = ChunkIndex::Build(collection, chunking, &env,
+                                   ChunkIndexPaths::ForBase("rows"));
+    QVT_CHECK_OK(built.status());
+    index.emplace(std::move(built).value());
+    for (size_t i = 0; i < rows.size(); ++i) {
+      const auto c = index->centroid(i);
+      QVT_CHECK(std::equal(c.begin(), c.end(), rows[i].begin()));
+    }
+  }
+};
+
+/// A row whose first coordinate is x and the rest 0.
+std::vector<float> AxisRow(float x) {
+  std::vector<float> row(kDescriptorDim, 0.0f);
+  row[0] = x;
+  return row;
+}
+
+/// The float-first plan of a MaxChunks search equals the full ranking on
+/// every backend: m in {1, 2, 8, n - 1}, batches of 1, 3, 4, 5 and 9, fresh
+/// and reused scratches (ExpectFloatFirstPlansEqualFullRanking), over
+/// duplicated centroids (ties broken by id), an offset collection, and
+/// pairs of centroids whose fp32 bounds tie although their double distances
+/// differ, the closer one with the larger id.
+TEST(SearcherTest, FloatFirstPlanEqualsFullRankingOnEveryBackend) {
+  {
+    DuplicatedCentroidFixture fx;
+    const Searcher searcher(&*fx.index, DiskCostModel());
+    Rng rng(37);
+    const Workload workload = MakeDatasetQueries(fx.collection, 9, &rng);
+    std::vector<std::span<const float>> spans;
+    for (size_t q = 0; q < workload.num_queries(); ++q) {
+      spans.push_back(workload.Query(q));
+    }
+    ExpectFloatFirstPlansEqualFullRanking(searcher, spans, "duplicated");
+  }
+  {
+    Rng rng(31);
+    const OffsetFixture fx(&rng);
+    const Searcher searcher(&*fx.index, DiskCostModel());
+    const Workload workload = MakeDatasetQueries(fx.collection, 9, &rng);
+    std::vector<std::span<const float>> spans;
+    for (size_t q = 0; q < workload.num_queries(); ++q) {
+      spans.push_back(workload.Query(q));
+    }
+    ExpectFloatFirstPlansEqualFullRanking(searcher, spans, "offset");
+  }
+  {
+    // Query (2^-25, 0, ...): the float differences -s - 2^-25 and
+    // s - 2^-25 of the pair (-s, s) both round to magnitude s, so the fp32
+    // bounds tie at s^2 while the double distances differ, and chunk 2j + 1
+    // (at +s) is the closer one.
+    std::vector<std::vector<float>> rows;
+    for (float s = 1.0f; s <= 512.0f; s *= 2.0f) {
+      rows.push_back(AxisRow(-s));
+      rows.push_back(AxisRow(s));
+    }
+    const SingleRowChunks fx(rows);
+    const Searcher searcher(&*fx.index, DiskCostModel());
+    const std::vector<float> query = AxisRow(0x1p-25f);
+    float bounds[2];
+    kernels::FloatSquaredBounds(fx.index->centroid_matrix().data(), 2,
+                                kDescriptorDim, query, bounds);
+    ASSERT_EQ(bounds[0], bounds[1]);
+    SearchScratch full;
+    searcher.RankChunks(query, full);
+    ASSERT_LT(full.centroid_distance[1], full.centroid_distance[0]);
+    const std::vector<std::span<const float>> spans(9, query);
+    ExpectFloatFirstPlansEqualFullRanking(searcher, spans, "fp32 tie");
+  }
+}
+
+/// Row 0 of the inversion layout, (p, 0, ...) with p = 1 - 2^-12: its fp32
+/// bound and its double squared distance from the origin are both p^2 =
+/// 1 - 2^-11 + 2^-24 exactly.
+constexpr float kInversionP = 1.0f - 0x1p-12f;
+
+/// A row Q whose exact squared distance from the origin is below p^2 while
+/// its fp32 bound, as every backend computes it at row 1 of `rows`, is
+/// above; empty when no draw finds one. Just below 1 a float step is 2^-24,
+/// so the fp32 sum's rounding error overtakes the gap in about one draw of
+/// six per backend.
+std::vector<float> FindFloatInversion(std::vector<std::vector<float>> rows) {
+  const std::vector<float> origin(kDescriptorDim, 0.0f);
+  const double target = static_cast<double>(kInversionP) * kInversionP;
+  BackendGuard guard;
+  Rng rng(41);
+  std::vector<float> matrix;
+  std::vector<float> bounds(rows.size());
+  for (int attempt = 0; attempt < 10000; ++attempt) {
+    std::vector<double> u(kDescriptorDim);
+    double norm = 0.0;
+    for (double& x : u) {
+      x = rng.UniformDouble(0.5, 1.5);
+      norm += x * x;
+    }
+    std::vector<float>& row = rows[1];
+    for (size_t d = 0; d < kDescriptorDim; ++d) {
+      row[d] = static_cast<float>(u[d] * std::sqrt(target / norm));
+    }
+    double exact = 0.0;
+    kernels::BatchSquaredDistance(row.data(), 1, kDescriptorDim, origin,
+                                  &exact);
+    if (!(exact < target)) continue;
+    matrix.clear();
+    for (const auto& r : rows) matrix.insert(matrix.end(), r.begin(), r.end());
+    bool inverted = true;
+    for (const kernels::Backend backend : SupportedBackends()) {
+      kernels::SetBackendForTesting(backend);
+      kernels::FloatSquaredBounds(matrix.data(), rows.size(), kDescriptorDim,
+                                  origin, bounds.data());
+      inverted = inverted && bounds[0] == target && bounds[1] > bounds[0];
+    }
+    if (inverted) return row;
+  }
+  return {};
+}
+
+// The plan's second pass is what keeps it exact: chunk 1's fp32 bound puts
+// it behind chunk 0 on every backend although it is the closer one, so
+// under MaxChunks(1) only chunk 0 is below the first threshold, and chunk 1
+// must come back through the float filter's margin (a limit without the
+// filter's slack loses it).
+TEST(SearcherTest, FloatFirstPlanRecomputesAChunkItsBoundPutsBehind) {
+  std::vector<std::vector<float>> rows = {AxisRow(kInversionP),
+                                          AxisRow(0.0f)};
+  for (int i = 0; i < 14; ++i) rows.push_back(AxisRow(3.0f + i));
+  const std::vector<float> q = FindFloatInversion(rows);
+  ASSERT_FALSE(q.empty()) << "no row inverts the fp32 order on every backend";
+  rows[1] = q;
+  const SingleRowChunks fx(rows);
+  const Searcher searcher(&*fx.index, DiskCostModel());
+  const std::vector<float> origin(kDescriptorDim, 0.0f);
+  SearchScratch full;
+  searcher.RankChunks(origin, full);
+  ASSERT_EQ(full.rank_order[0], 1u);
+  const std::vector<std::span<const float>> spans(9, origin);
+  ExpectFloatFirstPlansEqualFullRanking(searcher, spans, "fp32 inversion");
 }
 
 // The executor under MaxChunks plans with the partial ranking; the
@@ -1042,32 +1188,10 @@ TEST(SearcherTest, ApproximateIsSubsetQualityOfExact) {
 // and the rank-order reference's (which never filters) under a small
 // MaxChunks, chunk- and query-major, at 1 and 4 threads, on every backend.
 TEST(SearcherTest, FilteredSweepMatchesExactScanOnOffsetCollection) {
-  const Collection plain = TestCollection(29);
-  Collection collection(plain.dim());
   Rng rng(31);
-  std::vector<double> shift(plain.dim());
-  for (auto& v : shift) v = rng.UniformDouble(1e4, 1e5);
-  DescriptorId next_id = 0;
-  for (size_t pos = 0; pos < plain.size(); ++pos) {
-    next_id = std::max(next_id, plain.Id(pos) + 1);
-  }
-  std::vector<float> row(plain.dim());
-  for (size_t pos = 0; pos < plain.size(); ++pos) {
-    const auto v = plain.Vector(pos);
-    for (size_t d = 0; d < row.size(); ++d) {
-      row[d] = static_cast<float>(shift[d] + v[d]);
-    }
-    collection.Append(plain.Id(pos), row);
-    if (pos % 5 == 0) collection.Append(next_id++, row);
-  }
-  MemEnv env;
-  SrTreeChunker chunker(60);
-  auto chunking = chunker.FormChunks(collection);
-  ASSERT_TRUE(chunking.ok());
-  auto built = ChunkIndex::Build(collection, *chunking, &env,
-                                 ChunkIndexPaths::ForBase("offset"));
-  ASSERT_TRUE(built.ok());
-  const ChunkIndex& index = *built;
+  const OffsetFixture fx(&rng);
+  const Collection& collection = fx.collection;
+  const ChunkIndex& index = *fx.index;
   const DiskCostModel model;
   Searcher searcher(&index, model);
   const auto method = MakeChunkedMethod(&index);

@@ -472,6 +472,24 @@ TEST(SkipTest, SphereSlackKeepsATiedRowWhoseBoundRoundsAbove) {
   ASSERT_TRUE(found) << "no (a, b) rounds the sphere bound above the row";
 }
 
+// The exact stop rule reads the same sphere bound as a suffix minimum, so it
+// carries the same slack: at this (a, b) chunk 1's computed cd - r rounds
+// above id 0's distance, and without the slack the rule stopped after
+// chunk 0 and answered {1, 2} with exact = true.
+TEST(SkipTest, ExactStopRuleSlackKeepsATiedRowWhoseBoundRoundsAbove) {
+  const TieOnTheBound fx(1.015625f, 1.265625f);
+  ASSERT_GT(fx.sphere, fx.kth);
+  const Searcher searcher(&*fx.index, DiskCostModel());
+  const std::vector<float> query(kDescriptorDim, 0.0f);
+  auto got = searcher.Search(query, 2, StopRule::Exact());
+  ASSERT_TRUE(got.ok());
+  std::vector<DescriptorId> ids;
+  for (const Neighbor& n : got->neighbors) ids.push_back(n.id);
+  EXPECT_EQ(ids, (std::vector<DescriptorId>{1, 0}));
+  EXPECT_TRUE(got->telemetry.exact);
+  EXPECT_EQ(got->telemetry.chunks_read, 2u);
+}
+
 // The rectangle test's threshold: a gap sum equal to the row's kernel value
 // exceeds the squared k-th when sqrt then square rounds down, so it must be
 // held to the inflated AbandonThreshold, not to kth * kth.

@@ -7,10 +7,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "dynamic/mutable_buffer.h"
+#include "geometry/kernels.h"
+#include "kernel_backends.h"
+#include "util/random.h"
 
 namespace qvt {
 namespace {
@@ -81,6 +87,89 @@ TEST(MutableBufferTest, ScanMatchesBruteForceAndFiltersTombstones) {
   for (size_t i = 0; i < got.size(); ++i) {
     EXPECT_EQ(got[i].id, want[i].id) << "rank " << i;
     EXPECT_DOUBLE_EQ(got[i].distance, want[i].distance) << "rank " << i;
+  }
+}
+
+// Under a finite limit the scan filters rows by their fp32 bound before the
+// exact kernel. Held to a plain per-row scan (every row's exact distance,
+// offered in row order when not above the current abandon threshold) on
+// every backend: centered rows with dimensions spread over binades, so the
+// fp32 bounds round, starting limits finite and +inf, and dead rows inside
+// the limit. Neighbor ids, distance bits and the refused count must agree.
+TEST(MutableBufferTest, FilteredScanMatchesPerRowReference) {
+  const size_t dim = 24;
+  const size_t rows = 700;  // two full 256-row blocks and a partial one
+  MutableBuffer buffer(dim, 1024, 1);
+  Rng rng(43);
+  std::vector<float> v(dim);
+  for (size_t i = 0; i < rows; ++i) {
+    double scale = 1.0;
+    for (size_t d = 0; d < dim; ++d, scale *= 0.7) {
+      v[d] = static_cast<float>(rng.UniformDouble(-1.0, 1.0) * scale);
+    }
+    buffer.Append(static_cast<DescriptorId>(1000 + i), 0, 1 + i, v);
+  }
+  std::vector<float> query(dim);
+  double scale = 1.0;
+  for (size_t d = 0; d < dim; ++d, scale *= 0.7) {
+    query[d] = static_cast<float>(rng.UniformDouble(-0.5, 0.5) * scale);
+  }
+  std::vector<double> exact(rows);
+  for (size_t i = 0; i < rows; ++i) {
+    double sq = 0.0;
+    for (size_t d = 0; d < dim; ++d) {
+      const double diff = static_cast<double>(buffer.Vector(i)[d]) -
+                          static_cast<double>(query[d]);
+      sq += diff * diff;
+    }
+    exact[i] = sq;
+  }
+  std::vector<double> sorted = exact;
+  std::sort(sorted.begin(), sorted.end());
+  // Every seventh row is dead; rows inside the finite limits are among them.
+  std::vector<uint64_t> tombstones(rows, 0);
+  for (size_t i = 0; i < rows; i += 7) tombstones[i] = 1 + rows;
+  size_t dead_inside = 0;
+  for (size_t i = 0; i < rows; i += 7) {
+    dead_inside += exact[i] <= sorted[60] ? 1 : 0;
+  }
+  ASSERT_GT(dead_inside, 0u);
+
+  // A bound at the 10th distance holds that row exactly on the limit.
+  for (const double bound : {std::sqrt(sorted[60]), std::sqrt(sorted[15]),
+                             std::sqrt(sorted[9]),
+                             std::numeric_limits<double>::infinity()}) {
+    KnnResultSet reference(10, {}, bound);
+    uint64_t refused = 0;
+    for (size_t i = 0; i < rows; ++i) {
+      if (exact[i] > kernels::AbandonThreshold(reference.KthDistance())) {
+        continue;
+      }
+      if (tombstones[i] > buffer.seq(i)) {
+        ++refused;
+        continue;
+      }
+      reference.Insert(buffer.id(i), std::sqrt(exact[i]));
+    }
+    const std::vector<Neighbor> want = reference.Sorted();
+    BackendGuard guard;
+    for (const kernels::Backend backend : SupportedBackends()) {
+      kernels::SetBackendForTesting(backend);
+      const std::string label = std::string(kernels::BackendName(backend)) +
+                                " bound " + std::to_string(bound);
+      KnnResultSet set(10, {}, bound);
+      EXPECT_EQ(buffer.Scan(query, rows, tombstones, &set, nullptr), refused)
+          << label;
+      const std::vector<Neighbor> got = set.Sorted();
+      ASSERT_EQ(got.size(), want.size()) << label;
+      for (size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].id, want[i].id) << label << " rank " << i;
+        EXPECT_EQ(std::memcmp(&got[i].distance, &want[i].distance,
+                              sizeof(double)),
+                  0)
+            << label << " rank " << i;
+      }
+    }
   }
 }
 

@@ -315,7 +315,11 @@ TEST(KernelsTest, FirstNotAboveMatchesPlainLoop) {
 /// Runs the filter on `count = base.size() / dim` rows under `threshold`
 /// and holds it to its contract against the exact kernel values: every row
 /// admission would offer (!(exact > threshold), NaN included) survives, and
-/// survivors are ascending and in range. Returns how many rows it rejected.
+/// survivors are ascending and in range. The bound pass
+/// (kernels::FloatSquaredBounds, the MaxChunks plan's) must report the very
+/// bounds the filter tested: a row survives exactly when its bound is not
+/// in (FloatFilterLimit, FLT_MAX], and the pass reports every bound finite
+/// exactly when each is. Returns how many rows the filter rejected.
 size_t ExpectFilterKeepsOfferedRows(const std::vector<float>& base,
                                     size_t dim,
                                     const std::vector<float>& query,
@@ -342,6 +346,19 @@ size_t ExpectFilterKeepsOfferedRows(const std::vector<float>& base,
           << threshold;
     }
   }
+  std::vector<float> bounds(count);
+  const bool finite = kernels::FloatSquaredBounds(base.data(), count, dim,
+                                                  query, bounds.data());
+  const float limit = kernels::FloatFilterLimit(threshold, dim);
+  bool all_finite = true;
+  for (size_t i = 0; i < count; ++i) {
+    const bool bounded = bounds[i] <= std::numeric_limits<float>::max();
+    all_finite = all_finite && bounded;
+    EXPECT_EQ(survived[i], !(bounds[i] > limit && bounded))
+        << label << " row " << i << " bound " << bounds[i] << " limit "
+        << limit;
+  }
+  EXPECT_EQ(finite, all_finite) << label;
   return count - kept;
 }
 

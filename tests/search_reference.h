@@ -24,6 +24,7 @@
 #include "core/searcher.h"
 #include "descriptor/workload.h"
 #include "geometry/kernels.h"
+#include "kernel_backends.h"
 #include "storage/chunk_cache.h"
 #include "storage/disk_cost_model.h"
 #include "util/logging.h"
@@ -152,7 +153,7 @@ struct ReferenceOptions {
 /// each chunk in rank order, scanned by BatchSquaredDistanceAbandon into a
 /// KnnResultSet, with every stop rule checked before the next rank and the
 /// DiskCostModel charged per chunk read (no cache). `searcher` supplies
-/// only RankChunks. Fills neighbors, chunks_read, chunks_skipped,
+/// only RankChunks' full ranking; the exact rule's bound is rebuilt here. Fills neighbors, chunks_read, chunks_skipped,
 /// descriptors_scanned, model_micros, tombstones_filtered and exact.
 inline MethodResult RankOrderReference(const Searcher& searcher,
                                        const DiskCostModel& cost_model,
@@ -164,6 +165,20 @@ inline MethodResult RankOrderReference(const Searcher& searcher,
   const size_t num_chunks = index.num_chunks();
   SearchScratch scratch;
   int64_t model_micros = searcher.RankChunks(query, scratch);
+  // The exact rule's lower bound of the chunks ranked >= r: the least
+  // centroid distance - radius over them, each less the sphere test's
+  // relative slack of 1e-9 (a computed cd - r can round above a row's
+  // computed distance), floored at 0.
+  std::vector<double> suffix_bound(num_chunks + 1,
+                                   std::numeric_limits<double>::infinity());
+  for (size_t r = num_chunks; r-- > 0;) {
+    const uint32_t chunk_id = scratch.rank_order[r];
+    const double cd = scratch.centroid_distance[chunk_id];
+    const double radius = index.radius(chunk_id);
+    suffix_bound[r] = std::min(
+        suffix_bound[r + 1],
+        std::max(0.0, cd - radius - 1e-9 * (cd + radius)));
+  }
 
   MethodResult out;
   QueryTelemetry& t = out.telemetry;
@@ -181,7 +196,7 @@ inline MethodResult RankOrderReference(const Searcher& searcher,
       break;
     }
     if (stop.kind == StopRule::Kind::kExact &&
-        scratch.suffix_min_bound[r] * (1.0 + stop.epsilon) >
+        suffix_bound[r] * (1.0 + stop.epsilon) >
             result_set.KthDistance()) {
       t.exact = stop.epsilon == 0.0;
       break;
@@ -221,6 +236,102 @@ inline MethodResult RankOrderReference(const Searcher& searcher,
   t.model_micros = model_micros;
   t.tombstones_filtered = result_set.refused();
   return out;
+}
+
+/// One MaxChunks(m) plan against the full ranking of the same query
+/// (RankChunks under the exact rule): the first min(m, n) ranks, and the
+/// centroid distances of their chunks, are the full ranking's bit for bit;
+/// rank_order names every chunk exactly once; no suffix bound is left
+/// behind. For m >= n the plan is the full ranking. For m < n the rest of
+/// rank_order is the other ids ascending and every other centroid distance
+/// is NaN, so nothing an earlier query left in the scratch shows through.
+inline void ExpectSelectionPlan(const SearchScratch& plan,
+                                const SearchScratch& full, size_t m,
+                                const std::string& label) {
+  const size_t n = full.rank_order.size();
+  ASSERT_EQ(plan.rank_order.size(), n) << label;
+  ASSERT_EQ(plan.centroid_distance.size(), n) << label;
+  EXPECT_TRUE(plan.suffix_min_bound.empty()) << label;
+  std::vector<uint32_t> ids = plan.rank_order;
+  std::sort(ids.begin(), ids.end());
+  for (size_t i = 0; i < n; ++i) {
+    ASSERT_EQ(ids[i], i) << label << ": rank_order is not a permutation";
+  }
+  const size_t ranked = std::min(m, n);
+  std::vector<bool> selected(n, m >= n);
+  for (size_t r = 0; r < ranked; ++r) {
+    const uint32_t chunk_id = plan.rank_order[r];
+    EXPECT_EQ(chunk_id, full.rank_order[r]) << label << " rank " << r;
+    selected[chunk_id] = true;
+    EXPECT_EQ(std::memcmp(&plan.centroid_distance[chunk_id],
+                          &full.centroid_distance[chunk_id], sizeof(double)),
+              0)
+        << label << " rank " << r;
+  }
+  if (m >= n) {
+    for (size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(std::memcmp(&plan.centroid_distance[i],
+                            &full.centroid_distance[i], sizeof(double)),
+                0)
+          << label << " chunk " << i;
+    }
+    return;
+  }
+  for (size_t r = ranked + 1; r < n; ++r) {
+    EXPECT_LT(plan.rank_order[r - 1], plan.rank_order[r])
+        << label << ": the unselected ranks are not ascending at " << r;
+  }
+  for (size_t i = 0; i < n; ++i) {
+    if (!selected[i]) {
+      EXPECT_TRUE(std::isnan(plan.centroid_distance[i]))
+          << label << " unselected chunk " << i;
+    }
+  }
+}
+
+/// On every supported backend, the MaxChunks(m) plan of `queries` for m in
+/// {1, 2, 8, n - 1}, ranked in batches of the first 1, 3, 4, 5 and 9 (as
+/// far as there are queries) into fresh scratches and into scratches last
+/// used by other queries' exact plans, equals each query's full ranking on
+/// that backend (ExpectSelectionPlan).
+inline void ExpectFloatFirstPlansEqualFullRanking(
+    const Searcher& searcher,
+    std::span<const std::span<const float>> queries,
+    const std::string& label) {
+  const size_t n = searcher.index()->num_chunks();
+  const size_t nq = queries.size();
+  BackendGuard guard;
+  for (const kernels::Backend backend : SupportedBackends()) {
+    kernels::SetBackendForTesting(backend);
+    const std::string on = label + "/" + kernels::BackendName(backend);
+    std::vector<SearchScratch> full(nq);
+    for (size_t q = 0; q < nq; ++q) searcher.RankChunks(queries[q], full[q]);
+    for (const size_t m : {size_t{1}, size_t{2}, size_t{8}, n - 1}) {
+      if (m == 0 || m >= n) continue;
+      for (const size_t batch : {1u, 3u, 4u, 5u, 9u}) {
+        if (batch > nq) continue;
+        const std::string at = on + " m " + std::to_string(m) + " batch " +
+                               std::to_string(batch);
+        std::vector<SearchScratch> fresh(batch);
+        std::vector<SearchScratch> foreign(batch);
+        std::vector<SearchScratch*> fresh_ptrs;
+        std::vector<SearchScratch*> foreign_ptrs;
+        for (size_t q = 0; q < batch; ++q) {
+          searcher.RankChunks(queries[(q + 1) % nq], foreign[q]);
+          fresh_ptrs.push_back(&fresh[q]);
+          foreign_ptrs.push_back(&foreign[q]);
+        }
+        const StopRule rule = StopRule::MaxChunks(m);
+        searcher.RankChunksBatch(queries.first(batch), fresh_ptrs, rule);
+        searcher.RankChunksBatch(queries.first(batch), foreign_ptrs, rule);
+        for (size_t q = 0; q < batch; ++q) {
+          const std::string query = at + " query " + std::to_string(q);
+          ExpectSelectionPlan(fresh[q], full[q], m, query + " (fresh)");
+          ExpectSelectionPlan(foreign[q], full[q], m, query + " (foreign)");
+        }
+      }
+    }
+  }
 }
 
 /// `answer` filtered to distance <= bound.

@@ -885,7 +885,9 @@ int CmdSearch(const Flags& flags) {
 // --verify 1 re-runs the batch serially (query-major, fresh cache) and
 // cross-checks each query's neighbor ids and distance bits, chunks read,
 // exact verdict and (without --cache-pages) model time — covering
-// concurrency AND the shared-scan executor. --check-recall R scores the
+// concurrency AND the shared-scan executor; under --max-chunks with the
+// chunked method it also holds each query's plan to the full ranking
+// (first m ranks and their distance bits). --check-recall R scores the
 // batch against exact-scan ground truth and fails below the threshold.
 int CmdBatch(const Flags& flags) {
   const std::string method_name = flags.Get("method", "chunked");
@@ -1046,13 +1048,40 @@ int CmdBatch(const Flags& flags) {
     std::printf("verify: %zu/%zu queries identical to serial run%s\n",
                 workload.num_queries() - mismatches, workload.num_queries(),
                 mismatches == 0 ? "" : "  <-- MISMATCH");
+    size_t plan_mismatches = 0;
+    if (method_name == "chunked" && max_chunks > 0) {
+      // The MaxChunks plan ranks from fp32 bounds and computes exact
+      // centroid distances only for the chunks it can select: each query's
+      // first m ranks and their distance bits must be the full ranking's.
+      const Searcher searcher(&**index, DiskCostModel());
+      const size_t ranked = std::min(max_chunks, (*index)->num_chunks());
+      SearchScratch plan;
+      SearchScratch full;
+      for (size_t q = 0; q < workload.num_queries(); ++q) {
+        searcher.RankChunks(workload.Query(q), plan, stop);
+        searcher.RankChunks(workload.Query(q), full, StopRule::Exact());
+        bool same = true;
+        for (size_t r = 0; same && r < ranked; ++r) {
+          const uint32_t chunk_id = full.rank_order[r];
+          same = plan.rank_order[r] == chunk_id &&
+                 std::memcmp(&plan.centroid_distance[chunk_id],
+                             &full.centroid_distance[chunk_id],
+                             sizeof(double)) == 0;
+        }
+        if (!same) ++plan_mismatches;
+      }
+      std::printf("plans: %zu/%zu equal to the full ranking%s\n",
+                  workload.num_queries() - plan_mismatches,
+                  workload.num_queries(),
+                  plan_mismatches == 0 ? "" : "  <-- MISMATCH");
+    }
     const double speedup =
         batch->batch_wall_micros > 0
             ? static_cast<double>(reference->batch_wall_micros) /
                   static_cast<double>(batch->batch_wall_micros)
             : 0.0;
     std::printf("speedup vs serial: %.2fx\n", speedup);
-    if (mismatches != 0) return 1;
+    if (mismatches != 0 || plan_mismatches != 0) return 1;
   }
 
   if (flags.Has("check-recall")) {
